@@ -61,12 +61,6 @@ class CircumcenterSet:
     mode: str
     start_failures: int = 0
 
-    def witness_centers(self) -> list:
-        seen = {}
-        for p in self.pieces:
-            seen.setdefault(p.center.coords, p.center)
-        return list(seen.values())
-
     def covers(self, center: Vec, radius) -> bool:
         """Whether some enumerated piece contains the candidate."""
         return any(p.holds(center, radius) for p in self.pieces)
@@ -132,33 +126,14 @@ def _feasible_facets_per_vertex(simplex: Simplex, ball: PolytopeBall) -> list:
     return out
 
 
-def _same_solution_set(pa: CircumPiece, pb: CircumPiece) -> bool:
-    if pa.problem is None or pb.problem is None:
-        return pa.center == pb.center and pa.radius == pb.radius
-
-    def covers(big: FeasibilityProblem, small: FeasibilityProblem) -> bool:
-        # sol(small) subset of sol(big): adding the negation of any row of
-        # big to small must be infeasible
-        for coeffs, rhs in big.equalities:
-            for flip in (1, -1):
-                probe = FeasibilityProblem(small.n_vars)
-                probe.equalities = list(small.equalities)
-                probe.inequalities = list(small.inequalities)
-                probe.add_le(tuple(flip * c for c in coeffs), flip * rhs, strict=True)
-                if feasible(probe, with_dim=False).feasible:
-                    return False
-        for row in big.inequalities:
-            probe = FeasibilityProblem(small.n_vars)
-            probe.equalities = list(small.equalities)
-            probe.inequalities = list(small.inequalities)
-            probe.add_le(
-                tuple(-c for c in row.coeffs), -row.rhs, strict=not row.strict
-            )
-            if feasible(probe, with_dim=False).feasible:
-                return False
-        return True
-
-    return covers(pa.problem, pb.problem) and covers(pb.problem, pa.problem)
+def _tight_pairs(assignment, n_facets: int, implicit_rows) -> frozenset:
+    """Key of a positive-dimensional piece: the (vertex i, facet k) pairs
+    whose row <n_k, A_i - M> = r holds on the whole piece.  All
+    assignments share these rows, so two nonempty pieces with the same
+    key satisfy each other's equalities and coincide.  `implicit_rows`
+    index the inequalities in `_assignment_problem` order."""
+    rows = [(i, k) for i, j in enumerate(assignment) for k in range(n_facets) if k != j]
+    return frozenset(enumerate(assignment)).union(rows[idx] for idx in implicit_rows)
 
 
 def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> CircumcenterSet:
@@ -176,8 +151,9 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
             f"{total} facet assignments exceed cap {cap}"
         )
 
-    pieces: list[CircumPiece] = []
-    point_seen = {}
+    # pieces keyed by (center, radius) for points and by tight pairs
+    # otherwise; the first assignment reaching a solution set keeps it
+    pieces: dict = {}
     for assignment in itertools.product(*candidates):
         rows = []
         rhs = []
@@ -193,41 +169,26 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
             center, radius = Vec(z[:d]), z[d]
             if radius <= 0:
                 continue
-            if all(ball.gauge(a - center) == radius for a in simplex.vertices):
-                key = (center.coords, radius)
-                if key not in point_seen:
-                    point_seen[key] = True
-                    pieces.append(
-                        CircumPiece(
-                            center,
-                            radius,
-                            0,
-                            assignment,
-                            _assignment_problem(simplex, ball, assignment),
-                        )
-                    )
+            key = (center.coords, radius)
+            if key not in pieces and all(
+                ball.gauge(a - center) == radius for a in simplex.vertices
+            ):
+                prob = _assignment_problem(simplex, ball, assignment)
+                pieces[key] = CircumPiece(center, radius, 0, assignment, prob)
             continue
         prob = _assignment_problem(simplex, ball, assignment)
         res = feasible(prob, with_dim=True)
         if not res.feasible:
             continue
         center, radius = Vec(res.witness[:d]), res.witness[d]
-        pieces.append(CircumPiece(center, radius, res.affine_dim, assignment, prob))
+        if res.affine_dim == 0:
+            key = (center.coords, radius)
+        else:
+            key = _tight_pairs(assignment, len(normals), res.implicit_rows)
+        if key not in pieces:
+            pieces[key] = CircumPiece(center, radius, res.affine_dim, assignment, prob)
 
-    # merge pieces whose (M, r) solution sets coincide
-    merged: list[CircumPiece] = []
-    for p in pieces:
-        duplicate = False
-        for q in merged:
-            if p.affine_dim == q.affine_dim and (
-                (p.affine_dim == 0 and p.center == q.center and p.radius == q.radius)
-                or (p.affine_dim > 0 and _same_solution_set(p, q))
-            ):
-                duplicate = True
-                break
-        if not duplicate:
-            merged.append(p)
-
+    merged = list(pieces.values())
     if not merged:
         cls = EMPTY
     elif any(p.affine_dim >= 1 for p in merged):

@@ -257,6 +257,16 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # reported like any other count below 1
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minksimplex",
@@ -282,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             p.add_argument("--theorem", required=True, choices=FAMILIES,
                            help="equivalence family to verify")
-            p.add_argument("--trials", type=int, default=200)
+            p.add_argument("--trials", type=_positive_int, default=200)
             p.add_argument("--seed", type=int, default=0)
         if name == "construct":
             p.add_argument("--strategy", choices=("deterministic", "seeded"),
@@ -300,15 +310,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         scene = parse_scene(_read_input(args.inp))
-    except SceneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         _check_mode_flag(scene, args.mode)
         payload, code = _COMMANDS[args.command](scene, args)
+    except (SceneError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except VerificationError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3

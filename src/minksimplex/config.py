@@ -6,6 +6,8 @@ relax them without reloading modules.
 
 import os
 
+from .errors import ConfigError
+
 # Relative / absolute tolerances for float64 (smooth-norm) code paths.
 EPS_REL = 1e-9
 EPS_ABS = 1e-12
@@ -28,9 +30,9 @@ def _get(name: str) -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from exc
     if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+        raise ConfigError(f"{name} must be positive, got {value}")
     return value
 
 

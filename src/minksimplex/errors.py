@@ -18,6 +18,10 @@ class DimensionError(MinksimplexError, ValueError):
     """Operands live in incompatible or unsupported dimensions."""
 
 
+class ConfigError(MinksimplexError, ValueError):
+    """A MINKSIMPLEX_* environment setting is not a positive integer."""
+
+
 class ResourceCapError(MinksimplexError, RuntimeError):
     """A configured size cap would be exceeded (facet count, dimension,
     enumeration width, elimination blow-up)."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .config import max_fm_rows
-from .errors import DimensionError, MixedModeError, ResourceCapError
+from .errors import DimensionError, MixedModeError, ResourceCapError, VerificationError
 from .linalg import LinearSolution, rank, solve_linear
 from .scalars import Rat, is_exact
 
@@ -75,6 +75,19 @@ class FeasibilityResult:
     feasible: bool
     witness: Optional[tuple] = None
     affine_dim: Optional[int] = None
+    # indices into problem.inequalities of the rows that hold with
+    # equality on the whole feasible set (reported with the dimension)
+    implicit_rows: Optional[tuple] = None
+
+
+def _scaled(row: Ineq):
+    """(coeffs, rhs) divided by |leading coefficient|; None for a
+    constant row."""
+    lead = next((c for c in row.coeffs if c != 0), None)
+    if lead is None:
+        return None
+    scale = abs(lead)
+    return tuple(c / scale for c in row.coeffs), row.rhs / scale
 
 
 def _normalize(ineqs: list) -> list:
@@ -82,15 +95,13 @@ def _normalize(ineqs: list) -> list:
     duplicates (same normal, looser bound)."""
     best = {}
     for row in ineqs:
-        lead = next((c for c in row.coeffs if c != 0), None)
-        if lead is None:
+        scaled = _scaled(row)
+        if scaled is None:
             # constant row: 0 (<= | <) rhs
             if row.rhs < 0 or (row.strict and row.rhs == 0):
                 return None  # infeasible marker
             continue
-        scale = abs(lead)
-        coeffs = tuple(c / scale for c in row.coeffs)
-        rhs = row.rhs / scale
+        coeffs, rhs = scaled
         cur = best.get(coeffs)
         if cur is None or rhs < cur.rhs:
             best[coeffs] = Ineq(coeffs, rhs, row.strict)
@@ -199,7 +210,8 @@ def _solve_ineqs(ineqs: list, n: int) -> Optional[list]:
 
 def feasible(problem: FeasibilityProblem, with_dim: bool = True) -> FeasibilityResult:
     """Decide the system, produce a witness, and (optionally) report the
-    affine dimension of the feasible set."""
+    affine dimension of the feasible set and the inequalities that hold
+    with equality on all of it."""
     n = problem.n_vars
     if problem.equalities:
         rows = [list(c) for c, _ in problem.equalities]
@@ -213,8 +225,15 @@ def feasible(problem: FeasibilityProblem, with_dim: bool = True) -> FeasibilityR
         ))
     if sol.status == "unique":
         point = sol.point
-        ok = problem.holds_at(point)
-        return FeasibilityResult(ok, point if ok else None, 0 if ok else None)
+        if not problem.holds_at(point):
+            return FeasibilityResult(False)
+        tight = None
+        if with_dim:
+            tight = tuple(
+                idx for idx, row in enumerate(problem.inequalities)
+                if not row.strict and sum(c * x for c, x in zip(row.coeffs, point)) == row.rhs
+            )
+        return FeasibilityResult(True, point, 0, tight)
 
     base, basis = sol.point, sol.basis
     k = len(basis)
@@ -234,7 +253,8 @@ def feasible(problem: FeasibilityProblem, with_dim: bool = True) -> FeasibilityR
         b + sum(bvec[i] * tv for bvec, tv in zip(basis, t))
         for i, b in enumerate(base)
     )
-    assert problem.holds_at(witness), "witness failed substitution check"
+    if not problem.holds_at(witness):
+        raise VerificationError("feasibility witness failed the substitution check")
     if not with_dim:
         return FeasibilityResult(True, witness, None)
 
@@ -250,9 +270,20 @@ def feasible(problem: FeasibilityProblem, with_dim: bool = True) -> FeasibilityR
             r if i != idx else Ineq(r.coeffs, r.rhs, True) for i, r in enumerate(canon)
         ]
         if _solve_ineqs(probe, k) is None:
-            implicit.append(list(row.coeffs))
-    dim = k - (rank(implicit) if implicit else 0)
-    return FeasibilityResult(True, witness, dim)
+            implicit.append(row)
+    dim = k - (rank([list(row.coeffs) for row in implicit]) if implicit else 0)
+    # an input row is implicit when its scaled reduced form is an
+    # implicit canonical row; a looser duplicate is slack everywhere, and
+    # a constant row is tight exactly when it reads 0 <= 0
+    tight = {(row.coeffs, row.rhs) for row in implicit}
+    rows = []
+    for idx, row in enumerate(reduced):
+        if row.strict:
+            continue
+        scaled = _scaled(row)
+        if (row.rhs == 0) if scaled is None else (scaled in tight):
+            rows.append(idx)
+    return FeasibilityResult(True, witness, dim, tuple(rows))
 
 
 def lp_max(problem: FeasibilityProblem, objective: Sequence):

@@ -21,6 +21,7 @@ from .errors import (
     MixedModeError,
     NonConvergenceError,
     ResourceCapError,
+    VerificationError,
 )
 from .linalg import Hyperplane, Vec, affine_rank, solve_linear
 from .scalars import EXACT, FLOAT, Rat, is_float
@@ -311,7 +312,8 @@ def birkhoff_orthogonal(ball: UnitBall, x: Vec, y: Vec) -> bool:
                 value = (cj * (-sk) + ck * sj) / (sj - sk)
                 if best is None or value > best:
                     best = value
-        assert best is not None, "symmetric ball must have opposite slopes"
+        if best is None:
+            raise VerificationError("symmetric ball must have opposite slopes")
         return best == gx
     # smooth: gauge is differentiable away from 0; the convex function
     # g(t) = ||x + t y|| has minimum at 0 iff g'(0) = 0
@@ -374,7 +376,8 @@ def chord_through(ball: Ball, p: Vec, direction: Vec) -> tuple:
             else:
                 if tminus is None or t > tminus:
                     tminus = t
-        assert tplus is not None and tminus is not None
+        if tplus is None or tminus is None:
+            raise VerificationError("a line through a bounded ball must leave it both ways")
         return tminus, tplus
 
     # smooth: expand a bracket then bisect each side

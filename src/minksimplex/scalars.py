@@ -20,7 +20,7 @@ try:
 
     _RATIONAL_TYPES: tuple = (Fraction, type(_mpq(0)))
     RAT_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional
     _mpq = Fraction
     _RATIONAL_TYPES = (Fraction,)
     RAT_BACKEND = "fractions"

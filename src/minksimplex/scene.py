@@ -17,7 +17,7 @@ from typing import Optional
 
 import jsonschema
 
-from .errors import MinksimplexError
+from .errors import ConfigError, MinksimplexError, ResourceCapError
 from .linalg import Hyperplane, Vec
 from .norms import PNormBall, PolytopeBall, UnitBall
 from .scalars import EXACT, Rat
@@ -175,8 +175,8 @@ def scene_from_dict(doc: dict) -> Scene:
             ball = PolytopeBall.from_halfspaces(halfspaces)
         else:
             ball = PNormBall(dim, float(ball_doc["p"]))
-    except SceneError:
-        raise
+    except (SceneError, ResourceCapError, ConfigError):
+        raise  # caps and settings are not scene errors
     except MinksimplexError as exc:
         raise SceneError(str(exc), "$.ball")
     simplex = None

@@ -6,6 +6,8 @@ gauge comparison, and require every grid hit to be covered by some
 enumerated piece.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -30,8 +32,9 @@ from minksimplex.circumcenter import (
     smooth_circumcenters,
 )
 from minksimplex.construct import quasiregular_simplex
-from minksimplex.errors import MixedModeError
-from minksimplex.linalg import Vec
+from minksimplex.errors import DegenerateInputError, MixedModeError
+from minksimplex.feasibility import FeasibilityProblem, feasible
+from minksimplex.linalg import Hyperplane, Vec
 from minksimplex.norms import PNormBall, PolytopeBall, euclidean_ball
 from minksimplex.scalars import Rat
 from minksimplex.simplex import Simplex
@@ -166,6 +169,122 @@ def test_cube_edge_midpoint_instance():
     diff = two[1] - two[0]
     # difference is a nonzero multiple of the translation direction
     assert diff[0] == 0 and diff[1] == 0 and diff[2] != 0
+
+
+def test_cube_edge_midpoint_pieces_pinned():
+    inst = cube_edge_midpoint_instance()
+    cset = polytopal_circumcenters(inst.simplex, inst.ball)
+    assert cset.classification == MULTIPLE
+    assert len(cset.pieces) == 12
+    assert [p.affine_dim for p in cset.pieces] == [1, 0, 0, 1, 0, 2, 1, 0, 1, 2, 1, 1]
+
+
+# -- piece merge against a containment oracle --------------------------
+
+
+def cube_normals(d):
+    return [tuple(s if k == i else 0 for k in range(d)) for i in range(d) for s in (1, -1)]
+
+
+def cross_normals(d):
+    return list(itertools.product((1, -1), repeat=d))
+
+
+def h_ball(normals):
+    return PolytopeBall.from_halfspaces([Hyperplane(vec(*n), Rat(1)) for n in normals])
+
+
+def assignment_problem(simplex, ball, assignment):
+    """(M, r) with <n_k, A_i - M> <= r for every vertex and facet,
+    equality where facet k = assignment[i], and r > 0."""
+    d = simplex.dim
+    prob = FeasibilityProblem(d + 1)
+    for i, a in enumerate(simplex.vertices):
+        for k, n in enumerate(ball.normals):
+            row = (*(-c for c in n.coords), Rat(-1))
+            if k == assignment[i]:
+                prob.add_eq(row, -n.dot(a))
+            else:
+                prob.add_le(row, -n.dot(a))
+    prob.add_le((*(Rat(0),) * d, Rat(-1)), Rat(0), strict=True)
+    return prob
+
+
+def contains(big, small) -> bool:
+    """sol(small) lies in sol(big): small with the negation of any row of
+    big is empty."""
+    negations = [(tuple(s * c for c in coeffs), s * rhs, True)
+                 for coeffs, rhs in big.equalities for s in (1, -1)]
+    negations += [(tuple(-c for c in row.coeffs), -row.rhs, not row.strict)
+                  for row in big.inequalities]
+    for coeffs, rhs, strict in negations:
+        probe = FeasibilityProblem(small.n_vars, list(small.equalities), list(small.inequalities))
+        probe.add_le(coeffs, rhs, strict)
+        if feasible(probe, with_dim=False).feasible:
+            return False
+    return True
+
+
+def same_set(p, q) -> bool:
+    return contains(p, q) and contains(q, p)
+
+
+def touchable_facets(vertices, normals):
+    """Facet k can touch A_i only if A_i maximizes <n_k, .> over the
+    vertices."""
+    def dot(n, a):
+        return sum(x * y for x, y in zip(n, a))
+
+    return [
+        [k for k, n in enumerate(normals) if all(dot(n, a) >= dot(n, b) for b in vertices)]
+        for a in vertices
+    ]
+
+
+def lattice_simplex(rng, normals, assignments):
+    """A simplex with vertices in {-2, ..., 2}^d whose count of candidate
+    assignments lies in the given range: enough to merge, few enough
+    for the oracle's two-sided probes."""
+    d = len(normals[0])
+    while True:
+        verts = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d + 1)]
+        if math.prod(map(len, touchable_facets(verts, normals))) in assignments:
+            try:
+                return Simplex([vec(*v) for v in verts])
+            except DegenerateInputError:
+                continue
+
+
+def test_merged_pieces_match_containment_oracle():
+    rng = random.Random("merge-oracle")
+    # dimension: (instances per ball, candidate assignment counts)
+    plan = {2: (6, range(2, 9)), 3: (2, range(4, 19)), 4: (2, range(4, 9))}
+    merged = positive = 0
+    for normals in (cube_normals(2), cross_normals(2), cube_normals(3), cross_normals(3),
+                    cube_normals(4)):
+        ball = h_ball(normals)
+        count, assignments = plan[ball.dim]
+        for _ in range(count):
+            simplex = lattice_simplex(rng, normals, assignments)
+            pieces = polytopal_circumcenters(simplex, ball).pieces
+            problems = [assignment_problem(simplex, ball, p.assignment) for p in pieces]
+            for p, prob in zip(pieces, problems):
+                assert prob.holds_at((*p.center.coords, p.radius))
+            for p, q in itertools.combinations(problems, 2):
+                assert not same_set(p, q)
+            found = 0
+            for assignment in itertools.product(*touchable_facets(simplex.vertices, ball.normals)):
+                prob = assignment_problem(simplex, ball, assignment)
+                res = feasible(prob, with_dim=False)
+                if not res.feasible:
+                    continue
+                found += 1
+                assert sum(
+                    q.holds_at(res.witness) and same_set(q, prob) for q in problems
+                ) == 1
+            merged += found > len(pieces)
+            positive += any(p.affine_dim > 0 for p in pieces)
+    assert merged >= 5 and positive >= 5
 
 
 def test_distinct_centers_probes_segments():

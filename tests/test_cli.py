@@ -1,6 +1,7 @@
 """End-to-end command line checks: exit codes, JSON shape, SVG output."""
 
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -169,6 +170,45 @@ def test_verify_radon_family_needs_radon_ball(tmp_path):
     scene = {"dimension": 2, "ball": POLY_SCENE["ball"]}
     code, _ = run_cli(["verify", "--theorem", "r41", "--trials", "2"], tmp_path, scene)
     assert code == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_non_positive_trials(tmp_path, capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--theorem", "44", "--trials", trials], tmp_path, HEX_SCENE)
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, value, command, scene",
+    [
+        ("MINKSIMPLEX_MAX_ASSIGNMENTS", "1", "circumcenters", POLY_SCENE),
+        ("MINKSIMPLEX_MAX_FM_ROWS", "1", "circumcenters", CUBE_SCENE),
+        ("MINKSIMPLEX_MAX_FACETS", "3", "gauge", POLY_SCENE),
+        ("MINKSIMPLEX_MAX_DIM", "2", "gauge", CUBE_SCENE),
+        ("MINKSIMPLEX_MAX_FACETS", "lots", "gauge", POLY_SCENE),
+        ("MINKSIMPLEX_MAX_FM_ROWS", "0", "circumcenters", CUBE_SCENE),
+    ],
+)
+def test_resource_caps_exit_2(tmp_path, monkeypatch, capsys, name, value, command, scene):
+    monkeypatch.setenv(name, value)
+    code, text = run_cli([command], tmp_path, scene)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_bad_cap_setting_exits_2_without_traceback(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "minksimplex.cli", "circumcenters", "--in", write_scene(tmp_path, POLY_SCENE)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "MINKSIMPLEX_MAX_FM_ROWS": "lots"},
+    )
+    assert proc.returncode == 2
+    assert "MINKSIMPLEX_MAX_FM_ROWS" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_verify_corrupted_predicate_exits_3(tmp_path, monkeypatch, capsys):

@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from minksimplex.feasibility import FeasibilityProblem, feasible, lp_max
+from minksimplex.errors import VerificationError
+from minksimplex.feasibility import FeasibilityProblem, Ineq, feasible, lp_max
 from minksimplex.scalars import Rat
 
 
@@ -111,6 +112,97 @@ def test_zero_variable_systems():
     assert feasible(p).feasible
     p.add_le((), Rat(-1))
     assert not feasible(p).feasible
+
+
+def le_problem(n, rows, strict=()):
+    """Rows ((coeffs), rhs) as non-strict inequalities; indices in
+    `strict` become strict rows."""
+    p = FeasibilityProblem(n)
+    for idx, (coeffs, rhs) in enumerate(rows):
+        p.add_le(tuple(Rat(c) for c in coeffs), Rat(rhs), strict=idx in strict)
+    return p
+
+
+SQUARE_ROWS = [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)]
+
+
+def test_implicit_rows_of_a_segment():
+    # {0 <= x <= 1, y = 0} written with inequalities only
+    res = feasible(le_problem(2, [((1, 0), 1), ((0, 1), 0), ((-1, 0), 0), ((0, -1), 0)]))
+    assert res.affine_dim == 1
+    assert res.implicit_rows == (1, 3)
+
+
+def test_implicit_rows_of_a_square_with_a_duplicated_row():
+    # the square cut down to its edge x = -1 by x <= -1, given twice
+    # (once scaled by 2), plus a looser copy 3x <= 0 that is slack
+    rows = SQUARE_ROWS + [((1, 0), -1), ((2, 0), -2), ((3, 0), 0)]
+    res = feasible(le_problem(2, rows))
+    assert res.affine_dim == 1
+    assert res.implicit_rows == (1, 4, 5)
+    assert feasible(le_problem(2, SQUARE_ROWS)).implicit_rows == ()
+
+
+def test_implicit_zero_row():
+    res = feasible(le_problem(1, [((0,), 0), ((0,), 1), ((1,), 1), ((-1,), 1)]))
+    assert res.affine_dim == 1
+    assert res.implicit_rows == (0,)
+
+
+def test_strict_rows_are_never_implicit():
+    # 0 <= x < 1, with x <= 1 dominated by the strict row; and y pinned
+    # by two non-strict rows next to a strict one
+    rows = [((-1, 0), 0), ((1, 0), 1), ((1, 0), 1), ((0, 1), 0), ((0, -1), 0), ((0, 1), 1)]
+    res = feasible(le_problem(2, rows, strict={1, 5}))
+    assert res.affine_dim == 1
+    assert res.implicit_rows == (3, 4)
+
+
+def test_implicit_rows_through_equalities():
+    # the unique path: x = 1, y = 0 pins a point; x <= 1 and 0 <= 0
+    # are tight there, y <= 2 and the strict x + y < 2 are not
+    p = le_problem(2, [((1, 0), 1), ((0, 1), 2), ((1, 1), 2), ((0, 0), 0)], strict={2})
+    p.add_eq((Rat(1), Rat(0)), Rat(1))
+    p.add_eq((Rat(0), Rat(1)), Rat(0))
+    res = feasible(p)
+    assert res.affine_dim == 0 and res.implicit_rows == (0, 3)
+    # the parametrized path: x + y = 1 with 0 <= x <= 0 leaves a point
+    q = le_problem(2, [((1, 0), 0), ((-1, 0), 0), ((0, 1), 5)])
+    q.add_eq((Rat(1), Rat(1)), Rat(1))
+    res = feasible(q)
+    assert res.affine_dim == 0 and res.implicit_rows == (0, 1)
+    assert feasible(q, with_dim=False).implicit_rows is None
+
+
+def test_implicit_rows_agree_with_strict_probes():
+    # a non-strict row is an implicit equality iff making it strict
+    # empties the set
+    rng = random.Random("fm-implicit")
+    checked = tight = 0
+    for _ in range(40):
+        p = random_problem(rng, 2, rng.randint(2, 5))
+        # pin some rows against their negation so implicit rows occur
+        for row in list(p.inequalities[:2]):
+            if not row.strict:
+                p.add_le(tuple(-c for c in row.coeffs), -row.rhs)
+        res = feasible(p)
+        if not res.feasible:
+            continue
+        checked += 1
+        tight += len(res.implicit_rows)
+        for idx, row in enumerate(p.inequalities):
+            probe = FeasibilityProblem(2)
+            probe.inequalities = list(p.inequalities)
+            probe.inequalities[idx] = Ineq(row.coeffs, row.rhs, True)
+            empty = not feasible(probe, with_dim=False).feasible
+            assert (idx in res.implicit_rows) == (empty and not row.strict)
+    assert checked > 10 and tight > 10
+
+
+def test_failed_witness_check_raises(monkeypatch):
+    monkeypatch.setattr(FeasibilityProblem, "holds_at", lambda self, point: False)
+    with pytest.raises(VerificationError):
+        feasible(le_problem(2, SQUARE_ROWS))
 
 
 def test_lp_max_square():
