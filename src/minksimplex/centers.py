@@ -22,13 +22,13 @@ flipped facet.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
+from . import config
 from .errors import DegenerateInputError, MixedModeError, VerificationError
-from .linalg import Hyperplane, Vec, affine_rank, solve_linear
+from .linalg import Hyperplane, Vec, affine_rank, det, solve_linear
 from .norms import Ball, UnitBall
 from .scalars import EXACT, FLOAT, Rat, close
 from .simplex import Simplex
@@ -54,7 +54,7 @@ class EulerLine:
         derived point lands there too."""
         return self.circumcenter == self.centroid
 
-    def contains(self, point: Vec, tol: float = 1e-9) -> bool:
+    def contains(self, point: Vec, tol: float = config.EPS_REL) -> bool:
         if self.collapsed:
             if self.mode == EXACT:
                 return point == self.centroid
@@ -64,14 +64,13 @@ class EulerLine:
             )
         if self.mode == EXACT:
             return affine_rank([self.centroid, self.circumcenter, point]) <= 1
-        g = np.array([float(c) for c in self.centroid.coords])
-        m = np.array([float(c) for c in self.circumcenter.coords])
-        p = np.array([float(c) for c in point.coords])
-        u = m - g
-        v = p - g
-        cross = np.outer(u, v) - np.outer(v, u)
-        scale = max(float(np.linalg.norm(u) * np.linalg.norm(v)), 1e-30)
-        return float(np.max(np.abs(cross))) <= tol * scale
+        g = [float(c) for c in self.centroid.coords]
+        u = [float(c) - b for c, b in zip(self.circumcenter.coords, g)]
+        v = [float(c) - b for c, b in zip(point.coords, g)]
+        # u and v are parallel when every 2x2 minor u_i v_j - u_j v_i vanishes
+        cross = max(abs(ui * vj - uj * vi) for ui, vi in zip(u, v) for uj, vj in zip(u, v))
+        scale = max(math.hypot(*u) * math.hypot(*v), config.EPS_TINY)
+        return cross <= tol * scale
 
 
 def _to_ball_mode(ball: UnitBall, v: Vec) -> Vec:
@@ -107,7 +106,7 @@ def euler_line(simplex: Simplex, ball: UnitBall, center: Vec, radius) -> EulerLi
         if ball.mode == EXACT:
             return p == m
         return all(
-            abs(float(a) - float(b)) <= 1e-12 * max(1.0, abs(float(b)))
+            abs(float(a) - float(b)) <= config.EPS_ABS * max(1.0, abs(float(b)))
             for a, b in zip(p.to_float().coords, m.coords)
         )
 
@@ -153,10 +152,10 @@ def _check_euler_identities(simplex: Simplex, line: EulerLine) -> None:
         else:
             scale = max(max(abs(float(c)) for c in rhs.coords), 1.0)
             ok = all(
-                abs(float(x) - float(y)) <= 1e-9 * scale
+                abs(float(x) - float(y)) <= config.EPS_REL * scale
                 for x, y in zip(lhs.coords, rhs.coords)
             ) and all(
-                abs(float(x) - float(y)) <= 1e-9 * scale
+                abs(float(x) - float(y)) <= config.EPS_REL * scale
                 for x, y in zip(lhs2.coords, rhs2.coords)
             )
         if not ok:
@@ -176,7 +175,7 @@ def feuerbach_sphere(simplex: Simplex, ball: UnitBall, center: Vec, radius) -> B
         if ball.mode == EXACT:
             ok = g == sphere.radius
         else:
-            ok = close(float(g), float(sphere.radius), rel=1e-9)
+            ok = close(float(g), float(sphere.radius), rel=config.EPS_REL)
         if not ok:
             raise VerificationError("facet centroid off the feuerbach sphere")
     return sphere
@@ -208,14 +207,10 @@ def incenter(simplex: Simplex, ball: UnitBall) -> Insphere:
     """Unique interior point equidistant from all facet hyperplanes,
     with the common distance rho as second component."""
     rows, rhs = _tangency_system(simplex, ball, flip=None)
-    if ball.mode == FLOAT:
-        sol = np.linalg.solve(np.array(rows), np.array(rhs))
-        x, rho = Vec(tuple(float(v) for v in sol[:-1])), float(sol[-1])
-    else:
-        lin = solve_linear(rows, rhs)
-        if lin.status != "unique":
-            raise VerificationError("tangency system unexpectedly singular")
-        x, rho = Vec(lin.point[:-1]), lin.point[-1]
+    lin = solve_linear(rows, rhs)
+    if lin.status != "unique":
+        raise VerificationError("tangency system unexpectedly singular")
+    x, rho = Vec(lin.point[:-1]), lin.point[-1]
     if not rho > 0:
         raise VerificationError("nonpositive inradius")
     return Insphere(x, rho)
@@ -232,16 +227,13 @@ def exsphere(simplex: Simplex, ball: UnitBall, i: int) -> Optional[Insphere]:
         raise IndexError(i)
     rows, rhs = _tangency_system(simplex, ball, flip=i)
     if ball.mode == FLOAT:
-        mat = np.array(rows)
-        if abs(np.linalg.det(mat)) <= 1e-12 * max(np.max(np.abs(mat)), 1.0) ** (d + 1):
+        big = max(max(abs(c) for row in rows for c in row), 1.0)
+        if abs(det(rows)) <= config.EPS_ABS * big ** (d + 1):
             return None
-        sol = np.linalg.solve(mat, np.array(rhs))
-        x, rho = Vec(tuple(float(v) for v in sol[:-1])), float(sol[-1])
-    else:
-        lin = solve_linear(rows, rhs)
-        if lin.status != "unique":
-            return None
-        x, rho = Vec(lin.point[:-1]), lin.point[-1]
+    lin = solve_linear(rows, rhs)
+    if lin.status != "unique":
+        return None
+    x, rho = Vec(lin.point[:-1]), lin.point[-1]
     if not rho > 0:
         return None
     return Insphere(x, rho, flipped_facet=i)

@@ -15,17 +15,16 @@ several starts and reports what it finds; its classification is always
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import config
 from .errors import DegenerateInputError, DimensionError, MixedModeError, ResourceCapError
 from .feasibility import FeasibilityProblem, feasible
 from .linalg import Vec, solve_linear
-from .norms import Ball, PNormBall, PolytopeBall, UnitBall
+from .norms import Ball, PNormBall, PolytopeBall, UnitBall, lp_gradient, lp_norm
 from .scalars import EXACT, Rat
 from .simplex import Simplex
 
@@ -204,77 +203,60 @@ def smooth_circumcenters(
     ball: PNormBall,
     n_starts: int = 12,
     seed: int = 0,
-    tol: float = 1e-12,
+    tol: float = config.EPS_ABS,
 ) -> CircumcenterSet:
     d = simplex.dim
-    A = np.array([[float(c) for c in v.coords] for v in simplex.vertices])
-    scale = float(np.max(np.abs(A))) or 1.0
+    A = [[float(c) for c in v.coords] for v in simplex.vertices]
+    scale = max(abs(c) for a in A for c in a) or 1.0
     p = ball.p
 
-    def gauges(m: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(A - m) ** p, axis=1) ** (1.0 / p)
-
-    def grad_gauge(x: np.ndarray) -> np.ndarray:
-        g = np.sum(np.abs(x) ** p) ** (1.0 / p)
-        return np.sign(x) * np.abs(x) ** (p - 1.0) / g ** (p - 1.0)
-
     rng = random.Random(seed)
-    centroid = A.mean(axis=0)
+    centroid = [sum(col) / (d + 1) for col in zip(*A)]
     starts = [centroid]
     for k in range(d):
         for sgn in (1.0, -1.0):
-            e = np.zeros(d)
-            e[k] = sgn * 0.4 * scale
-            starts.append(centroid + e)
+            start = list(centroid)
+            start[k] += sgn * 0.4 * scale
+            starts.append(start)
     while len(starts) < n_starts:
-        starts.append(
-            centroid + np.array([rng.uniform(-0.8, 0.8) * scale for _ in range(d)])
-        )
+        starts.append([c + rng.uniform(-0.8, 0.8) * scale for c in centroid])
 
     solutions = []
     failures = 0
-    for start in starts[:n_starts]:
-        m = start.astype(float).copy()
+    for m in starts[:n_starts]:
         ok = False
         for _ in range(80):
-            g = gauges(m)
-            if np.min(g) < 1e-13 * scale:
+            diffs = [[a - c for a, c in zip(vertex, m)] for vertex in A]
+            g = [lp_norm(x, p) for x in diffs]
+            if min(g) < config.EPS_COLLAPSE * scale:
                 break  # collapsed onto a vertex
-            f = g[1:] - g[0]
-            if np.max(np.abs(f)) <= tol * max(1.0, np.max(g)):
+            f = [gi - g[0] for gi in g[1:]]
+            if max(map(abs, f)) <= tol * max(1.0, max(g)):
                 ok = True
                 break
-            rows = []
-            g0_grad = grad_gauge(A[0] - m)
-            for i in range(1, d + 1):
-                gi_grad = grad_gauge(A[i] - m)
-                rows.append(-gi_grad + g0_grad)
-            try:
-                step = np.linalg.solve(np.array(rows), -f)
-            except np.linalg.LinAlgError:
+            # row i: d(g_i - g_0)/dm = grad(A_0 - m) - grad(A_i - m)
+            grads = [lp_gradient(x, p, gi) for x, gi in zip(diffs, g)]
+            rows = [[b - a for a, b in zip(grad, grads[0])] for grad in grads[1:]]
+            sol = solve_linear(rows, [-fi for fi in f])
+            if sol.status != "unique":
                 break
+            step = sol.point
             limit = 2.0 * scale
-            norm = float(np.linalg.norm(step))
+            norm = math.hypot(*step)
             if norm > limit:
-                step *= limit / norm
-            m = m + step
+                step = [s * (limit / norm) for s in step]
+            m = [c + s for c, s in zip(m, step)]
         if not ok:
             failures += 1
             continue
-        g = gauges(m)
-        r = float(np.mean(g))
-        if r <= 1e-12 * scale:
+        r = sum(g) / len(g)  # g holds the vertex gauges at the converged m
+        if r <= config.EPS_ABS * scale:
             failures += 1
             continue
-        for known in solutions:
-            if np.linalg.norm(known[0] - m) <= 1e-9 * max(1.0, scale):
-                break
-        else:
+        if all(math.dist(known, m) > config.EPS_REL * max(1.0, scale) for known, _ in solutions):
             solutions.append((m, r))
 
-    pieces = [
-        CircumPiece(Vec(tuple(float(x) for x in m)), r, 0) for m, r in solutions
-    ]
+    pieces = [CircumPiece(Vec(m), r, 0) for m, r in solutions]
     return CircumcenterSet(simplex, ball, pieces, UNKNOWN, "float", failures)
 
 
@@ -293,10 +275,10 @@ def is_circumcenter(simplex: Simplex, ball: UnitBall, center: Vec, radius=None) 
             return False
         return g0 > 0 and (radius is None or g0 == radius)
     vals = [float(ball.gauge(a - center)) for a in simplex.vertices]
-    ref = max(max(vals), 1e-30)
-    if max(vals) - min(vals) > 1e-9 * ref:
+    ref = max(max(vals), config.EPS_TINY)
+    if max(vals) - min(vals) > config.EPS_REL * ref:
         return False
-    if radius is not None and abs(g0 - float(radius)) > 1e-9 * ref:
+    if radius is not None and abs(g0 - float(radius)) > config.EPS_REL * ref:
         return False
     return g0 > 0
 

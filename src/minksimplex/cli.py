@@ -22,7 +22,6 @@ from .circumcenter import circumcenters, is_ag_quasiregular
 from .construct import quasiregular_simplex
 from .equivalence import run_campaign, verify_family
 from .errors import MinksimplexError, VerificationError
-from .norms import gauge
 from .scalars import EXACT
 from .scene import (
     Scene,
@@ -100,12 +99,12 @@ def cmd_gauge(scene: Scene, args) -> tuple:
     payload = {}
     if scene.points:
         payload["points"] = {
-            name: scalar_to_json(gauge(scene.ball, p))
+            name: scalar_to_json(scene.ball.gauge(p))
             for name, p in sorted(scene.points.items())
         }
     if scene.simplex is not None:
         payload["simplex_vertices"] = [
-            scalar_to_json(gauge(scene.ball, v)) for v in scene.simplex.vertices
+            scalar_to_json(scene.ball.gauge(v)) for v in scene.simplex.vertices
         ]
     if not payload:
         raise MinksimplexError("nothing to measure: add 'points' or a 'simplex'")
@@ -216,7 +215,7 @@ def cmd_render(scene: Scene, args) -> tuple:
             extra = cset.distinct_centers(2)
             for c in extra:
                 if c.coords not in seen:
-                    r = gauge(scene.ball, simplex.vertices[0] - c)
+                    r = scene.ball.gauge(simplex.vertices[0] - c)
                     seen[c.coords] = (c, r)
             translates = list(seen.values())
         translates = translates[:4]
@@ -312,6 +311,9 @@ def main(argv=None) -> int:
         scene = parse_scene(_read_input(args.inp))
         _check_mode_flag(scene, args.mode)
         payload, code = _COMMANDS[args.command](scene, args)
+        if payload is not None:
+            doc = result_document(args.command, scene, payload, _VERSION_LINE)
+            _write_output(args.out, dumps_document(doc))
     except (SceneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -321,9 +323,6 @@ def main(argv=None) -> int:
     except MinksimplexError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if payload is not None:
-        doc = result_document(args.command, scene, payload, _VERSION_LINE)
-        _write_output(args.out, dumps_document(doc))
     if code == 3:
         print("verification disagreement; offending fingerprints in output",
               file=sys.stderr)

@@ -15,6 +15,14 @@ EPS_ABS = 1e-12
 # Smooth-mode equivalence verdicts compare scalars at this looser tolerance.
 EPS_EQUIV = 1e-7
 
+# Floor under a float scale that a relative tolerance multiplies, so a
+# zero scale does not turn the comparison into an exact one.
+EPS_TINY = 1e-30
+
+# A smooth-mode Newton start gives up within this distance of a vertex
+# (relative to the simplex's coordinate scale): the gauge has a kink there.
+EPS_COLLAPSE = 1e-13
+
 _DEFAULTS = {
     "MINKSIMPLEX_MAX_FACETS": 64,
     "MINKSIMPLEX_MAX_DIM": 4,

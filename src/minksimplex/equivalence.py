@@ -29,7 +29,6 @@ from .norms import UnitBall, dual_ball, is_radon, isoperimetrix
 from .scalars import EXACT, Rat
 from .simplex import Simplex
 
-EXACT_MODE = "exact"
 NUMERIC_MODE = "numeric"
 
 
@@ -211,7 +210,7 @@ def _report(family, named_conditions, simplex, ball, seed) -> EquivalenceReport:
         family=family,
         conditions=tuple(labels),
         verdicts=tuple(verdicts),
-        mode=EXACT_MODE if ball.mode == EXACT else NUMERIC_MODE,
+        mode=EXACT if ball.mode == EXACT else NUMERIC_MODE,
         fingerprint=fingerprint(simplex, ball, seed),
         witnesses=payloads if len(set(verdicts)) > 1 else {},
     )

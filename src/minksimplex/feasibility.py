@@ -208,21 +208,43 @@ def _solve_ineqs(ineqs: list, n: int) -> Optional[list]:
     return _back_substitute(stages, n)
 
 
-def feasible(problem: FeasibilityProblem, with_dim: bool = True) -> FeasibilityResult:
-    """Decide the system, produce a witness, and (optionally) report the
-    affine dimension of the feasible set and the inequalities that hold
-    with equality on all of it."""
+def _parametrize(problem: FeasibilityProblem):
+    """Solve the equality block as x = base + sum_j t_j basis_j (with no
+    equalities: base 0 and the identity basis) and rewrite every
+    inequality over t.  Returns (solution, reduced rows), the rows empty
+    when the solution is unique, or None when the equalities conflict."""
     n = problem.n_vars
     if problem.equalities:
         rows = [list(c) for c, _ in problem.equalities]
         rhs = [b for _, b in problem.equalities]
         sol = solve_linear(rows, rhs)
         if sol.status == "infeasible":
-            return FeasibilityResult(False)
+            return None
     else:
         sol = LinearSolution("affine", tuple([Rat(0)] * n), tuple(
             tuple(Rat(1) if k == i else Rat(0) for k in range(n)) for i in range(n)
         ))
+    if sol.status == "unique":
+        return sol, []
+    reduced = []
+    for row in problem.inequalities:
+        shift = sum(c * x for c, x in zip(row.coeffs, sol.point))
+        coeffs = tuple(
+            sum(c * bvec[idx] for idx, c in enumerate(row.coeffs) if c != 0)
+            for bvec in sol.basis
+        )
+        reduced.append(Ineq(coeffs, row.rhs - shift, row.strict))
+    return sol, reduced
+
+
+def feasible(problem: FeasibilityProblem, with_dim: bool = True) -> FeasibilityResult:
+    """Decide the system, produce a witness, and (optionally) report the
+    affine dimension of the feasible set and the inequalities that hold
+    with equality on all of it."""
+    param = _parametrize(problem)
+    if param is None:
+        return FeasibilityResult(False)
+    sol, reduced = param
     if sol.status == "unique":
         point = sol.point
         if not problem.holds_at(point):
@@ -237,15 +259,6 @@ def feasible(problem: FeasibilityProblem, with_dim: bool = True) -> FeasibilityR
 
     base, basis = sol.point, sol.basis
     k = len(basis)
-    reduced = []
-    for row in problem.inequalities:
-        shift = sum(c * x for c, x in zip(row.coeffs, base))
-        coeffs = tuple(
-            sum(c * bvec[idx] for idx, c in enumerate(row.coeffs) if c != 0)
-            for bvec in basis
-        )
-        reduced.append(Ineq(coeffs, row.rhs - shift, row.strict))
-
     t = _solve_ineqs(reduced, k)
     if t is None:
         return FeasibilityResult(False)
@@ -307,24 +320,15 @@ def lp_max(problem: FeasibilityProblem, objective: Sequence):
 
     # eliminate x variables, keep z last: reuse the machinery by moving z
     # to the front and eliminating everything after it.
-    rows = [list(c) for c, _ in aug.equalities]
-    rhs = [b for _, b in aug.equalities]
-    sol = solve_linear(rows, rhs) if rows else None
-    if sol is None or sol.status == "infeasible":
+    param = _parametrize(aug)
+    if param is None:
         raise ValueError("unexpected infeasible equality block")
+    sol, reduced = param
     if sol.status == "unique":
         z = sol.point[n]
         return z, sol.point[:n], True
     base, basis = sol.point, sol.basis
     k = len(basis)
-    reduced = []
-    for row in aug.inequalities:
-        shift = sum(c * x for c, x in zip(row.coeffs, base))
-        coeffs = tuple(
-            sum(c * bvec[idx] for idx, c in enumerate(row.coeffs) if c != 0)
-            for bvec in basis
-        )
-        reduced.append(Ineq(coeffs, row.rhs - shift, row.strict))
     # z as a linear function of parameters t: z = base[n] + sum basis[j][n] t_j
     zcoeffs = tuple(bvec[n] for bvec in basis)
 

@@ -289,15 +289,19 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> LinearSolution:
             continue
         aug[r], aug[best] = aug[best], aug[r]
         piv = aug[r][col]
-        aug[r] = [v / piv for v in aug[r]]
         for i in range(m):
             if i != r and not _is_zero(aug[i][col], mode, scale):
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+                f = aug[i][col] / piv
+                aug[i] = [v - f * w if w else v for v, w in zip(aug[i], aug[r])]
         pivots.append((r, col))
         r += 1
         if r == m:
             break
+    # pivot rows are divided by their pivots only now: in float mode
+    # this rounds each solution entry once, at the end
+    for row, col in pivots:
+        piv = aug[row][col]
+        aug[row] = [v / piv for v in aug[row]]
 
     for i in range(r, m):
         if not _is_zero(aug[i][n], mode, scale):

@@ -27,6 +27,25 @@ from .linalg import Hyperplane, Vec, affine_rank, solve_linear
 from .scalars import EXACT, FLOAT, Rat, is_float
 
 
+def lp_norm(xs: Sequence[float], p: float) -> float:
+    """(sum |x_i|^p)^(1/p) of floats.  Each |x_i| is divided by the
+    largest before the power (Blue 1978): the largest term is then 1 and
+    no power overflows, so the result is finite wherever the norm is."""
+    big = max(map(abs, xs))
+    if not 0.0 < big < math.inf:
+        return big
+    total = 0.0
+    for c in xs:
+        total += (abs(c) / big) ** p
+    return big * total ** (1.0 / p)
+
+
+def lp_gradient(xs: Sequence[float], p: float, norm: float) -> list:
+    """Gradient of the l_p norm at xs != 0, given norm = lp_norm(xs, p).
+    Each ratio |x_i| / norm is at most 1, so the power cannot overflow."""
+    return [math.copysign((abs(c) / norm) ** (p - 1.0), c) for c in xs]
+
+
 class UnitBall:
     """Common interface of the two ball kinds."""
 
@@ -187,17 +206,14 @@ class PNormBall(UnitBall):
     def _floats(self, x: Vec) -> tuple:
         if x.dim != self.dim:
             raise DimensionError("dimension mismatch")
-        return tuple(float(c) for c in x.coords)
+        return tuple(map(float, x.coords))
 
     def gauge(self, x: Vec) -> float:
         # exact input is converted here, at the mode boundary
-        xs = self._floats(x)
-        return sum(abs(c) ** self.p for c in xs) ** (1.0 / self.p)
+        return lp_norm(self._floats(x), self.p)
 
     def support(self, a: Vec) -> float:
-        q = self.p / (self.p - 1.0)
-        xs = self._floats(a)
-        return sum(abs(c) ** q for c in xs) ** (1.0 / q)
+        return lp_norm(self._floats(a), self.p / (self.p - 1.0))
 
     def dual(self) -> "PNormBall":
         return PNormBall(self.dim, self.p / (self.p - 1.0))
@@ -205,13 +221,10 @@ class PNormBall(UnitBall):
     def gauge_gradient(self, x: Vec) -> tuple:
         """Gradient of the gauge at x != 0 (smoothness of l_p, p > 1)."""
         xs = self._floats(x)
-        g = self.gauge(x)
+        g = lp_norm(xs, self.p)
         if g == 0.0:
             raise ZeroDivisionError("gradient at the origin")
-        return tuple(
-            math.copysign(abs(c) ** (self.p - 1.0), c) / g ** (self.p - 1.0)
-            for c in xs
-        )
+        return tuple(lp_gradient(xs, self.p, g))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PNormBall) and (self.dim, self.p) == (other.dim, other.p)
@@ -250,14 +263,6 @@ class Ball:
 
 
 # -- free functions -------------------------------------------------
-
-
-def gauge(ball: UnitBall, x: Vec):
-    return ball.gauge(x)
-
-
-def support(ball: UnitBall, a: Vec):
-    return ball.support(a)
 
 
 def dual_ball(ball: UnitBall) -> UnitBall:

@@ -70,23 +70,6 @@ def join_modes(a: str, b: str) -> str:
     return a
 
 
-def as_mode(x, mode: str):
-    """Return x as a scalar of the requested mode, converting ints only."""
-    if isinstance(x, bool):
-        raise TypeError("bool is not a scalar")
-    if mode == EXACT:
-        if is_exact(x):
-            return x
-        raise MixedModeError(f"float {x!r} not allowed in exact mode")
-    if mode == FLOAT:
-        if isinstance(x, float):
-            return x
-        if isinstance(x, int):
-            return float(x)
-        raise MixedModeError(f"exact rational {x!r} not allowed in float mode")
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def close(a: float, b: float, rel: float = EPS_REL, abs_: float = EPS_ABS) -> bool:
     """Float comparison with relative tolerance and absolute floor."""
     return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)

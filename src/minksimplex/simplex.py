@@ -16,7 +16,7 @@ from .errors import DegenerateInputError, DimensionError, MixedModeError
 from .linalg import Hyperplane, Vec, det, general_position
 from .norms import UnitBall
 from .polytopes import contains as _half_contains
-from .polytopes import minimal_halfspaces, vertex_enumerate
+from .polytopes import vertex_enumerate
 from .scalars import EXACT, Rat
 
 
@@ -240,6 +240,3 @@ class MedialPolytope:
 
     def vertices(self) -> list:
         return vertex_enumerate(self.halfspaces)
-
-    def facet_count(self) -> int:
-        return len(minimal_halfspaces(self.halfspaces, self.vertices()))

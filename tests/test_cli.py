@@ -9,6 +9,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from minksimplex.cli import main
+from minksimplex.config import EPS_REL
 
 POLY_SCENE = {
     "dimension": 2,
@@ -209,6 +210,56 @@ def test_bad_cap_setting_exits_2_without_traceback(tmp_path):
     )
     assert proc.returncode == 2
     assert "MINKSIMPLEX_MAX_FM_ROWS" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_unwritable_out_path_exits_1(tmp_path, capsys):
+    scene = write_scene(tmp_path, POLY_SCENE)
+    code = main(["gauge", "--in", scene, "--out", str(tmp_path / "missing" / "out.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+# |x|^p overflows a float in each of these scenes while every norm stays
+# finite: a 40x30 triangle at p = 500, the point (1000, 1) at p = 1000,
+# the point (1e300, 1) at p = 3, and a 4x3 triangle at p = 1e308
+OVERFLOW_SCENES = [
+    {"dimension": 2, "ball": {"type": "pnorm", "p": 500}, "simplex": [[0, 0], [40, 0], [0, 30]]},
+    {
+        "dimension": 2,
+        "ball": {"type": "pnorm", "p": 1000},
+        "simplex": [[0, 0], [1000, 1], [0, 1000]],
+        "points": {"X": [1000, 1]},
+    },
+    {
+        "dimension": 2,
+        "ball": {"type": "pnorm", "p": 3},
+        "simplex": [[0, 0], [4, 0], [0, 3]],
+        "points": {"X": [1e300, 1]},
+    },
+    {"dimension": 2, "ball": {"type": "pnorm", "p": 1e308}, "simplex": [[0, 0], [4, 0], [0, 3]]},
+]
+
+
+@pytest.mark.parametrize("command", ["gauge", "circumcenters", "centers"])
+@pytest.mark.parametrize("scene", OVERFLOW_SCENES)
+def test_overflowing_powers_exit_0(tmp_path, capsys, command, scene):
+    code, text = run_cli([command], tmp_path, scene)
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads(text)
+    if command == "gauge" and "points" in scene:
+        assert doc["gauges"]["points"]["X"] == pytest.approx(scene["points"]["X"][0], rel=EPS_REL)
+
+
+def test_cli_import_leaves_numpy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, minksimplex.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_verify_corrupted_predicate_exits_3(tmp_path, monkeypatch, capsys):

@@ -145,6 +145,23 @@ def test_known_gauges():
     assert PNormBall(2, 3.0).gauge(fvec(1, 1)) == pytest.approx(2.0 ** (1.0 / 3.0))
 
 
+@pytest.mark.parametrize("p, big", [(1000.0, 1000.0), (3.0, 1e300)])
+def test_pnorm_large_powers_and_coordinates(p, big):
+    # x = (big, 1): |x|^p alone overflows a float, the norms do not
+    ball = PNormBall(2, p)
+    x = fvec(big, 1.0)
+    q = p / (p - 1.0)
+    gauge, support, grad = ball.gauge(x), ball.support(x), ball.gauge_gradient(x)
+    assert all(math.isfinite(v) for v in (gauge, support, *grad))
+    # (big^p + 1)^(1/p) = big (1 + big^-p)^(1/p), likewise for q
+    assert gauge == pytest.approx(big * math.exp(math.log1p(big ** -p) / p), rel=EPS_REL)
+    assert support == pytest.approx(big * math.exp(math.log1p(big ** -q) / q), rel=EPS_REL)
+    # the gradient is the dual unit vector that attains <grad, x> = gauge(x)
+    assert grad[0] == pytest.approx(1.0, rel=EPS_REL) and 0.0 <= grad[1] <= EPS_REL
+    assert ball.dual().gauge(fvec(*grad)) == pytest.approx(1.0, rel=EPS_REL)
+    assert grad[0] * big + grad[1] == pytest.approx(gauge, rel=EPS_REL)
+
+
 def test_duality_square_diamond():
     assert SQUARE.dual() == DIAMOND
     assert DIAMOND.dual() == SQUARE
