@@ -234,10 +234,18 @@ def smooth_circumcenters(
             if max(map(abs, f)) <= tol * max(1.0, max(g)):
                 ok = True
                 break
-            # row i: d(g_i - g_0)/dm = grad(A_0 - m) - grad(A_i - m)
+            # row i: d(g_i - g_0)/dm = grad(A_0 - m) - grad(A_i - m),
+            # divided with its residual by its largest |entry|: on a flat
+            # gauge (large p) a row can shrink under solve_linear's
+            # relative zero test while the system is still regular
             grads = [lp_gradient(x, p, gi) for x, gi in zip(diffs, g)]
-            rows = [[b - a for a, b in zip(grad, grads[0])] for grad in grads[1:]]
-            sol = solve_linear(rows, [-fi for fi in f])
+            rows, rhs = [], []
+            for grad, fi in zip(grads[1:], f):
+                row = [b - a for a, b in zip(grad, grads[0])]
+                big = max(map(abs, row)) or 1.0
+                rows.append([c / big for c in row])
+                rhs.append(-fi / big)
+            sol = solve_linear(rows, rhs)
             if sol.status != "unique":
                 break
             step = sol.point

@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from . import config
 from .errors import (
     DegenerateInputError,
     NonConvergenceError,
@@ -215,14 +216,14 @@ def _bisected_chord_smooth(ball: UnitBall, origin: Vec, frame) -> tuple:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid, w_mid, t_mid = overshoot(mid)
-        if f_mid == 0.0 or hi - lo < 1e-15:
+        if f_mid == 0.0 or hi - lo < config.EPS_BISECT:
             break
         if (f_mid > 0) == (f_lo > 0):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
     f_mid, w_mid, t_mid = overshoot(0.5 * (lo + hi))
-    if abs(f_mid) > 1e-9:
+    if abs(f_mid) > config.EPS_REL:
         raise NonConvergenceError("bisected chord search stalled")
     r = o + t_mid * w_mid
     s = o - (r - o)
@@ -308,7 +309,7 @@ def quasiregular_simplex(
         if exact:
             ok = 2 * p_dist != q_dist
         else:
-            ok = abs(2.0 * float(p_dist) - float(q_dist)) > 1e-9
+            ok = abs(2.0 * float(p_dist) - float(q_dist)) > config.EPS_REL
         if ok:
             found = (p, q, w)
             break
@@ -340,10 +341,10 @@ def _verify_inscribed(ball: UnitBall, simplex: Simplex, center: Vec) -> None:
                 raise VerificationError("vertex off the unit sphere")
     else:
         c = simplex.centroid.to_float()
-        if any(abs(float(x) - float(y)) > 1e-9 for x, y in zip(c.coords, center.coords)):
+        if any(abs(float(x) - float(y)) > config.EPS_REL for x, y in zip(c.coords, center.coords)):
             raise VerificationError("centroid missed the ball center")
         for v in simplex.vertices:
-            if abs(float(ball.gauge(v.to_float() - center)) - 1.0) > 1e-9:
+            if abs(float(ball.gauge(v.to_float() - center)) - 1.0) > config.EPS_REL:
                 raise VerificationError("vertex off the unit sphere")
 
 
@@ -374,7 +375,7 @@ def equilateral_triangle(ball: UnitBall, anchor: Optional[Vec] = None) -> Simple
         if exact:
             ok = side == 1
         else:
-            ok = abs(float(side) - 1.0) <= 1e-9
+            ok = abs(float(side) - 1.0) <= config.EPS_REL
         if not ok:
             raise VerificationError("side gauges unequal")
     return tri
@@ -425,7 +426,7 @@ def _unit_at_unit_distance_smooth(ball: UnitBall, u: Vec) -> Vec:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if abs(fm) < 1e-14 or hi - lo < 1e-15:
+        if abs(fm) < config.EPS_ROOT or hi - lo < config.EPS_BISECT:
             lo = hi = mid
             break
         if (fm < 0) == (f_lo < 0):
@@ -433,6 +434,6 @@ def _unit_at_unit_distance_smooth(ball: UnitBall, u: Vec) -> Vec:
         else:
             hi = mid
     w = point(0.5 * (lo + hi))
-    if abs(float(ball.gauge(w - u)) - 1.0) > 1e-9:
+    if abs(float(ball.gauge(w - u)) - 1.0) > config.EPS_REL:
         raise NonConvergenceError("equilateral side search stalled")
     return w

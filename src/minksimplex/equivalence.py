@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .centers import exspheres, facet_bisector, incenter
-from .config import EPS_EQUIV
+from .config import EPS_EQUIV, EPS_TINY
 from .construct import equilateral_triangle, quasiregular_simplex
 from .errors import DegenerateInputError
 from .linalg import Vec
@@ -82,7 +82,7 @@ def _all_equal(values, mode: str) -> bool:
     if mode == EXACT:
         return all(v == vals[0] for v in vals[1:])
     fs = [float(v) for v in vals]
-    scale = max(max(abs(f) for f in fs), 1e-30)
+    scale = max(max(abs(f) for f in fs), EPS_TINY)
     return max(fs) - min(fs) <= EPS_EQUIV * scale
 
 
@@ -100,8 +100,8 @@ def _same_hyperplane(h1, h2, mode: str) -> bool:
     if mode == EXACT:
         return h1.same_set(h2)
     n1, n2 = h1.normal.to_float(), h2.normal.to_float()
-    s1 = max((sum(float(c) ** 2 for c in n1.coords)) ** 0.5, 1e-30)
-    s2 = max((sum(float(c) ** 2 for c in n2.coords)) ** 0.5, 1e-30)
+    s1 = max((sum(float(c) ** 2 for c in n1.coords)) ** 0.5, EPS_TINY)
+    s2 = max((sum(float(c) ** 2 for c in n2.coords)) ** 0.5, EPS_TINY)
     for sign in (1.0, -1.0):
         if all(
             abs(float(a) / s1 - sign * float(b) / s2) <= EPS_EQUIV

@@ -1,10 +1,11 @@
 """Points, hyperplanes, and dense linear algebra over both scalar modes.
 
 Everything here works coordinate-wise on tuples.  Exact mode uses
-rational pivoting Gaussian elimination; float mode uses partial
-pivoting with the package tolerances.  Matrices are lists of row lists,
-small enough (dimension <= 4 plus a handful of unknowns) that no
-clever numerics are needed.
+rational pivoting Gaussian elimination, except that determinants are
+taken fraction-free (Bareiss) on rows scaled to integers; float mode
+uses partial pivoting with the package tolerances.  Matrices are lists
+of row lists, small enough (dimension <= 4 plus a handful of unknowns)
+that no clever numerics are needed.
 """
 
 from __future__ import annotations
@@ -329,30 +330,77 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> LinearSolution:
     return LinearSolution("affine", tuple(point), tuple(basis))
 
 
+def integer_rows(rows: Sequence[Sequence]) -> tuple:
+    """Each exact row times the lcm of its denominators, as Python ints,
+    and the product of those positive multipliers."""
+    out = []
+    total = 1
+    for row in rows:
+        lcm = math.lcm(*(int(c.denominator) for c in row))
+        out.append([int(c.numerator) * (lcm // int(c.denominator)) for c in row])
+        total *= lcm
+    return out, total
+
+
+def bareiss(rows: Sequence[Sequence[int]]) -> tuple:
+    """Fraction-free elimination of an integer matrix (Bareiss 1968):
+    every entry after step k is a (k+1)-minor of the input, so each
+    division is exact and no entry leaves the integers.  Returns
+    (rank, signed last pivot); for a square matrix of full rank the
+    second value is the determinant."""
+    a = [list(row) for row in rows]
+    m = len(a)
+    n = len(a[0]) if a else 0
+    prev, sign, r = 1, 1, 0
+    for col in range(n):
+        best = next((i for i in range(r, m) if a[i][col]), None)
+        if best is None:
+            continue
+        if best != r:
+            a[r], a[best] = a[best], a[r]
+            sign = -sign
+        pivot_row = a[r]
+        piv = pivot_row[col]
+        for i in range(r + 1, m):
+            row = a[i]
+            f = row[col]
+            for j in range(col + 1, n):
+                row[j] = (piv * row[j] - f * pivot_row[j]) // prev
+        prev = piv
+        r += 1
+        if r == m:
+            break
+    return r, sign * prev
+
+
+def integer_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, as an int."""
+    r, value = bareiss(rows)
+    return value if r == len(rows) else 0
+
+
 def det(rows: Sequence[Sequence]):
-    """Determinant by fraction-free-ish elimination (exact) or partial
-    pivoting (float)."""
+    """Determinant: exact rows are scaled to integers, reduced
+    fraction-free and the result divided back; float rows use partial
+    pivoting."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionError("det needs a square matrix")
     mode = _rows_mode(rows, [0])
     if mode == EXACT:
-        a = [[Rat(c) for c in row] for row in rows]
-    else:
-        a = [[float(c) for c in row] for row in rows]
-    result = Rat(1) if mode == EXACT else 1.0
+        ints, scale = integer_rows(rows)
+        return Rat(integer_det(ints), scale)
+    a = [[float(c) for c in row] for row in rows]
+    result = 1.0
     sign_flip = 1
     for col in range(n):
         piv_row = None
         for i in range(col, n):
             if a[i][col] != 0:
-                if mode == EXACT:
-                    piv_row = i
-                    break
                 if piv_row is None or abs(a[i][col]) > abs(a[piv_row][col]):
                     piv_row = i
-        if piv_row is None or a[piv_row][col] == 0:
-            return Rat(0) if mode == EXACT else 0.0
+        if piv_row is None:
+            return 0.0
         if piv_row != col:
             a[piv_row], a[col] = a[col], a[piv_row]
             sign_flip = -sign_flip
@@ -398,8 +446,10 @@ def general_position(points: Sequence[Vec], mode: Optional[str] = None) -> bool:
     """True when d+1 points in R^d span a nondegenerate simplex.
 
     Exact mode: nonzero determinant of the homogenized matrix.  Float
-    mode: |det| must clear a relative threshold scaled by the Hadamard
-    bound of the rows.
+    mode: each homogenized row is divided by its Euclidean length first,
+    so |det| is measured against the Hadamard bound of the rows (at
+    least 1, as every row ends in 1) and nothing is squared that could
+    overflow.
     """
     pts = list(points)
     d = pts[0].dim
@@ -408,10 +458,10 @@ def general_position(points: Sequence[Vec], mode: Optional[str] = None) -> bool:
     if mode is None:
         mode = pts[0].mode
     rows = [[*p.coords, 1] for p in pts]
-    value = det(rows)
     if mode == EXACT:
-        return value != 0
-    hadamard = 1.0
+        return det(rows) != 0
+    unit_rows = []
     for row in rows:
-        hadamard *= math.sqrt(sum(float(c) ** 2 for c in row))
-    return abs(float(value)) > EPS_REL * max(hadamard, 1.0)
+        length = math.hypot(*map(float, row))
+        unit_rows.append([float(c) / length for c in row])
+    return abs(det(unit_rows)) > EPS_REL

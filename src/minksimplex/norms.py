@@ -97,10 +97,7 @@ class PolytopeBall(UnitBall):
             if h.offset <= 0:
                 raise DegenerateInputError("origin is not interior to the polytope")
             normals.append(h.normal / h.offset)
-        vertices = polytopes.vertex_enumerate(
-            [Hyperplane(n, Rat(1)) for n in normals]
-        )
-        return cls(vertices, normals)
+        return cls(polytopes.hull_vertices(pts, hyps), normals)
 
     @classmethod
     def from_halfspaces(cls, halfspaces: Sequence[Hyperplane]) -> "PolytopeBall":
@@ -411,7 +408,7 @@ def chord_through(ball: Ball, p: Vec, direction: Vec) -> tuple:
                 hi = mid
             else:
                 lo = mid
-            if hi - lo <= 1e-15 * max(1.0, hi):
+            if hi - lo <= config.EPS_BISECT * max(1.0, hi):
                 break
         return sgn * 0.5 * (lo + hi)
 

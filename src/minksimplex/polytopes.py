@@ -1,21 +1,37 @@
 """Exact V/H conversions for small polytopes (dimension <= 4).
 
-Facets are found by brute-force support tests over point subsets and
-vertices by intersecting halfspace boundaries; at the configured desk
-scale (<= 64 facets) this is fast and entirely rational, so converted
-representations are exact, not approximations.
+Both directions run on Python ints.  A point set is scaled once by the
+lcm of its denominators; each d-subset's hyperplane normal is the
+vector of integer cofactors of its edge vectors, and the support scan
+over all points is a run of integer dot products.  Each halfspace row
+is scaled to integers, each d-subset of rows is solved by integer
+Cramer with fraction-free (Bareiss) determinants, and containment is
+tested as <a, num> <= b * den with den > 0.  At the configured desk
+scale (<= 64 facets) this brute force is fast, and every result is
+exact: coordinates come back as rationals, not approximations.  Float
+halfspaces (the smooth lane's medial polytopes) are intersected by
+float elimination instead.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Optional, Sequence
+import math
+from typing import Sequence
 
 from . import config
 from .errors import DegenerateInputError, DimensionError, ResourceCapError
-from .linalg import Hyperplane, Vec, affine_rank, cross2, nullspace, solve_linear
-from .scalars import Rat, sign
+from .linalg import (
+    Hyperplane,
+    Vec,
+    bareiss,
+    cross2,
+    integer_det,
+    integer_rows,
+    solve_linear,
+)
+from .scalars import EXACT, Rat
 
 
 def _check_dim(d: int) -> None:
@@ -25,48 +41,98 @@ def _check_dim(d: int) -> None:
         raise ResourceCapError(f"dimension {d} exceeds cap {config.max_dim()}")
 
 
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _integer_points(points: Sequence[Vec]) -> tuple:
+    """Exact points times the lcm of all their denominators, as int
+    tuples, and that common multiplier."""
+    scale = math.lcm(*(int(c.denominator) for p in points for c in p.coords))
+    ints = [
+        tuple(int(c.numerator) * (scale // int(c.denominator)) for c in p.coords)
+        for p in points
+    ]
+    return ints, scale
+
+
+def _integer_halfspaces(halfspaces: Sequence[Hyperplane]) -> list:
+    """Each exact halfspace <a, x> <= b as an int row (a..., b), scaled
+    by a positive multiplier so the inequality keeps its direction."""
+    return integer_rows([[*h.normal.coords, h.offset] for h in halfspaces])[0]
+
+
+def _affine_rank(points: Sequence[tuple]) -> int:
+    base = points[0]
+    return bareiss([[a - b for a, b in zip(p, base)] for p in points[1:]])[0]
+
+
 def facet_hyperplanes(points: Sequence[Vec]) -> list[Hyperplane]:
     """Outward facet hyperplanes of conv(points): each returned (a, b)
     satisfies <a, x> <= b on the hull with equality on a facet."""
     pts = list(dict.fromkeys(points))
     d = pts[0].dim
     _check_dim(d)
-    if affine_rank(pts) != d:
+    ints, scale = _integer_points(pts)
+    if _affine_rank(ints) != d:
         raise DegenerateInputError("point set is not full-dimensional")
     found = {}
-    for combo in itertools.combinations(pts, d):
-        rows = [[*p.coords, -1] for p in combo]
-        basis = nullspace(rows)
-        if len(basis) != 1:
+    for combo in itertools.combinations(ints, d):
+        base = combo[0]
+        edges = [[a - b for a, b in zip(p, base)] for p in combo[1:]]
+        normal = [
+            (-1) ** i * integer_det([row[:i] + row[i + 1:] for row in edges])
+            for i in range(d)
+        ]
+        if not any(normal):
             continue  # affinely dependent subset
-        coeffs = basis[0]
-        normal = Vec(coeffs[:d])
-        offset = coeffs[d]
+        offset = _dot(normal, base)
         side = 0
-        support = True
-        for p in pts:
-            s = sign(normal.dot(p) - offset)
+        for p in ints:
+            s = _dot(normal, p) - offset
             if s == 0:
                 continue
             if side == 0:
                 side = s
-            elif s != side:
-                support = False
+            elif (s > 0) != (side > 0):
                 break
-        if not support or side == 0:
-            continue
-        h = Hyperplane(normal, offset) if side < 0 else Hyperplane(-normal, -offset)
-        found[h.canonical()] = h
-        if len(found) > config.max_facets():
-            raise ResourceCapError(
-                f"facet count exceeds cap {config.max_facets()}"
-            )
+        else:
+            if side > 0:
+                normal, offset = [-c for c in normal], -offset
+            # <normal, x> <= offset / scale in the input's coordinates,
+            # as the coprime integer tuple Hyperplane.canonical() gives
+            coeffs = [c * scale for c in normal] + [offset]
+            g = math.gcd(*coeffs)
+            key = tuple(c // g for c in coeffs)
+            if key not in found:
+                found[key] = Hyperplane(Vec(Rat(c) for c in key[:d]), Rat(key[d]))
+            if len(found) > config.max_facets():
+                raise ResourceCapError(
+                    f"facet count exceeds cap {config.max_facets()}"
+                )
     return list(found.values())
 
 
+def hull_vertices(points: Sequence[Vec], facets: Sequence[Hyperplane]) -> list[Vec]:
+    """The points that are vertices of conv(points), given its facets:
+    a point is a vertex iff the normals of its tight facets have rank d.
+    Duplicates are dropped and coordinates come back as rationals."""
+    pts = list(dict.fromkeys(points))
+    d = pts[0].dim
+    ints, scale = _integer_points(pts)
+    rows = _integer_halfspaces(facets)
+    out = []
+    for p, q in zip(pts, ints):
+        tight = [row[:d] for row in rows if _dot(row, q) == row[d] * scale]
+        if len(tight) >= d and bareiss(tight)[0] == d:
+            out.append(Vec(Rat(c) for c in p.coords))
+    return out
+
+
 def vertex_enumerate(halfspaces: Sequence[Hyperplane]) -> list[Vec]:
-    """Vertices of {x : <a_i, x> <= b_i for all i}; the intersection must
-    be bounded for the result to describe it."""
+    """Vertices of {x : <a_i, x> <= b_i for all i}, in the order of the
+    first d-subset of rows that meets each; the intersection must be
+    bounded for the result to describe it."""
     hs = list(halfspaces)
     if not hs:
         raise DegenerateInputError("no halfspaces")
@@ -74,6 +140,29 @@ def vertex_enumerate(halfspaces: Sequence[Hyperplane]) -> list[Vec]:
     _check_dim(d)
     if len(hs) > config.max_facets():
         raise ResourceCapError(f"{len(hs)} halfspaces exceed cap {config.max_facets()}")
+    if any(h.mode != EXACT for h in hs):
+        return _float_vertex_enumerate(hs, d)
+    rows = _integer_halfspaces(hs)
+    seen = {}
+    for combo in itertools.combinations(rows, d):
+        den = integer_det([row[:d] for row in combo])
+        if den == 0:
+            continue
+        # Cramer: column j of the system replaced by the right-hand side
+        num = [
+            integer_det([row[:j] + row[d:] + row[j + 1:d] for row in combo])
+            for j in range(d)
+        ]
+        if den < 0:
+            den, num = -den, [-c for c in num]
+        if all(_dot(row, num) <= row[d] * den for row in rows):
+            x = tuple(Rat(c, den) for c in num)
+            if x not in seen:
+                seen[x] = Vec(x)
+    return list(seen.values())
+
+
+def _float_vertex_enumerate(hs: list, d: int) -> list[Vec]:
     seen = {}
     for combo in itertools.combinations(hs, d):
         rows = [list(h.normal.coords) for h in combo]
@@ -88,13 +177,14 @@ def vertex_enumerate(halfspaces: Sequence[Hyperplane]) -> list[Vec]:
 
 
 def minimal_halfspaces(halfspaces: Sequence[Hyperplane], vertices: Sequence[Vec]) -> list[Hyperplane]:
-    """Drop halfspaces whose boundary does not support a facet (tight at
-    fewer than d affinely independent vertices)."""
+    """Drop exact halfspaces whose boundary does not support a facet
+    (tight at fewer than d affinely independent vertices)."""
     d = halfspaces[0].dim
+    ints, scale = _integer_points(vertices)
     kept = {}
-    for h in halfspaces:
-        tight = [v for v in vertices if h.eval(v) == 0]
-        if len(tight) >= d and affine_rank(tight) == d - 1:
+    for h, row in zip(halfspaces, _integer_halfspaces(halfspaces)):
+        tight = [q for q in ints if _dot(row, q) == row[d] * scale]
+        if len(tight) >= d and _affine_rank(tight) == d - 1:
             kept[h.canonical()] = h
     return list(kept.values())
 

@@ -403,3 +403,60 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("minksimplex ")
+
+
+def test_flat_gauge_newton_finds_circumcenters(tmp_path):
+    # p = 500 is nearly the max norm: a Jacobian row of the Newton step
+    # shrinks to about 1e-9 of the other while the system stays regular
+    code, text = run_cli(["circumcenters"], tmp_path, OVERFLOW_SCENES[0])
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["pieces"]
+    simplex = OVERFLOW_SCENES[0]["simplex"]
+    for piece in doc["pieces"]:
+        center, radius = piece["center"], piece["radius"]
+        for vertex in simplex:
+            diff = [abs(a - c) for a, c in zip(vertex, center)]
+            big = max(diff)
+            gauge = big * sum((x / big) ** 500 for x in diff) ** (1 / 500)
+            assert gauge == pytest.approx(radius, rel=EPS_REL)
+
+
+# coordinates near 1e300: squaring one for a Hadamard bound overflows
+HUGE_SCENE = {
+    "dimension": 2,
+    "ball": {"type": "pnorm", "p": 3},
+    "simplex": [[0, 0], [1e300, 1], [0, 1e300]],
+}
+
+
+@pytest.mark.parametrize("command", ["gauge", "circumcenters"])
+def test_huge_coordinates_exit_0(tmp_path, capsys, command):
+    code, text = run_cli([command], tmp_path, HUGE_SCENE)
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    json.loads(text)
+
+
+@pytest.mark.parametrize("command", ["gauge", "circumcenters", "centers", "construct", "render"])
+def test_huge_coordinates_end_in_documented_exit_code(tmp_path, capsys, command):
+    code, _ = run_cli([command], tmp_path, HUGE_SCENE)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_render_pnorm_scene_svg(tmp_path):
+    # the smooth lane's medial polytope is the one float input to
+    # vertex enumeration
+    svg = render_svg(tmp_path, PNORM_SCENE)
+    root = ET.fromstring(svg)
+    assert root.tag.endswith("svg")
+    ns = {"s": "http://www.w3.org/2000/svg"}
+    world = root.find(".//s:g[@id='world']", ns)
+    polygons = {p.get("class"): p for p in world.findall("s:polygon", ns)}
+    assert {"medial", "ball"} <= set(polygons)
+    medial = [tuple(map(float, xy.split(","))) for xy in polygons["medial"].get("points").split()]
+    assert len(medial) >= 3
+    for x, y in medial:
+        # inside the 3-4-5 triangle (0,0), (4,0), (0,3)
+        assert x >= -EPS_REL and y >= -EPS_REL and 3 * x + 4 * y <= 12 + EPS_REL
