@@ -227,8 +227,9 @@ def exsphere(simplex: Simplex, ball: UnitBall, i: int) -> Optional[Insphere]:
         raise IndexError(i)
     rows, rhs = _tangency_system(simplex, ball, flip=i)
     if ball.mode == FLOAT:
+        # entries are scaled to at most 1 first, so nothing can overflow
         big = max(max(abs(c) for row in rows for c in row), 1.0)
-        if abs(det(rows)) <= config.EPS_ABS * big ** (d + 1):
+        if abs(det([[c / big for c in row] for row in rows])) <= config.EPS_ABS:
             return None
     lin = solve_linear(rows, rhs)
     if lin.status != "unique":

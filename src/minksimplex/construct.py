@@ -22,6 +22,7 @@ is always available).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -93,17 +94,18 @@ def _closer_endpoint(g: Vec, w: Vec, bwd, fwd):
 
 
 def _sweep_directions(frame):
-    """Deterministic direction list spanning many chord slopes through
-    the two frame vectors."""
+    """Deterministic directions spanning many chord slopes through the
+    two frame vectors, built lazily: the caller usually takes the
+    first."""
     v1, v2 = frame
-    out = [v1, v2]
+    yield v1
+    yield v2
     for n in range(1, 16):
         for a in range(-n, n + 1):
             if math.gcd(abs(a), n) != 1:
                 continue
-            out.append(a * v1 + n * v2)
-            out.append(n * v1 + a * v2)
-    return out
+            yield a * v1 + n * v2
+            yield n * v1 + a * v2
 
 
 def _seeded_direction(frame, rng: random.Random) -> Vec:
@@ -291,10 +293,11 @@ def quasiregular_simplex(
     if d == 2:
         directions = [anchor]
     else:
-        directions = _sweep_directions(frame)[:sweep_cap]
+        directions = itertools.islice(_sweep_directions(frame), sweep_cap)
         if rng is not None:
             # seeded candidates first, deterministic sweep as fallback
-            directions = [_seeded_direction(frame, rng) for _ in range(32)] + directions
+            seeded = [_seeded_direction(frame, rng) for _ in range(32)]
+            directions = itertools.chain(seeded, directions)
     for w in directions:
         bwd, fwd = chord_through(sphere, g, w)
         if d == 2:

@@ -451,15 +451,22 @@ def run_campaign(family: str, ball: UnitBall, trials: int, seed: int) -> Campaig
     disagreements = []
     for t in range(trials):
         trial_seed = (seed, family, t)
+        label = repr(trial_seed)
         if t % 2 == 0:
             kind = kinds[(t // 2) % len(kinds)]
-            instance = planted_generator(kind, ball, d, trial_seed.__repr__())
+            instance = planted_generator(kind, ball, d, label)
+            trial_reports = verify(instance, ball, label)
         else:
-            def any_condition(T: Simplex) -> bool:
-                return any(any(r.verdicts) for r in verify(T, ball, None))
+            # the accepted candidate is the last one checked, so its
+            # reports are kept from the rejection step
+            trial_reports = []
 
-            instance = random_negative(d, trial_seed, any_condition)
-        for report in verify(instance, ball, repr(trial_seed)):
+            def any_condition(T: Simplex) -> bool:
+                trial_reports[:] = verify(T, ball, label)
+                return any(any(r.verdicts) for r in trial_reports)
+
+            random_negative(d, trial_seed, any_condition)
+        for report in trial_reports:
             reports.append(report)
             if not report.agreement:
                 disagreements.append(report)

@@ -269,9 +269,13 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> LinearSolution:
         aug = [[Rat(c) for c in row] + [Rat(b)] for row, b in zip(rows, rhs)]
     else:
         aug = [[float(c) for c in row] + [float(b)] for row, b in zip(rows, rhs)]
-    scale = 1.0
+    scale = rhs_scale = 1.0
     if mode == FLOAT:
-        scale = max((abs(c) for row in aug for c in row), default=1.0) or 1.0
+        # pivots are judged against the coefficients alone, so a large
+        # right-hand side cannot zero them out; leftover rows are judged
+        # against the right-hand side too
+        scale = max((abs(c) for row in aug for c in row[:n]), default=1.0) or 1.0
+        rhs_scale = max((abs(c) for row in aug for c in row), default=1.0) or 1.0
 
     pivots = []  # (row, col)
     r = 0
@@ -305,7 +309,7 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> LinearSolution:
         aug[row] = [v / piv for v in aug[row]]
 
     for i in range(r, m):
-        if not _is_zero(aug[i][n], mode, scale):
+        if not _is_zero(aug[i][n], mode, rhs_scale):
             return LinearSolution("infeasible")
 
     pivot_cols = {col for _, col in pivots}
@@ -340,6 +344,17 @@ def integer_rows(rows: Sequence[Sequence]) -> tuple:
         out.append([int(c.numerator) * (lcm // int(c.denominator)) for c in row])
         total *= lcm
     return out, total
+
+
+def integer_points(points: Sequence[Vec]) -> tuple:
+    """Exact points times the lcm of all their denominators, as int
+    tuples, and that common multiplier."""
+    scale = math.lcm(*(int(c.denominator) for p in points for c in p.coords))
+    ints = [
+        tuple(int(c.numerator) * (scale // int(c.denominator)) for c in p.coords)
+        for p in points
+    ]
+    return ints, scale
 
 
 def bareiss(rows: Sequence[Sequence[int]]) -> tuple:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from . import config, polytopes
@@ -23,7 +24,7 @@ from .errors import (
     ResourceCapError,
     VerificationError,
 )
-from .linalg import Hyperplane, Vec, affine_rank, solve_linear
+from .linalg import Hyperplane, Vec, affine_rank, integer_points, solve_linear
 from .scalars import EXACT, FLOAT, Rat, is_float
 
 
@@ -69,17 +70,33 @@ class PolytopeBall(UnitBall):
     vertices: extreme points, closed under negation.
     normals: facet normals scaled so the ball is {x : <n, x> <= 1};
     also closed under negation.
+
+    Each list is also kept as integer rows over one common denominator
+    (the lcm of all its coordinates' denominators), computed once per
+    ball; gauge and support take their max over integer dot products
+    and divide once.
     """
 
     kind = "polytope"
     mode = EXACT
 
-    def __init__(self, vertices: Sequence[Vec], normals: Sequence[Vec], _validated: bool = False):
+    def __init__(
+        self,
+        vertices: Sequence[Vec],
+        normals: Sequence[Vec],
+        _validated: bool = False,
+        _rows: Optional[tuple] = None,
+    ):
         self.vertices = tuple(sorted(vertices, key=Vec.key))
         self.normals = tuple(sorted(normals, key=Vec.key))
         if not self.vertices or not self.normals:
             raise DegenerateInputError("empty polytope data")
         self.dim = self.vertices[0].dim
+        if _rows is None:
+            if any(v.mode != EXACT for v in self.vertices + self.normals):
+                raise MixedModeError("polytopal balls take exact coordinates")
+            _rows = (integer_points(self.vertices), integer_points(self.normals))
+        self._vertex_rows, self._normal_rows = _rows
         if not _validated:
             self._validate()
 
@@ -152,7 +169,7 @@ class PolytopeBall(UnitBall):
             raise MixedModeError("polytopal gauge needs exact coordinates")
         if x.dim != self.dim:
             raise DimensionError("dimension mismatch")
-        return max(n.dot(x) for n in self.normals)
+        return _max_dot(self._normal_rows, x)
 
     def support(self, a: Vec):
         """Support function h_B(a) = max over vertices of <a, v>."""
@@ -160,11 +177,16 @@ class PolytopeBall(UnitBall):
             raise MixedModeError("polytopal support needs exact coordinates")
         if a.dim != self.dim:
             raise DimensionError("dimension mismatch")
-        return max(a.dot(v) for v in self.vertices)
+        return _max_dot(self._vertex_rows, a)
 
     def dual(self) -> "PolytopeBall":
         """Polar ball: vertices and facet normals trade places."""
-        return PolytopeBall(self.normals, self.vertices, _validated=True)
+        return PolytopeBall(
+            self.normals,
+            self.vertices,
+            _validated=True,
+            _rows=(self._normal_rows, self._vertex_rows),
+        )
 
     def boundary_contains(self, x: Vec) -> bool:
         return self.gauge(x) == 1
@@ -181,6 +203,15 @@ class PolytopeBall(UnitBall):
 
     def __repr__(self) -> str:
         return f"PolytopeBall(dim={self.dim}, facets={len(self.normals)})"
+
+
+def _max_dot(scaled_rows: tuple, x: Vec):
+    """max over rows r of <r, x> / scale, for integer rows over a common
+    denominator scale: x's denominators are cleared once, the max is
+    taken on ints and divided once."""
+    rows, scale = scaled_rows
+    (xs,), x_scale = integer_points((x,))
+    return Rat(max(sum(map(mul, r, xs)) for r in rows), x_scale * scale)
 
 
 class PNormBall(UnitBall):

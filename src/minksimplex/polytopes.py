@@ -28,6 +28,7 @@ from .linalg import (
     bareiss,
     cross2,
     integer_det,
+    integer_points,
     integer_rows,
     solve_linear,
 )
@@ -43,17 +44,6 @@ def _check_dim(d: int) -> None:
 
 def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
-
-
-def _integer_points(points: Sequence[Vec]) -> tuple:
-    """Exact points times the lcm of all their denominators, as int
-    tuples, and that common multiplier."""
-    scale = math.lcm(*(int(c.denominator) for p in points for c in p.coords))
-    ints = [
-        tuple(int(c.numerator) * (scale // int(c.denominator)) for c in p.coords)
-        for p in points
-    ]
-    return ints, scale
 
 
 def _integer_halfspaces(halfspaces: Sequence[Hyperplane]) -> list:
@@ -73,7 +63,7 @@ def facet_hyperplanes(points: Sequence[Vec]) -> list[Hyperplane]:
     pts = list(dict.fromkeys(points))
     d = pts[0].dim
     _check_dim(d)
-    ints, scale = _integer_points(pts)
+    ints, scale = integer_points(pts)
     if _affine_rank(ints) != d:
         raise DegenerateInputError("point set is not full-dimensional")
     found = {}
@@ -119,7 +109,7 @@ def hull_vertices(points: Sequence[Vec], facets: Sequence[Hyperplane]) -> list[V
     Duplicates are dropped and coordinates come back as rationals."""
     pts = list(dict.fromkeys(points))
     d = pts[0].dim
-    ints, scale = _integer_points(pts)
+    ints, scale = integer_points(pts)
     rows = _integer_halfspaces(facets)
     out = []
     for p, q in zip(pts, ints):
@@ -180,7 +170,7 @@ def minimal_halfspaces(halfspaces: Sequence[Hyperplane], vertices: Sequence[Vec]
     """Drop exact halfspaces whose boundary does not support a facet
     (tight at fewer than d affinely independent vertices)."""
     d = halfspaces[0].dim
-    ints, scale = _integer_points(vertices)
+    ints, scale = integer_points(vertices)
     kept = {}
     for h, row in zip(halfspaces, _integer_halfspaces(halfspaces)):
         tight = [q for q in ints if _dot(row, q) == row[d] * scale]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
+from . import config
 from .errors import DimensionError
 from .linalg import Vec
 from .norms import UnitBall
@@ -117,7 +118,7 @@ def render_scene(
         ys.append(y)
     if not xs:
         xs = ys = [-1.0, 1.0]
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
+    span = max(max(xs) - min(xs), max(ys) - min(ys), config.EPS_REL)
     margin = 0.08 * span
     vx, vy = min(xs) - margin, -(max(ys) + margin)
     vw = (max(xs) - min(xs)) + 2 * margin

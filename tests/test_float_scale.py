@@ -1,0 +1,90 @@
+"""Float-lane systems whose right-hand side dwarfs their coefficients.
+
+A pivot is judged against the coefficients alone and a leftover row
+against the right-hand side too, so huge but well-posed systems are
+solved instead of reported infeasible; the exsphere singularity test
+scales its rows before the determinant instead of raising a bound to
+the power d + 1.
+"""
+
+import json
+
+import pytest
+
+from minksimplex.centers import exspheres, incenter
+from minksimplex.cli import main
+from minksimplex.config import EPS_REL
+from minksimplex.linalg import Vec, solve_linear
+from minksimplex.norms import PNormBall, lp_norm
+from minksimplex.simplex import Simplex
+
+P3 = PNormBall(2, 3.0)
+
+
+def right_triangle(s: float) -> Simplex:
+    return Simplex([Vec((0.0, 0.0)), Vec((s, 0.0)), Vec((0.0, s))])
+
+
+def test_large_right_hand_side_keeps_its_pivots():
+    sol = solve_linear([[1.0, 0.0], [0.0, 1.0]], [1e300, 1e300])
+    assert sol.status == "unique"
+    assert sol.point == (1e300, 1e300)
+
+
+def test_leftover_rows_are_judged_against_the_right_hand_side():
+    # the second row repeats the first up to a relative 1e-12
+    sol = solve_linear([[1.0, 1.0], [1.0, 1.0]], [1e300, 1e300 * (1 + 1e-12)])
+    assert sol.status == "affine" and sol.dim == 1
+    sol = solve_linear([[1.0, 1.0], [1.0, 1.0]], [1e300, -1e300])
+    assert sol.status == "infeasible"
+    sol = solve_linear([[1.0, 1.0], [1.0, 1.0]], [1.0, 1.0 + 1e-3])
+    assert sol.status == "infeasible"
+
+
+def test_in_and_exspheres_scale_with_the_simplex():
+    # offsets near 1e300 against normals near 1e150: the parent form of
+    # the exsphere test raised OverflowError and the insphere system
+    # came out singular
+    s = 1e150
+    small, huge = right_triangle(1.0), right_triangle(s)
+    ins0, ins1 = incenter(small, P3), incenter(huge, P3)
+    assert ins1.radius == pytest.approx(s * ins0.radius, rel=EPS_REL)
+    for a, b in zip(ins0.center, ins1.center):
+        assert b == pytest.approx(s * a, rel=EPS_REL)
+    ex0, ex1 = exspheres(small, P3), exspheres(huge, P3)
+    for i in range(3):
+        assert ex1[i] is not None
+        assert ex1[i].radius == pytest.approx(s * ex0[i].radius, rel=EPS_REL)
+        for a, b in zip(ex0[i].center, ex1[i].center):
+            assert b == pytest.approx(s * a, rel=EPS_REL)
+
+
+def run(tmp_path, command, simplex):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "dimension": 2,
+        "ball": {"type": "pnorm", "p": 3},
+        "simplex": simplex,
+    }))
+    out = tmp_path / "out.json"
+    code = main([command, "--in", str(scene), "--out", str(out)])
+    return code, json.loads(out.read_text()) if out.exists() else None
+
+
+def test_circumcenter_of_huge_simplex(tmp_path):
+    simplex = [[0, 0], [1e300, 1], [0, 1e300]]
+    code, doc = run(tmp_path, "circumcenters", simplex)
+    assert code == 0
+    (piece,) = doc["pieces"]
+    assert piece["affine_dim"] == 0
+    assert piece["center"] == [pytest.approx(5e299, rel=EPS_REL)] * 2
+    for v in simplex:
+        diff = [float(a) - c for a, c in zip(v, piece["center"])]
+        assert lp_norm(diff, 3.0) == pytest.approx(piece["radius"], rel=EPS_REL)
+
+
+def test_centers_of_large_simplex(tmp_path):
+    code, doc = run(tmp_path, "centers", [[0, 0], [1e150, 0], [0, 1e150]])
+    assert code == 0
+    assert doc["incenter"]["radius"] > 0
+    assert [e["flipped_facet"] for e in doc["exspheres"]] == [0, 1, 2]
