@@ -67,10 +67,15 @@ class EulerLine:
         g = [float(c) for c in self.centroid.coords]
         u = [float(c) - b for c, b in zip(self.circumcenter.coords, g)]
         v = [float(c) - b for c, b in zip(point.coords, g)]
-        # u and v are parallel when every 2x2 minor u_i v_j - u_j v_i vanishes
+        nu, nv = math.hypot(*u), math.hypot(*v)
+        if nu == 0.0 or nv == 0.0:
+            return True
+        # unit u and v are parallel when every 2x2 minor u_i v_j - u_j v_i
+        # vanishes; scaling first keeps the products from overflowing
+        u = [c / nu for c in u]
+        v = [c / nv for c in v]
         cross = max(abs(ui * vj - uj * vi) for ui, vi in zip(u, v) for uj, vj in zip(u, v))
-        scale = max(math.hypot(*u) * math.hypot(*v), config.EPS_TINY)
-        return cross <= tol * scale
+        return cross <= tol
 
 
 def _to_ball_mode(ball: UnitBall, v: Vec) -> Vec:
@@ -150,7 +155,9 @@ def _check_euler_identities(simplex: Simplex, line: EulerLine) -> None:
         if exact:
             ok = lhs == rhs and lhs2 == rhs2
         else:
-            scale = max(max(abs(float(c)) for c in rhs.coords), 1.0)
+            # the rhs cancels terms of the size of the inputs, so the
+            # rounding left in it scales with them, not with the rhs
+            scale = d * max(abs(float(c)) for v in (a, ac, line.circumcenter) for c in v.coords)
             ok = all(
                 abs(float(x) - float(y)) <= config.EPS_REL * scale
                 for x, y in zip(lhs.coords, rhs.coords)

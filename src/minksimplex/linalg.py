@@ -93,9 +93,6 @@ class Vec:
         self._check(other)
         return sum(a * b for a, b in zip(self.coords, other.coords))
 
-    def norm2_sq(self):
-        return sum(a * a for a in self.coords)
-
     def to_float(self) -> "Vec":
         return Vec(float(a) for a in self.coords)
 

@@ -188,9 +188,6 @@ class PolytopeBall(UnitBall):
             _rows=(self._normal_rows, self._vertex_rows),
         )
 
-    def boundary_contains(self, x: Vec) -> bool:
-        return self.gauge(x) == 1
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PolytopeBall)
@@ -387,7 +384,8 @@ def chord_through(ball: Ball, p: Vec, direction: Vec) -> tuple:
 
     Requires p strictly inside.  Returns (t_minus, t_plus) with
     t- < 0 < t+; the chord endpoints are p + t * direction.  Exact for
-    polytopal balls; bisection at float precision for smooth ones.
+    polytopal balls; for smooth ones, Newton with a bisection safeguard
+    to float precision.
     """
     if direction.is_zero():
         raise DegenerateInputError("chord direction must be nonzero")
@@ -413,39 +411,64 @@ def chord_through(ball: Ball, p: Vec, direction: Vec) -> tuple:
             raise VerificationError("a line through a bounded ball must leave it both ways")
         return tminus, tplus
 
-    # smooth: expand a bracket then bisect each side
-    base = p.to_float()
-    rel_f = base - ball.center.to_float()
-    dir_f = direction.to_float()
+    # smooth: one root search on each side, on plain floats
+    rel = [a - c for a, c in zip(unit._floats(p), unit._floats(ball.center))]
+    dirs = unit._floats(direction)
     r = float(ball.radius)
-    if unit.gauge(rel_f) >= r:
+    if lp_norm(rel, unit.p) >= r:
         raise DegenerateInputError("chord base point must be strictly inside")
-
-    def g(t: float) -> float:
-        return unit.gauge(rel_f + t * dir_f) - r
-
-    def solve_side(sgn: float) -> float:
-        hi = 1.0
-        for _ in range(200):
-            if g(sgn * hi) > 0:
-                break
-            hi *= 2.0
-        else:
-            raise NonConvergenceError("chord bracket expansion failed")
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if g(sgn * mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= config.EPS_BISECT * max(1.0, hi):
-                break
-        return sgn * 0.5 * (lo + hi)
-
-    tp = solve_side(1.0)
-    tm = solve_side(-1.0)
+    tp = _chord_end(rel, dirs, unit.p, r)
+    tm = -_chord_end(rel, [-c for c in dirs], unit.p, r)
     return tm, tp
+
+
+def _chord_end(rel: list, dirs: list, p: float, r: float) -> float:
+    """The t > 0 with lp_norm(rel + t * dirs, p) = r, given
+    lp_norm(rel, p) < r.
+
+    g(t) = lp_norm(rel + t * dirs) - r is convex, so Newton from the
+    outer end of a doubled bracket descends monotonically to the root,
+    with g'(t) = <lp_gradient(rel + t * dirs), dirs>.  The bracket
+    shrinks by the sign of g.  A Newton step that leaves the open
+    bracket, meets g' <= 0 or is not below half the step before is
+    replaced by bisection, so each step either halves the bracket or is
+    at most half the step before.
+    """
+
+    def at(t: float) -> tuple:
+        xs = [a + t * b for a, b in zip(rel, dirs)]
+        return xs, lp_norm(xs, p)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        xs, norm = at(hi)
+        if norm > r:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise NonConvergenceError("chord bracket expansion failed")
+    t, last = hi, math.inf
+    for _ in range(200):
+        slope = 0.0
+        if 0.0 < norm < math.inf:
+            slope = sum(map(mul, lp_gradient(xs, p, norm), dirs))
+        step = (norm - r) / slope if slope > 0.0 else math.inf
+        if lo < t - step < hi and abs(step) <= 0.5 * last:
+            if abs(step) <= config.EPS_BISECT * max(1.0, hi):
+                return t - step
+        else:
+            step = t - 0.5 * (lo + hi)
+        t, last = t - step, abs(step)
+        xs, norm = at(t)
+        if norm == r:
+            return t
+        if norm > r:
+            hi = t
+        else:
+            lo = t
+        if hi - lo <= config.EPS_BISECT * max(1.0, hi):
+            return 0.5 * (lo + hi)
+    raise NonConvergenceError("chord root search did not converge")
 
 
 def radon_polygon(arc: Optional[Sequence[Vec]] = None) -> PolytopeBall:

@@ -24,7 +24,9 @@ def hyperplane_through(points: Sequence[Vec]) -> Hyperplane:
     """Hyperplane spanned by d affinely independent points in R^d.
 
     Normal components are cofactors of the edge-vector matrix, so the
-    computation is exact in rational mode.
+    computation is exact in rational mode.  In float mode each edge row
+    is divided by its largest |entry| first, which only rescales the
+    normal, so cofactors stay near 1 and the offset stays finite.
     """
     pts = list(points)
     d = pts[0].dim
@@ -32,6 +34,11 @@ def hyperplane_through(points: Sequence[Vec]) -> Hyperplane:
         raise DimensionError(f"need {d} points to span a hyperplane in R^{d}")
     edges = [p - pts[0] for p in pts[1:]]
     rows = [list(e.coords) for e in edges]
+    if pts[0].mode != EXACT:
+        for k, row in enumerate(rows):
+            big = max(map(abs, row))
+            if big:
+                rows[k] = [c / big for c in row]
     normal = []
     for i in range(d):
         minor = [[row[j] for j in range(d) if j != i] for row in rows]

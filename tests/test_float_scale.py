@@ -4,10 +4,13 @@ A pivot is judged against the coefficients alone and a leftover row
 against the right-hand side too, so huge but well-posed systems are
 solved instead of reported infeasible; the exsphere singularity test
 scales its rows before the determinant instead of raising a bound to
-the power d + 1.
+the power d + 1.  Facet normals, Euler-line checks and collinearity
+tests likewise scale before they multiply, so a simplex with 1e300
+coordinates gets its centers and its picture.
 """
 
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -88,3 +91,28 @@ def test_centers_of_large_simplex(tmp_path):
     assert code == 0
     assert doc["incenter"]["radius"] > 0
     assert [e["flipped_facet"] for e in doc["exspheres"]] == [0, 1, 2]
+
+
+def test_centers_of_huge_simplex(tmp_path):
+    # unscaled facet offsets would be near 1e600, and the Euler checks
+    # cancel terms near 1e300
+    code, doc = run(tmp_path, "centers", [[0, 0], [1e300, 1], [0, 1e300]])
+    assert code == 0
+    # the simplex is 1e300 times the unit right triangle up to 1e-300
+    small = incenter(right_triangle(1.0), P3)
+    assert doc["incenter"]["radius"] == pytest.approx(1e300 * small.radius, rel=EPS_REL)
+    for a, b in zip(small.center, doc["incenter"]["center"]):
+        assert b == pytest.approx(1e300 * a, rel=EPS_REL)
+    assert doc["euler"]["circumcenter"] == [pytest.approx(5e299, rel=EPS_REL)] * 2
+
+
+def test_render_of_huge_simplex(tmp_path):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "dimension": 2,
+        "ball": {"type": "pnorm", "p": 3},
+        "simplex": [[0, 0], [1e300, 1], [0, 1e300]],
+    }))
+    svg = tmp_path / "out.svg"
+    assert main(["render", "--in", str(scene), "--svg", str(svg)]) == 0
+    assert ET.fromstring(svg.read_text()).tag.endswith("svg")

@@ -5,16 +5,19 @@ the float tolerances from config.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from minksimplex.config import EPS_REL
+from minksimplex import norms
+from minksimplex.config import EPS_BISECT, EPS_REL
 from minksimplex.errors import (
     DegenerateInputError,
     DimensionError,
     MixedModeError,
+    NonConvergenceError,
 )
 from minksimplex.linalg import Hyperplane, Vec
 from minksimplex.norms import (
@@ -27,6 +30,8 @@ from minksimplex.norms import (
     euclidean_ball,
     is_radon,
     isoperimetrix,
+    lp_gradient,
+    lp_norm,
     point_hyperplane_distance,
     radon_polygon,
 )
@@ -304,6 +309,90 @@ def test_chord_through_smooth():
     for t in (tm, tp):
         end = fvec(0.3 + t, 0.1 + 2 * t)
         assert ball4.gauge(end - fvec(0.1, 0.2)) == pytest.approx(1.25, abs=1e-9)
+
+
+def bisection_chord_end(rel, dirs, p, r):
+    """Reference: double a bracket, then bisect it to EPS_BISECT."""
+
+    def g(t):
+        return lp_norm([a + t * b for a, b in zip(rel, dirs)], p) - r
+
+    hi = 1.0
+    while g(hi) <= 0:
+        hi *= 2.0
+    lo = 0.0
+    while hi - lo > EPS_BISECT * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def random_chords(n, seed=2024):
+    """(ball, base point, direction) with d in 2-4, p in 1.01-500 and
+    coordinates scaled by up to 1e300; the base point lies anywhere
+    strictly inside, so some chords graze the sphere."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        d = rng.randint(2, 4)
+        p = math.exp(rng.uniform(math.log(1.01), math.log(500.0)))
+        s = 10.0 ** rng.uniform(0.0, 300.0)
+        center = fvec(*(rng.gauss(0.0, 1.0) * s for _ in range(d)))
+        radius = rng.uniform(0.2, 3.0) * s
+        x = [rng.gauss(0.0, 1.0) for _ in range(d)]
+        k = rng.uniform(0.0, 0.999) * radius / lp_norm(x, p)
+        base = fvec(*(c + k * xi for c, xi in zip(center, x)))
+        u = s * 10.0 ** rng.uniform(-2.0, 2.0)
+        direction = fvec(*(rng.gauss(0.0, 1.0) * u for _ in range(d)))
+        out.append((Ball(PNormBall(d, p), center, radius), base, direction))
+    return out
+
+
+CHORDS = random_chords(300)
+
+
+def test_smooth_chords_match_bisection():
+    for ball, base, direction in CHORDS:
+        p, r = ball.unit.p, ball.radius
+        rel = [a - c for a, c in zip(base, ball.center)]
+        dirs = list(direction)
+        tm, tp = chord_through(ball, base, direction)
+        assert tm < 0 < tp
+        for t, sgn in ((tp, 1.0), (tm, -1.0)):
+            ref = sgn * bisection_chord_end(rel, [sgn * c for c in dirs], p, r)
+            end = [a + t * b for a, b in zip(rel, dirs)]
+            norm = lp_norm(end, p)
+            assert norm == pytest.approx(r, rel=EPS_REL)
+            # a root is only defined to the rounding of the norm, a few
+            # ulps of r, over the slope g'(t); for chords that do not
+            # graze the sphere r / |g'(t)| is about |t|
+            slope = abs(sum(g * c for g, c in zip(lp_gradient(end, p, norm), dirs)))
+            assert abs(t - ref) <= 1e-14 * max(1.0, abs(t), r / slope)
+
+
+def test_smooth_chord_needs_few_norm_evaluations(monkeypatch):
+    calls = 0
+
+    def counted(xs, p):
+        nonlocal calls
+        calls += 1
+        return lp_norm(xs, p)
+
+    monkeypatch.setattr(norms, "lp_norm", counted)
+    for ball, base, direction in CHORDS:
+        chord_through(ball, base, direction)
+    # doubling and bisection to EPS_BISECT took about 105 per chord
+    assert calls / len(CHORDS) <= 25
+
+
+def test_unreachable_chord_end_raises():
+    ball = Ball(PNormBall(2, 3.0), fvec(0, 0), 1.0)
+    # 200 doublings reach t = 2^200, still inside the ball
+    with pytest.raises(NonConvergenceError):
+        chord_through(ball, fvec(0, 0), fvec(1e-80, 0))
 
 
 def test_chord_requires_interior_base():
