@@ -198,19 +198,16 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
     return CircumcenterSet(simplex, ball, merged, cls, EXACT)
 
 
-def smooth_circumcenters(
-    simplex: Simplex,
-    ball: PNormBall,
-    n_starts: int = 12,
-    seed: int = 0,
-    tol: float = config.EPS_ABS,
-) -> CircumcenterSet:
+_N_STARTS = 12  # Newton starts per smooth circumcenter search
+
+
+def smooth_circumcenters(simplex: Simplex, ball: PNormBall) -> CircumcenterSet:
     d = simplex.dim
     A = [[float(c) for c in v.coords] for v in simplex.vertices]
     scale = max(abs(c) for a in A for c in a) or 1.0
     p = ball.p
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     centroid = [sum(col) / (d + 1) for col in zip(*A)]
     starts = [centroid]
     for k in range(d):
@@ -218,12 +215,12 @@ def smooth_circumcenters(
             start = list(centroid)
             start[k] += sgn * 0.4 * scale
             starts.append(start)
-    while len(starts) < n_starts:
+    while len(starts) < _N_STARTS:
         starts.append([c + rng.uniform(-0.8, 0.8) * scale for c in centroid])
 
     solutions = []
     failures = 0
-    for m in starts[:n_starts]:
+    for m in starts[:_N_STARTS]:
         ok = False
         for _ in range(80):
             diffs = [[a - c for a, c in zip(vertex, m)] for vertex in A]
@@ -231,7 +228,7 @@ def smooth_circumcenters(
             if min(g) < config.EPS_COLLAPSE * scale:
                 break  # collapsed onto a vertex
             f = [gi - g[0] for gi in g[1:]]
-            if max(map(abs, f)) <= tol * max(1.0, max(g)):
+            if max(map(abs, f)) <= config.EPS_ABS * max(1.0, max(g)):
                 ok = True
                 break
             # row i: d(g_i - g_0)/dm = grad(A_0 - m) - grad(A_i - m),
@@ -268,10 +265,10 @@ def smooth_circumcenters(
     return CircumcenterSet(simplex, ball, pieces, UNKNOWN, "float", failures)
 
 
-def circumcenters(simplex: Simplex, ball: UnitBall, **kwargs) -> CircumcenterSet:
+def circumcenters(simplex: Simplex, ball: UnitBall) -> CircumcenterSet:
     if isinstance(ball, PolytopeBall):
         return polytopal_circumcenters(simplex, ball)
-    return smooth_circumcenters(simplex, ball, **kwargs)
+    return smooth_circumcenters(simplex, ball)
 
 
 def is_circumcenter(simplex: Simplex, ball: UnitBall, center: Vec, radius=None) -> bool:

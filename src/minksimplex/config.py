@@ -23,12 +23,9 @@ EPS_TINY = 1e-30
 # (relative to the simplex's coordinate scale): the gauge has a kink there.
 EPS_COLLAPSE = 1e-13
 
-# A float bisection stops once its bracket is this narrow (times the
+# A float root search stops once its bracket is this narrow (times the
 # bracket's scale where that exceeds 1): a few ulps of 1.0.
 EPS_BISECT = 1e-15
-
-# A float root search accepts a point whose residual is below this.
-EPS_ROOT = 1e-14
 
 _DEFAULTS = {
     "MINKSIMPLEX_MAX_FACETS": 64,

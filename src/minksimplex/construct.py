@@ -15,9 +15,9 @@ the ratio gauge(Q - g) = 2 gauge(P - g); otherwise the final target
 would be the midpoint of that same chord and the closing chord would
 reuse P.  The last two vertices come from a chord bisected by the
 target: exact edge-pair solving on the section polygon for polytopal
-balls, an angular bisection on the chord-overshoot function for smooth
-ones (the overshoot is odd under direction reversal, so a sign change
-is always available).
+balls, a bracketed root search (norms.root_in_bracket) on the chord
+angle for smooth ones: the chord overshoot is odd under direction
+reversal, so its values at angles 0 and pi bracket a root.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
     VerificationError,
 )
 from .linalg import Hyperplane, Vec, solve_linear, unit_vec, zero_vec
-from .norms import Ball, PolytopeBall, UnitBall, chord_through
+from .norms import Ball, PolytopeBall, UnitBall, chord_through, root_in_bracket
 from .polytopes import polygon_edges, polygon_order, vertex_enumerate
 from .scalars import EXACT, Rat
 from .simplex import Simplex
@@ -202,41 +202,27 @@ def _bisected_chord_smooth(ball: UnitBall, origin: Vec, frame) -> tuple:
     o = origin.to_float()
     sphere = Ball(ball, zero_vec(ball.dim).to_float(), 1.0)
 
-    def overshoot(theta: float):
+    def chord(theta: float) -> tuple:
         w = math.cos(theta) * v1 + math.sin(theta) * v2
         bwd, fwd = chord_through(sphere, o, w)
-        return fwd + bwd, w, fwd
+        return w, fwd, fwd + bwd
 
-    lo = 0.0
-    f_lo, w_lo, t_lo = overshoot(lo)
-    if f_lo == 0.0:
-        r = o + t_lo * w_lo
-        return r, o - (r - o)
-    hi = lo + math.pi
+    def overshoot(theta: float) -> float:
+        return chord(theta)[2]
+
+    f0 = overshoot(0.0)
     # overshoot is odd under theta -> theta + pi
-    f_hi = -f_lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid, w_mid, t_mid = overshoot(mid)
-        if f_mid == 0.0 or hi - lo < config.EPS_BISECT:
-            break
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    f_mid, w_mid, t_mid = overshoot(0.5 * (lo + hi))
-    if abs(f_mid) > config.EPS_REL:
+    w, fwd, f = chord(root_in_bracket(overshoot, 0.0, math.pi, f0, -f0))
+    if abs(f) > config.EPS_REL:
         raise NonConvergenceError("bisected chord search stalled")
-    r = o + t_mid * w_mid
-    s = o - (r - o)
-    return r, s
+    r = o + fwd * w
+    return r, o - (r - o)
 
 
 def quasiregular_simplex(
     ball: UnitBall,
     anchor: Optional[Vec] = None,
     seed: Optional[int] = None,
-    sweep_cap: int = 64,
 ) -> Construction:
     """Simplex inscribed in the unit sphere with centroid at the
     center, one vertex at the anchor (a boundary point; defaults to
@@ -293,7 +279,7 @@ def quasiregular_simplex(
     if d == 2:
         directions = [anchor]
     else:
-        directions = itertools.islice(_sweep_directions(frame), sweep_cap)
+        directions = itertools.islice(_sweep_directions(frame), 64)
         if rng is not None:
             # seeded candidates first, deterministic sweep as fallback
             seeded = [_seeded_direction(frame, rng) for _ in range(32)]
@@ -423,20 +409,10 @@ def _unit_at_unit_distance_smooth(ball: UnitBall, u: Vec) -> Vec:
         return float(ball.gauge(point(theta) - u)) - 1.0
 
     lo, hi = theta0, theta0 + math.pi
-    f_lo, f_hi = f(lo), f(hi)
+    f_lo = f(lo)
     if f_lo >= 0:
         raise VerificationError("anchor distance function misbehaved")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) < config.EPS_ROOT or hi - lo < config.EPS_BISECT:
-            lo = hi = mid
-            break
-        if (fm < 0) == (f_lo < 0):
-            lo, f_lo = mid, fm
-        else:
-            hi = mid
-    w = point(0.5 * (lo + hi))
+    w = point(root_in_bracket(f, lo, hi, f_lo, f(hi)))
     if abs(float(ball.gauge(w - u)) - 1.0) > config.EPS_REL:
         raise NonConvergenceError("equilateral side search stalled")
     return w

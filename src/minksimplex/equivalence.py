@@ -374,12 +374,13 @@ def planted_generator(kind: str, ball: UnitBall, d: int, seed: int) -> Simplex:
     raise ValueError(f"unknown planted kind: {kind}")
 
 
-def random_simplex(d: int, seed, span: int = 4, denominators=(2, 3, 6)) -> Simplex:
-    """Random rational simplex with vertices in [-span, span]^d."""
+def random_simplex(d: int, seed) -> Simplex:
+    """Random rational simplex with vertices in [-12, 12]^d, coordinates
+    with denominators 2, 3 or 6."""
     rng = random.Random(("random-simplex", d, seed).__repr__())
     while True:
         vertices = [
-            Vec([Rat(rng.randint(-span * 6, span * 6), rng.choice(denominators)) for _ in range(d)])
+            Vec([Rat(rng.randint(-24, 24), rng.choice((2, 3, 6))) for _ in range(d)])
             for _ in range(d + 1)
         ]
         try:
@@ -392,11 +393,10 @@ def random_negative(
     d: int,
     seed,
     reject: Callable[[Simplex], bool],
-    attempts: int = 64,
 ) -> Simplex:
     """Random simplex rejected and resampled while `reject` holds, so a
     negative-branch label stays trustworthy."""
-    for k in range(attempts):
+    for k in range(64):
         cand = random_simplex(d, (seed, k))
         if not reject(cand):
             return cand

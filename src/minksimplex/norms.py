@@ -384,8 +384,8 @@ def chord_through(ball: Ball, p: Vec, direction: Vec) -> tuple:
 
     Requires p strictly inside.  Returns (t_minus, t_plus) with
     t- < 0 < t+; the chord endpoints are p + t * direction.  Exact for
-    polytopal balls; for smooth ones, Newton with a bisection safeguard
-    to float precision.
+    polytopal balls; for smooth ones, a bracketed root search
+    (root_in_bracket) on each side to float precision.
     """
     if direction.is_zero():
         raise DegenerateInputError("chord direction must be nonzero")
@@ -415,60 +415,70 @@ def chord_through(ball: Ball, p: Vec, direction: Vec) -> tuple:
     rel = [a - c for a, c in zip(unit._floats(p), unit._floats(ball.center))]
     dirs = unit._floats(direction)
     r = float(ball.radius)
-    if lp_norm(rel, unit.p) >= r:
+    g0 = lp_norm(rel, unit.p) - r
+    if g0 >= 0.0:
         raise DegenerateInputError("chord base point must be strictly inside")
-    tp = _chord_end(rel, dirs, unit.p, r)
-    tm = -_chord_end(rel, [-c for c in dirs], unit.p, r)
+    tp = _chord_end(rel, dirs, unit.p, r, g0)
+    tm = -_chord_end(rel, [-c for c in dirs], unit.p, r, g0)
     return tm, tp
 
 
-def _chord_end(rel: list, dirs: list, p: float, r: float) -> float:
-    """The t > 0 with lp_norm(rel + t * dirs, p) = r, given
-    lp_norm(rel, p) < r.
+def _chord_end(rel: list, dirs: list, p: float, r: float, g0: float) -> float:
+    """The t > 0 with g(t) = lp_norm(rel + t * dirs, p) - r = 0, given
+    g0 = g(0) < 0: the bracket [0, 1] is doubled until g changes sign,
+    then searched by root_in_bracket."""
 
-    g(t) = lp_norm(rel + t * dirs) - r is convex, so Newton from the
-    outer end of a doubled bracket descends monotonically to the root,
-    with g'(t) = <lp_gradient(rel + t * dirs), dirs>.  The bracket
-    shrinks by the sign of g.  A Newton step that leaves the open
-    bracket, meets g' <= 0 or is not below half the step before is
-    replaced by bisection, so each step either halves the bracket or is
-    at most half the step before.
+    def g(t: float) -> float:
+        return lp_norm([a + t * b for a, b in zip(rel, dirs)], p) - r
+
+    lo, g_lo, hi = 0.0, g0, 1.0
+    for _ in range(200):
+        g_hi = g(hi)
+        if g_hi >= 0.0:
+            return root_in_bracket(g, lo, hi, g_lo, g_hi)
+        lo, g_lo, hi = hi, g_hi, 2.0 * hi
+    raise NonConvergenceError("chord bracket expansion failed")
+
+
+def root_in_bracket(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """A root of f in [lo, hi], given f_lo = f(lo) and f_hi = f(hi) of
+    opposite signs.
+
+    Illinois false position (Dowell & Jarratt 1971): each step tries
+    the zero of the secant through the two ends and replaces the end
+    whose value has the sign of f there; an end kept twice in a row has
+    its value halved, so the search cannot stall on one side.  A secant
+    point outside the open bracket is replaced by the midpoint.  Stops
+    when f is exactly 0 or the bracket is at most
+    EPS_BISECT * max(1, |lo|, |hi|) wide, and returns its midpoint.
     """
-
-    def at(t: float) -> tuple:
-        xs = [a + t * b for a, b in zip(rel, dirs)]
-        return xs, lp_norm(xs, p)
-
-    lo, hi = 0.0, 1.0
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise DegenerateInputError("root bracket needs a sign change")
+    kept = 0  # +1 after lo was kept, -1 after hi was kept
     for _ in range(200):
-        xs, norm = at(hi)
-        if norm > r:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise NonConvergenceError("chord bracket expansion failed")
-    t, last = hi, math.inf
-    for _ in range(200):
-        slope = 0.0
-        if 0.0 < norm < math.inf:
-            slope = sum(map(mul, lp_gradient(xs, p, norm), dirs))
-        step = (norm - r) / slope if slope > 0.0 else math.inf
-        if lo < t - step < hi and abs(step) <= 0.5 * last:
-            if abs(step) <= config.EPS_BISECT * max(1.0, hi):
-                return t - step
-        else:
-            step = t - 0.5 * (lo + hi)
-        t, last = t - step, abs(step)
-        xs, norm = at(t)
-        if norm == r:
-            return t
-        if norm > r:
-            hi = t
-        else:
-            lo = t
-        if hi - lo <= config.EPS_BISECT * max(1.0, hi):
+        if hi - lo <= config.EPS_BISECT * max(1.0, abs(lo), abs(hi)):
             return 0.5 * (lo + hi)
-    raise NonConvergenceError("chord root search did not converge")
+        t = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        f_t = f(t)
+        if f_t == 0.0:
+            return t
+        if (f_t > 0.0) == (f_lo > 0.0):
+            lo, f_lo = t, f_t
+            if kept == -1:
+                f_hi *= 0.5
+            kept = -1
+        else:
+            hi, f_hi = t, f_t
+            if kept == 1:
+                f_lo *= 0.5
+            kept = 1
+    raise NonConvergenceError("root search did not converge")
 
 
 def radon_polygon(arc: Optional[Sequence[Vec]] = None) -> PolytopeBall:

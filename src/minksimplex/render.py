@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from . import config
 from .errors import DimensionError
 from .linalg import Vec
-from .norms import UnitBall
+from .norms import UnitBall, lp_norm
 from .polytopes import convex_hull_2d
 from .scalars import EXACT
 from .simplex import Simplex
@@ -43,19 +43,21 @@ def project(v: Vec, axes: tuple) -> tuple:
     return float(v[axes[0]]), float(v[axes[1]])
 
 
-def _ball_outline(ball: UnitBall, axes: tuple, samples: int) -> list:
+_SAMPLES = 256  # points on the outline of a smooth ball
+
+
+def _ball_outline(ball: UnitBall, axes: tuple) -> list:
     """Boundary polygon of the ball's shadow on the axes plane, unit
     scale, centered at the origin."""
     if ball.mode == EXACT:
         hull = convex_hull_2d([Vec((v[axes[0]], v[axes[1]])) for v in ball.vertices])
         return [(float(p[0]), float(p[1])) for p in hull]
     # the shadow of a p-ball on a coordinate plane is the planar p-ball
-    p = ball.p
     out = []
-    for k in range(samples):
-        t = 2.0 * math.pi * k / samples
+    for k in range(_SAMPLES):
+        t = 2.0 * math.pi * k / _SAMPLES
         c, s = math.cos(t), math.sin(t)
-        g = (abs(c) ** p + abs(s) ** p) ** (1.0 / p)
+        g = lp_norm((c, s), ball.p)
         out.append((c / g, s / g))
     return out
 
@@ -70,8 +72,6 @@ def render_scene(
     sphere_translates: Sequence[tuple] = (),
     point_labels: Optional[dict] = None,
     axes: Optional[tuple] = None,
-    show_medial: bool = True,
-    samples: int = 256,
 ) -> str:
     """SVG document of the scene: unit ball, optional simplex with its
     medial polytope, ball translates (center, radius) at e.g. computed
@@ -82,7 +82,7 @@ def render_scene(
         raise DimensionError(f"axes {axes} do not name a coordinate plane of R^{dim}")
     point_labels = dict(point_labels or {})
 
-    outline = _ball_outline(ball, axes, samples)
+    outline = _ball_outline(ball, axes)
     bodies = []  # (class, points)
     bodies.append(("ball", outline))
     for center, radius in sphere_translates:
@@ -99,12 +99,9 @@ def render_scene(
         proj = [project(v, axes) for v in simplex.vertices]
         for i, j in simplex.edges():
             edges.append((proj[i], proj[j]))
-        if show_medial:
-            mp = simplex.medial_polytope
-            hull = convex_hull_2d(
-                [Vec((v[axes[0]], v[axes[1]])) for v in mp.vertices()]
-            )
-            bodies.insert(0, ("medial", [(float(p[0]), float(p[1])) for p in hull]))
+        mp = simplex.medial_polytope
+        hull = convex_hull_2d([Vec((v[axes[0]], v[axes[1]])) for v in mp.vertices()])
+        bodies.insert(0, ("medial", [(float(p[0]), float(p[1])) for p in hull]))
 
     markers = {name: project(p, axes) for name, p in point_labels.items()}
 

@@ -75,14 +75,6 @@ def close(a: float, b: float, rel: float = EPS_REL, abs_: float = EPS_ABS) -> bo
     return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)
 
 
-def scalars_equal(a, b, mode: str, rel: float = EPS_REL) -> bool:
-    """Equality in the given mode: exact == for rationals, toleranced
-    comparison for floats."""
-    if mode == EXACT:
-        return a == b
-    return close(float(a), float(b), rel=rel)
-
-
 def sign(x) -> int:
     if x > 0:
         return 1

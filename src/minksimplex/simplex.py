@@ -167,9 +167,7 @@ class Simplex:
     # -- membership ---------------------------------------------------
 
     def contains(self, p: Vec, strict: bool = False) -> bool:
-        if strict:
-            return all(h.eval(p) < 0 for h in self.facet_hyperplanes)
-        return all(h.eval(p) <= 0 for h in self.facet_hyperplanes)
+        return _half_contains(self.facet_hyperplanes, p, strict)
 
     # -- derived bodies ------------------------------------------------
 

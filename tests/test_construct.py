@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from minksimplex import construct
 from minksimplex.circumcenter import is_ag_quasiregular
 from minksimplex.construct import (
     bisected_chord,
@@ -72,6 +73,26 @@ def test_postconditions_smooth(dim, seed):
     assert_valid_construction(c)
     c4 = quasiregular_simplex(PNormBall(dim, 4.0), seed=seed)
     assert_valid_construction(c4)
+
+
+def test_smooth_simplex_needs_few_chords(monkeypatch):
+    calls = 0
+    chord_through = construct.chord_through
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return chord_through(*args)
+
+    monkeypatch.setattr(construct, "chord_through", counted)
+    builds = 0
+    for d in (2, 3, 4):
+        for p in (1.5, 2.0, 2.5, 3.0, 4.0):
+            for seed in (None, 0, 1, 2, 3):
+                assert_valid_construction(quasiregular_simplex(PNormBall(d, p), seed=seed))
+                builds += 1
+    # bisecting the closing chord's angle took about 31 per simplex
+    assert calls / builds <= 16
 
 
 def test_postconditions_random_balls():

@@ -116,3 +116,26 @@ def test_render_of_huge_simplex(tmp_path):
     svg = tmp_path / "out.svg"
     assert main(["render", "--in", str(scene), "--svg", str(svg)]) == 0
     assert ET.fromstring(svg.read_text()).tag.endswith("svg")
+
+
+@pytest.mark.parametrize("p, simplex", [
+    (5000, None),
+    (1e308, None),
+    (1e308, [[0, 0], [1, 0], [0, 1]]),
+])
+def test_render_at_huge_p(tmp_path, p, simplex):
+    # |cos t|^p + |sin t|^p underflows to 0 at such p; the outline
+    # takes each sample's norm by lp_norm, which scales first
+    body = {"dimension": 2, "ball": {"type": "pnorm", "p": p}}
+    if simplex is not None:
+        body["simplex"] = simplex
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(body))
+    svg = tmp_path / "out.svg"
+    assert main(["render", "--in", str(scene), "--svg", str(svg)]) == 0
+    root = ET.fromstring(svg.read_text())
+    outline = next(e for e in root.iter() if e.get("class") == "ball")
+    for pair in outline.get("points").split():
+        x, y = map(float, pair.split(","))
+        # on the l_p unit sphere max(|x|, |y|) lies in [2^(-1/p), 1]
+        assert 0.99 <= max(abs(x), abs(y)) <= 1.0

@@ -34,6 +34,7 @@ from minksimplex.norms import (
     lp_norm,
     point_hyperplane_distance,
     radon_polygon,
+    root_in_bracket,
 )
 from minksimplex.scalars import Rat
 
@@ -393,6 +394,25 @@ def test_unreachable_chord_end_raises():
     # 200 doublings reach t = 2^200, still inside the ball
     with pytest.raises(NonConvergenceError):
         chord_through(ball, fvec(0, 0), fvec(1e-80, 0))
+
+
+def test_root_in_bracket_moves_both_ends():
+    # on x^8 - 1/2 plain false position keeps the right end for good
+    # and creeps up from the left for over 100,000 steps; the
+    # Illinois halving moves the kept end
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        calls += 1
+        return x ** 8 - 0.5
+
+    root = root_in_bracket(f, 0.0, 2.0, -0.5, 255.5)
+    assert root == pytest.approx(0.5 ** 0.125, abs=2 * EPS_BISECT)
+    assert calls <= 40
+    assert root_in_bracket(f, 0.0, 2.0, 0.0, 255.5) == 0.0
+    with pytest.raises(DegenerateInputError):
+        root_in_bracket(f, 1.0, 2.0, 0.5, 255.5)
 
 
 def test_chord_requires_interior_base():
