@@ -176,7 +176,7 @@ def is_reduced_triangle(simplex: Simplex, ball: UnitBall):
     w0 = simplex.min_width(ball)
     for delta in (Rat(1, 8), Rat(1, 16)):
         for i in range(3):
-            shrunk = simplex.shrink_vertex(i, delta)
+            shrunk = simplex.shrink_vertex(i, delta if simplex.mode == EXACT else float(delta))
             w1 = shrunk.min_width(ball)
             if not w1 < w0:
                 return False, {

@@ -241,7 +241,9 @@ class PNormBall(UnitBall):
         return lp_norm(self._floats(a), self.p / (self.p - 1.0))
 
     def dual(self) -> "PNormBall":
-        return PNormBall(self.dim, self.p / (self.p - 1.0))
+        # p / (p - 1) rounds to 1.0 once p passes about 2**53; the next
+        # float above 1 keeps the dual a p-norm, within float rounding
+        return PNormBall(self.dim, max(self.p / (self.p - 1.0), math.nextafter(1.0, 2.0)))
 
     def gauge_gradient(self, x: Vec) -> tuple:
         """Gradient of the gauge at x != 0 (smoothness of l_p, p > 1)."""

@@ -11,11 +11,10 @@ built with a fixed key order so reruns diff cleanly.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional
-
-import jsonschema
 
 from .errors import ConfigError, MinksimplexError, ResourceCapError
 from .linalg import Hyperplane, Vec
@@ -112,90 +111,140 @@ class Scene:
         return self.ball.mode
 
 
-def _json_path(parts) -> str:
-    out = "$"
-    for p in parts:
-        out += f"[{p}]" if isinstance(p, int) else f".{p}"
-    return out
+_NAME = SCENE_SCHEMA["properties"]["points"]["propertyNames"]["pattern"]
+_BALL_KEY = {"polytope-v": "vertices", "polytope-h": "normals", "pnorm": "p"}
+
+# One walk reads a JSON document and checks each SCENE_SCHEMA keyword
+# where it reads that value, then the rules the schema cannot state:
+# vector lengths equal to the dimension, d+1 simplex vertices, floats
+# only in pnorm scenes, and finite floats wherever the float lane needs
+# one.  Type checks follow JSON Schema: a bool is never a number, and an
+# integer-valued float is an integer.
 
 
-def _parse_scalar(x, allow_float: bool, where: str):
-    if isinstance(x, bool):
-        raise SceneError("coordinate must be a number or 'p/q' string", where)
-    if isinstance(x, int):
-        return Rat(x)
+def _object(obj, where: str, required, allowed=None) -> dict:
+    """`type: object`, `required`, and `additionalProperties: false`
+    when `allowed` names the properties."""
+    if not isinstance(obj, dict):
+        raise SceneError("expected an object", where)
+    for key in required:
+        if key not in obj:
+            raise SceneError(f"{key!r} is a required property", where)
+    for key in obj if allowed is not None else ():
+        if key not in allowed:
+            raise SceneError(f"additional property {key!r} is not allowed", where)
+    return obj
+
+
+def _array(arr, where: str, min_items: int, max_items: float = math.inf) -> list:
+    if not isinstance(arr, list):
+        raise SceneError("expected an array", where)
+    if not min_items <= len(arr) <= max_items:
+        raise SceneError(f"expected {min_items} to {max_items} items, got {len(arr)}", where)
+    return arr
+
+
+def _is_number(x, integer: bool = False) -> bool:
+    if isinstance(x, float):
+        return not integer or x.is_integer()
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _finite(x, where: str) -> float:
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise SceneError("number must be finite and within float range", where)
+    return f
+
+
+def _scalar(x, smooth: bool, where: str):
+    """A coordinate: a JSON number or a 'p/q' string; exact unless the
+    ball is smooth."""
     if isinstance(x, str):
-        if not re.match(_RATIONAL, x):
+        if not re.search(_RATIONAL, x):
             raise SceneError(f"bad rational literal {x!r}", where)
         num, _, den = x.partition("/")
-        return Rat(int(num), int(den)) if den else Rat(int(num))
-    if isinstance(x, float):
-        if not allow_float:
-            raise SceneError(
-                "float coordinates are only allowed with pnorm balls", where
-            )
-        return x
-    raise SceneError("coordinate must be a number or 'p/q' string", where)
+        try:
+            x = Rat(int(num), int(den or 1))
+        except ValueError as exc:  # more digits than int() converts
+            raise SceneError(str(exc), where)
+    elif not _is_number(x):
+        raise SceneError("coordinate must be a number or 'p/q' string", where)
+    elif isinstance(x, int):
+        x = Rat(x)
+    elif not smooth:
+        raise SceneError("float coordinates are only allowed with pnorm balls", where)
+    return _finite(x, where) if smooth else x
 
 
-def _parse_vector(arr, dim: int, allow_float: bool, where: str) -> Vec:
-    if len(arr) != dim:
-        raise SceneError(f"expected {dim} coordinates, got {len(arr)}", where)
+def _vector(arr, dim: int, smooth: bool, where: str) -> Vec:
     coords = [
-        _parse_scalar(c, allow_float, f"{where}[{k}]") for k, c in enumerate(arr)
+        _scalar(c, smooth, f"{where}[{k}]")
+        for k, c in enumerate(_array(arr, where, 2, 4))
     ]
-    if allow_float:
-        coords = [float(c) for c in coords]
+    if len(coords) != dim:
+        raise SceneError(f"expected {dim} coordinates, got {len(coords)}", where)
     return Vec(coords)
 
 
+def _ball(doc: dict, dim: int) -> UnitBall:
+    kind = _object(doc, "$.ball", ["type"])["type"]
+    if not isinstance(kind, str) or kind not in _BALL_KEY:
+        raise SceneError(f"{kind!r} is not one of {list(_BALL_KEY)}", "$.ball.type")
+    key = _BALL_KEY[kind]
+    _object(doc, "$.ball", [key], ["type", key])
+    where = f"$.ball.{key}"
+    if kind == "pnorm":
+        p = doc["p"]
+        if not _is_number(p) or p <= 1:
+            raise SceneError(f"{p!r} is not a number greater than 1", where)
+        return PNormBall(dim, _finite(p, where))
+    rows = [
+        _vector(v, dim, False, f"{where}[{k}]")
+        for k, v in enumerate(_array(doc[key], where, 3))
+    ]
+    if kind == "polytope-v":
+        return PolytopeBall.from_vertices(rows)
+    return PolytopeBall.from_halfspaces([Hyperplane(n, Rat(1)) for n in rows])
+
+
 def scene_from_dict(doc: dict) -> Scene:
-    """Typed scene from a schema-valid JSON document; raises SceneError
-    with the schema path on the first violation."""
-    validator = jsonschema.Draft202012Validator(SCENE_SCHEMA)
-    err = jsonschema.exceptions.best_match(validator.iter_errors(doc))
-    if err is not None:
-        raise SceneError(err.message, _json_path(err.absolute_path))
+    """Typed scene from a JSON document, checked against SCENE_SCHEMA
+    and the rules it cannot state; raises SceneError with the JSON path
+    of the first violation."""
+    _object(doc, "$", ["dimension", "ball"], ["dimension", "ball", "simplex", "points"])
     dim = doc["dimension"]
-    ball_doc = doc["ball"]
-    smooth = ball_doc["type"] == "pnorm"
+    if not _is_number(dim, integer=True) or not 2 <= dim <= 4:
+        raise SceneError(f"{dim!r} is not an integer from 2 to 4", "$.dimension")
+    dim = int(dim)
     try:
-        if ball_doc["type"] == "polytope-v":
-            verts = [
-                _parse_vector(v, dim, False, f"$.ball.vertices[{k}]")
-                for k, v in enumerate(ball_doc["vertices"])
-            ]
-            ball: UnitBall = PolytopeBall.from_vertices(verts)
-        elif ball_doc["type"] == "polytope-h":
-            normals = [
-                _parse_vector(n, dim, False, f"$.ball.normals[{k}]")
-                for k, n in enumerate(ball_doc["normals"])
-            ]
-            halfspaces = [Hyperplane(n, Rat(1)) for n in normals]
-            ball = PolytopeBall.from_halfspaces(halfspaces)
-        else:
-            ball = PNormBall(dim, float(ball_doc["p"]))
+        ball = _ball(doc["ball"], dim)
     except (SceneError, ResourceCapError, ConfigError):
         raise  # caps and settings are not scene errors
     except MinksimplexError as exc:
         raise SceneError(str(exc), "$.ball")
+    smooth = ball.mode != EXACT
     simplex = None
     if "simplex" in doc:
-        rows = doc["simplex"]
-        if len(rows) != dim + 1:
+        rows = _array(doc["simplex"], "$.simplex", 3, 5)
+        verts = [_vector(v, dim, smooth, f"$.simplex[{k}]") for k, v in enumerate(rows)]
+        if len(verts) != dim + 1:
             raise SceneError(f"simplex needs {dim + 1} vertices", "$.simplex")
-        verts = [
-            _parse_vector(v, dim, smooth, f"$.simplex[{k}]")
-            for k, v in enumerate(rows)
-        ]
         try:
             simplex = Simplex(verts)
         except MinksimplexError as exc:
             raise SceneError(str(exc), "$.simplex")
-    points = {}
-    for name, arr in sorted(doc.get("points", {}).items()):
-        points[name] = _parse_vector(arr, dim, smooth, f"$.points.{name}")
-    return Scene(dim, ball, simplex, points)
+    points = _object(doc.get("points", {}), "$.points", [])
+    for name in points:
+        if not re.search(_NAME, name):
+            raise SceneError(f"{name!r} does not match {_NAME!r}", "$.points")
+    return Scene(dim, ball, simplex, {
+        name: _vector(arr, dim, smooth, f"$.points.{name}")
+        for name, arr in sorted(points.items())
+    })
 
 
 def parse_scene(text: str) -> Scene:
@@ -203,8 +252,8 @@ def parse_scene(text: str) -> Scene:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SceneError(exc.msg, f"line {exc.lineno} column {exc.colno}")
-    if not isinstance(doc, dict):
-        raise SceneError("scene must be a JSON object", "$")
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise SceneError(str(exc))
     return scene_from_dict(doc)
 
 

@@ -1,0 +1,81 @@
+"""Schema-valid edge inputs at the CLI, and what importing the CLI loads.
+
+Every scene here passes SCENE_SCHEMA; each must end in a documented
+exit code, never in a traceback.
+"""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+from minksimplex.cli import main
+
+PNORM = {"dimension": 2, "ball": {"type": "pnorm", "p": 3}, "simplex": [[0, 0], [4, 0], [0, 3]]}
+
+
+def run(tmp_path, capsys, argv, text):
+    scene = tmp_path / "scene.json"
+    scene.write_text(text)
+    code = main([*argv, "--in", str(scene), "--out", str(tmp_path / "out.json")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["construct"], ["verify", "--theorem", "41", "--trials", "2"]])
+def test_integer_valued_float_dimension(tmp_path, capsys, argv):
+    scene = {"dimension": 2.0, "ball": {"type": "pnorm", "p": 3}}
+    code, _ = run(tmp_path, capsys, argv, json.dumps(scene))
+    assert code == 0
+    doc = json.loads((tmp_path / "out.json").read_text())
+    assert doc["scene"]["dimension"] == 2
+
+
+# each number needs a float the float lane cannot hold
+@pytest.mark.parametrize("argv, scene, where", [
+    (["gauge"], {**PNORM, "points": {"X": [float("nan"), 1]}}, "$.points.X[0]"),
+    (["gauge"], {**PNORM, "points": {"X": [1, float("-inf")]}}, "$.points.X[1]"),
+    (["gauge"], {**PNORM, "ball": {"type": "pnorm", "p": 10**400}}, "$.ball.p"),
+    (["gauge"], {**PNORM, "ball": {"type": "pnorm", "p": float("inf")}}, "$.ball.p"),
+    (["centers"], {**PNORM, "simplex": [[0, 0], [10**400, 0], [0, 3]]}, "$.simplex[1][0]"),
+    (["centers"], {**PNORM, "simplex": [[0, 0], [f"{10**400}/3", 0], [0, 3]]}, "$.simplex[1][0]"),
+])
+def test_non_finite_numbers_exit_1(tmp_path, capsys, argv, scene, where):
+    code, err = run(tmp_path, capsys, argv, json.dumps(scene))
+    assert code == 1
+    assert err.startswith(f"error: {where}: ")
+
+
+def test_exact_lane_keeps_big_integers(tmp_path, capsys):
+    big = 10**400
+    scene = {
+        "dimension": 2,
+        "ball": {"type": "polytope-v", "vertices": [[big, 0], [0, 1], [-big, 0], [0, -1]]},
+        "points": {"X": [big, 0]},
+    }
+    code, _ = run(tmp_path, capsys, ["gauge"], json.dumps(scene))
+    assert code == 0
+    assert json.loads((tmp_path / "out.json").read_text())["gauges"]["points"]["X"] == "1"
+
+
+def test_literals_too_long_to_convert_exit_1(tmp_path, capsys):
+    digits = "1" * 5000  # past the interpreter's integer-string limit
+    scene = {**PNORM, "points": {"X": [digits, 0]}}
+    code, err = run(tmp_path, capsys, ["gauge"], json.dumps(scene))
+    assert code == 1 and err.startswith("error: $.points.X[0]: ")
+    code, err = run(tmp_path, capsys, ["gauge"], '{"dimension": 2, "ball": {"type": "pnorm", "p": %s}}' % digits)
+    assert code == 1 and err.startswith("error: ")
+
+
+def test_cli_import_loads_only_the_stdlib():
+    # site hooks load modules before any user code, so compare
+    # sys.modules before and after the import
+    code = (
+        "import sys; before = set(sys.modules); import minksimplex.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.partition(".")[0] for name in proc.stdout.split()}
+    assert "minksimplex" in loaded
+    assert loaded - set(sys.stdlib_module_names) <= {"minksimplex", "gmpy2"}

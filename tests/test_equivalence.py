@@ -231,6 +231,12 @@ def test_campaigns_agree(family, ball):
         assert not any(r.verdicts)
 
 
+@pytest.mark.parametrize("family", ["42", "44"])
+def test_reducedness_campaigns_on_a_p_norm_ball(family):
+    # the reducedness audit shrinks a float simplex by a float fraction
+    assert run_campaign(family, PNormBall(2, 3.0), 4, 0).all_agree
+
+
 def test_campaign_reproducibility():
     a = run_campaign("43", HEXAGON, trials=8, seed=11)
     b = run_campaign("43", HEXAGON, trials=8, seed=11)

@@ -3,15 +3,18 @@ command and flags, ends in a documented exit code (0-3) and never in a
 traceback."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
-import jsonschema
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from minksimplex.cli import FAMILIES, main
 from minksimplex.scene import SCENE_SCHEMA
+
+jsonschema = pytest.importorskip("jsonschema")
 
 # rationals as (numerator, denominator), written out as in scene files
 rationals = st.tuples(st.integers(-6, 6), st.integers(1, 4))
@@ -19,8 +22,13 @@ floats = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 # Most scenes are well formed; the rest may carry one flaw that the
 # schema lets through: vectors of another length, a ball that is not
-# centrally symmetric, floats in an exact scene, a wrong vertex count.
-FLAWS = [None] * 6 + ["ragged", "asymmetric", "float-in-exact", "vertex-count"]
+# centrally symmetric, floats in an exact scene, a wrong vertex count,
+# an integer-valued float dimension, or numbers no float holds in a
+# pnorm scene.
+FLAWS = [None] * 6 + [
+    "ragged", "asymmetric", "float-in-exact", "vertex-count", "float-dimension", "edge-number",
+]
+EDGE_NUMBERS = [math.nan, math.inf, -math.inf, 10**400]
 
 
 def rational_json(q):
@@ -51,12 +59,17 @@ def scenes(draw):
     flaw = draw(st.sampled_from(FLAWS))
     exact = rationals.map(rational_json)
     if draw(st.booleans()):
-        ball = {"type": "pnorm", "p": draw(st.one_of(st.integers(2, 6), st.floats(1.01, 60.0)))}
+        p = st.one_of(st.integers(2, 6), st.floats(1.01, 60.0))
         coords = st.one_of(exact, floats)
+        if flaw == "edge-number":
+            # -Infinity is not a valid p
+            p = st.one_of(p, st.sampled_from([x for x in EDGE_NUMBERS if x != -math.inf]))
+            coords = st.one_of(coords, st.sampled_from(EDGE_NUMBERS))
+        ball = {"type": "pnorm", "p": draw(p)}
     else:
         ball = draw(polytope_ball(dim, flaw))
         coords = st.one_of(exact, floats) if flaw == "float-in-exact" else exact
-    scene = {"dimension": dim, "ball": ball}
+    scene = {"dimension": float(dim) if flaw == "float-dimension" else dim, "ball": ball}
     if draw(st.integers(0, 4)):
         n = draw(st.integers(3, 5)) if flaw == "vertex-count" else dim + 1
         scene["simplex"] = draw(st.lists(vectors(dim, coords, flaw), min_size=n, max_size=n))

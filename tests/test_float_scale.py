@@ -139,3 +139,17 @@ def test_render_at_huge_p(tmp_path, p, simplex):
         x, y = map(float, pair.split(","))
         # on the l_p unit sphere max(|x|, |y|) lies in [2^(-1/p), 1]
         assert 0.99 <= max(abs(x), abs(y)) <= 1.0
+
+
+def test_verify_at_huge_p(tmp_path):
+    # family 41 runs on the dual ball, whose p / (p - 1) rounds to 1.0
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "dimension": 2,
+        "ball": {"type": "pnorm", "p": 1e308},
+        "simplex": [[0, 0], [4, 0], [0, 3]],
+    }))
+    out = tmp_path / "out.json"
+    argv = ["verify", "--theorem", "41", "--trials", "4", "--in", str(scene), "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["all_agree"] is True

@@ -140,6 +140,8 @@ def test_pnorm_parameter_validation():
     assert euclidean_ball(3).p == 2.0
     assert PNormBall(2, 3.0).dual().p == pytest.approx(1.5)
     assert PNormBall(2, 3.0).dual().dual().p == pytest.approx(3.0)
+    # p / (p - 1) rounds to 1.0 here; the dual stays a p-norm
+    assert PNormBall(2, 1e308).dual().p > 1
 
 
 def test_known_gauges():
