@@ -254,7 +254,7 @@ def smooth_circumcenters(simplex: Simplex, ball: PNormBall) -> CircumcenterSet:
         if not ok:
             failures += 1
             continue
-        r = sum(g) / len(g)  # g holds the vertex gauges at the converged m
+        r = sum(x / len(g) for x in g)  # mean vertex gauge at the converged m; no overflow
         if r <= config.EPS_ABS * scale:
             failures += 1
             continue

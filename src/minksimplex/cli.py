@@ -147,7 +147,7 @@ def cmd_centers(scene: Scene, args) -> tuple:
             "concurrence": vec_to_json(line.concurrence),
             "feuerbach_center": vec_to_json(line.feuerbach_center),
             "feuerbach_radius": scalar_to_json(line.feuerbach_radius),
-            "monge": vec_to_json(line.monge) if line.monge is not None else None,
+            "monge": vec_to_json(line.monge),
             "collapsed": line.collapsed,
             "degenerate_line_indices": list(line.degenerate_line_indices),
         }
@@ -226,8 +226,7 @@ def cmd_render(scene: Scene, args) -> tuple:
             markers.setdefault("M", line.circumcenter)
             markers.setdefault("P", line.concurrence)
             markers.setdefault("F", line.feuerbach_center)
-            if line.monge is not None:
-                markers.setdefault("N", line.monge)
+            markers.setdefault("N", line.monge)
     if args.project:
         try:
             axes = tuple(int(t) for t in args.project.split(","))

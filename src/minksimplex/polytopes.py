@@ -8,9 +8,10 @@ is scaled to integers, each d-subset of rows is solved by integer
 Cramer with fraction-free (Bareiss) determinants, and containment is
 tested as <a, num> <= b * den with den > 0.  At the configured desk
 scale (<= 64 facets) this brute force is fast, and every result is
-exact: coordinates come back as rationals, not approximations.  Float
-halfspaces (the smooth lane's medial polytopes) are intersected by
-float elimination instead.
+exact: coordinates come back as rationals, not approximations.  There
+is no float vertex enumeration: the one float polytope, a smooth-lane
+simplex's medial polytope, has its vertices in closed form (the edge
+midpoints, see simplex.py).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from typing import Sequence
 
 from . import config
-from .errors import DegenerateInputError, DimensionError, ResourceCapError
+from .errors import DegenerateInputError, DimensionError, MixedModeError, ResourceCapError
 from .linalg import (
     Hyperplane,
     Vec,
@@ -30,7 +31,6 @@ from .linalg import (
     integer_det,
     integer_points,
     integer_rows,
-    solve_linear,
 )
 from .scalars import EXACT, Rat
 
@@ -122,7 +122,7 @@ def hull_vertices(points: Sequence[Vec], facets: Sequence[Hyperplane]) -> list[V
 def vertex_enumerate(halfspaces: Sequence[Hyperplane]) -> list[Vec]:
     """Vertices of {x : <a_i, x> <= b_i for all i}, in the order of the
     first d-subset of rows that meets each; the intersection must be
-    bounded for the result to describe it."""
+    bounded for the result to describe it.  Exact halfspaces only."""
     hs = list(halfspaces)
     if not hs:
         raise DegenerateInputError("no halfspaces")
@@ -131,7 +131,7 @@ def vertex_enumerate(halfspaces: Sequence[Hyperplane]) -> list[Vec]:
     if len(hs) > config.max_facets():
         raise ResourceCapError(f"{len(hs)} halfspaces exceed cap {config.max_facets()}")
     if any(h.mode != EXACT for h in hs):
-        return _float_vertex_enumerate(hs, d)
+        raise MixedModeError("vertex enumeration takes exact halfspaces only")
     rows = _integer_halfspaces(hs)
     seen = {}
     for combo in itertools.combinations(rows, d):
@@ -149,20 +149,6 @@ def vertex_enumerate(halfspaces: Sequence[Hyperplane]) -> list[Vec]:
             x = tuple(Rat(c, den) for c in num)
             if x not in seen:
                 seen[x] = Vec(x)
-    return list(seen.values())
-
-
-def _float_vertex_enumerate(hs: list, d: int) -> list[Vec]:
-    seen = {}
-    for combo in itertools.combinations(hs, d):
-        rows = [list(h.normal.coords) for h in combo]
-        rhs = [h.offset for h in combo]
-        sol = solve_linear(rows, rhs)
-        if sol.status != "unique":
-            continue
-        x = Vec(sol.point)
-        if all(h.eval(x) <= 0 for h in hs):
-            seen[x.coords] = x
     return list(seen.values())
 
 

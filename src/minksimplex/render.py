@@ -15,7 +15,7 @@ import math
 from typing import Optional, Sequence
 
 from . import config
-from .errors import DimensionError
+from .errors import DimensionError, MinksimplexError
 from .linalg import Vec
 from .norms import UnitBall, lp_norm
 from .polytopes import convex_hull_2d
@@ -34,6 +34,8 @@ _STYLE = """\
 
 def _fmt(x) -> str:
     f = float(x)
+    if not math.isfinite(f):
+        raise MinksimplexError(f"drawing coordinate {f} is beyond the float range")
     if f == int(f) and abs(f) < 1e15:
         return str(int(f))
     return repr(f)

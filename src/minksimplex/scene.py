@@ -296,7 +296,14 @@ def result_document(command: str, scene: Optional[Scene], payload: dict, version
     return doc
 
 
-def _write_json(obj, indent: int, out: list) -> None:
+def _leaf_json(obj, where: str) -> str:
+    try:
+        return json.dumps(obj, allow_nan=False)
+    except ValueError:  # inf or nan, which a JSON document cannot hold
+        raise MinksimplexError(f"result {where} = {obj} is beyond the float range") from None
+
+
+def _write_json(obj, indent: int, out: list, where: str) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -305,26 +312,26 @@ def _write_json(obj, indent: int, out: list) -> None:
         out.append("{\n")
         for k, (key, val) in enumerate(obj.items()):
             out.append(f"{pad}  {json.dumps(key)}: ")
-            _write_json(val, indent + 1, out)
+            _write_json(val, indent + 1, out, f"{where}.{key}" if where else key)
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, list):
         if all(not isinstance(x, (dict, list)) for x in obj):
-            out.append(json.dumps(obj, allow_nan=False))
+            out.append(_leaf_json(obj, where))
             return
         out.append("[\n")
         for k, val in enumerate(obj):
             out.append(pad + "  ")
-            _write_json(val, indent + 1, out)
+            _write_json(val, indent + 1, out, f"{where}[{k}]")
             out.append(",\n" if k < len(obj) - 1 else "\n")
         out.append(pad + "]")
     else:
-        out.append(json.dumps(obj, allow_nan=False))
+        out.append(_leaf_json(obj, where))
 
 
 def dumps_document(doc: dict) -> str:
     """Deterministic human-scale formatting: nested structures get one
     element per line, innermost scalar lists stay inline."""
     out: list = []
-    _write_json(doc, 0, out)
+    _write_json(doc, 0, out, "")
     return "".join(out) + "\n"

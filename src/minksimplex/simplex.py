@@ -1,8 +1,10 @@
 """Simplex anatomy: centroid, facets, medians, medial structure.
 
-Affine data (centroid, medians, medial and quasi-medial hyperplanes)
-is norm-free; heights, median lengths and widths take the unit ball as
-an argument.  Everything stays exact in rational mode.
+Derived objects are level sets of the barycentric coordinates
+lambda_i(x) = (b_i - <a_i, x>) / s_i of the facets <a_i, x> <= b_i:
+medial hyperplanes are lambda_i = 1/2, quasi-medial ones lambda_i =
+lambda_j.  Heights and widths take the unit ball as an argument.
+Everything stays exact in rational mode.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import DegenerateInputError, DimensionError, MixedModeError
+from .errors import DegenerateInputError, DimensionError
 from .linalg import Hyperplane, Vec, det, general_position
 from .norms import UnitBall
 from .polytopes import contains as _half_contains
-from .polytopes import vertex_enumerate
 from .scalars import EXACT, Rat
 
 
@@ -90,16 +91,28 @@ class Simplex:
         return total / k
 
     @cached_property
+    def _facets(self) -> tuple:
+        """(h_i, s_i) per facet, h_i: <a_i, x> <= b_i, s_i = <a_i, A_j - A_i>
+        > 0 along the edge to A_i's nearest facet vertex A_j, so a large
+        b_i cancels neither its sign nor its size (exact: any j agrees)."""
+        out = []
+        for i, a in enumerate(self.vertices):
+            facet = self.facet_vertices(i)
+            h = hyperplane_through(facet)
+            edge = min((v - a for v in facet), key=lambda e: max(map(abs, e.coords)))
+            s = h.normal.dot(edge)
+            if s == 0:
+                raise DegenerateInputError(f"vertex {i} lies on its opposite facet")
+            if s < 0:
+                h, s = h.flip(), -s
+            out.append((h, s))
+        return tuple(out)
+
+    @cached_property
     def facet_hyperplanes(self) -> tuple:
         """Facet i spans the vertices opposite A_i, oriented so the
         simplex satisfies <a_i, x> <= b_i with A_i strictly inside."""
-        out = []
-        for i in range(self.dim + 1):
-            h = hyperplane_through(self.facet_vertices(i))
-            if h.eval(self.vertices[i]) > 0:
-                h = h.flip()
-            out.append(h)
-        return tuple(out)
+        return tuple(h for h, _ in self._facets)
 
     def median_vector(self, i: int) -> Vec:
         return self.facet_centroid(i) - self.vertices[i]
@@ -115,7 +128,7 @@ class Simplex:
 
     def edge_midpoint(self, i: int, j: int) -> Vec:
         half = Rat(1, 2) if self.mode == EXACT else 0.5
-        return (self.vertices[i] + self.vertices[j]) * half
+        return self.vertices[i] * half + self.vertices[j] * half
 
     def side_length(self, i: int, j: int, ball: UnitBall):
         return ball.gauge(self.vertices[j] - self.vertices[i])
@@ -124,18 +137,19 @@ class Simplex:
         return [self.side_length(i, j, ball) for i, j in self.edges()]
 
     def medial_hyperplane(self, i: int) -> Hyperplane:
-        """Parallel to facet i, through the midpoints of the edges
-        joining A_i to the facet."""
-        h = self.facet_hyperplanes[i]
+        """lambda_i = 1/2: parallel to facet i, through the midpoints of
+        the edges joining A_i to the facet."""
+        h, s = self._facets[i]
         half = Rat(1, 2) if self.mode == EXACT else 0.5
-        return Hyperplane(h.normal, (h.normal.dot(self.vertices[i]) + h.offset) * half)
+        return Hyperplane(h.normal, h.offset - s * half)
 
     def quasi_medial_hyperplane(self, i: int, j: int) -> Hyperplane:
-        """Through the ridge opposite edge {i, j} and that edge's midpoint."""
+        """lambda_i = lambda_j: through the ridge opposite edge {i, j}
+        and that edge's midpoint."""
         if i == j:
             raise DimensionError("quasi-medial hyperplane needs a proper edge")
-        ridge = [v for k, v in enumerate(self.vertices) if k not in (i, j)]
-        return hyperplane_through([*ridge, self.edge_midpoint(i, j)])
+        (hi, si), (hj, sj) = self._facets[i], self._facets[j]
+        return Hyperplane(hi.normal / si - hj.normal / sj, hi.offset / si - hj.offset / sj)
 
     def quasi_medial_hyperplanes(self) -> dict:
         return {
@@ -146,11 +160,10 @@ class Simplex:
 
     def height(self, i: int, ball: UnitBall):
         """Minkowskian distance from A_i to its opposite facet plane."""
-        h = self.facet_hyperplanes[i]
-        num = h.offset - h.normal.dot(self.vertices[i])
+        h, s = self._facets[i]
         if ball.mode == "float":
-            num = float(num)
-        return num / ball.support(h.normal)
+            s = float(s)
+        return s / ball.support(h.normal)
 
     def heights(self, ball: UnitBall) -> list:
         return [self.height(i, ball) for i in range(self.dim + 1)]
@@ -173,24 +186,19 @@ class Simplex:
 
     @cached_property
     def medial_polytope(self) -> "MedialPolytope":
-        """The simplex truncated at its medial hyperplanes: points on
-        the facet side of every medial hyperplane."""
-        cut = []
-        for i in range(self.dim + 1):
-            m = self.medial_hyperplane(i)
-            # keep the side away from A_i
-            cut.append(Hyperplane(-m.normal, -m.offset))
-        return MedialPolytope(tuple(self.facet_hyperplanes) + tuple(cut), self.dim)
+        """The simplex truncated at its medial hyperplanes,
+        {0 <= lambda_i <= 1/2}: points on the facet side of every medial
+        hyperplane."""
+        cut = tuple(self.medial_hyperplane(i).flip() for i in range(self.dim + 1))
+        midpoints = tuple(self.edge_midpoint(i, j) for i, j in self.edges())
+        return MedialPolytope(self.facet_hyperplanes + cut, midpoints)
 
     def dual_simplex(self) -> "Simplex":
         """Polar dual with respect to the centroid, in centroid-origin
-        coordinates: vertex i is a_i / (b_i - <a_i, G>) for facet i."""
-        g = self.centroid
-        verts = []
-        for h in self.facet_hyperplanes:
-            denom = h.offset - h.normal.dot(g)
-            verts.append(h.normal / denom)
-        return Simplex(verts)
+        coordinates: vertex i is a_i / (b_i - <a_i, G>) = (d+1) a_i / s_i
+        for facet i, since lambda_i(G) = 1/(d+1)."""
+        k = Rat(self.dim + 1) if self.mode == EXACT else float(self.dim + 1)
+        return Simplex([h.normal / s * k for h, s in self._facets])
 
     def median_triangle(self) -> "Simplex":
         """Planar only: triangle whose side vectors are the medians,
@@ -235,13 +243,15 @@ class Simplex:
 @dataclass(frozen=True)
 class MedialPolytope:
     """Intersection of the simplex with the far sides of its medial
-    hyperplanes, as halfspaces {h.eval <= 0}."""
+    hyperplanes, as halfspaces {h.eval <= 0}.  Its vertices are the
+    points of {0 <= lambda_i <= 1/2} with two coordinates 1/2: the
+    C(d+1, 2) edge midpoints."""
 
     halfspaces: tuple
-    dim: int
+    edge_midpoints: tuple
 
     def contains(self, p: Vec, strict: bool = False) -> bool:
         return _half_contains(self.halfspaces, p, strict)
 
     def vertices(self) -> list:
-        return vertex_enumerate(self.halfspaces)
+        return list(self.edge_midpoints)

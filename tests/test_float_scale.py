@@ -6,7 +6,8 @@ solved instead of reported infeasible; the exsphere singularity test
 scales its rows before the determinant instead of raising a bound to
 the power d + 1.  Facet normals, Euler-line checks and collinearity
 tests likewise scale before they multiply, so a simplex with 1e300
-coordinates gets its centers and its picture.
+coordinates gets its centers and its picture.  A result that is itself
+beyond the float range ends in exit 2 with a message naming it.
 """
 
 import json
@@ -153,3 +154,64 @@ def test_verify_at_huge_p(tmp_path):
     argv = ["verify", "--theorem", "41", "--trials", "4", "--in", str(scene), "--out", str(out)]
     assert main(argv) == 0
     assert json.loads(out.read_text())["all_agree"] is True
+
+
+def run_scene(tmp_path, argv, body):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(body))
+    out = tmp_path / "out"
+    flag = "--svg" if argv[0] == "render" else "--out"
+    code = main([*argv, "--in", str(scene), flag, str(out)])
+    return code, out.read_text() if out.exists() else None
+
+
+def test_gauge_beyond_the_float_range_exits_2(tmp_path, capsys):
+    body = {"dimension": 2, "ball": {"type": "pnorm", "p": 3}, "points": {"P": [1.7e308, 1.7e308]}}
+    assert run_scene(tmp_path, ["gauge"], body) == (2, None)
+    assert "gauges.points.P" in capsys.readouterr().err
+
+
+def test_render_beyond_the_float_range_exits_2(tmp_path, capsys):
+    body = {"dimension": 2, "ball": {"type": "pnorm", "p": 7}, "simplex": [
+        [2.0, 1.6418294408555458e308],
+        [-1.3342128132818033e308, 3.9766866540782797e307],
+        [-2.0, 2.0],
+    ]}
+    assert run_scene(tmp_path, ["render"], body) == (2, None)
+    assert "beyond the float range" in capsys.readouterr().err
+
+
+NEAR_MAX = [[0, 0], [1e308, 1], [0, 1e308]]
+
+
+def test_circumradius_of_near_max_simplex_does_not_overflow(tmp_path):
+    # each vertex gauge is about 6.3e307; their sum is inf, their mean is not
+    code, doc = run(tmp_path, "circumcenters", NEAR_MAX)
+    assert code == 0
+    (piece,) = doc["pieces"]
+    assert piece["center"] == [pytest.approx(5e307, rel=EPS_REL)] * 2
+    assert piece["radius"] == pytest.approx(lp_norm([5e307, 5e307], 3.0), rel=EPS_REL)
+
+
+def test_centers_of_near_max_simplex_exit_2(tmp_path, capsys):
+    # exsphere 0 has a radius near 2.4e308, beyond the float range
+    assert run(tmp_path, "centers", NEAR_MAX) == (2, None)
+    assert "exspheres[0]" in capsys.readouterr().err
+
+
+def test_render_draws_the_float_medial_triangle(tmp_path):
+    body = {"dimension": 2, "ball": {"type": "pnorm", "p": 3},
+            "simplex": [[4.1, 8.1], [-1.9, -8.9], [1.1, -4.7]]}
+    code, svg = run_scene(tmp_path, ["render"], body)
+    assert code == 0
+    medial = next(e for e in ET.fromstring(svg).iter() if e.get("class") == "medial")
+    assert len(medial.get("points").split()) == 3
+
+
+def test_dual_of_a_float_sliver_ends_in_an_exit_code(tmp_path):
+    # b_i - <a_i, G> cancels to 0 on this sliver; the edge-read scale does not
+    body = {"dimension": 2, "ball": {"type": "pnorm", "p": 7}, "simplex": [
+        [-2.099230124155727e305, -4.3521650577128304e305], [3.0, 3.0], [2.0, 3.0],
+    ]}
+    code, _ = run_scene(tmp_path, ["verify", "--theorem", "41", "--trials", "2"], body)
+    assert code in (0, 1, 2, 3)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from minksimplex.errors import DegenerateInputError
+from minksimplex.errors import DegenerateInputError, MixedModeError
 from minksimplex.linalg import Hyperplane, Vec
 from minksimplex.polytopes import (
     contains,
@@ -56,6 +56,12 @@ def test_hull_roundtrip_v_to_h_to_v():
         assert sorted(back, key=Vec.key) == sorted(convex_hull_2d(pts), key=Vec.key)
         for p in pts:
             assert contains(hyps, p)
+
+
+def test_vertex_enumerate_takes_exact_halfspaces_only():
+    square = [Hyperplane(Vec((float(a), float(b))), 1.0) for a, b in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+    with pytest.raises(MixedModeError):
+        vertex_enumerate(square)
 
 
 def test_vertex_enumerate_drops_redundant_rows():

@@ -14,6 +14,7 @@ from conftest import (
     CUBE,
     DIAMOND,
     HEXAGON,
+    HYPERCUBE,
     SQUARE,
     random_rational_simplex,
     random_symmetric_polygon,
@@ -145,6 +146,40 @@ def test_medial_polytope_tetrahedron():
         assert not mp.contains(v)
     # truncating all four corners of a tetrahedron leaves an octahedron
     assert len(mp.vertices()) == 6
+
+
+def test_barycentric_objects_match_their_direct_constructions():
+    # quasi-medial hyperplanes, heights and dual vertices all come from
+    # the facets' barycentric scales; each equals its direct formula
+    rng = random.Random("barycentric")
+    balls = {2: SQUARE, 3: CUBE, 4: HYPERCUBE}
+    for d in (2, 3, 4):
+        for _ in range(5):
+            T = random_rational_simplex(rng, d)
+            g, dual = T.centroid, T.dual_simplex()
+            for i, h in enumerate(T.facet_hyperplanes):
+                gap = h.offset - h.normal.dot(T.vertices[i])
+                assert T.height(i, balls[d]) == gap / balls[d].support(h.normal)
+                assert dual.vertices[i] == h.normal / (h.offset - h.normal.dot(g))
+            for (i, j), qm in T.quasi_medial_hyperplanes().items():
+                ridge = [v for k, v in enumerate(T.vertices) if k not in (i, j)]
+                assert qm.same_set(hyperplane_through([*ridge, T.edge_midpoint(i, j)]))
+
+
+def test_float_medial_polytope_vertices_are_the_edge_midpoints():
+    # {0 <= lambda_i <= 1/2} has a vertex exactly where two coordinates
+    # are 1/2; at each midpoint the two cuts it lies on are tight
+    rng = random.Random("float-medial")
+    for d in (2, 3, 4):
+        for _ in range(20):
+            T = Simplex([Vec([rng.uniform(-10, 10) for _ in range(d)]) for _ in range(d + 1)])
+            mp = T.medial_polytope
+            mids = [(T.vertices[i] + T.vertices[j]) * 0.5 for i, j in T.edges()]
+            assert mp.vertices() == mids
+            for (i, j), m in zip(T.edges(), mids):
+                for k in (i, j):
+                    assert T.medial_hyperplane(k).eval(m) == pytest.approx(0.0, abs=1e-9)
+            assert mp.contains(T.centroid, strict=True)
 
 
 def test_dual_simplex_bipolarity():
