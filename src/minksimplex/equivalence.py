@@ -16,12 +16,13 @@ labeled "numeric".
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .centers import exspheres, facet_bisector, incenter
-from .config import EPS_EQUIV, EPS_TINY
+from .config import EPS_EQUIV
 from .construct import equilateral_triangle, quasiregular_simplex
 from .errors import DegenerateInputError
 from .linalg import Vec
@@ -82,33 +83,35 @@ def _all_equal(values, mode: str) -> bool:
     if mode == EXACT:
         return all(v == vals[0] for v in vals[1:])
     fs = [float(v) for v in vals]
-    scale = max(max(abs(f) for f in fs), EPS_TINY)
-    return max(fs) - min(fs) <= EPS_EQUIV * scale
+    return max(fs) - min(fs) <= EPS_EQUIV * max(abs(f) for f in fs)
 
 
-def _points_equal(a: Vec, b: Vec, mode: str) -> bool:
+def _extent(simplex: Simplex) -> float:
+    """Largest |coordinate| of the simplex: float points and offsets are
+    compared at this scale, so verdicts do not depend on its size."""
+    return max(abs(float(c)) for v in simplex.vertices for c in v.coords)
+
+
+def _points_equal(a: Vec, b: Vec, mode: str, extent: float) -> bool:
     if mode == EXACT:
         return a == b
-    scale = max(max(abs(float(c)) for c in (*a.coords, *b.coords)), 1.0)
     return all(
-        abs(float(x) - float(y)) <= EPS_EQUIV * scale
+        abs(float(x) - float(y)) <= EPS_EQUIV * extent
         for x, y in zip(a.coords, b.coords)
     )
 
 
-def _same_hyperplane(h1, h2, mode: str) -> bool:
+def _same_hyperplane(h1, h2, mode: str, extent: float) -> bool:
     if mode == EXACT:
         return h1.same_set(h2)
-    n1, n2 = h1.normal.to_float(), h2.normal.to_float()
-    s1 = max((sum(float(c) ** 2 for c in n1.coords)) ** 0.5, EPS_TINY)
-    s2 = max((sum(float(c) ** 2 for c in n2.coords)) ** 0.5, EPS_TINY)
+    n1 = [float(c) for c in h1.normal.coords]
+    n2 = [float(c) for c in h2.normal.coords]
+    s1, s2 = math.hypot(*n1), math.hypot(*n2)
+    o1, o2 = float(h1.offset) / s1, float(h2.offset) / s2
     for sign in (1.0, -1.0):
         if all(
-            abs(float(a) / s1 - sign * float(b) / s2) <= EPS_EQUIV
-            for a, b in zip(n1.coords, n2.coords)
-        ) and abs(float(h1.offset) / s1 - sign * float(h2.offset) / s2) <= EPS_EQUIV * max(
-            abs(float(h1.offset)) / s1, 1.0
-        ):
+            abs(a / s1 - sign * b / s2) <= EPS_EQUIV for a, b in zip(n1, n2)
+        ) and abs(o1 - sign * o2) <= EPS_EQUIV * extent:
             return True
     return False
 
@@ -133,7 +136,7 @@ def equal_side_gauges(simplex: Simplex, ball: UnitBall):
 
 def centroid_is_incenter(simplex: Simplex, ball: UnitBall):
     inc = incenter(simplex, ball)
-    ok = _points_equal(inc.center, simplex.centroid, ball.mode)
+    ok = _points_equal(inc.center, simplex.centroid, ball.mode, _extent(simplex))
     return ok, {
         "incenter": [_scalar_str(c) for c in inc.center.coords],
         "centroid": [_scalar_str(c) for c in simplex.centroid.coords],
@@ -156,9 +159,10 @@ def quasi_medial_hyperplanes_are_bisectors(simplex: Simplex, ball: UnitBall):
     facet bisectors.  Both families contain the shared ridge of their
     facet pair, which pins the matching pairwise."""
     mismatches = []
+    extent = _extent(simplex)
     for (i, j), qm in simplex.quasi_medial_hyperplanes().items():
         bis = facet_bisector(simplex, ball, i, j)
-        if not _same_hyperplane(qm, bis, ball.mode):
+        if not _same_hyperplane(qm, bis, ball.mode, extent):
             mismatches.append([i, j])
     return not mismatches, {"mismatched_pairs": mismatches}
 

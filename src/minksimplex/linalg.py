@@ -1,11 +1,12 @@
 """Points, hyperplanes, and dense linear algebra over both scalar modes.
 
-Everything here works coordinate-wise on tuples.  Exact mode uses
-rational pivoting Gaussian elimination, except that determinants are
-taken fraction-free (Bareiss) on rows scaled to integers; float mode
-uses partial pivoting with the package tolerances.  Matrices are lists
-of row lists, small enough (dimension <= 4 plus a handful of unknowns)
-that no clever numerics are needed.
+Everything here works coordinate-wise on tuples, with one elimination
+per scalar mode.  Exact rows are scaled to integers and reduced
+fraction-free (bareiss) for every solve, rank and determinant; float
+rows run partial-pivoting Gauss-Jordan with the package tolerances
+(_float_eliminate).  Matrices are lists of row lists, small enough
+(dimension <= 4 plus a handful of unknowns) that no clever numerics
+are needed.
 """
 
 from __future__ import annotations
@@ -231,12 +232,6 @@ class LinearSolution:
         return len(self.basis)
 
 
-def _is_zero(x, mode: str, scale=1.0) -> bool:
-    if mode == EXACT:
-        return x == 0
-    return abs(x) <= max(EPS_ABS, EPS_REL * scale)
-
-
 def _rows_mode(rows: Sequence[Sequence], rhs: Sequence) -> str:
     mode = EXACT
     for row in rows:
@@ -247,88 +242,6 @@ def _rows_mode(rows: Sequence[Sequence], rhs: Sequence) -> str:
         if is_float(c):
             return FLOAT
     return mode
-
-
-def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> LinearSolution:
-    """Solve rows . x = rhs by Gaussian elimination.
-
-    Returns the full solution structure: unique point, affine subspace
-    (particular point + direction basis), or infeasible.
-    """
-    m = len(rows)
-    if m != len(rhs):
-        raise DimensionError("row/rhs count mismatch")
-    if m == 0:
-        raise DimensionError("empty system")
-    n = len(rows[0])
-    mode = _rows_mode(rows, rhs)
-    if mode == EXACT:
-        aug = [[Rat(c) for c in row] + [Rat(b)] for row, b in zip(rows, rhs)]
-    else:
-        aug = [[float(c) for c in row] + [float(b)] for row, b in zip(rows, rhs)]
-    scale = rhs_scale = 1.0
-    if mode == FLOAT:
-        # pivots are judged against the coefficients alone, so a large
-        # right-hand side cannot zero them out; leftover rows are judged
-        # against the right-hand side too
-        scale = max((abs(c) for row in aug for c in row[:n]), default=1.0) or 1.0
-        rhs_scale = max((abs(c) for row in aug for c in row), default=1.0) or 1.0
-
-    pivots = []  # (row, col)
-    r = 0
-    for col in range(n):
-        # pick pivot: exact mode takes any nonzero, float takes max |.|
-        best = None
-        for i in range(r, m):
-            v = aug[i][col]
-            if not _is_zero(v, mode, scale):
-                if mode == EXACT:
-                    best = i
-                    break
-                if best is None or abs(v) > abs(aug[best][col]):
-                    best = i
-        if best is None:
-            continue
-        aug[r], aug[best] = aug[best], aug[r]
-        piv = aug[r][col]
-        for i in range(m):
-            if i != r and not _is_zero(aug[i][col], mode, scale):
-                f = aug[i][col] / piv
-                aug[i] = [v - f * w if w else v for v, w in zip(aug[i], aug[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == m:
-            break
-    # pivot rows are divided by their pivots only now: in float mode
-    # this rounds each solution entry once, at the end
-    for row, col in pivots:
-        piv = aug[row][col]
-        aug[row] = [v / piv for v in aug[row]]
-
-    for i in range(r, m):
-        if not _is_zero(aug[i][n], mode, rhs_scale):
-            return LinearSolution("infeasible")
-
-    pivot_cols = {col for _, col in pivots}
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    zero = Rat(0) if mode == EXACT else 0.0
-    one = Rat(1) if mode == EXACT else 1.0
-
-    point = [zero] * n
-    for row, col in pivots:
-        point[col] = aug[row][n]
-
-    basis = []
-    for fc in free_cols:
-        direction = [zero] * n
-        direction[fc] = one
-        for row, col in pivots:
-            direction[col] = -aug[row][fc]
-        basis.append(tuple(direction))
-
-    if not free_cols:
-        return LinearSolution("unique", tuple(point))
-    return LinearSolution("affine", tuple(point), tuple(basis))
 
 
 def integer_rows(rows: Sequence[Sequence]) -> tuple:
@@ -355,18 +268,22 @@ def integer_points(points: Sequence[Vec]) -> tuple:
 
 
 def bareiss(rows: Sequence[Sequence[int]]) -> tuple:
-    """Fraction-free elimination of an integer matrix (Bareiss 1968):
-    every entry after step k is a (k+1)-minor of the input, so each
-    division is exact and no entry leaves the integers.  Returns
-    (rank, signed last pivot); for a square matrix of full rank the
-    second value is the determinant."""
+    """Fraction-free forward elimination of an integer matrix (Bareiss
+    1968), the exact lane's one elimination: every entry after step k
+    is a (k+1)-minor of the row-permuted input, so each division is
+    exact and no entry leaves the integers.  Returns (rank, signed last
+    pivot, echelon rows, pivot columns); for a square matrix of full
+    rank the second value is the determinant.  Echelon row k holds its
+    minors from its pivot column on."""
     a = [list(row) for row in rows]
     m = len(a)
     n = len(a[0]) if a else 0
-    prev, sign, r = 1, 1, 0
+    prev, sign, r, cols = 1, 1, 0, []
     for col in range(n):
-        best = next((i for i in range(r, m) if a[i][col]), None)
-        if best is None:
+        for best in range(r, m):
+            if a[best][col]:
+                break
+        else:
             continue
         if best != r:
             a[r], a[best] = a[best], a[r]
@@ -379,59 +296,136 @@ def bareiss(rows: Sequence[Sequence[int]]) -> tuple:
             for j in range(col + 1, n):
                 row[j] = (piv * row[j] - f * pivot_row[j]) // prev
         prev = piv
+        cols.append(col)
         r += 1
         if r == m:
             break
-    return r, sign * prev
+    return r, sign * prev, a, cols
 
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix, as an int."""
-    r, value = bareiss(rows)
+    r, value, _, _ = bareiss(rows)
     return value if r == len(rows) else 0
 
 
+def _float_eliminate(aug: list, n: int) -> tuple:
+    """Gauss-Jordan with partial pivoting on the first n columns of the
+    float rows aug, in place: the float lane's one elimination.  Entries
+    within EPS_REL of the largest |coefficient| (EPS_ABS at least) count
+    as zero, so a large right-hand side cannot zero a pivot.  Returns
+    the pivots as (row, col, value at pivot time) and the swap sign."""
+    m = len(aug)
+    scale = max((abs(c) for row in aug for c in row[:n]), default=1.0) or 1.0
+    tol = max(EPS_ABS, EPS_REL * scale)
+    pivots, sign = [], 1
+    for col in range(n):
+        r = len(pivots)
+        best = None
+        for i in range(r, m):
+            v = abs(aug[i][col])
+            if not v <= tol and (best is None or v > abs(aug[best][col])):
+                best = i
+        if best is None:
+            continue
+        if best != r:
+            aug[r], aug[best] = aug[best], aug[r]
+            sign = -sign
+        piv = aug[r][col]
+        for i in range(m):
+            if i != r and not abs(aug[i][col]) <= tol:
+                f = aug[i][col] / piv
+                aug[i] = [v - f * w if w else v for v, w in zip(aug[i], aug[r])]
+        pivots.append((r, col, piv))
+        if r + 1 == m:
+            break
+    return pivots, sign
+
+
+def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> LinearSolution:
+    """Solve rows . x = rhs: unique point, affine subspace (particular
+    point + direction basis), or infeasible.
+
+    Exact systems are scaled to integers and reduced by bareiss over
+    every column, right-hand side included; a pivot there means
+    infeasible.  With P the last pivot, P * x is integral on the pivot
+    columns (Cramer's rule), so fraction-free back substitution over
+    the pivot rows divides exactly and only x = (P * x) / P is rational.
+    Float systems run _float_eliminate, and each pivot row is divided by
+    its pivot entry only at the end, so each entry is rounded once.
+    """
+    m = len(rows)
+    if m != len(rhs):
+        raise DimensionError("row/rhs count mismatch")
+    if m == 0:
+        raise DimensionError("empty system")
+    n = len(rows[0])
+    if _rows_mode(rows, rhs) == EXACT:
+        r, _, a, cols = bareiss(integer_rows([[*row, b] for row, b in zip(rows, rhs)])[0])
+        if r and cols[-1] == n:
+            return LinearSolution("infeasible")
+        last = a[r - 1][cols[-1]] if r else 1
+
+        def back_substitute(y: list, weight: int) -> tuple:
+            # y holds P * x on the free columns; the right-hand side
+            # enters weight times
+            for row, c in zip(reversed(a[:r]), reversed(cols)):
+                acc = weight * row[n]
+                for j in range(c + 1, n):
+                    if y[j]:
+                        acc -= row[j] * y[j]
+                y[c] = acc // row[c]
+            return tuple(Rat(v, last) for v in y)
+
+        point = back_substitute([0] * n, last)
+        free = [c for c in range(n) if c not in cols]
+        basis = [back_substitute([last if j == c else 0 for j in range(n)], 0) for c in free]
+        return LinearSolution("affine" if basis else "unique", point, tuple(basis))
+
+    aug = [[float(c) for c in row] + [float(b)] for row, b in zip(rows, rhs)]
+    # leftover rows are judged against the right-hand side as given too
+    tol = max(EPS_ABS, EPS_REL * (max(abs(c) for row in aug for c in row) or 1.0))
+    pivots, _ = _float_eliminate(aug, n)
+    for row, col, _ in pivots:
+        # the entry as it stands: eliminating above it may have nudged it
+        piv = aug[row][col]
+        aug[row] = [v / piv for v in aug[row]]
+    if any(not abs(aug[i][n]) <= tol for i in range(len(pivots), m)):
+        return LinearSolution("infeasible")
+    point = [0.0] * n
+    for row, col, _ in pivots:
+        point[col] = aug[row][n]
+    basis = []
+    for fc in sorted(set(range(n)) - {col for _, col, _ in pivots}):
+        direction = [0.0] * n
+        direction[fc] = 1.0
+        for row, col, _ in pivots:
+            direction[col] = -aug[row][fc]
+        basis.append(tuple(direction))
+    return LinearSolution("affine" if basis else "unique", tuple(point), tuple(basis))
+
+
 def det(rows: Sequence[Sequence]):
-    """Determinant: exact rows are scaled to integers, reduced
-    fraction-free and the result divided back; float rows use partial
-    pivoting."""
+    """Determinant.  Exact rows are scaled to integers, reduced by
+    bareiss and divided back; float rows give the product of
+    _float_eliminate's pivots times the sign of its row swaps."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionError("det needs a square matrix")
-    mode = _rows_mode(rows, [0])
-    if mode == EXACT:
+    if _rows_mode(rows, ()) == EXACT:
         ints, scale = integer_rows(rows)
         return Rat(integer_det(ints), scale)
-    a = [[float(c) for c in row] for row in rows]
-    result = 1.0
-    sign_flip = 1
-    for col in range(n):
-        piv_row = None
-        for i in range(col, n):
-            if a[i][col] != 0:
-                if piv_row is None or abs(a[i][col]) > abs(a[piv_row][col]):
-                    piv_row = i
-        if piv_row is None:
-            return 0.0
-        if piv_row != col:
-            a[piv_row], a[col] = a[col], a[piv_row]
-            sign_flip = -sign_flip
-        piv = a[col][col]
-        result *= piv
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                f = a[i][col] / piv
-                a[i] = [v - f * w for v, w in zip(a[i], a[col])]
-    return sign_flip * result
+    pivots, sign = _float_eliminate([[float(c) for c in row] for row in rows], n)
+    return sign * math.prod(piv for _, _, piv in pivots) if len(pivots) == n else 0.0
 
 
 def rank(rows: Sequence[Sequence]) -> int:
+    """Number of pivots of the rows' elimination in their lane."""
     if not rows:
         return 0
-    n = len(rows[0])
-    sol = solve_linear(rows, [0] * len(rows))
-    # rank = n - nullity
-    return n - len(sol.basis)
+    if _rows_mode(rows, ()) == EXACT:
+        return bareiss(integer_rows(rows)[0])[0]
+    return len(_float_eliminate([[float(c) for c in row] for row in rows], len(rows[0]))[0])
 
 
 def nullspace(rows: Sequence[Sequence]) -> list:
@@ -442,26 +436,24 @@ def nullspace(rows: Sequence[Sequence]) -> list:
     return list(sol.basis)
 
 
-def affine_rank(points: Sequence[Vec]) -> int:
-    """Dimension of the affine hull of the points."""
+def affine_rank(points: Sequence) -> int:
+    """Dimension of the affine hull of the points (Vecs or coordinate
+    tuples of one mode)."""
     pts = list(points)
     if not pts:
         return -1
-    base = pts[0]
-    diffs = [list((p - base).coords) for p in pts[1:]]
-    if not diffs:
-        return 0
-    return rank(diffs)
+    diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+    return rank(diffs) if diffs else 0
 
 
 def general_position(points: Sequence[Vec], mode: Optional[str] = None) -> bool:
     """True when d+1 points in R^d span a nondegenerate simplex.
 
     Exact mode: nonzero determinant of the homogenized matrix.  Float
-    mode: each homogenized row is divided by its Euclidean length first,
-    so |det| is measured against the Hadamard bound of the rows (at
-    least 1, as every row ends in 1) and nothing is squared that could
-    overflow.
+    mode: the edges A_k - A_0, each divided by its Euclidean length,
+    must have |det| > EPS_REL.  The points are first divided by their
+    largest |coordinate|, so no difference overflows; with unit edges
+    the verdict depends on neither the simplex's size nor its place.
     """
     pts = list(points)
     d = pts[0].dim
@@ -469,11 +461,12 @@ def general_position(points: Sequence[Vec], mode: Optional[str] = None) -> bool:
         raise DimensionError(f"expected {d + 1} points in R^{d}, got {len(pts)}")
     if mode is None:
         mode = pts[0].mode
-    rows = [[*p.coords, 1] for p in pts]
     if mode == EXACT:
-        return det(rows) != 0
-    unit_rows = []
-    for row in rows:
-        length = math.hypot(*map(float, row))
-        unit_rows.append([float(c) / length for c in row])
-    return abs(det(unit_rows)) > EPS_REL
+        return det([[*p.coords, 1] for p in pts]) != 0
+    big = max(abs(float(c)) for p in pts for c in p.coords) or 1.0
+    scaled = [[float(c) / big for c in p.coords] for p in pts]
+    edges = [[a - b for a, b in zip(p, scaled[0])] for p in scaled[1:]]
+    lengths = [math.hypot(*e) for e in edges]
+    if not all(lengths):
+        return False
+    return abs(det([[c / s for c in e] for e, s in zip(edges, lengths)])) > EPS_REL

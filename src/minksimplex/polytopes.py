@@ -26,11 +26,12 @@ from .errors import DegenerateInputError, DimensionError, MixedModeError, Resour
 from .linalg import (
     Hyperplane,
     Vec,
-    bareiss,
+    affine_rank,
     cross2,
     integer_det,
     integer_points,
     integer_rows,
+    rank,
 )
 from .scalars import EXACT, Rat
 
@@ -52,11 +53,6 @@ def _integer_halfspaces(halfspaces: Sequence[Hyperplane]) -> list:
     return integer_rows([[*h.normal.coords, h.offset] for h in halfspaces])[0]
 
 
-def _affine_rank(points: Sequence[tuple]) -> int:
-    base = points[0]
-    return bareiss([[a - b for a, b in zip(p, base)] for p in points[1:]])[0]
-
-
 def facet_hyperplanes(points: Sequence[Vec]) -> list[Hyperplane]:
     """Outward facet hyperplanes of conv(points): each returned (a, b)
     satisfies <a, x> <= b on the hull with equality on a facet."""
@@ -64,7 +60,7 @@ def facet_hyperplanes(points: Sequence[Vec]) -> list[Hyperplane]:
     d = pts[0].dim
     _check_dim(d)
     ints, scale = integer_points(pts)
-    if _affine_rank(ints) != d:
+    if affine_rank(ints) != d:
         raise DegenerateInputError("point set is not full-dimensional")
     found = {}
     for combo in itertools.combinations(ints, d):
@@ -114,7 +110,7 @@ def hull_vertices(points: Sequence[Vec], facets: Sequence[Hyperplane]) -> list[V
     out = []
     for p, q in zip(pts, ints):
         tight = [row[:d] for row in rows if _dot(row, q) == row[d] * scale]
-        if len(tight) >= d and bareiss(tight)[0] == d:
+        if len(tight) >= d and rank(tight) == d:
             out.append(Vec(Rat(c) for c in p.coords))
     return out
 
@@ -160,7 +156,7 @@ def minimal_halfspaces(halfspaces: Sequence[Hyperplane], vertices: Sequence[Vec]
     kept = {}
     for h, row in zip(halfspaces, _integer_halfspaces(halfspaces)):
         tight = [q for q in ints if _dot(row, q) == row[d] * scale]
-        if len(tight) >= d and _affine_rank(tight) == d - 1:
+        if len(tight) >= d and affine_rank(tight) == d - 1:
             kept[h.canonical()] = h
     return list(kept.values())
 

@@ -215,3 +215,31 @@ def test_dual_of_a_float_sliver_ends_in_an_exit_code(tmp_path):
     ]}
     code, _ = run_scene(tmp_path, ["verify", "--theorem", "41", "--trials", "2"], body)
     assert code in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("simplex", [
+    [[1000, 1000], [1001, 1000], [1000, 1001]],
+    [[0, 0], [1e-5, 0], [0, 1e-5]],
+])
+def test_gauge_of_a_far_or_tiny_triangle(tmp_path, simplex):
+    # the affine-dependence test reads unit edges, so neither the
+    # simplex's place nor its size can make it degenerate
+    code, doc = run(tmp_path, "gauge", simplex)
+    assert code == 0
+    assert len(doc["gauges"]["simplex_vertices"]) == 3
+
+
+@pytest.mark.parametrize("family", ["41", "43", "44"])
+@pytest.mark.parametrize("simplex", [
+    [[0, 0], [1e150, 0], [0, 1e150]],
+    [[0, 0], [1e-150, 0], [0, 1e-150]],
+    [[0, 0], [1e300, 1], [0, 1e300]],
+])
+def test_verify_compares_at_the_simplex_scale(tmp_path, family, simplex):
+    # points and offsets are compared at the simplex's largest
+    # coordinate and hyperplane normals at unit length, with no floor
+    # that a tiny simplex falls under or a huge one overflows
+    body = {"dimension": 2, "ball": {"type": "pnorm", "p": 3}, "simplex": simplex}
+    code, text = run_scene(tmp_path, ["verify", "--theorem", family, "--trials", "2"], body)
+    assert code == 0
+    assert json.loads(text)["all_agree"] is True

@@ -141,3 +141,13 @@ def test_affine_rank_and_general_position():
     assert not general_position(flat)
     with pytest.raises(DimensionError):
         general_position(tetra + [vec(1, 1, 1)])
+
+
+def test_float_general_position_ignores_place_and_size():
+    tri = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    for shift, size in ((0.0, 1.0), (1000.0, 1.0), (0.0, 1e-5), (0.0, 1e300), (1e300, 1e290)):
+        assert general_position([Vec((shift + size * x, shift + size * y)) for x, y in tri])
+    # nearly collinear at any size: unit edges 1e-12 apart
+    for size in (1e-5, 1.0, 1e300):
+        pts = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0 + 1e-12)]
+        assert not general_position([Vec((size * x, size * y)) for x, y in pts])

@@ -1,9 +1,11 @@
-"""Integer V/H kernels against the rational brute force they replaced.
+"""Integer kernels against the rational brute force they replaced.
 
-The reference functions below are the Fraction versions: a nullspace per
-point subset for facets, solve_linear per row subset for vertices, and
-rational elimination for determinants.  The integer kernels must give
-the same facets, the same vertex lists in the same order with rational
+The reference functions below are the Fraction versions: Gauss-Jordan
+elimination on Fractions for solves, ranks and nullspaces, a nullspace
+per point subset for facets, a solve per row subset for vertices, and
+rational elimination for determinants.  None of them touches bareiss.
+The integer kernels must give the same solutions field for field, the
+same facets, the same vertex lists in the same order with rational
 coordinates, and determinants equal to the last bit.
 """
 
@@ -14,8 +16,8 @@ import pytest
 from minksimplex.errors import ResourceCapError
 from minksimplex.linalg import (
     Hyperplane,
+    LinearSolution,
     Vec,
-    affine_rank,
     bareiss,
     det,
     nullspace,
@@ -39,12 +41,68 @@ RAT = type(Rat(0))  # Fraction, or mpq under gmpy2
 # -- reference: the rational brute force -------------------------------
 
 
+def ref_solve_linear(rows, rhs):
+    """Gauss-Jordan elimination on Fractions: the first nonzero entry
+    of each column is its pivot, and pivot rows are divided by their
+    pivots at the end."""
+    m, n = len(rows), len(rows[0])
+    aug = [[Rat(c) for c in row] + [Rat(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        best = next((i for i in range(r, m) if aug[i][col] != 0), None)
+        if best is None:
+            continue
+        aug[r], aug[best] = aug[best], aug[r]
+        for i in range(m):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col] / aug[r][col]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        pivots.append((r, col))
+        if r + 1 == m:
+            break
+    for row, col in pivots:
+        piv = aug[row][col]
+        aug[row] = [v / piv for v in aug[row]]
+    if any(aug[i][n] != 0 for i in range(len(pivots), m)):
+        return LinearSolution("infeasible")
+    point = [Rat(0)] * n
+    for row, col in pivots:
+        point[col] = aug[row][n]
+    basis = []
+    pivot_cols = {col for _, col in pivots}
+    for fc in range(n):
+        if fc not in pivot_cols:
+            direction = [Rat(0)] * n
+            direction[fc] = Rat(1)
+            for row, col in pivots:
+                direction[col] = -aug[row][fc]
+            basis.append(tuple(direction))
+    if not basis:
+        return LinearSolution("unique", tuple(point))
+    return LinearSolution("affine", tuple(point), tuple(basis))
+
+
+def ref_nullspace(rows):
+    return list(ref_solve_linear(rows, [0] * len(rows)).basis)
+
+
+def ref_rank(rows):
+    return len(rows[0]) - len(ref_nullspace(rows))
+
+
+def ref_affine_rank(points):
+    base = points[0]
+    diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
+    return ref_rank(diffs) if diffs else 0
+
+
 def ref_facet_hyperplanes(points):
     pts = list(dict.fromkeys(points))
     d = pts[0].dim
     found = {}
     for combo in itertools.combinations(pts, d):
-        basis = nullspace([[*p.coords, -1] for p in combo])
+        basis = ref_nullspace([[*p.coords, -1] for p in combo])
         if len(basis) != 1:
             continue
         normal, offset = Vec(basis[0][:d]), basis[0][d]
@@ -60,7 +118,7 @@ def ref_vertex_enumerate(halfspaces):
     d = halfspaces[0].dim
     seen = {}
     for combo in itertools.combinations(halfspaces, d):
-        sol = solve_linear([list(h.normal.coords) for h in combo], [h.offset for h in combo])
+        sol = ref_solve_linear([list(h.normal.coords) for h in combo], [h.offset for h in combo])
         if sol.status != "unique":
             continue
         x = Vec(sol.point)
@@ -74,7 +132,7 @@ def ref_minimal_halfspaces(halfspaces, vertices):
     kept = {}
     for h in halfspaces:
         tight = [v for v in vertices if h.eval(v) == 0]
-        if len(tight) >= d and affine_rank(tight) == d - 1:
+        if len(tight) >= d and ref_affine_rank(tight) == d - 1:
             kept[h.canonical()] = h
     return list(kept.values())
 
@@ -109,7 +167,7 @@ def point_set(rng, d):
     and an edge midpoint mixed in."""
     while True:
         pts = [Vec([rational(rng) for _ in range(d)]) for _ in range(d + 1 + rng.randint(1, 3))]
-        if affine_rank(pts) == d:
+        if ref_affine_rank(pts) == d:
             break
     centroid = Vec([sum(c) / len(pts) for c in zip(*pts)])
     extra = [pts[0], centroid, (pts[1] + pts[2]) / 2]
@@ -124,6 +182,10 @@ def canonical(hyps):
 
 def coord_types(vertices):
     return {type(c) for v in vertices for c in v.coords}
+
+
+def coord_types_of(sol):
+    return {type(c) for v in (sol.point or (), *sol.basis) for c in v}
 
 
 # -- tests ----------------------------------------------------------------
@@ -182,7 +244,54 @@ def test_bareiss_rank_equals_rational_rank():
         rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
         if m > 1 and rng.random() < 0.5:
             rows[-1] = [a - b for a, b in zip(rows[0], rows[1 % m])]
-        assert bareiss(rows)[0] == rank(rows)
+        assert bareiss(rows)[0] == ref_rank(rows)
+
+
+def exact_system(rng):
+    """A random exact system, m and n in 1..6: plain ints or rationals
+    with mixed denominators, and one of full rank, rank-deficient
+    (a row combined from two others, right-hand side consistent),
+    inconsistent (a row repeated with another right-hand side) or with
+    a zero row."""
+    m, n = rng.randint(1, 6), rng.randint(1, 6)
+    if rng.random() < 0.4:
+        def entry():
+            return rng.randint(-5, 5)
+    else:
+        def entry():
+            return rational(rng)
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    rhs = [entry() for _ in range(m)]
+    shape = rng.choice(("plain", "deficient", "inconsistent", "zero-row"))
+    k = rng.randrange(m)
+    if shape == "deficient" and m > 2:
+        i, j = rng.sample([x for x in range(m) if x != k], 2)
+        a, b = entry(), entry()
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+        rhs[k] = a * rhs[i] + b * rhs[j]
+    elif shape == "inconsistent" and m > 1:
+        i = rng.choice([x for x in range(m) if x != k])
+        rows[k] = list(rows[i])
+        rhs[k] = rhs[i] + 1
+    elif shape == "zero-row":
+        rows[k] = [0] * n
+        rhs[k] = rng.choice((0, entry()))
+    return rows, rhs
+
+
+def test_solve_linear_equals_fraction_gauss_jordan():
+    rng = random.Random("solve-oracle")
+    statuses = set()
+    for _ in range(600):
+        rows, rhs = exact_system(rng)
+        sol = solve_linear(rows, rhs)
+        ref = ref_solve_linear(rows, rhs)
+        assert sol == ref, (rows, rhs)
+        assert coord_types_of(sol) == coord_types_of(ref) <= {RAT}
+        assert rank(rows) == ref_rank(rows)
+        assert nullspace(rows) == ref_nullspace(rows)
+        statuses.add(sol.status)
+    assert statuses == {"unique", "affine", "infeasible"}
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
