@@ -5,7 +5,12 @@ touching facet j of the scaled ball pins <n_j, A_i - M> = r together
 with the normal-cone inequalities <n_k, A_i - M> <= r, giving one exact
 feasibility problem per assignment over the unknowns (M, r).  The union
 of the feasible pieces is the complete circumcenter set; pieces may be
-points, segments, or unbounded polyhedra.
+points, segments, or unbounded polyhedra.  Every row is read off one
+integer incidence table per call, T[i][k] = <N_k, V_i> for the ball's
+normals and the simplex's vertices over a common denominator each
+(n_k = N_k / s_n, A_i = V_i / s_v): the candidate facets of a vertex are
+sign tests on T, and the row of (A_i, facet k), times s_n s_v, is
+<(-s_v N_k, -s_n s_v), (M, r)> <= -T[i][k].
 
 Smooth mode runs damped Newton iterations on the gauge differences from
 several starts and reports what it finds; its classification is always
@@ -17,13 +22,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from . import config
 from .errors import DegenerateInputError, DimensionError, MixedModeError, ResourceCapError
-from .feasibility import FeasibilityProblem, feasible
-from .linalg import Vec, solve_linear
+from .feasibility import FeasibilityProblem, Ineq, feasible
+from .linalg import Vec, integer_points, solve_linear
 from .norms import Ball, PNormBall, PolytopeBall, UnitBall, lp_gradient, lp_norm
 from .scalars import EXACT, Rat
 from .simplex import Simplex
@@ -96,41 +102,13 @@ class CircumcenterSet:
         return list(found.values())
 
 
-def _assignment_problem(simplex: Simplex, ball: PolytopeBall, assignment) -> FeasibilityProblem:
-    d = simplex.dim
-    normals = ball.normals
-    prob = FeasibilityProblem(d + 1)
-    for i, j in enumerate(assignment):
-        n = normals[j]
-        a = simplex.vertices[i]
-        prob.add_eq((*(-c for c in n.coords), Rat(-1)), -n.dot(a))
-    for i, a in enumerate(simplex.vertices):
-        for k, n in enumerate(normals):
-            if k == assignment[i]:
-                continue
-            prob.add_le((*(-c for c in n.coords), Rat(-1)), -n.dot(a))
-    prob.add_le((*(Rat(0),) * d, Rat(-1)), Rat(0), strict=True)  # r > 0
-    return prob
-
-
-def _feasible_facets_per_vertex(simplex: Simplex, ball: PolytopeBall) -> list:
-    """Facet j can touch vertex A_i only if <n_j, A_i - A_m> >= 0 for all
-    other vertices A_m (subtracting the two touch equalities)."""
-    out = []
-    for i, a in enumerate(simplex.vertices):
-        diffs = [a - b for k, b in enumerate(simplex.vertices) if k != i]
-        out.append(
-            [j for j, n in enumerate(ball.normals) if all(n.dot(v) >= 0 for v in diffs)]
-        )
-    return out
-
-
 def _tight_pairs(assignment, n_facets: int, implicit_rows) -> frozenset:
     """Key of a positive-dimensional piece: the (vertex i, facet k) pairs
     whose row <n_k, A_i - M> = r holds on the whole piece.  All
     assignments share these rows, so two nonempty pieces with the same
     key satisfy each other's equalities and coincide.  `implicit_rows`
-    index the inequalities in `_assignment_problem` order."""
+    index the inequalities in the order polytopal_circumcenters builds
+    them: vertex by vertex, facet by facet, skipping assigned facets."""
     rows = [(i, k) for i, j in enumerate(assignment) for k in range(n_facets) if k != j]
     return frozenset(enumerate(assignment)).union(rows[idx] for idx in implicit_rows)
 
@@ -139,8 +117,16 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
     if simplex.mode != EXACT:
         raise MixedModeError("polytopal circumcenters need an exact simplex")
     d = simplex.dim
-    normals = ball.normals
-    candidates = _feasible_facets_per_vertex(simplex, ball)
+    normals, s_n = ball._normal_rows
+    vertices, s_v = integer_points(simplex.vertices)
+    n_facets = len(normals)
+    # the incidence table T[i][k] = <N_k, V_i> = s_n s_v <n_k, A_i>
+    table = [[sum(map(mul, n, v)) for n in normals] for v in vertices]
+    # facet j can touch A_i only if <n_j, A_i - A_m> >= 0 for every
+    # vertex A_m (subtracting the two touch equalities)
+    candidates = [
+        [j for j in range(n_facets) if all(t[j] >= u[j] for u in table)] for t in table
+    ]
     total = 1
     for opts in candidates:
         total *= len(opts)
@@ -150,17 +136,27 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
             f"{total} facet assignments exceed cap {cap}"
         )
 
+    # rows[i][k] is <n_k, A_i - M> <= r read off the table (see the
+    # module docstring); A_i on its assigned facet j makes row j an equality
+    coeffs = [(*(-s_v * c for c in n), -s_n * s_v) for n in normals]
+    rows = [[Ineq(coeffs[k], -t[k]) for k in range(n_facets)] for t in table]
+    positive = Ineq((0,) * d + (-1,), 0, True)  # r > 0
+
+    def assignment_problem(assignment) -> FeasibilityProblem:
+        return FeasibilityProblem(
+            d + 1,
+            [(coeffs[j], -table[i][j]) for i, j in enumerate(assignment)],
+            [row for i, j in enumerate(assignment) for k, row in enumerate(rows[i]) if k != j]
+            + [positive],
+        )
+
     # pieces keyed by (center, radius) for points and by tight pairs
     # otherwise; the first assignment reaching a solution set keeps it
     pieces: dict = {}
     for assignment in itertools.product(*candidates):
-        rows = []
-        rhs = []
-        for i, j in enumerate(assignment):
-            n = normals[j]
-            rows.append([*(-c for c in n.coords), Rat(-1)])
-            rhs.append(-n.dot(simplex.vertices[i]))
-        sol = solve_linear(rows, rhs)
+        sol = solve_linear(
+            [coeffs[j] for j in assignment], [-table[i][j] for i, j in enumerate(assignment)]
+        )
         if sol.status == "infeasible":
             continue
         if sol.status == "unique":
@@ -169,13 +165,13 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
             if radius <= 0:
                 continue
             key = (center.coords, radius)
-            if key not in pieces and all(
-                ball.gauge(a - center) == radius for a in simplex.vertices
-            ):
-                prob = _assignment_problem(simplex, ball, assignment)
-                pieces[key] = CircumPiece(center, radius, 0, assignment, prob)
+            if key not in pieces:
+                # every vertex gauge from the center is the radius
+                prob = assignment_problem(assignment)
+                if prob.holds_at(z):
+                    pieces[key] = CircumPiece(center, radius, 0, assignment, prob)
             continue
-        prob = _assignment_problem(simplex, ball, assignment)
+        prob = assignment_problem(assignment)
         res = feasible(prob, with_dim=True)
         if not res.feasible:
             continue
@@ -183,7 +179,7 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
         if res.affine_dim == 0:
             key = (center.coords, radius)
         else:
-            key = _tight_pairs(assignment, len(normals), res.implicit_rows)
+            key = _tight_pairs(assignment, n_facets, res.implicit_rows)
         if key not in pieces:
             pieces[key] = CircumPiece(center, radius, res.affine_dim, assignment, prob)
 

@@ -1,10 +1,17 @@
 """Exact linear feasibility with strict inequalities.
 
-Equalities are eliminated by Gaussian parametrization, the remaining
-inequalities by Fourier-Motzkin.  All arithmetic is rational, so
-strict rows are decided exactly.  On feasible systems a witness is
-produced by interval back-substitution and the affine dimension of the
-feasible set is derived from its implicit equalities.
+Rows are integer and witnesses rational.  Each row is scaled by the lcm
+of its denominators (integer rows pass through).  The equality block is
+solved fraction-free (linalg.integer_solve) as x = (point + sum_c t_c
+basis_c) / P, with t_c = x_c on the free columns c, and every
+inequality is rewritten over t and multiplied by |P|, so it stays
+integer.  Fourier-Motzkin eliminates t: each combination of two rows
+is divided by the gcd of its entries, and rows with one primitive
+direction keep the tightest bound, compared by cross-multiplication.
+Strict rows are thus decided exactly.  On feasible systems a rational
+witness is produced by interval back-substitution and checked by
+substitution, and the affine dimension of the feasible set is derived
+from its implicit equalities.
 
 Problems here are tiny (circumcenter systems have d+2 unknowns at
 most), which Fourier-Motzkin handles comfortably within the row cap.
@@ -12,12 +19,14 @@ most), which Fourier-Motzkin handles comfortably within the row cap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Optional, Sequence
 
 from .config import max_fm_rows
 from .errors import DimensionError, MixedModeError, ResourceCapError, VerificationError
-from .linalg import LinearSolution, rank, solve_linear
+from .linalg import integer_rows, integer_solve, rank
 from .scalars import Rat, is_exact
 
 
@@ -56,16 +65,21 @@ class FeasibilityProblem:
                 raise MixedModeError("feasibility rows must be exact rationals")
 
     def holds_at(self, point: Sequence) -> bool:
-        """Direct substitution check of every row."""
+        """Direct substitution check of every row, on integers: the
+        point is scaled to a common denominator D, each row to integers,
+        and <coeffs, D x> is compared with D rhs."""
+        if not all(map(is_exact, point)):
+            raise MixedModeError("feasibility points must be exact rationals")
+        den = math.lcm(*(int(x.denominator) for x in point))
+        xs = [int(x.numerator) * (den // int(x.denominator)) for x in point]
         for coeffs, rhs in self.equalities:
-            if sum(c * x for c, x in zip(coeffs, point)) != rhs:
+            coeffs, rhs = _integer_row(coeffs, rhs)
+            if sum(map(mul, coeffs, xs)) != rhs * den:
                 return False
         for row in self.inequalities:
-            lhs = sum(c * x for c, x in zip(row.coeffs, point))
-            if row.strict:
-                if not lhs < row.rhs:
-                    return False
-            elif not lhs <= row.rhs:
+            coeffs, rhs = _integer_row(row.coeffs, row.rhs)
+            lhs = sum(map(mul, coeffs, xs))
+            if not (lhs < rhs * den if row.strict else lhs <= rhs * den):
                 return False
         return True
 
@@ -80,37 +94,46 @@ class FeasibilityResult:
     implicit_rows: Optional[tuple] = None
 
 
-def _scaled(row: Ineq):
-    """(coeffs, rhs) divided by |leading coefficient|; None for a
-    constant row."""
-    lead = next((c for c in row.coeffs if c != 0), None)
-    if lead is None:
-        return None
-    scale = abs(lead)
-    return tuple(c / scale for c in row.coeffs), row.rhs / scale
+def _integer_row(coeffs: tuple, rhs) -> tuple:
+    """(coeffs, rhs) times the lcm of their denominators, as ints;
+    integer rows pass through unchanged."""
+    if type(rhs) is int and all(type(c) is int for c in coeffs):
+        return coeffs, rhs
+    ints = integer_rows([(*coeffs, rhs)])[0][0]
+    return tuple(ints[:-1]), ints[-1]
 
 
-def _normalize(ineqs: list) -> list:
-    """Scale rows to a canonical leading coefficient and drop dominated
-    duplicates (same normal, looser bound)."""
+def _direction(coeffs: tuple) -> tuple:
+    """The primitive integer direction of coeffs and the gcd divided
+    out of it (0 for a zero row)."""
+    g = math.gcd(*coeffs)
+    return (tuple(c // g for c in coeffs) if g > 1 else coeffs), g
+
+
+def _normalize(rows: list) -> Optional[list]:
+    """Keep one row (coeffs, rhs, strict) per primitive direction, the
+    one with the tightest bound rhs / g (strict on a tie), and drop the
+    constant rows; None when a constant row is contradictory."""
     best = {}
-    for row in ineqs:
-        scaled = _scaled(row)
-        if scaled is None:
+    for row in rows:
+        coeffs, rhs, strict = row
+        key, g = _direction(coeffs)
+        if not g:
             # constant row: 0 (<= | <) rhs
-            if row.rhs < 0 or (row.strict and row.rhs == 0):
+            if rhs < 0 or (strict and rhs == 0):
                 return None  # infeasible marker
             continue
-        coeffs, rhs = scaled
-        cur = best.get(coeffs)
-        if cur is None or rhs < cur.rhs:
-            best[coeffs] = Ineq(coeffs, rhs, row.strict)
-        elif rhs == cur.rhs and row.strict and not cur.strict:
-            best[coeffs] = Ineq(coeffs, rhs, True)
-    return list(best.values())
+        cur = best.get(key)
+        if cur is not None:
+            (_, cur_rhs, cur_strict), cur_g = cur
+            looser = rhs * cur_g - cur_rhs * g  # sign of rhs / g - cur_rhs / cur_g
+            if looser > 0 or (looser == 0 and (cur_strict or not strict)):
+                continue
+        best[key] = row, g
+    return [row for row, _ in best.values()]
 
 
-def _fm_eliminate(ineqs: list, n: int):
+def _fm_eliminate(rows: list, n: int):
     """Eliminate variables n-1 .. 0, returning the constraint stages.
 
     stages[j] holds the system in variables 0..j (variable j not yet
@@ -118,40 +141,38 @@ def _fm_eliminate(ineqs: list, n: int):
     """
     cap = max_fm_rows()
     stages = [None] * n
-    current = ineqs
+    current = rows
     for j in range(n - 1, -1, -1):
         current = _normalize(current)
         if current is None:
             return None
         stages[j] = current
-        lowers, uppers, rest = [], [], []
-        for row in current:
-            c = row.coeffs[j]
+        lowers, uppers, combined = [], [], []
+        for coeffs, rhs, strict in current:
+            c = coeffs[j]
             if c > 0:
-                uppers.append(row)
+                uppers.append((coeffs, rhs, strict))
             elif c < 0:
-                lowers.append(row)
+                lowers.append((coeffs, rhs, strict))
             else:
-                rest.append(Ineq(row.coeffs[:j], row.rhs, row.strict))
-        combined = rest
-        for lo in lowers:
-            for up in uppers:
-                cl, cu = -lo.coeffs[j], up.coeffs[j]
-                coeffs = tuple(
-                    cu * a + cl * b for a, b in zip(lo.coeffs[:j], up.coeffs[:j])
-                )
-                rhs = cu * lo.rhs + cl * up.rhs
-                combined.append(Ineq(coeffs, rhs, lo.strict or up.strict))
+                combined.append((coeffs[:j], rhs, strict))
+        for lo, lo_rhs, lo_strict in lowers:
+            for up, up_rhs, up_strict in uppers:
+                cl, cu = -lo[j], up[j]
+                coeffs = [cu * a + cl * b for a, b in zip(lo[:j], up[:j])]
+                rhs = cu * lo_rhs + cl * up_rhs
+                g = math.gcd(*coeffs, rhs)
+                if g > 1:
+                    coeffs = [c // g for c in coeffs]
+                    rhs //= g
+                combined.append((tuple(coeffs), rhs, lo_strict or up_strict))
         if len(combined) > cap:
             raise ResourceCapError(
                 f"Fourier-Motzkin exceeded {cap} rows while eliminating"
             )
         current = combined
     # constant rows remaining after all variables are gone
-    final = _normalize(current)
-    if final is None:
-        return None
-    return stages
+    return None if _normalize(current) is None else stages
 
 
 def _pick_in_interval(lo, lo_strict, hi, hi_strict):
@@ -171,70 +192,64 @@ def _pick_in_interval(lo, lo_strict, hi, hi_strict):
 
 
 def _back_substitute(stages, n: int) -> list:
-    values = [None] * n
+    """Rational values for variables 0 .. n-1, each picked inside the
+    interval its stage leaves given the values before it."""
+    values = []
     for j in range(n):
         lo = hi = None
         lo_strict = hi_strict = False
-        for row in stages[j]:
-            c = row.coeffs[j]
+        for coeffs, rhs, strict in stages[j]:
+            c = coeffs[j]
             if c == 0:
                 continue
-            partial = sum(
-                row.coeffs[k] * values[k] for k in range(j) if row.coeffs[k] != 0
-            )
-            bound = (row.rhs - partial) / c
+            partial = sum(a * v for a, v in zip(coeffs, values) if a)
+            bound = Rat(rhs - partial, c)
             if c > 0:
                 if hi is None or bound < hi:
-                    hi, hi_strict = bound, row.strict
-                elif bound == hi and row.strict:
+                    hi, hi_strict = bound, strict
+                elif bound == hi and strict:
                     hi_strict = True
             else:
                 if lo is None or bound > lo:
-                    lo, lo_strict = bound, row.strict
-                elif bound == lo and row.strict:
+                    lo, lo_strict = bound, strict
+                elif bound == lo and strict:
                     lo_strict = True
-        values[j] = _pick_in_interval(lo, lo_strict, hi, hi_strict)
+        values.append(_pick_in_interval(lo, lo_strict, hi, hi_strict))
     return values
 
 
-def _solve_ineqs(ineqs: list, n: int) -> Optional[list]:
-    """Witness of an inequality-only rational system, or None."""
+def _solve_ineqs(rows: list, n: int) -> Optional[list]:
+    """Witness of an inequality-only integer system, or None."""
     if n == 0:
-        checked = _normalize(ineqs)
-        return None if checked is None else []
-    stages = _fm_eliminate(ineqs, n)
+        return None if _normalize(rows) is None else []
+    stages = _fm_eliminate(rows, n)
     if stages is None:
         return None
     return _back_substitute(stages, n)
 
 
 def _parametrize(problem: FeasibilityProblem):
-    """Solve the equality block as x = base + sum_j t_j basis_j (with no
-    equalities: base 0 and the identity basis) and rewrite every
-    inequality over t.  Returns (solution, reduced rows), the rows empty
-    when the solution is unique, or None when the equalities conflict."""
-    n = problem.n_vars
-    if problem.equalities:
-        rows = [list(c) for c, _ in problem.equalities]
-        rhs = [b for _, b in problem.equalities]
-        sol = solve_linear(rows, rhs)
-        if sol.status == "infeasible":
-            return None
-    else:
-        sol = LinearSolution("affine", tuple([Rat(0)] * n), tuple(
-            tuple(Rat(1) if k == i else Rat(0) for k in range(n)) for i in range(n)
-        ))
-    if sol.status == "unique":
-        return sol, []
+    """Solve the equality block as x = (point + sum_c t_c basis_c) / P
+    (integer_solve; with no equalities P = 1, point 0 and the identity
+    basis) and rewrite every inequality over t, times |P|, as an integer
+    row (coeffs, rhs, strict); the rows are constant when the solution
+    is unique.  Returns (P, point, basis, reduced rows), or None when
+    the equalities conflict."""
+    eqs = [_integer_row(coeffs, rhs) for coeffs, rhs in problem.equalities]
+    sol = integer_solve([[*coeffs, rhs] for coeffs, rhs in eqs], problem.n_vars)
+    if sol is None:
+        return None
+    last, point, basis = sol
+    sign = 1 if last > 0 else -1
     reduced = []
     for row in problem.inequalities:
-        shift = sum(c * x for c, x in zip(row.coeffs, sol.point))
-        coeffs = tuple(
-            sum(c * bvec[idx] for idx, c in enumerate(row.coeffs) if c != 0)
-            for bvec in sol.basis
-        )
-        reduced.append(Ineq(coeffs, row.rhs - shift, row.strict))
-    return sol, reduced
+        coeffs, rhs = _integer_row(row.coeffs, row.rhs)
+        reduced.append((
+            tuple(sign * sum(map(mul, coeffs, bvec)) for bvec in basis),
+            sign * (last * rhs - sum(map(mul, coeffs, point))),
+            row.strict,
+        ))
+    return last, point, basis, reduced
 
 
 def feasible(problem: FeasibilityProblem, with_dim: bool = True) -> FeasibilityResult:
@@ -244,57 +259,49 @@ def feasible(problem: FeasibilityProblem, with_dim: bool = True) -> FeasibilityR
     param = _parametrize(problem)
     if param is None:
         return FeasibilityResult(False)
-    sol, reduced = param
-    if sol.status == "unique":
-        point = sol.point
-        if not problem.holds_at(point):
-            return FeasibilityResult(False)
-        tight = None
-        if with_dim:
-            tight = tuple(
-                idx for idx, row in enumerate(problem.inequalities)
-                if not row.strict and sum(c * x for c, x in zip(row.coeffs, point)) == row.rhs
-            )
-        return FeasibilityResult(True, point, 0, tight)
-
-    base, basis = sol.point, sol.basis
+    last, point, basis, reduced = param
     k = len(basis)
     t = _solve_ineqs(reduced, k)
     if t is None:
         return FeasibilityResult(False)
     witness = tuple(
-        b + sum(bvec[i] * tv for bvec, tv in zip(basis, t))
-        for i, b in enumerate(base)
+        Rat(p + sum(bvec[i] * tv for bvec, tv in zip(basis, t)), last)
+        for i, p in enumerate(point)
     )
     if not problem.holds_at(witness):
         raise VerificationError("feasibility witness failed the substitution check")
     if not with_dim:
-        return FeasibilityResult(True, witness, None)
+        # a unique solution has its dimension for free
+        return FeasibilityResult(True, witness, None if k else 0)
 
     # affine dimension: k minus the rank of implicit equalities among
     # the reduced non-strict rows (strict rows are never tight on a
     # nonempty set).
     implicit = []
-    canon = _normalize(list(reduced))
-    for idx, row in enumerate(canon):
-        if row.strict:
+    canon = _normalize(reduced)
+    for idx, (coeffs, rhs, strict) in enumerate(canon):
+        if strict:
             continue
-        probe = [
-            r if i != idx else Ineq(r.coeffs, r.rhs, True) for i, r in enumerate(canon)
-        ]
+        probe = list(canon)
+        probe[idx] = (coeffs, rhs, True)
         if _solve_ineqs(probe, k) is None:
-            implicit.append(row)
-    dim = k - (rank([list(row.coeffs) for row in implicit]) if implicit else 0)
-    # an input row is implicit when its scaled reduced form is an
-    # implicit canonical row; a looser duplicate is slack everywhere, and
-    # a constant row is tight exactly when it reads 0 <= 0
-    tight = {(row.coeffs, row.rhs) for row in implicit}
+            implicit.append((coeffs, rhs))
+    dim = k - (rank([list(coeffs) for coeffs, _ in implicit]) if implicit else 0)
+    # an input row is implicit when it bounds the direction of an
+    # implicit canonical row by the same value; a looser duplicate is
+    # slack everywhere, and a constant row is tight exactly when it
+    # reads 0 <= 0
+    tight = {}
+    for coeffs, rhs in implicit:
+        key, g = _direction(coeffs)
+        tight[key] = rhs, g
     rows = []
-    for idx, row in enumerate(reduced):
-        if row.strict:
+    for idx, (coeffs, rhs, strict) in enumerate(reduced):
+        if strict:
             continue
-        scaled = _scaled(row)
-        if (row.rhs == 0) if scaled is None else (scaled in tight):
+        key, g = _direction(coeffs)
+        bound = tight.get(key)
+        if (rhs == 0) if not g else (bound is not None and rhs * bound[1] == bound[0] * g):
             rows.append(idx)
     return FeasibilityResult(True, witness, dim, tuple(rows))
 
@@ -318,49 +325,27 @@ def lp_max(problem: FeasibilityProblem, objective: Sequence):
     if not base_res.feasible:
         raise ValueError("lp_max on infeasible problem")
 
-    # eliminate x variables, keep z last: reuse the machinery by moving z
-    # to the front and eliminating everything after it.
     param = _parametrize(aug)
     if param is None:
         raise ValueError("unexpected infeasible equality block")
-    sol, reduced = param
-    if sol.status == "unique":
-        z = sol.point[n]
-        return z, sol.point[:n], True
-    base, basis = sol.point, sol.basis
-    k = len(basis)
-    # z as a linear function of parameters t: z = base[n] + sum basis[j][n] t_j
-    zcoeffs = tuple(bvec[n] for bvec in basis)
-
-    # introduce t_0..t_{k-1}, z: constraints reduced on t, z - <zcoeffs,t> = base_n
-    sys_rows = []
-    for row in reduced:
-        sys_rows.append(Ineq((*row.coeffs, Rat(0)), row.rhs, row.strict))
-    # eliminate ts, keeping z: order variables (t..., z) and eliminate from
-    # the left by reordering: FM eliminates the last variable first, so put
-    # z FIRST and ts after.
-    flipped = [Ineq((row.coeffs[k], *row.coeffs[:k]), row.rhs, row.strict) for row in sys_rows]
-    eq_z = [
-        Ineq((Rat(1), *(-c for c in zcoeffs)), base[n], False),
-        Ineq((Rat(-1), *(c for c in zcoeffs)), -base[n], False),
-    ]
-    all_rows = flipped + eq_z
-    stages = _fm_eliminate(all_rows, k + 1)
+    last, point, basis, reduced = param
+    if not basis:
+        return Rat(point[n], last), tuple(Rat(v, last) for v in point[:n]), True
+    # z = (point[n] + sum_c basis_c[n] t_c) / P as two rows over
+    # (z, t), times |P|; FM eliminates the last variable first, so z
+    # goes first and the rows left at stage 0 bound z alone
+    sign = 1 if last > 0 else -1
+    zcoeffs = tuple(sign * bvec[n] for bvec in basis)
+    rows = [((0, *coeffs), rhs, strict) for coeffs, rhs, strict in reduced]
+    rows.append(((abs(last), *(-c for c in zcoeffs)), sign * point[n], False))
+    rows.append(((-abs(last), *zcoeffs), -sign * point[n], False))
+    stages = _fm_eliminate(rows, len(basis) + 1)
     if stages is None:
         raise ValueError("lp_max: infeasible after augmentation")
-    z_rows = stages[0]  # constraints on z alone
-    hi = None
-    hi_strict = False
-    for row in z_rows:
-        c = row.coeffs[0]
-        if c > 0:
-            bound = row.rhs / c
-            if hi is None or bound < hi:
-                hi, hi_strict = bound, row.strict
-            elif bound == hi and row.strict:
-                hi_strict = True
-    if hi is None:
+    bounds = [Rat(rhs, coeffs[0]) for coeffs, rhs, _ in stages[0] if coeffs[0] > 0]
+    if not bounds:
         return None, None, False
+    hi = min(bounds)
     # witness at the optimum (attained only for non-strict binding rows)
     target = FeasibilityProblem(n)
     for coeffs, rhs_v in problem.equalities:

@@ -342,17 +342,45 @@ def _float_eliminate(aug: list, n: int) -> tuple:
     return pivots, sign
 
 
+def integer_solve(aug: Sequence[Sequence[int]], n: int) -> Optional[tuple]:
+    """Fraction-free solve of the integer rows [coeffs | rhs] over n
+    unknowns, reduced by bareiss over every column; a pivot in the
+    right-hand side means infeasible (None).  Otherwise returns (P,
+    point, basis) as ints, with P the last pivot (1 for no pivot):
+    point / P is one solution, 0 on the free columns, and basis[c] / P
+    the direction that is 1 on the c-th free column and 0 on the others.
+    P * x is integral on the pivot columns (Cramer's rule), so
+    back substitution over the pivot rows divides exactly."""
+    r, _, a, cols = bareiss(aug)
+    if r and cols[-1] == n:
+        return None
+    last = a[r - 1][cols[-1]] if r else 1
+
+    def back_substitute(y: list, weight: int) -> list:
+        # y holds P * x on the free columns; the right-hand side
+        # enters weight times
+        for row, c in zip(reversed(a[:r]), reversed(cols)):
+            acc = weight * row[n]
+            for j in range(c + 1, n):
+                if y[j]:
+                    acc -= row[j] * y[j]
+            y[c] = acc // row[c]
+        return y
+
+    point = back_substitute([0] * n, last)
+    free = [c for c in range(n) if c not in cols]
+    basis = [back_substitute([last if j == c else 0 for j in range(n)], 0) for c in free]
+    return last, point, basis
+
+
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> LinearSolution:
     """Solve rows . x = rhs: unique point, affine subspace (particular
     point + direction basis), or infeasible.
 
-    Exact systems are scaled to integers and reduced by bareiss over
-    every column, right-hand side included; a pivot there means
-    infeasible.  With P the last pivot, P * x is integral on the pivot
-    columns (Cramer's rule), so fraction-free back substitution over
-    the pivot rows divides exactly and only x = (P * x) / P is rational.
-    Float systems run _float_eliminate, and each pivot row is divided by
-    its pivot entry only at the end, so each entry is rounded once.
+    Exact systems are scaled to integers and solved by integer_solve;
+    only x = (P * x) / P is rational.  Float systems run
+    _float_eliminate, and each pivot row is divided by its pivot entry
+    only at the end, so each entry is rounded once.
     """
     m = len(rows)
     if m != len(rhs):
@@ -361,26 +389,14 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> LinearSolution:
         raise DimensionError("empty system")
     n = len(rows[0])
     if _rows_mode(rows, rhs) == EXACT:
-        r, _, a, cols = bareiss(integer_rows([[*row, b] for row, b in zip(rows, rhs)])[0])
-        if r and cols[-1] == n:
+        sol = integer_solve(integer_rows([[*row, b] for row, b in zip(rows, rhs)])[0], n)
+        if sol is None:
             return LinearSolution("infeasible")
-        last = a[r - 1][cols[-1]] if r else 1
-
-        def back_substitute(y: list, weight: int) -> tuple:
-            # y holds P * x on the free columns; the right-hand side
-            # enters weight times
-            for row, c in zip(reversed(a[:r]), reversed(cols)):
-                acc = weight * row[n]
-                for j in range(c + 1, n):
-                    if y[j]:
-                        acc -= row[j] * y[j]
-                y[c] = acc // row[c]
-            return tuple(Rat(v, last) for v in y)
-
-        point = back_substitute([0] * n, last)
-        free = [c for c in range(n) if c not in cols]
-        basis = [back_substitute([last if j == c else 0 for j in range(n)], 0) for c in free]
-        return LinearSolution("affine" if basis else "unique", point, tuple(basis))
+        last, point, basis = sol
+        basis = tuple(tuple(Rat(v, last) for v in y) for y in basis)
+        return LinearSolution(
+            "affine" if basis else "unique", tuple(Rat(v, last) for v in point), basis
+        )
 
     aug = [[float(c) for c in row] + [float(b)] for row, b in zip(rows, rhs)]
     # leftover rows are judged against the right-hand side as given too

@@ -287,6 +287,26 @@ def test_merged_pieces_match_containment_oracle():
     assert merged >= 5 and positive >= 5
 
 
+def test_piece_problems_describe_their_assignment_sets():
+    # the kept problems carry the incidence table's scaled integer rows
+    # in place of the rational ones; each must cut out the same set
+    rng = random.Random("piece-problems")
+    inst = cube_edge_midpoint_instance()
+    instances = [(inst.simplex, inst.ball)]
+    for normals in (cube_normals(3), cross_normals(3)):
+        ball = h_ball(normals)
+        instances += [(lattice_simplex(rng, normals, range(4, 19)), ball) for _ in range(5)]
+    checked = 0
+    for simplex, ball in instances:
+        for piece in polytopal_circumcenters(simplex, ball).pieces:
+            rows = [(*c, b) for c, b in piece.problem.equalities]
+            rows += [(*row.coeffs, row.rhs) for row in piece.problem.inequalities]
+            assert all(type(v) is int for row in rows for v in row)
+            assert same_set(piece.problem, assignment_problem(simplex, ball, piece.assignment))
+            checked += 1
+    assert checked >= 25
+
+
 def test_distinct_centers_probes_segments():
     cset = polytopal_circumcenters(T345, SQUARE)
     centers = cset.distinct_centers(3)

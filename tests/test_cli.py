@@ -8,8 +8,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from minksimplex.circumcenter import cube_edge_midpoint_instance, polytopal_circumcenters
 from minksimplex.cli import main
 from minksimplex.config import EPS_REL
+from minksimplex.errors import ResourceCapError
 
 POLY_SCENE = {
     "dimension": 2,
@@ -199,6 +201,24 @@ def test_resource_caps_exit_2(tmp_path, monkeypatch, capsys, name, value, comman
     assert code == 2 and text == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, tripped, passed",
+    [("MINKSIMPLEX_MAX_ASSIGNMENTS", "35", "36"), ("MINKSIMPLEX_MAX_FM_ROWS", "2", "3")],
+)
+def test_circumcenter_caps_trip_at_their_thresholds(tmp_path, monkeypatch, name, tripped, passed):
+    # CUBE_SCENE is the cube edge-midpoint instance: 36 candidate
+    # assignments, and its Fourier-Motzkin runs peak at 3 rows
+    inst = cube_edge_midpoint_instance()
+    monkeypatch.setenv(name, tripped)
+    with pytest.raises(ResourceCapError):
+        polytopal_circumcenters(inst.simplex, inst.ball)
+    assert run_cli(["circumcenters"], tmp_path, CUBE_SCENE) == (2, "")
+    monkeypatch.setenv(name, passed)
+    assert len(polytopal_circumcenters(inst.simplex, inst.ball).pieces) == 12
+    code, text = run_cli(["circumcenters"], tmp_path, CUBE_SCENE)
+    assert code == 0 and len(json.loads(text)["pieces"]) == 12
 
 
 def test_bad_cap_setting_exits_2_without_traceback(tmp_path):

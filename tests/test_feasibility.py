@@ -1,18 +1,24 @@
-"""Rational feasibility solver, checked against brute-force grid search.
+"""Rational feasibility solver, checked against brute-force grid search
+and against the rational Fourier-Motzkin it replaced.
 
 The Fourier-Motzkin solver is the backbone of the circumcenter
 enumeration, so it gets an independent oracle: for small systems we scan
 a rational grid over a box and compare emptiness verdicts, and verify
-every witness by direct substitution.
+every witness by direct substitution.  The integer core must also give
+the same results field for field as the Fraction reference below.
 """
 
 import random
 
 import pytest
 
-from minksimplex.errors import VerificationError
-from minksimplex.feasibility import FeasibilityProblem, Ineq, feasible, lp_max
+from minksimplex.config import max_fm_rows
+from minksimplex.errors import MixedModeError, ResourceCapError, VerificationError
+from minksimplex.feasibility import FeasibilityProblem, FeasibilityResult, Ineq, feasible, lp_max
+from minksimplex.linalg import LinearSolution, rank, solve_linear
 from minksimplex.scalars import Rat
+
+RAT = type(Rat(0))  # Fraction, or mpq under gmpy2
 
 
 def brute_force_feasible(problem: FeasibilityProblem, span: int = 4, steps: int = 8):
@@ -205,6 +211,12 @@ def test_failed_witness_check_raises(monkeypatch):
         feasible(le_problem(2, SQUARE_ROWS))
 
 
+def test_holds_at_rejects_float_points():
+    # exact rows and float points never mix, not even in a substitution
+    with pytest.raises(MixedModeError):
+        le_problem(2, SQUARE_ROWS).holds_at((0.5, Rat(0)))
+
+
 def test_lp_max_square():
     p = FeasibilityProblem(2)
     for c, b in (((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)):
@@ -248,3 +260,285 @@ def test_lp_max_infeasible_raises():
     p.add_le((Rat(-1),), Rat(-1))
     with pytest.raises(ValueError):
         lp_max(p, (Rat(1),))
+
+
+# -- reference: Fourier-Motzkin on Fractions ---------------------------
+
+
+def ref_holds_at(problem, point):
+    """Substitution check on rationals."""
+    for coeffs, rhs in problem.equalities:
+        if sum(c * x for c, x in zip(coeffs, point)) != rhs:
+            return False
+    for row in problem.inequalities:
+        lhs = sum(c * x for c, x in zip(row.coeffs, point))
+        if not (lhs < row.rhs if row.strict else lhs <= row.rhs):
+            return False
+    return True
+
+
+def ref_scaled(row):
+    """(coeffs, rhs) divided by |leading coefficient|; None for a
+    constant row."""
+    lead = next((c for c in row.coeffs if c != 0), None)
+    if lead is None:
+        return None
+    scale = abs(lead)
+    return tuple(Rat(c) / scale for c in row.coeffs), Rat(row.rhs) / scale
+
+
+def ref_normalize(ineqs):
+    """Scale rows to a canonical leading coefficient and drop dominated
+    duplicates (same normal, looser bound)."""
+    best = {}
+    for row in ineqs:
+        scaled = ref_scaled(row)
+        if scaled is None:
+            if row.rhs < 0 or (row.strict and row.rhs == 0):
+                return None
+            continue
+        coeffs, rhs = scaled
+        cur = best.get(coeffs)
+        if cur is None or rhs < cur.rhs:
+            best[coeffs] = Ineq(coeffs, rhs, row.strict)
+        elif rhs == cur.rhs and row.strict and not cur.strict:
+            best[coeffs] = Ineq(coeffs, rhs, True)
+    return list(best.values())
+
+
+def ref_fm_eliminate(ineqs, n):
+    cap = max_fm_rows()
+    stages = [None] * n
+    current = ineqs
+    for j in range(n - 1, -1, -1):
+        current = ref_normalize(current)
+        if current is None:
+            return None
+        stages[j] = current
+        lowers, uppers, rest = [], [], []
+        for row in current:
+            c = row.coeffs[j]
+            if c > 0:
+                uppers.append(row)
+            elif c < 0:
+                lowers.append(row)
+            else:
+                rest.append(Ineq(row.coeffs[:j], row.rhs, row.strict))
+        combined = rest
+        for lo in lowers:
+            for up in uppers:
+                cl, cu = -lo.coeffs[j], up.coeffs[j]
+                coeffs = tuple(cu * a + cl * b for a, b in zip(lo.coeffs[:j], up.coeffs[:j]))
+                combined.append(Ineq(coeffs, cu * lo.rhs + cl * up.rhs, lo.strict or up.strict))
+        if len(combined) > cap:
+            raise ResourceCapError("Fourier-Motzkin row cap")
+        current = combined
+    return None if ref_normalize(current) is None else stages
+
+
+def ref_pick_in_interval(lo, lo_strict, hi, hi_strict):
+    zero = Rat(0)
+    if (lo is None or lo < zero or (lo == zero and not lo_strict)) and (
+        hi is None or hi > zero or (hi == zero and not hi_strict)
+    ):
+        return zero
+    if lo is not None and hi is not None:
+        return lo if lo == hi else (lo + hi) / 2
+    if lo is not None:
+        return lo + 1 if lo_strict else lo
+    return hi - 1 if hi_strict else hi
+
+
+def ref_back_substitute(stages, n):
+    values = [None] * n
+    for j in range(n):
+        lo = hi = None
+        lo_strict = hi_strict = False
+        for row in stages[j]:
+            c = row.coeffs[j]
+            if c == 0:
+                continue
+            partial = sum(row.coeffs[k] * values[k] for k in range(j) if row.coeffs[k] != 0)
+            bound = (row.rhs - partial) / c
+            if c > 0:
+                if hi is None or bound < hi:
+                    hi, hi_strict = bound, row.strict
+                elif bound == hi and row.strict:
+                    hi_strict = True
+            else:
+                if lo is None or bound > lo:
+                    lo, lo_strict = bound, row.strict
+                elif bound == lo and row.strict:
+                    lo_strict = True
+        values[j] = ref_pick_in_interval(lo, lo_strict, hi, hi_strict)
+    return values
+
+
+def ref_solve_ineqs(ineqs, n):
+    if n == 0:
+        return None if ref_normalize(ineqs) is None else []
+    stages = ref_fm_eliminate(ineqs, n)
+    return None if stages is None else ref_back_substitute(stages, n)
+
+
+def ref_parametrize(problem):
+    """x = base + sum_j t_j basis_j from solve_linear's rational basis,
+    and every inequality rewritten over t."""
+    n = problem.n_vars
+    if problem.equalities:
+        sol = solve_linear([list(c) for c, _ in problem.equalities],
+                           [b for _, b in problem.equalities])
+        if sol.status == "infeasible":
+            return None
+    else:
+        sol = LinearSolution("affine", tuple([Rat(0)] * n), tuple(
+            tuple(Rat(int(k == i)) for k in range(n)) for i in range(n)))
+    if sol.status == "unique":
+        return sol, []
+    reduced = []
+    for row in problem.inequalities:
+        shift = sum(c * x for c, x in zip(row.coeffs, sol.point))
+        coeffs = tuple(sum(c * bvec[idx] for idx, c in enumerate(row.coeffs) if c != 0)
+                       for bvec in sol.basis)
+        reduced.append(Ineq(coeffs, row.rhs - shift, row.strict))
+    return sol, reduced
+
+
+def ref_feasible(problem, with_dim=True):
+    param = ref_parametrize(problem)
+    if param is None:
+        return FeasibilityResult(False)
+    sol, reduced = param
+    if sol.status == "unique":
+        point = sol.point
+        if not ref_holds_at(problem, point):
+            return FeasibilityResult(False)
+        tight = None
+        if with_dim:
+            tight = tuple(
+                idx for idx, row in enumerate(problem.inequalities)
+                if not row.strict and sum(c * x for c, x in zip(row.coeffs, point)) == row.rhs
+            )
+        return FeasibilityResult(True, point, 0, tight)
+    base, basis = sol.point, sol.basis
+    k = len(basis)
+    t = ref_solve_ineqs(reduced, k)
+    if t is None:
+        return FeasibilityResult(False)
+    witness = tuple(b + sum(bvec[i] * tv for bvec, tv in zip(basis, t))
+                    for i, b in enumerate(base))
+    assert ref_holds_at(problem, witness)
+    if not with_dim:
+        return FeasibilityResult(True, witness, None)
+    implicit = []
+    canon = ref_normalize(list(reduced))
+    for idx, row in enumerate(canon):
+        if row.strict:
+            continue
+        probe = [r if i != idx else Ineq(r.coeffs, r.rhs, True) for i, r in enumerate(canon)]
+        if ref_solve_ineqs(probe, k) is None:
+            implicit.append(row)
+    dim = k - (rank([list(row.coeffs) for row in implicit]) if implicit else 0)
+    tight = {(row.coeffs, row.rhs) for row in implicit}
+    rows = []
+    for idx, row in enumerate(reduced):
+        if row.strict:
+            continue
+        scaled = ref_scaled(row)
+        if (row.rhs == 0) if scaled is None else (scaled in tight):
+            rows.append(idx)
+    return FeasibilityResult(True, witness, dim, tuple(rows))
+
+
+def ref_lp_max(problem, objective):
+    n = problem.n_vars
+    aug = FeasibilityProblem(n + 1)
+    for coeffs, rhs in problem.equalities:
+        aug.add_eq((*coeffs, 0), rhs)
+    for row in problem.inequalities:
+        aug.add_le((*row.coeffs, 0), row.rhs, row.strict)
+    aug.add_eq((*(-c for c in objective), 1), 0)
+    if not ref_feasible(aug, with_dim=False).feasible:
+        raise ValueError("lp_max on infeasible problem")
+    sol, reduced = ref_parametrize(aug)
+    if sol.status == "unique":
+        return sol.point[n], sol.point[:n], True
+    base, basis = sol.point, sol.basis
+    k = len(basis)
+    zcoeffs = tuple(bvec[n] for bvec in basis)
+    # z first: FM eliminates the last variable first
+    rows = [Ineq((Rat(0), *row.coeffs), row.rhs, row.strict) for row in reduced]
+    rows.append(Ineq((Rat(1), *(-c for c in zcoeffs)), base[n], False))
+    rows.append(Ineq((Rat(-1), *zcoeffs), -base[n], False))
+    stages = ref_fm_eliminate(rows, k + 1)
+    hi = None
+    for row in stages[0]:
+        c = row.coeffs[0]
+        if c > 0 and (hi is None or row.rhs / c < hi):
+            hi = row.rhs / c
+    if hi is None:
+        return None, None, False
+    target = FeasibilityProblem(n, list(problem.equalities), list(problem.inequalities))
+    target.add_eq(tuple(objective), hi)
+    res = ref_feasible(target, with_dim=False)
+    return (hi, res.witness, True) if res.feasible else (hi, None, False)
+
+
+def mixed_problem(rng):
+    """Equalities, strict rows and rows with mixed denominators over 1-4
+    unknowns, some rows pinned against their negation (lower-dimensional
+    sets) or repeated at a positive scale (duplicates)."""
+    n = rng.randint(1, 4)
+
+    def entry():
+        return Rat(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+
+    p = FeasibilityProblem(n)
+    for _ in range(rng.randint(0, n)):
+        p.add_eq([entry() for _ in range(n)], entry() * 2)
+    for _ in range(rng.randint(0, 7 - n)):
+        coeffs = [entry() for _ in range(n)]
+        rhs = Rat(rng.randint(-6, 6), rng.choice((1, 2, 5)))
+        strict = rng.random() < 0.3
+        p.add_le(coeffs, rhs, strict)
+        roll = rng.random()
+        if roll < 0.2 and not strict:
+            p.add_le([-c for c in coeffs], -rhs)
+        elif roll < 0.3:
+            scale = Rat(rng.randint(1, 4), rng.randint(1, 3))
+            p.add_le([scale * c for c in coeffs], scale * rhs + rng.choice((0, 1)), strict)
+    return p
+
+
+def same_result(res, ref) -> bool:
+    return (
+        res == ref
+        and (res.witness is None or all(type(x) is RAT for x in res.witness))
+    )
+
+
+def test_integer_core_equals_fraction_reference():
+    rng = random.Random("fm-integer-core")
+    seen = {"empty": 0, "feasible": 0, "lower": 0, "unbounded": 0, "bounded": 0, "shifted": 0}
+    for _ in range(600):
+        p = mixed_problem(rng)
+        for with_dim in (True, False):
+            res, ref = feasible(p, with_dim), ref_feasible(p, with_dim)
+            assert same_result(res, ref), (p, res, ref)
+        if not ref.feasible:
+            seen["empty"] += 1
+            with pytest.raises(ValueError):
+                lp_max(p, [Rat(1)] * p.n_vars)
+            continue
+        seen["feasible"] += 1
+        res = feasible(p)
+        seen["lower"] += res.affine_dim < p.n_vars - len(p.equalities)
+        # a witness off every bound of its parameter interval
+        seen["shifted"] += res.affine_dim > 0 and any(x.denominator > 1 for x in res.witness)
+        objective = [Rat(rng.randint(-2, 2), rng.choice((1, 3))) for _ in range(p.n_vars)]
+        value, witness, attained = lp_max(p, objective)
+        assert (value, witness, attained) == ref_lp_max(p, objective), p
+        assert value is None or type(value) is RAT
+        assert witness is None or all(type(x) is RAT for x in witness)
+        seen["unbounded" if value is None else "bounded"] += 1
+    assert min(seen.values()) >= 20, seen
