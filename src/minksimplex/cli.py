@@ -13,6 +13,7 @@ identical documents apart from the version line.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -265,6 +266,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # built once per process, on the first main() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minksimplex",

@@ -138,13 +138,6 @@ def cross2(u: Vec, v: Vec):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _gcd_many(values) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, abs(int(v)))
-    return g
-
-
 class Hyperplane:
     """Oriented hyperplane {x : <normal, x> = offset}.
 
@@ -179,12 +172,8 @@ class Hyperplane:
         """Orientation-preserving canonical coefficient tuple."""
         coeffs = (*self.normal.coords, self.offset)
         if self.mode == EXACT:
-            fracs = [Rat(c) if isinstance(c, int) else c for c in coeffs]
-            lcm = 1
-            for f in fracs:
-                lcm = lcm * f.denominator // math.gcd(lcm, int(f.denominator))
-            ints = [int(f * lcm) for f in fracs]
-            g = _gcd_many(ints)
+            ints = integer_rows([coeffs])[0][0]
+            g = math.gcd(*ints)
             return tuple(v // g for v in ints)
         scale = math.sqrt(sum(float(c) * float(c) for c in self.normal.coords))
         return tuple(round(float(c) / scale, 12) for c in coeffs)
@@ -301,12 +290,6 @@ def bareiss(rows: Sequence[Sequence[int]]) -> tuple:
         if r == m:
             break
     return r, sign * prev, a, cols
-
-
-def integer_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, as an int."""
-    r, value, _, _ = bareiss(rows)
-    return value if r == len(rows) else 0
 
 
 def _float_eliminate(aug: list, n: int) -> tuple:
@@ -430,7 +413,8 @@ def det(rows: Sequence[Sequence]):
         raise DimensionError("det needs a square matrix")
     if _rows_mode(rows, ()) == EXACT:
         ints, scale = integer_rows(rows)
-        return Rat(integer_det(ints), scale)
+        r, value, _, _ = bareiss(ints)
+        return Rat(value if r == n else 0, scale)
     pivots, sign = _float_eliminate([[float(c) for c in row] for row in rows], n)
     return sign * math.prod(piv for _, _, piv in pivots) if len(pivots) == n else 0.0
 

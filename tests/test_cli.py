@@ -1,5 +1,6 @@
 """End-to-end command line checks: exit codes, JSON shape, SVG output."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -71,6 +72,21 @@ def test_gauge_command(tmp_path):
     assert doc["command"] == "gauge"
     assert doc["gauges"]["points"]["M"] == "2"
     assert doc["gauges"]["simplex_vertices"] == ["0", "4", "3"]
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "minksimplex":  # the top level, not a subcommand
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(["gauge"], tmp_path, POLY_SCENE)[0] == 0
+    assert run_cli(["gauge"], tmp_path, POLY_SCENE)[0] == 0
+    assert len(built) <= 1
 
 
 def test_gauge_without_content_fails(tmp_path):

@@ -10,6 +10,7 @@ from minksimplex.polytopes import (
     contains,
     convex_hull_2d,
     facet_hyperplanes,
+    hull_vertices,
     minimal_halfspaces,
     polygon_edges,
     polygon_order,
@@ -62,6 +63,30 @@ def test_vertex_enumerate_takes_exact_halfspaces_only():
     square = [Hyperplane(Vec((float(a), float(b))), 1.0) for a, b in ((1, 0), (0, 1), (-1, 0), (0, -1))]
     with pytest.raises(MixedModeError):
         vertex_enumerate(square)
+
+
+def test_facets_and_hull_vertices_take_exact_points_only():
+    square = [vec(1, 1), vec(-1, 1), vec(-1, -1), vec(1, -1)]
+    facets = facet_hyperplanes(square)
+    floats = [Vec((float(a), float(b))) for a, b in square]
+    mixed = [Vec((0, 0)), Vec((1, 0)), Vec((0.5, 1.0))]
+    for points in (floats, mixed):
+        with pytest.raises(MixedModeError):
+            facet_hyperplanes(points)
+        with pytest.raises(MixedModeError):
+            hull_vertices(points, facets)
+    with pytest.raises(MixedModeError):
+        hull_vertices(square, [Hyperplane(Vec((1.0, 0.0)), 1.0)])
+
+
+def test_facets_and_hull_vertices_reject_empty_input():
+    square = [vec(1, 1), vec(-1, 1), vec(-1, -1), vec(1, -1)]
+    with pytest.raises(DegenerateInputError):
+        facet_hyperplanes([])
+    with pytest.raises(DegenerateInputError):
+        hull_vertices([], facet_hyperplanes(square))
+    with pytest.raises(DegenerateInputError):
+        vertex_enumerate([])
 
 
 def test_vertex_enumerate_drops_redundant_rows():

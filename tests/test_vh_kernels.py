@@ -223,6 +223,51 @@ def test_h_form_with_redundant_and_duplicated_rows(d):
         assert len(kept) == len(hyps)
 
 
+def halfspace_system(rng, d, shape):
+    """Rational halfspaces of one shape: "random" (1 to d + 5 rows,
+    often unbounded or empty), "unbounded" (every normal has a
+    nonnegative first coordinate, so -e_0 is a recession direction),
+    "empty" (two opposite rows with no room between them), "cone"
+    (exactly d rows through one point) or "pencil" (d + 1 to d + 4
+    rows through one point, so every row is tight at it)."""
+
+    def normal():
+        while True:
+            a = [rational(rng) for _ in range(d)]
+            if shape == "unbounded":
+                a[0] = abs(a[0])
+            if any(a):
+                return Vec(a)
+
+    apex = Vec([rational(rng) for _ in range(d)])
+    if shape in ("cone", "pencil"):
+        m = d if shape == "cone" else d + rng.randint(1, 4)
+        return [Hyperplane(a, a.dot(apex)) for a in (normal() for _ in range(m))]
+    rows = [Hyperplane(normal(), rational(rng)) for _ in range(rng.randint(1, d + 5))]
+    if shape == "empty":
+        h = rows[0]
+        rows.insert(rng.randint(0, len(rows)), Hyperplane(-h.normal, -h.offset - 1))
+    return rows
+
+
+def test_arbitrary_halfspace_systems_match_rational_brute_force():
+    rng = random.Random("vh-oracle-systems")
+    shapes = ("random", "unbounded", "empty", "cone", "pencil")
+    nonempty = 0
+    for i in range(300):
+        d = 2 + i % 3
+        rows = halfspace_system(rng, d, shapes[i // 3 % len(shapes)])
+        verts = vertex_enumerate(rows)
+        assert verts == ref_vertex_enumerate(rows), rows
+        assert coord_types(verts) <= {RAT}
+        kept = minimal_halfspaces(rows, verts)
+        ref = ref_minimal_halfspaces(rows, verts)
+        assert [h.canonical() for h in kept] == [h.canonical() for h in ref], rows
+        assert all(a is b for a, b in zip(kept, ref))
+        nonempty += bool(verts)
+    assert 0 < nonempty < 300
+
+
 def test_det_equals_rational_elimination():
     rng = random.Random("det-oracle")
     for _ in range(300):
