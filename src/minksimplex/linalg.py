@@ -333,7 +333,8 @@ def integer_solve(aug: Sequence[Sequence[int]], n: int) -> Optional[tuple]:
     point / P is one solution, 0 on the free columns, and basis[c] / P
     the direction that is 1 on the c-th free column and 0 on the others.
     P * x is integral on the pivot columns (Cramer's rule), so
-    back substitution over the pivot rows divides exactly."""
+    back substitution over the pivot rows divides exactly; with every
+    right-hand side 0 the point is 0 and is not back-substituted."""
     r, _, a, cols = bareiss(aug)
     if r and cols[-1] == n:
         return None
@@ -350,7 +351,8 @@ def integer_solve(aug: Sequence[Sequence[int]], n: int) -> Optional[tuple]:
             y[c] = acc // row[c]
         return y
 
-    point = back_substitute([0] * n, last)
+    # a homogeneous system keeps its zero right-hand side through bareiss
+    point = back_substitute([0] * n, last) if any(row[n] for row in a[:r]) else [0] * n
     free = [c for c in range(n) if c not in cols]
     basis = [back_substitute([last if j == c else 0 for j in range(n)], 0) for c in free]
     return last, point, basis

@@ -24,7 +24,7 @@ from .errors import (
     ResourceCapError,
     VerificationError,
 )
-from .linalg import Hyperplane, Vec, affine_rank, integer_points, solve_linear
+from .linalg import Hyperplane, Vec, bareiss, integer_points, solve_linear
 from .scalars import EXACT, FLOAT, Rat, is_float
 
 
@@ -148,18 +148,22 @@ class PolytopeBall(UnitBall):
             raise ResourceCapError(
                 f"{len(self.normals)} facets exceed cap {config.max_facets()}"
             )
-        vset = {v.coords for v in self.vertices}
-        if {(-v).coords for v in self.vertices} != vset:
+        (vrows, s_v), (nrows, s_n) = self._vertex_rows, self._normal_rows
+        vset = set(vrows)
+        if {tuple(-c for c in v) for v in vrows} != vset:
             raise DegenerateInputError("vertex set is not centrally symmetric")
-        nset = {n.coords for n in self.normals}
-        if {(-n).coords for n in self.normals} != nset:
+        nset = set(nrows)
+        if {tuple(-c for c in n) for n in nrows} != nset:
             raise DegenerateInputError("facet set is not centrally symmetric")
-        if affine_rank(self.vertices) != d:
+        if any(len(v) != d for v in vrows):
+            raise DimensionError("dimension mismatch")
+        if bareiss([[*v, s_v] for v in vrows])[0] != d + 1:
             raise DegenerateInputError("polytope is not full-dimensional")
-        for v in self.vertices:
-            g = self.gauge(v)
-            if g != 1:
-                raise DegenerateInputError(f"vertex {v} has gauge {g} != 1")
+        # gauge(v) = max_k <N_k, V> / (s_n s_v), which is 1 at a vertex
+        one = s_n * s_v
+        for v, row in zip(self.vertices, vrows):
+            if max(sum(map(mul, n, row)) for n in nrows) != one:
+                raise DegenerateInputError(f"vertex {v} has gauge {self.gauge(v)} != 1")
 
     # -- operations --------------------------------------------------
 

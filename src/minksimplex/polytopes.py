@@ -1,23 +1,34 @@
 """Exact V/H conversions for small polytopes (dimension <= 4).
 
 Both directions are one routine on the polar, in homogeneous integer
-coordinates (the pairing of the double-description method, Motzkin et
-al. 1953).  A point x = X / D is the int row (X, D) with D > 0, and a
+coordinates.  A point x = X / D is the int row (X, D) with D > 0, and a
 halfspace <a, x> <= b is the int row h = (a, -b), scaled by a positive
 multiplier; x lies in the halfspace exactly when <h, (X, D)> <= 0.
 
-One kernel (_polar_kernel) walks the d-subsets of such rows in
-itertools.combinations order.  A subset of rank d has a null vector y,
-taken from linalg.integer_solve; when no two rows lie on opposite
-sides of y, y is oriented so that every row reads <= 0.  Fed the rows
-of points, it yields each facet as a halfspace row (a, -b); fed the
-rows of halfspaces, it yields each vertex as a point row (X, D), kept
-when D > 0.  One test (_rank_d_tight) runs the other way: a point is a
-vertex when the facet rows tight at it have rank d, and a halfspace
-supports a facet when the vertex rows tight on it have rank d.
+One kernel (_polar_kernel) lists the extreme rays of the cone
+{y : <r, y> <= 0 for every row r} by incremental double description
+(Motzkin et al. 1953; Fukuda & Prodon 1996).  It starts from the
+simplicial cone of the first d + 1 independent rows and inserts the
+other rows in order.  Each ray keeps its tight rows as an int bitmask;
+a ray on the outer side of the new row is paired with one on the inner
+side only when no third ray is tight on every row both are tight on
+(the combinatorial adjacency test), and the pair gives the new ray
+s_p * y_n - s_n * y_p, divided by the gcd of its entries.  The cost
+follows the size of the output, not the number of d-subsets.  Fed the
+rows of points, the rays are the facets as halfspace rows (a, -b); fed
+the rows of halfspaces, they are the vertices as point rows (X, D),
+kept when D > 0.  Rows of rank d have their null line as the one ray,
+oriented to a positive last entry (none when that entry is 0).
 
-At the configured desk scale (<= 64 facets) this brute force is fast,
-and every result is exact: coordinates come back as rationals, not
+The output is ordered as a walk over the d-subsets of rows in
+itertools.combinations order would first meet each ray: by the
+lexicographically first rank-d subset of its tight rows, which is their
+greedy basis in row order, and simply the tight rows when there are
+exactly d of them.  One test (_rank_d_tight) runs the other way: a
+point is a vertex when the facet rows tight at it have rank d, and a
+halfspace supports a facet when the vertex rows tight on it have rank d.
+
+Every result is exact: coordinates come back as rationals, not
 approximations.  There is no float vertex enumeration: the one float
 polytope, a smooth-lane simplex's medial polytope, has its vertices in
 closed form (the edge midpoints, see simplex.py).
@@ -26,7 +37,6 @@ closed form (the edge midpoints, see simplex.py).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from typing import Sequence
@@ -70,29 +80,93 @@ def _halfspace_rows(halfspaces: Sequence[Hyperplane]) -> list:
     return integer_rows([[*h.normal.coords, -h.offset] for h in halfspaces])[0]
 
 
-def _polar_kernel(rows: Sequence[Sequence[int]], d: int):
-    """For each d-subset of the homogeneous rows, in combinations
-    order, that has rank d and no two rows on opposite sides of its
-    null vector y: y, oriented so that <r, y> <= 0 for every row and,
-    when every row is tight, with a positive last entry."""
-    for combo in itertools.combinations(rows, d):
-        _, _, basis = integer_solve([[*r, 0] for r in combo], d + 1)
-        if len(basis) != 1:
-            continue  # rank below d
-        y = basis[0]
-        side = 0
-        for r in rows:
-            s = _dot(r, y)
-            if s == 0:
-                continue
-            if side == 0:
-                side = s
-            elif (s > 0) != (side > 0):
+def _greedy_basis(rows: Sequence[Sequence[int]], indices, k: int) -> list:
+    """The first k indices, in the order given, whose rows are
+    independent of the rows picked before them (fewer when the rows'
+    rank is below k): their lexicographically first basis.  Each row is
+    reduced fraction-free by the echelon remainders of the picked rows."""
+    echelon, basis = [], []
+    for i in indices:
+        r = rows[i]
+        for e, c in echelon:
+            if r[c]:
+                f, g = e[c], r[c]
+                r = [f * x - g * y for x, y in zip(r, e)]
+        c = next((c for c, x in enumerate(r) if x), None)
+        if c is not None:
+            echelon.append((r, c))
+            basis.append(i)
+            if len(basis) == k:
                 break
-        else:
-            if side > 0 or (side == 0 and y[d] < 0):
-                y = [-c for c in y]
-            yield y
+    return basis
+
+
+def _null_vector(rows: Sequence[Sequence[int]], d: int) -> list:
+    """The coprime int generator of the null line of d rows of rank d."""
+    y = integer_solve([[*r, 0] for r in rows], d + 1)[2][0]
+    g = math.gcd(*y)
+    return [c // g for c in y]
+
+
+def _polar_kernel(rows: Sequence[Sequence[int]], d: int) -> list:
+    """The extreme rays y of the cone {y : <r, y> <= 0 for every row},
+    as coprime int lists, each ordered by the first d-subset of rows
+    (in combinations order) of rank d that is tight at it.  Rows of
+    rank d give their null line with a positive last entry (nothing
+    when that entry is 0); rows of lower rank give nothing."""
+    first = _greedy_basis(rows, range(len(rows)), d + 1)
+    if len(first) < d:
+        return []
+    if len(first) == d:
+        y = _null_vector([rows[i] for i in first], d)
+        return [y if y[d] > 0 else [-c for c in y]] if y[d] else []
+    # the simplicial cone of the first d + 1 independent rows: ray j is
+    # tight on all of them but row j, on whose inner side it lies
+    rays = []
+    for j in first:
+        y = _null_vector([rows[i] for i in first if i != j], d)
+        if _dot(rows[j], y) > 0:
+            y = [-c for c in y]
+        rays.append((y, sum(1 << i for i in first if i != j)))
+    start = set(first)
+    for i, r in enumerate(rows):
+        if i in start:
+            continue
+        bit = 1 << i
+        pos, neg, kept = [], [], []
+        for y, m in rays:
+            s = _dot(r, y)
+            if s > 0:
+                pos.append((s, y, m))
+            elif s < 0:
+                neg.append((s, y, m))
+                kept.append((y, m))
+            else:
+                kept.append((y, m | bit))
+        if pos:
+            masks = [m for _, m in rays]
+            for sp, yp, mp in pos:
+                for sn, yn, mn in neg:
+                    # adjacent: their common tight rows lie on no third ray
+                    m = mp & mn
+                    if m.bit_count() < d - 1 or any(
+                        w & m == m and w != mp and w != mn for w in masks
+                    ):
+                        continue
+                    y = [sp * a - sn * b for a, b in zip(yn, yp)]
+                    g = math.gcd(*y)
+                    kept.append(([c // g for c in y], m | bit))
+        rays = kept
+
+    def first_basis(ray) -> list:
+        # the greedy basis of the tight rows is their lexicographically
+        # first rank-d subset; d tight rows are that subset already
+        m = ray[1]
+        tight = [i for i in range(m.bit_length()) if m >> i & 1]
+        return tight if len(tight) == d else _greedy_basis(rows, tight, d)
+
+    rays.sort(key=first_basis)
+    return [y for y, _ in rays]
 
 
 def _rank_d_tight(items: Sequence, rows: Sequence, duals: Sequence, d: int) -> list:
@@ -111,20 +185,14 @@ def facet_hyperplanes(points: Sequence[Vec]) -> list[Hyperplane]:
     satisfies <a, x> <= b on the hull with equality on a facet."""
     pts = list(dict.fromkeys(points))
     d = _check_exact(pts, "points")
-    rows = _point_rows(pts)
-    if bareiss(rows)[0] != d + 1:
+    rays = _polar_kernel(_point_rows(pts), d)
+    # a full-dimensional hull has at least d + 1 facets; points of lower
+    # rank give at most their null line
+    if len(rays) <= d:
         raise DegenerateInputError("point set is not full-dimensional")
-    found = {}
-    for y in _polar_kernel(rows, d):
-        # as the coprime integer tuple Hyperplane.canonical() gives
-        coeffs = [*y[:d], -y[d]]
-        g = math.gcd(*coeffs)
-        key = tuple(c // g for c in coeffs)
-        if key not in found:
-            found[key] = Hyperplane(Vec(Rat(c) for c in key[:d]), Rat(key[d]))
-            if len(found) > config.max_facets():
-                raise ResourceCapError(f"facet count exceeds cap {config.max_facets()}")
-    return list(found.values())
+    if len(rays) > config.max_facets():
+        raise ResourceCapError(f"facet count exceeds cap {config.max_facets()}")
+    return [Hyperplane(Vec(Rat(c) for c in y[:d]), Rat(-y[d])) for y in rays]
 
 
 def hull_vertices(points: Sequence[Vec], facets: Sequence[Hyperplane]) -> list[Vec]:
@@ -146,12 +214,8 @@ def vertex_enumerate(halfspaces: Sequence[Hyperplane]) -> list[Vec]:
     d = _check_exact(hs, "halfspaces")
     if len(hs) > config.max_facets():
         raise ResourceCapError(f"{len(hs)} halfspaces exceed cap {config.max_facets()}")
-    points = (
-        tuple(Rat(c, y[d]) for c in y[:d])
-        for y in _polar_kernel(_halfspace_rows(hs), d)
-        if y[d] > 0
-    )
-    return [Vec(x) for x in dict.fromkeys(points)]
+    rays = _polar_kernel(_halfspace_rows(hs), d)
+    return [Vec(Rat(c, y[d]) for c in y[:d]) for y in rays if y[d] > 0]
 
 
 def minimal_halfspaces(halfspaces: Sequence[Hyperplane], vertices: Sequence[Vec]) -> list[Hyperplane]:

@@ -13,7 +13,7 @@ import itertools
 import random
 import pytest
 
-from minksimplex.errors import ResourceCapError
+from minksimplex.errors import DegenerateInputError, DimensionError, ResourceCapError
 from minksimplex.linalg import (
     Hyperplane,
     LinearSolution,
@@ -367,3 +367,90 @@ def test_facet_cap_still_raises(monkeypatch):
         PolytopeBall.from_vertices(octagon)
     monkeypatch.setenv("MINKSIMPLEX_MAX_FACETS", "8")
     assert len(facet_hyperplanes(octagon)) == 8
+
+
+def symmetric_point_set(rng, d, n):
+    """n points and their negatives, with the midpoint of two of them,
+    a duplicate and the origin mixed in (11 points for n = 4), so
+    some facets have more than d tight points."""
+    while True:
+        half = [Vec([rational(rng) for _ in range(d)]) for _ in range(n)]
+        pts = half + [-p for p in half]
+        if ref_affine_rank(pts) == d:
+            break
+    extra = [(pts[0] + pts[1]) / 2, pts[2], Vec([Rat(0)] * d)]
+    out = pts + extra
+    rng.shuffle(out)
+    return out
+
+
+def hyps_as_vecs(hyps):
+    return [Vec((*h.normal.coords, h.offset)) for h in hyps]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_symmetric_and_degenerate_point_sets_match_rational_brute_force(d):
+    rng = random.Random(f"vh-oracle-symmetric:{d}")
+    sizes = [rng.randint(d, d + 1) for _ in range(8)] if d < 4 else [4, 4]
+    sets = [symmetric_point_set(rng, d, n) for n in sizes]
+    # facet centres of the cube listed before its corners (6 of the 16
+    # in d = 4, 14 points): most facets hold a point that is no vertex
+    corners = [vec(*s) for s in itertools.product((-1, 1), repeat=d)]
+    centres = [vec(*(s if k == i else 0 for k in range(d))) for i in range(d) for s in (1, -1)]
+    sets.append(centres + (corners if d < 4 else corners[::3]))
+    for pts in sets:
+        hyps = facet_hyperplanes(pts)
+        ref = ref_facet_hyperplanes(pts)
+        assert canonical(hyps) == canonical(ref)
+        assert coord_types(hyps_as_vecs(hyps)) == {RAT}
+        verts = vertex_enumerate(hyps)
+        assert verts == ref_vertex_enumerate(ref)
+        assert sorted(hull_vertices(pts, hyps), key=Vec.key) == sorted(verts, key=Vec.key)
+
+
+def test_fully_padded_4cube_builds_the_bare_cube():
+    corners = [vec(*s) for s in itertools.product((-1, 1), repeat=4)]
+    midpoints = [(a + b) / 2 for a, b in itertools.combinations(corners, 2)
+                 if sum(x != y for x, y in zip(a, b)) == 1]
+    half = [p / 2 for p in corners]
+    assert len(midpoints) == 32
+    padded = half + midpoints + corners  # 64 points, corners last
+    assert PolytopeBall.from_vertices(padded) == PolytopeBall.from_vertices(corners)
+    assert len(facet_hyperplanes(padded)) == 8
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_shuffled_points_give_the_same_facet_set(d):
+    rng = random.Random(f"vh-shuffle:{d}")
+    for _ in range(6 if d < 4 else 3):
+        pts = symmetric_point_set(rng, d, d + 2) + point_set(rng, d)
+        facets = set(canonical(facet_hyperplanes(pts)))
+        for _ in range(4):
+            rng.shuffle(pts)
+            hyps = facet_hyperplanes(pts)
+            assert set(canonical(hyps)) == facets
+            # the halfspaces in shuffled order give the same vertex set
+            rng.shuffle(hyps)
+            assert set(vertex_enumerate(hyps)) == set(hull_vertices(pts, hyps))
+
+
+def test_ball_validation_on_integer_rows_keeps_its_errors():
+    square = [vec(1, 1), vec(-1, 1), vec(-1, -1), vec(1, -1)]
+    normals = [vec(1, 0), vec(0, 1), vec(-1, 0), vec(0, -1)]
+    inner = [vec(Rat(1, 2), Rat(1, 2)), vec(Rat(-1, 2), Rat(-1, 2))]
+    bad = {
+        "vertex set is not centrally symmetric": (square[:3], normals),
+        "facet set is not centrally symmetric": (square, normals[:3]),
+        "polytope is not full-dimensional": ([vec(1, 1), vec(-1, -1)], normals),
+        # the first vertex in sorted order that fails, with its gauge
+        "vertex Vec(-1/2, -1/2) has gauge 1/2 != 1": (square + inner, normals),
+    }
+    for message, (verts, ns) in bad.items():
+        with pytest.raises(DegenerateInputError) as err:
+            PolytopeBall(verts, ns)
+        assert str(err.value) == message
+    # a vertex of another dimension is refused, wherever it sorts
+    for extra in ([vec(1, 1, 1), vec(-1, -1, -1)], [vec(-2, -2, -5), vec(2, 2, 5)]):
+        with pytest.raises(DimensionError):
+            PolytopeBall(square + extra, normals)
+    assert PolytopeBall(square, normals) == PolytopeBall.from_vertices(square)
