@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import struct
 from dataclasses import dataclass
 from operator import mul
 from typing import Optional, Sequence
@@ -218,7 +219,14 @@ def smooth_circumcenters(simplex: Simplex, ball: PNormBall) -> CircumcenterSet:
     failures = 0
     for m in starts[:_N_STARTS]:
         ok = False
+        # the step depends on m alone, so an iterate that repeats bit for
+        # bit makes the start periodic: it can never pass the residual test
+        seen = set()
         for _ in range(80):
+            bits = struct.pack(f"{d}d", *m)
+            if bits in seen:
+                break
+            seen.add(bits)
             diffs = [[a - c for a, c in zip(vertex, m)] for vertex in A]
             g = [lp_norm(x, p) for x in diffs]
             if min(g) < config.EPS_COLLAPSE * scale:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, mul, neg, sub
 from typing import Iterable, Optional, Sequence
 
 from .config import EPS_ABS, EPS_REL
@@ -48,6 +49,16 @@ class Vec:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "mode", FLOAT if has_float else EXACT)
 
+    @classmethod
+    def _of(cls, coords: tuple, mode: str) -> "Vec":
+        """Vec of a coordinate tuple whose mode is already known: the
+        result of arithmetic on Vecs (and scalars) that passed the mode
+        checks, so the coordinates are not inspected again."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "coords", coords)
+        object.__setattr__(v, "mode", mode)
+        return v
+
     def __setattr__(self, name, value):
         raise AttributeError("Vec is immutable")
 
@@ -62,19 +73,19 @@ class Vec:
 
     def __add__(self, other: "Vec") -> "Vec":
         self._check(other)
-        return Vec(a + b for a, b in zip(self.coords, other.coords))
+        return Vec._of(tuple(map(add, self.coords, other.coords)), self.mode)
 
     def __sub__(self, other: "Vec") -> "Vec":
         self._check(other)
-        return Vec(a - b for a, b in zip(self.coords, other.coords))
+        return Vec._of(tuple(map(sub, self.coords, other.coords)), self.mode)
 
     def __neg__(self) -> "Vec":
-        return Vec(-a for a in self.coords)
+        return Vec._of(tuple(map(neg, self.coords)), self.mode)
 
     def scale(self, s) -> "Vec":
         if not isinstance(s, int):
             join_modes(self.mode, mode_of(s))
-        return Vec(s * a for a in self.coords)
+        return Vec._of(tuple(s * a for a in self.coords), self.mode)
 
     __mul__ = scale
 
@@ -88,11 +99,11 @@ class Vec:
             raise ZeroDivisionError("division of Vec by zero")
         if self.mode == EXACT and isinstance(s, int):
             s = Rat(s)
-        return Vec(a / s for a in self.coords)
+        return Vec._of(tuple(a / s for a in self.coords), self.mode)
 
     def dot(self, other: "Vec"):
         self._check(other)
-        return sum(a * b for a, b in zip(self.coords, other.coords))
+        return sum(map(mul, self.coords, other.coords))
 
     def to_float(self) -> "Vec":
         return Vec(float(a) for a in self.coords)
@@ -290,6 +301,20 @@ def bareiss(rows: Sequence[Sequence[int]]) -> tuple:
         if r == m:
             break
     return r, sign * prev, a, cols
+
+
+def integer_cofactors(rows: Sequence[Sequence[int]]) -> list:
+    """Cofactor vector (generalized cross product) of d-1 integer rows
+    in R^d: the n with <n, x> = det([x; rows]) for every x, each minor
+    taken by bareiss.  It is normal to the rows and zero exactly when
+    they are linearly dependent."""
+    d = len(rows) + 1
+    out = []
+    for i in range(d):
+        r, value, _, _ = bareiss([[*row[:i], *row[i + 1 :]] for row in rows])
+        cof = value if r == d - 1 else 0
+        out.append(cof if i % 2 == 0 else -cof)
+    return out
 
 
 def _float_eliminate(aug: list, n: int) -> tuple:

@@ -155,7 +155,7 @@ class PolytopeBall(UnitBall):
         nset = set(nrows)
         if {tuple(-c for c in n) for n in nrows} != nset:
             raise DegenerateInputError("facet set is not centrally symmetric")
-        if any(len(v) != d for v in vrows):
+        if any(len(row) != d for row in (*vrows, *nrows)):
             raise DimensionError("dimension mismatch")
         if bareiss([[*v, s_v] for v in vrows])[0] != d + 1:
             raise DegenerateInputError("polytope is not full-dimensional")

@@ -12,10 +12,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul, sub
 from typing import Sequence
 
-from .errors import DegenerateInputError, DimensionError
-from .linalg import Hyperplane, Vec, det, general_position
+from .errors import DegenerateInputError, DimensionError, MixedModeError
+from .linalg import (
+    Hyperplane,
+    Vec,
+    bareiss,
+    det,
+    general_position,
+    integer_cofactors,
+    integer_points,
+)
 from .norms import UnitBall
 from .polytopes import contains as _half_contains
 from .scalars import EXACT, Rat
@@ -24,28 +33,33 @@ from .scalars import EXACT, Rat
 def hyperplane_through(points: Sequence[Vec]) -> Hyperplane:
     """Hyperplane spanned by d affinely independent points in R^d.
 
-    Normal components are cofactors of the edge-vector matrix, so the
-    computation is exact in rational mode.  In float mode each edge row
-    is divided by its largest |entry| first, which only rescales the
-    normal, so cofactors stay near 1 and the offset stays finite.
+    Normal components are cofactors of the edge-vector matrix.  In
+    rational mode the edges are cleared to integers once and the
+    cofactors come from integer_cofactors, so they are exact.  In float
+    mode each edge row is divided by its largest |entry| first, which
+    only rescales the normal, so cofactors stay near 1 and the offset
+    stays finite.
     """
     pts = list(points)
     d = pts[0].dim
     if len(pts) != d:
         raise DimensionError(f"need {d} points to span a hyperplane in R^{d}")
     edges = [p - pts[0] for p in pts[1:]]
-    rows = [list(e.coords) for e in edges]
-    if pts[0].mode != EXACT:
+    if pts[0].mode == EXACT:
+        ints, scale = integer_points(edges)
+        n = Vec([Rat(c, scale ** (d - 1)) for c in integer_cofactors(ints)])
+    else:
+        rows = [list(e.coords) for e in edges]
         for k, row in enumerate(rows):
             big = max(map(abs, row))
             if big:
                 rows[k] = [c / big for c in row]
-    normal = []
-    for i in range(d):
-        minor = [[row[j] for j in range(d) if j != i] for row in rows]
-        cof = det(minor) if minor else Rat(1)
-        normal.append(cof if i % 2 == 0 else -cof)
-    n = Vec(normal)
+        normal = []
+        for i in range(d):
+            minor = [[row[j] for j in range(d) if j != i] for row in rows]
+            cof = det(minor) if minor else 1.0
+            normal.append(cof if i % 2 == 0 else -cof)
+        n = Vec(normal)
     if n.is_zero():
         raise DegenerateInputError("points are affinely dependent")
     return Hyperplane(n, n.dot(pts[0]))
@@ -63,11 +77,26 @@ class Simplex:
             raise DimensionError(f"expected {d + 1} vertices, got {len(pts)}")
         if len({p.coords for p in pts}) != len(pts):
             raise DegenerateInputError("repeated vertex")
-        if not general_position(pts):
+        if any(p.dim != d for p in pts):
+            raise DimensionError("vertices of different dimensions")
+        mode = pts[0].mode
+        if any(p.mode != mode for p in pts):
+            raise MixedModeError("simplex vertices mix exact and float coordinates")
+        if mode == EXACT:
+            # vertices cleared to ints V_k = D A_k and the edge matrix
+            # E = (V_k - V_0), k >= 1: independent edges, general position
+            V, D = integer_points(pts)
+            E = [list(map(sub, v, V[0])) for v in V[1:]]
+            r, det_e, _, _ = bareiss(E)
+            independent = r == d
+            self._cleared = (V, D, E, det_e)
+        else:
+            independent = general_position(pts)
+        if not independent:
             raise DegenerateInputError("vertices are affinely dependent")
         self.vertices = tuple(pts)
         self.dim = d
-        self.mode = pts[0].mode
+        self.mode = mode
 
     # -- affine anatomy ----------------------------------------------
 
@@ -95,6 +124,8 @@ class Simplex:
         """(h_i, s_i) per facet, h_i: <a_i, x> <= b_i, s_i = <a_i, A_j - A_i>
         > 0 along the edge to A_i's nearest facet vertex A_j, so a large
         b_i cancels neither its sign nor its size (exact: any j agrees)."""
+        if self.mode == EXACT:
+            return self._exact_facets()
         out = []
         for i, a in enumerate(self.vertices):
             facet = self.facet_vertices(i)
@@ -106,6 +137,33 @@ class Simplex:
             if s < 0:
                 h, s = h.flip(), -s
             out.append((h, s))
+        return tuple(out)
+
+    def _exact_facets(self) -> tuple:
+        """_facets from one integer adjugate of the edge matrix E of
+        _cleared.  The column of adj(E) that belongs to the edge V_k - V_0
+        is normal to every other edge, so it is the normal of the facet
+        opposite A_k, and minus the sum of the columns is normal to every
+        V_l - V_1, the facet opposite A_0.  A column's dot product with
+        its own edge is det(E), so every s_i is |det E|, and one sign
+        orients all facets.  The normals are D^(d-1) times
+        hyperplane_through's cofactor normals, so b_i and s_i carry D^d."""
+        d = self.dim
+        V, D, E, det_e = self._cleared
+        # row k of E is V_(k+1) - V_0; the cofactor vector of the other
+        # rows is (-1)^k its adj column, whose <., V_0 - V_(k+1)> = -det E
+        normals = []
+        for k in range(d):
+            sign = (-1 if det_e > 0 else 1) * (-1) ** k
+            normals.append([sign * c for c in integer_cofactors(E[:k] + E[k + 1 :])])
+        normals.insert(0, [-sum(c) for c in zip(*normals)])
+        dn, db = D ** (d - 1), D**d
+        s = Rat(abs(det_e), db)
+        out = []
+        for i, n in enumerate(normals):
+            b = sum(map(mul, n, V[1 if i == 0 else 0]))
+            normal = Vec._of(tuple(Rat(c, dn) for c in n), EXACT)
+            out.append((Hyperplane(normal, Rat(b, db)), s))
         return tuple(out)
 
     @cached_property

@@ -1,8 +1,10 @@
 """Exact linear algebra: vectors, hyperplanes, and the rational solver."""
 
+import random
+
 import pytest
 
-from minksimplex.errors import DimensionError
+from minksimplex.errors import DimensionError, MixedModeError
 from minksimplex.linalg import (
     Hyperplane,
     Vec,
@@ -33,6 +35,45 @@ def test_vec_arithmetic():
     assert cross2(u, v) == Rat(-7)
     assert zero_vec(2).is_zero()
     assert unit_vec(3, 1).coords == (Rat(0), Rat(1), Rat(0))
+
+
+def test_vec_arithmetic_keeps_mode_checks_and_modes():
+    rng = random.Random("vec-modes")
+
+    def exact(d):
+        return vec(*(Rat(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d)))
+
+    def floating(d):
+        # float-mode vectors may hold a plain int beside their floats
+        coords = [rng.uniform(-9, 9) for _ in range(d)]
+        coords[rng.randrange(d)] = rng.randint(-3, 3)
+        return Vec(coords)
+
+    for _ in range(200):
+        d = rng.choice((2, 3, 4))
+        for make, scalars in (
+            (exact, (rng.randint(-5, 5), Rat(rng.randint(-9, 9), rng.randint(1, 7)))),
+            (floating, (rng.randint(-5, 5), rng.uniform(-5, 5))),
+        ):
+            u, v = make(d), make(d)
+            results = [u + v, u - v, -u]
+            for s in scalars:
+                results += [u.scale(s), s * u, u * s]
+                if s != 0:
+                    results.append(u / s)
+            for r in results:
+                assert r.mode == u.mode == Vec(r.coords).mode
+        e, f = exact(d), floating(d)
+        for op in (
+            lambda: e + f,
+            lambda: f - e,
+            lambda: e.scale(0.5),
+            lambda: f.scale(Rat(1, 2)),
+            lambda: e / 2.0,
+            lambda: f / Rat(3, 2),
+        ):
+            with pytest.raises(MixedModeError):
+                op()
 
 
 def test_vec_is_immutable_and_hashable():

@@ -132,6 +132,15 @@ def test_polytope_gauge_rejects_float_input():
         PolytopeBall.from_vertices([fvec(1, 0), fvec(-1, 0), fvec(0, 1), fvec(0, -1)])
 
 
+def test_polytope_rejects_normals_of_another_dimension():
+    square = [vec(1, 1), vec(-1, 1), vec(-1, -1), vec(1, -1)]
+    normals = [vec(1, 0, 7), vec(0, 1, 7), vec(-1, 0, -7), vec(0, -1, -7)]
+    with pytest.raises(DimensionError):
+        PolytopeBall(square, normals)
+    with pytest.raises(DimensionError):
+        PolytopeBall(square, [vec(1, 0), vec(-1, 0), vec(0, 1, 0), vec(0, -1, 0)])
+
+
 def test_pnorm_parameter_validation():
     with pytest.raises(DegenerateInputError):
         PNormBall(2, 1.0)

@@ -1,10 +1,11 @@
 """Simplex anatomy: facets, medians, heights, widths, derived bodies."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from minksimplex.errors import DegenerateInputError, DimensionError
+from minksimplex.errors import DegenerateInputError, DimensionError, MixedModeError
 from minksimplex.linalg import Vec, affine_rank
 from minksimplex.norms import PNormBall, euclidean_ball
 from minksimplex.scalars import Rat
@@ -34,6 +35,18 @@ def test_constructor_rejects_degenerate():
         tri((0, 0), (1, 1), (2, 2))
     with pytest.raises(DimensionError):
         Simplex([vec(0, 0), vec(1, 0)])
+
+
+def test_constructor_rejects_mixed_dimensions_and_modes():
+    with pytest.raises(DimensionError):
+        Simplex([vec(0, 0), vec(1, 0, 0), vec(0, 1)])
+    # an int-only vertex is exact, so it may not join float vertices
+    for pts in (
+        [Vec((0, 0)), Vec((1.0, 0.0)), Vec((0.0, 1.0))],
+        [Vec((0.0, 0.0)), Vec((1, 0)), Vec((0, 1))],
+    ):
+        with pytest.raises(MixedModeError):
+            Simplex(pts)
 
 
 def test_centroid_and_facets():
@@ -261,3 +274,114 @@ def test_simplex_in_cube_norm():
     T = Simplex([vec(0, 0, 0), vec(2, 0, 0), vec(0, 2, 0), vec(0, 0, 2)])
     assert T.heights(CUBE)[0] == Rat(2, 3)
     assert affine_rank(T.vertices) == 3
+
+
+# -- the Fraction cofactor reference for the integer adjugate ----------
+
+
+def _fraction_det(rows) -> Fraction:
+    """Laplace expansion along the first row, all in Fraction."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * c * _fraction_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, c in enumerate(rows[0])
+    )
+
+
+def _fraction_hyperplane(points):
+    """hyperplane_through's cofactor normal and offset in Fraction."""
+    p0 = [Fraction(c) for c in points[0]]
+    rows = [[Fraction(c) - a for c, a in zip(p, p0)] for p in points[1:]]
+    d = len(p0)
+    normal = [(-1) ** i * _fraction_det([r[:i] + r[i + 1 :] for r in rows]) for i in range(d)]
+    return normal, sum(n * c for n, c in zip(normal, p0))
+
+
+def _fraction_facets(vertices):
+    """(normal, offset, s) per facet: the facet's Fraction hyperplane,
+    s along the edge to the nearest facet vertex, flipped to s > 0."""
+    out = []
+    for i, a in enumerate(vertices):
+        facet = [v for k, v in enumerate(vertices) if k != i]
+        normal, offset = _fraction_hyperplane(facet)
+        edge = min(
+            ([Fraction(c) - Fraction(x) for c, x in zip(v, a)] for v in facet),
+            key=lambda e: max(map(abs, e)),
+        )
+        s = sum(n * e for n, e in zip(normal, edge))
+        assert s != 0
+        if s < 0:
+            normal, offset, s = [-n for n in normal], -offset, -s
+        out.append((normal, offset, s))
+    return out
+
+
+def _mixed_denominator_simplex(rng, d) -> Simplex:
+    while True:
+        verts = [
+            vec(*(Rat(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(d)))
+            for _ in range(d + 1)
+        ]
+        try:
+            return Simplex(verts)
+        except DegenerateInputError:
+            continue
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_exact_facets_match_fraction_cofactors(d):
+    rng = random.Random(f"adjugate-oracle-{d}")
+    for _ in range(40):
+        T = _mixed_denominator_simplex(rng, d)
+        ref = _fraction_facets(T.vertices)
+        for h, (normal, offset, _) in zip(T.facet_hyperplanes, ref):
+            assert list(h.normal.coords) == normal and h.offset == offset
+        if d == 2:
+            for ball in (SQUARE, HEXAGON):
+                assert T.heights(ball) == [s / ball.support(Vec(n)) for n, _, s in ref]
+        for (i, j), qm in T.quasi_medial_hyperplanes().items():
+            (ni, bi, si), (nj, bj, sj) = ref[i], ref[j]
+            assert list(qm.normal.coords) == [x / si - y / sj for x, y in zip(ni, nj)]
+            assert qm.offset == bi / si - bj / sj
+        dual = T.dual_simplex().vertices
+        assert [list(v.coords) for v in dual] == [[c * (d + 1) / s for c in n] for n, _, s in ref]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_exact_hyperplane_through_matches_fraction_cofactors(d):
+    rng = random.Random(f"hyperplane-oracle-{d}")
+    checked = 0
+    while checked < 40:
+        pts = [
+            vec(*(Rat(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(d)))
+            for _ in range(d)
+        ]
+        normal, offset = _fraction_hyperplane(pts)
+        if not any(normal):
+            continue
+        h = hyperplane_through(pts)
+        assert list(h.normal.coords) == normal and h.offset == offset
+        checked += 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_affinely_dependent_input_still_raises(d):
+    rng = random.Random(f"dependent-{d}")
+    for _ in range(10):
+        pts = [
+            vec(*(Rat(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)))
+            for _ in range(d)
+        ]
+        if len({p.coords for p in pts}) < d:
+            continue
+        # a point on the line through the first two, off both of them
+        t = Rat(rng.randint(2, 9), rng.choice((-3, -2, 1, 2, 3)))
+        on_line = pts[0] + (pts[1] - pts[0]) * t
+        if on_line.coords in {p.coords for p in pts}:
+            continue
+        with pytest.raises(DegenerateInputError, match="affinely dependent"):
+            Simplex([*pts, on_line])
+        # d points of which three are collinear (in the plane: two coincide)
+        with pytest.raises(DegenerateInputError, match="affinely dependent"):
+            hyperplane_through([pts[0], pts[0]] if d == 2 else [*pts[:-1], on_line])
