@@ -36,7 +36,7 @@ from .errors import (
 )
 from .linalg import Hyperplane, Vec, solve_linear, unit_vec, zero_vec
 from .norms import Ball, PolytopeBall, UnitBall, chord_through, root_in_bracket
-from .polytopes import polygon_edges, polygon_order, vertex_enumerate
+from .polytopes import polygon_edges, vertex_enumerate
 from .scalars import EXACT, Rat
 from .simplex import Simplex
 
@@ -145,8 +145,7 @@ def _bisected_chord_exact(ball: PolytopeBall, origin: Vec, frame) -> tuple:
     verts = vertex_enumerate(halves)
     if len(verts) < 3:
         raise VerificationError("section polygon collapsed")
-    ordered = polygon_order(verts)
-    edges = polygon_edges(ordered)
+    edges = polygon_edges(verts)
     n_edges = len(edges)
     for ai in range(n_edges):
         a0, a1 = edges[ai]
@@ -374,8 +373,7 @@ def _unit_at_unit_distance_exact(ball: PolytopeBall, u: Vec) -> Vec:
     """Walk the unit polygon's edges solving gauge(w - u) = 1 exactly
     on each; the gauge is a max of linear functions of the edge
     parameter."""
-    ordered = polygon_order(list(ball.vertices))
-    for a, b in polygon_edges(ordered):
+    for a, b in polygon_edges(ball.vertices):
         dv = b - a
         for n in ball.normals:
             denom = n.dot(dv)

@@ -71,6 +71,12 @@ class PolytopeBall(UnitBall):
     normals: facet normals scaled so the ball is {x : <n, x> <= 1};
     also closed under negation.
 
+    Both constructors take one path, polytopes.polar_pair: the normals
+    are the vertices of the polar ball.  from_vertices reads the pair
+    off conv(points); the H-form ball {x : <n_k, x> <= 1} is the polar
+    of conv(n_k), so from_halfspaces reads it off conv(normals) with
+    the two lists swapped.
+
     Each list is also kept as integer rows over one common denominator
     (the lcm of all its coordinates' denominators), computed once per
     ball; gauge and support take their max over integer dot products
@@ -108,13 +114,7 @@ class PolytopeBall(UnitBall):
         for p in pts:
             if p.mode != EXACT:
                 raise MixedModeError("polytopal balls take exact rational vertices")
-        hyps = polytopes.facet_hyperplanes(pts)
-        normals = []
-        for h in hyps:
-            if h.offset <= 0:
-                raise DegenerateInputError("origin is not interior to the polytope")
-            normals.append(h.normal / h.offset)
-        return cls(polytopes.hull_vertices(pts, hyps), normals)
+        return cls(*polytopes.polar_pair(pts))
 
     @classmethod
     def from_halfspaces(cls, halfspaces: Sequence[Hyperplane]) -> "PolytopeBall":
@@ -131,12 +131,13 @@ class PolytopeBall(UnitBall):
             raise ResourceCapError(
                 f"{len(normals)} facets exceed cap {config.max_facets()}"
             )
-        hs = [Hyperplane(n, Rat(1)) for n in normals]
-        vertices = polytopes.vertex_enumerate(hs)
-        if not vertices:
-            raise DegenerateInputError("halfspace intersection has no vertices")
-        minimal = polytopes.minimal_halfspaces(hs, vertices)
-        return cls(vertices, [h.normal for h in minimal])
+        # the ball is the polar of conv(normals), bounded exactly when
+        # the origin is interior to that hull
+        try:
+            normals, vertices = polytopes.polar_pair(normals)
+        except DegenerateInputError as exc:
+            raise DegenerateInputError("halfspace intersection is unbounded") from exc
+        return cls(vertices, normals)
 
     def _validate(self) -> None:
         d = self.dim

@@ -24,9 +24,17 @@ The output is ordered as a walk over the d-subsets of rows in
 itertools.combinations order would first meet each ray: by the
 lexicographically first rank-d subset of its tight rows, which is their
 greedy basis in row order, and simply the tight rows when there are
-exactly d of them.  One test (_rank_d_tight) runs the other way: a
-point is a vertex when the facet rows tight at it have rank d, and a
-halfspace supports a facet when the vertex rows tight on it have rank d.
+exactly d of them.  Each ray comes back with its tight-row mask, and
+one reader of the masks (_extreme) runs the other way: a point is a
+vertex when the facet rays tight at it have rank d, and a halfspace
+supports a facet when the vertex rays tight on it have rank d.
+
+A polytopal ball and its polar come from one run (polar_pair): fed the
+points of P = conv(points), with the origin interior to P, the facet
+rays (a, -b) are the vertices a / b of the polar P*, and the masks
+give the points that are vertices of P.  The H-form ball
+{x : <n_k, x> <= 1} is the polar of conv(n_k), so the same run serves
+it with the two lists swapped.
 
 Every result is exact: coordinates come back as rationals, not
 approximations.  There is no float vertex enumeration: the one float
@@ -110,16 +118,18 @@ def _null_vector(rows: Sequence[Sequence[int]], d: int) -> list:
 
 def _polar_kernel(rows: Sequence[Sequence[int]], d: int) -> list:
     """The extreme rays y of the cone {y : <r, y> <= 0 for every row},
-    as coprime int lists, each ordered by the first d-subset of rows
-    (in combinations order) of rank d that is tight at it.  Rows of
-    rank d give their null line with a positive last entry (nothing
-    when that entry is 0); rows of lower rank give nothing."""
+    as pairs (y, m) of a coprime int list and the int mask whose bit i
+    is set when row i is tight at y, ordered by the first d-subset of
+    rows (in combinations order) of rank d that is tight at each.  Rows
+    of rank d give their null line with a positive last entry (nothing
+    when that entry is 0), tight on every row; rows of lower rank give
+    nothing."""
     first = _greedy_basis(rows, range(len(rows)), d + 1)
     if len(first) < d:
         return []
     if len(first) == d:
         y = _null_vector([rows[i] for i in first], d)
-        return [y if y[d] > 0 else [-c for c in y]] if y[d] else []
+        return [(y if y[d] > 0 else [-c for c in y], (1 << len(rows)) - 1)] if y[d] else []
     # the simplicial cone of the first d + 1 independent rows: ray j is
     # tight on all of them but row j, on whose inner side it lies
     rays = []
@@ -166,23 +176,23 @@ def _polar_kernel(rows: Sequence[Sequence[int]], d: int) -> list:
         return tight if len(tight) == d else _greedy_basis(rows, tight, d)
 
     rays.sort(key=first_basis)
-    return [y for y, _ in rays]
+    return rays
 
 
-def _rank_d_tight(items: Sequence, rows: Sequence, duals: Sequence, d: int) -> list:
-    """The items whose rows meet dual rows y with <r, y> = 0 of rank d."""
+def _extreme(items: Sequence, rays: Sequence, d: int) -> list:
+    """The items, one per kernel input row, whose row is tight on rays
+    of rank d; rays are (y, m) pairs from _polar_kernel."""
     out = []
-    for item, r in zip(items, rows):
-        tight = [y for y in duals if _dot(r, y) == 0]
+    for i, item in enumerate(items):
+        tight = [y for y, m in rays if m >> i & 1]
         if len(tight) >= d and bareiss(tight)[0] == d:
             out.append(item)
     return out
 
 
-def facet_hyperplanes(points: Sequence[Vec]) -> list[Hyperplane]:
-    """Outward facet hyperplanes of conv(points), in the order of the
-    first d-subset of points that spans each: each returned (a, b)
-    satisfies <a, x> <= b on the hull with equality on a facet."""
+def _facet_rays(points: Sequence[Vec]) -> tuple:
+    """The exact points without repeats, their dimension, and the facet
+    rays (a, -b) of their full-dimensional hull with tight-row masks."""
     pts = list(dict.fromkeys(points))
     d = _check_exact(pts, "points")
     rays = _polar_kernel(_point_rows(pts), d)
@@ -190,40 +200,56 @@ def facet_hyperplanes(points: Sequence[Vec]) -> list[Hyperplane]:
     # rank give at most their null line
     if len(rays) <= d:
         raise DegenerateInputError("point set is not full-dimensional")
+    return pts, d, rays
+
+
+def facet_hyperplanes(points: Sequence[Vec]) -> list[Hyperplane]:
+    """Outward facet hyperplanes of conv(points), in the order of the
+    first d-subset of points that spans each: each returned (a, b)
+    satisfies <a, x> <= b on the hull with equality on a facet."""
+    _, d, rays = _facet_rays(points)
     if len(rays) > config.max_facets():
         raise ResourceCapError(f"facet count exceeds cap {config.max_facets()}")
-    return [Hyperplane(Vec(Rat(c) for c in y[:d]), Rat(-y[d])) for y in rays]
+    return [Hyperplane(Vec(Rat(c) for c in y[:d]), Rat(-y[d])) for y, _ in rays]
 
 
-def hull_vertices(points: Sequence[Vec], facets: Sequence[Hyperplane]) -> list[Vec]:
-    """The points that are vertices of conv(points), given its facets:
-    a point is a vertex iff the facets tight at it have rank d.
-    Duplicates are dropped and coordinates come back as rationals."""
-    pts = list(dict.fromkeys(points))
-    d = _check_exact(pts, "points")
-    _check_exact(facets, "facets")
-    vertices = _rank_d_tight(pts, _point_rows(pts), _halfspace_rows(facets), d)
-    return [Vec(Rat(c) for c in p.coords) for p in vertices]
+def polar_pair(points: Sequence[Vec]) -> tuple[list[Vec], list[Vec]]:
+    """The vertices of P = conv(points) and of its polar
+    P* = {y : <y, x> <= 1 for x in P}, from one kernel run; the origin
+    must be interior to P.  Each facet <a, x> <= b of P (b > 0) gives
+    the polar vertex a / b.  Duplicates are dropped and coordinates
+    come back as rationals; neither list is in a promised order."""
+    pts, d, rays = _facet_rays(points)
+    if any(y[d] >= 0 for y, _ in rays):
+        raise DegenerateInputError("origin is not interior to the polytope")
+    vertices = [Vec(Rat(c) for c in p.coords) for p in _extreme(pts, rays, d)]
+    return vertices, [Vec(Rat(c, -y[d]) for c in y[:d]) for y, _ in rays]
+
+
+def _vertex_rays(halfspaces: Sequence[Hyperplane]) -> tuple:
+    """The exact halfspaces as a list, their dimension, and the vertex
+    rays (X, D), D > 0, of their intersection with tight-row masks."""
+    hs = list(halfspaces)
+    d = _check_exact(hs, "halfspaces")
+    if len(hs) > config.max_facets():
+        raise ResourceCapError(f"{len(hs)} halfspaces exceed cap {config.max_facets()}")
+    return hs, d, [ray for ray in _polar_kernel(_halfspace_rows(hs), d) if ray[0][d] > 0]
 
 
 def vertex_enumerate(halfspaces: Sequence[Hyperplane]) -> list[Vec]:
     """Vertices of {x : <a_i, x> <= b_i for all i}, in the order of the
     first d-subset of rows that meets each; the intersection must be
     bounded for the result to describe it.  Exact halfspaces only."""
-    hs = list(halfspaces)
-    d = _check_exact(hs, "halfspaces")
-    if len(hs) > config.max_facets():
-        raise ResourceCapError(f"{len(hs)} halfspaces exceed cap {config.max_facets()}")
-    rays = _polar_kernel(_halfspace_rows(hs), d)
-    return [Vec(Rat(c, y[d]) for c in y[:d]) for y in rays if y[d] > 0]
+    _, d, rays = _vertex_rays(halfspaces)
+    return [Vec(Rat(c, y[d]) for c in y[:d]) for y, _ in rays]
 
 
-def minimal_halfspaces(halfspaces: Sequence[Hyperplane], vertices: Sequence[Vec]) -> list[Hyperplane]:
+def minimal_halfspaces(halfspaces: Sequence[Hyperplane]) -> list[Hyperplane]:
     """Drop exact halfspaces whose boundary does not support a facet
-    (tight at vertices of rank below d)."""
-    d = halfspaces[0].dim
-    rows, duals = _halfspace_rows(halfspaces), _point_rows(vertices)
-    kept = {h.canonical(): h for h in _rank_d_tight(halfspaces, rows, duals, d)}
+    (tight at vertices of rank below d), and repeats of one halfspace
+    (the last copy stays)."""
+    hs, d, rays = _vertex_rays(halfspaces)
+    kept = {h.canonical(): h for h in _extreme(hs, rays, d)}
     return list(kept.values())
 
 

@@ -79,3 +79,10 @@ def test_cli_import_loads_only_the_stdlib():
     loaded = {name.partition(".")[0] for name in proc.stdout.split()}
     assert "minksimplex" in loaded
     assert loaded - set(sys.stdlib_module_names) <= {"minksimplex", "gmpy2"}
+
+
+def test_unbounded_h_form_ball_is_a_scene_error(tmp_path, capsys):
+    scene = {"dimension": 2, "ball": {"type": "polytope-h", "normals": [[1, 0], [-1, 0], [0, 1]]}}
+    code, err = run(tmp_path, capsys, ["gauge"], json.dumps(scene))
+    assert code == 1
+    assert err == "error: $.ball: halfspace intersection is unbounded\n"

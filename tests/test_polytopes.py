@@ -10,8 +10,8 @@ from minksimplex.polytopes import (
     contains,
     convex_hull_2d,
     facet_hyperplanes,
-    hull_vertices,
     minimal_halfspaces,
+    polar_pair,
     polygon_edges,
     polygon_order,
     vertex_enumerate,
@@ -65,26 +65,22 @@ def test_vertex_enumerate_takes_exact_halfspaces_only():
         vertex_enumerate(square)
 
 
-def test_facets_and_hull_vertices_take_exact_points_only():
+def test_facets_and_polar_pair_take_exact_points_only():
     square = [vec(1, 1), vec(-1, 1), vec(-1, -1), vec(1, -1)]
-    facets = facet_hyperplanes(square)
     floats = [Vec((float(a), float(b))) for a, b in square]
     mixed = [Vec((0, 0)), Vec((1, 0)), Vec((0.5, 1.0))]
     for points in (floats, mixed):
         with pytest.raises(MixedModeError):
             facet_hyperplanes(points)
         with pytest.raises(MixedModeError):
-            hull_vertices(points, facets)
-    with pytest.raises(MixedModeError):
-        hull_vertices(square, [Hyperplane(Vec((1.0, 0.0)), 1.0)])
+            polar_pair(points)
 
 
-def test_facets_and_hull_vertices_reject_empty_input():
-    square = [vec(1, 1), vec(-1, 1), vec(-1, -1), vec(1, -1)]
+def test_facets_and_polar_pair_reject_empty_input():
     with pytest.raises(DegenerateInputError):
         facet_hyperplanes([])
     with pytest.raises(DegenerateInputError):
-        hull_vertices([], facet_hyperplanes(square))
+        polar_pair([])
     with pytest.raises(DegenerateInputError):
         vertex_enumerate([])
 
@@ -99,7 +95,7 @@ def test_vertex_enumerate_drops_redundant_rows():
     ]
     verts = vertex_enumerate(square)
     assert len(verts) == 4
-    kept = minimal_halfspaces(square, verts)
+    kept = minimal_halfspaces(square)
     assert len(kept) == 4
     assert all(h.normal != vec(1, 1) for h in kept)
 

@@ -27,8 +27,8 @@ from minksimplex.linalg import (
 from minksimplex.norms import PolytopeBall
 from minksimplex.polytopes import (
     facet_hyperplanes,
-    hull_vertices,
     minimal_halfspaces,
+    polar_pair,
     vertex_enumerate,
 )
 from minksimplex.scalars import Rat, sign
@@ -184,6 +184,18 @@ def coord_types(vertices):
     return {type(c) for v in vertices for c in v.coords}
 
 
+def check_polar_pair(pts, facets, verts):
+    """polar_pair on pts moved by their centroid c, which is interior
+    to the hull: its vertices are verts - c, and each facet
+    <a, x> <= b gives the polar vertex a / (b - <a, c>)."""
+    c = Vec([sum(x) / len(pts) for x in zip(*pts)])
+    vertices, polar = polar_pair([p - c for p in pts])
+    assert sorted(vertices, key=Vec.key) == sorted((v - c for v in verts), key=Vec.key)
+    moved = (h.normal / (h.offset - h.normal.dot(c)) for h in facets)
+    assert sorted(polar, key=Vec.key) == sorted(moved, key=Vec.key)
+    assert coord_types(vertices) == coord_types(polar) == {RAT}
+
+
 def coord_types_of(sol):
     return {type(c) for v in (sol.point or (), *sol.basis) for c in v}
 
@@ -203,7 +215,7 @@ def test_facets_and_vertices_match_rational_brute_force(d):
         assert verts == ref_vertex_enumerate(ref)
         assert coord_types(verts) == {RAT}
         # read off the points, the vertices are the same set
-        assert sorted(hull_vertices(pts, hyps), key=Vec.key) == sorted(verts, key=Vec.key)
+        check_polar_pair(pts, ref, verts)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -218,7 +230,7 @@ def test_h_form_with_redundant_and_duplicated_rows(d):
         verts = vertex_enumerate(rows)
         assert verts == ref_vertex_enumerate(rows)
         assert coord_types(verts) == {RAT}
-        kept = minimal_halfspaces(rows, verts)
+        kept = minimal_halfspaces(rows)
         assert canonical(kept) == canonical(ref_minimal_halfspaces(rows, verts))
         assert len(kept) == len(hyps)
 
@@ -260,7 +272,7 @@ def test_arbitrary_halfspace_systems_match_rational_brute_force():
         verts = vertex_enumerate(rows)
         assert verts == ref_vertex_enumerate(rows), rows
         assert coord_types(verts) <= {RAT}
-        kept = minimal_halfspaces(rows, verts)
+        kept = minimal_halfspaces(rows)
         ref = ref_minimal_halfspaces(rows, verts)
         assert [h.canonical() for h in kept] == [h.canonical() for h in ref], rows
         assert all(a is b for a, b in zip(kept, ref))
@@ -405,7 +417,7 @@ def test_symmetric_and_degenerate_point_sets_match_rational_brute_force(d):
         assert coord_types(hyps_as_vecs(hyps)) == {RAT}
         verts = vertex_enumerate(hyps)
         assert verts == ref_vertex_enumerate(ref)
-        assert sorted(hull_vertices(pts, hyps), key=Vec.key) == sorted(verts, key=Vec.key)
+        check_polar_pair(pts, ref, verts)
 
 
 def test_fully_padded_4cube_builds_the_bare_cube():
@@ -431,7 +443,7 @@ def test_shuffled_points_give_the_same_facet_set(d):
             assert set(canonical(hyps)) == facets
             # the halfspaces in shuffled order give the same vertex set
             rng.shuffle(hyps)
-            assert set(vertex_enumerate(hyps)) == set(hull_vertices(pts, hyps))
+            check_polar_pair(pts, hyps, vertex_enumerate(hyps))
 
 
 def test_ball_validation_on_integer_rows_keeps_its_errors():
@@ -454,3 +466,65 @@ def test_ball_validation_on_integer_rows_keeps_its_errors():
         with pytest.raises(DimensionError):
             PolytopeBall(square + extra, normals)
     assert PolytopeBall(square, normals) == PolytopeBall.from_vertices(square)
+
+
+def axis_points(d, r=1):
+    """The 2d points +-r e_i: the vertices of the cross-polytope, or
+    the normals of the cube."""
+    return [vec(*(s * r if k == i else 0 for k in range(d))) for i in range(d) for s in (1, -1)]
+
+
+def test_ball_caps_behave_as_before(monkeypatch):
+    # polar_pair applies no cap: the input rows of an H-form ball and
+    # the facets of a V-form ball are each checked once, as before
+    cube = [Hyperplane(n, Rat(1)) for n in axis_points(4)]
+    monkeypatch.setenv("MINKSIMPLEX_MAX_FACETS", "8")
+    ball = PolytopeBall.from_halfspaces(cube)
+    assert (len(ball.normals), len(ball.vertices)) == (8, 16)
+    with pytest.raises(ResourceCapError):
+        PolytopeBall.from_halfspaces(cube + [Hyperplane(vec(1, 1, 0, 0), Rat(3))])
+    cross = axis_points(4)  # 16 facets
+    monkeypatch.setenv("MINKSIMPLEX_MAX_FACETS", "15")
+    with pytest.raises(ResourceCapError):
+        PolytopeBall.from_vertices(cross)
+    monkeypatch.setenv("MINKSIMPLEX_MAX_FACETS", "16")
+    assert len(PolytopeBall.from_vertices(cross).normals) == 16
+
+
+def padded_4cube():
+    corners = [vec(*s) for s in itertools.product((-1, 1), repeat=4)]
+    midpoints = [(a + b) / 2 for a, b in itertools.combinations(corners, 2)
+                 if sum(x != y for x, y in zip(a, b)) == 1]
+    return [p / 2 for p in corners] + midpoints + corners
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_h_form_of_a_ball_gives_the_ball_back(d):
+    rng = random.Random(f"vh-h-form:{d}")
+    sets = [symmetric_point_set(rng, d, n) for n in (d, d + 1)]
+    if d == 4:
+        sets.append(padded_4cube())
+    for pts in sets:
+        ball = PolytopeBall.from_vertices(pts)
+        n = ball.normals
+        # a duplicate row, a copy scaled by 3 and a looser row
+        rows = [Hyperplane(v, Rat(1)) for v in n + (n[0],)]
+        rows += [Hyperplane(n[1] * 3, Rat(3)), Hyperplane(n[2], Rat(2))]
+        rng.shuffle(rows)
+        back = PolytopeBall.from_halfspaces(rows)
+        assert back == ball
+        assert back._vertex_rows == ball._vertex_rows
+        assert back._normal_rows == ball._normal_rows
+        assert coord_types(back.vertices) == coord_types(back.normals) == {RAT}
+
+
+def test_unbounded_halfspace_input_says_so():
+    systems = [
+        [vec(1, 0), vec(-1, 0)],  # the strip |x| <= 1
+        [vec(1, 0), vec(0, 1)],  # x <= 1, y <= 1
+        [vec(1, 0), vec(-1, 0), vec(0, 1)],
+    ]
+    for normals in systems:
+        with pytest.raises(DegenerateInputError) as err:
+            PolytopeBall.from_halfspaces([Hyperplane(n, Rat(1)) for n in normals])
+        assert str(err.value) == "halfspace intersection is unbounded"
