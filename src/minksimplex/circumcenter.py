@@ -13,8 +13,10 @@ sign tests on T, and the row of (A_i, facet k), times s_n s_v, is
 <(-s_v N_k, -s_n s_v), (M, r)> <= -T[i][k].
 
 Smooth mode runs damped Newton iterations on the gauge differences from
-several starts and reports what it finds; its classification is always
-"unknown" because root finding proves existence, not exhaustiveness.
+several starts and reports what it finds (a start that comes within
+EPS_MERGE of a center already found stops there); its classification is
+always "unknown" because root finding proves existence, not
+exhaustiveness.
 """
 
 from __future__ import annotations
@@ -196,6 +198,11 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
 
 
 _N_STARTS = 12  # Newton starts per smooth circumcenter search
+_N_STEPS = 80  # Newton iterations per start
+# iterations a start near a found center must have left to stop there:
+# quadratic convergence from EPS_MERGE reaches 1e-16 in three steps, and
+# one more iteration runs the residual test
+_MERGE_RESERVE = 4
 
 
 def smooth_circumcenters(simplex: Simplex, ball: PNormBall) -> CircumcenterSet:
@@ -215,14 +222,20 @@ def smooth_circumcenters(simplex: Simplex, ball: PNormBall) -> CircumcenterSet:
     while len(starts) < _N_STARTS:
         starts.append([c + rng.uniform(-0.8, 0.8) * scale for c in centroid])
 
+    rho = config.EPS_MERGE * scale
     solutions = []
     failures = 0
     for m in starts[:_N_STARTS]:
-        ok = False
+        ok = found = False
         # the step depends on m alone, so an iterate that repeats bit for
         # bit makes the start periodic: it can never pass the residual test
         seen = set()
-        for _ in range(80):
+        for it in range(_N_STEPS):
+            if _N_STEPS - it >= _MERGE_RESERVE and any(
+                math.dist(known, m) <= rho for known, _ in solutions
+            ):
+                found = True  # converges to a center already found
+                break
             bits = struct.pack(f"{d}d", *m)
             if bits in seen:
                 break
@@ -255,6 +268,8 @@ def smooth_circumcenters(simplex: Simplex, ball: PNormBall) -> CircumcenterSet:
             if norm > limit:
                 step = [s * (limit / norm) for s in step]
             m = [c + s for c, s in zip(m, step)]
+        if found:
+            continue
         if not ok:
             failures += 1
             continue
@@ -262,7 +277,7 @@ def smooth_circumcenters(simplex: Simplex, ball: PNormBall) -> CircumcenterSet:
         if r <= config.EPS_ABS * scale:
             failures += 1
             continue
-        if all(math.dist(known, m) > config.EPS_REL * max(1.0, scale) for known, _ in solutions):
+        if all(math.dist(known, m) > rho for known, _ in solutions):
             solutions.append((m, r))
 
     pieces = [CircumPiece(Vec(m), r, 0) for m, r in solutions]

@@ -23,6 +23,11 @@ EPS_TINY = 1e-30
 # (relative to the simplex's coordinate scale): the gauge has a kink there.
 EPS_COLLAPSE = 1e-13
 
+# Two smooth-mode circumcenters closer than this (times the simplex's
+# coordinate scale) are the same center, and a Newton start whose iterate
+# comes this close to a center already found stops there.
+EPS_MERGE = 1e-2
+
 # A float root search stops once its bracket is this narrow (times the
 # bracket's scale where that exceeds 1): a few ulps of 1.0.
 EPS_BISECT = 1e-15

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import minksimplex.circumcenter as circumcenter_module
 from minksimplex.circumcenter import (
     EMPTY,
     MULTIPLE,
@@ -31,6 +32,7 @@ from minksimplex.circumcenter import (
     polytopal_circumcenters,
     smooth_circumcenters,
 )
+from minksimplex.config import EPS_MERGE
 from minksimplex.construct import quasiregular_simplex
 from minksimplex.errors import DegenerateInputError, MixedModeError
 from minksimplex.feasibility import FeasibilityProblem, feasible
@@ -459,6 +461,64 @@ def test_smooth_dispatch_and_seed_stability():
     assert [tuple(p.center.coords) for p in a.pieces] == [
         tuple(p.center.coords) for p in b.pieces
     ]
+
+
+# start failures, piece count and first center of the smooth search;
+# stopping starts at a found center leaves them as they were without the
+# stop, except the piece counts of "p500" and "one-center-one-piece"
+SMOOTH_PINS = [
+    pytest.param(
+        4.0, [(0, 0), (3, 1), (1, 3)], 4, 1, (1.3708582307620862, 1.3708582307620862), id="p4"
+    ),
+    pytest.param(2.0, [(0, 0), (4, 0), (0, 3)], 0, 1, (2.0, 1.5), id="euclidean-345"),
+    # two starts converge 6e-7 apart: one piece, not two
+    pytest.param(500.0, [(0, 0), (40, 0), (0, 30)], 1, 4, (20.0, 10.845039253556708), id="p500"),
+    pytest.param(3.0, [(0, 0), (1e300, 1), (0, 1e300)], 0, 1, (5e299, 5e299), id="huge"),
+    pytest.param(
+        3.0, [(0, 0, 0), (2, 0, 0), (0, 3, 0), (1, 1, 2)], 1, 1,
+        (1.0, 1.5, 0.373596391726488), id="p3-3d",
+    ),
+    # four starts converge within about 1e-8 of one center: one piece
+    pytest.param(
+        1.1, [(-0.568488, 2.167472), (0.506568, 1.402985), (2.387455, 1.492641)], 4, 1,
+        (1.381446839376608, 43.541819234430086), id="one-center-one-piece",
+    ),
+    # one start first comes within EPS_MERGE of the center with fewer than
+    # four of its 80 iterations left and never passes the residual test;
+    # stopping it there would count it converged (5 failures, not 6)
+    pytest.param(
+        1.05,
+        [
+            (-0.004598, -0.639378, 1.500277),
+            (2.18531, -2.876883, 2.648588),
+            (-2.592768, -0.77986, -1.539958),
+            (-1.974571, -2.52593, 1.812702),
+        ],
+        6, 1, (0.3266128100429674, -61.9400643714978, -1.2332747425784247), id="late-arrival",
+    ),
+]
+
+
+@pytest.mark.parametrize("p, vertices, failures, n_pieces, first", SMOOTH_PINS)
+def test_smooth_search_pins(p, vertices, failures, n_pieces, first):
+    T = Simplex([fvec(*v) for v in vertices])
+    cset = smooth_circumcenters(T, PNormBall(T.dim, p))
+    assert cset.start_failures == failures
+    assert len(cset.pieces) == n_pieces
+    assert cset.pieces[0].center.coords == pytest.approx(first, rel=1e-6)
+    rho = EPS_MERGE * max(abs(c) for v in vertices for c in v)
+    for a, b in itertools.combinations(cset.pieces, 2):
+        assert math.dist(a.center.coords, b.center.coords) > rho
+
+
+def test_converged_starts_within_eps_merge_are_one_piece(monkeypatch):
+    # no start stops early, so the four starts of "one-center-one-piece"
+    # each converge; the final distinctness test keeps one of them
+    monkeypatch.setattr(circumcenter_module, "_MERGE_RESERVE", 81)
+    T = Simplex([fvec(-0.568488, 2.167472), fvec(0.506568, 1.402985), fvec(2.387455, 1.492641)])
+    cset = smooth_circumcenters(T, PNormBall(2, 1.1))
+    assert cset.start_failures == 4
+    assert len(cset.pieces) == 1
 
 
 def test_is_ag_quasiregular():

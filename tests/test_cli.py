@@ -220,6 +220,27 @@ def test_resource_caps_exit_2(tmp_path, monkeypatch, capsys, name, value, comman
 
 
 @pytest.mark.parametrize(
+    "vertices, exit_code",
+    [
+        # off-centre octagon: the ball is invalid, and that is reported first
+        ([[12, 1], [12, -1], [11, 2], [9, 2], [8, 1], [8, -1], [9, -2], [11, -2]], 1),
+        # the same octagon centred at the origin: 8 facets trip the cap of 6
+        ([[2, 1], [2, -1], [1, 2], [-1, 2], [-2, -1], [-2, 1], [-1, -2], [1, -2]], 2),
+    ],
+)
+def test_invalid_ball_is_reported_before_the_facet_cap(
+    tmp_path, monkeypatch, capsys, vertices, exit_code
+):
+    monkeypatch.setenv("MINKSIMPLEX_MAX_FACETS", "6")
+    scene = {"dimension": 2, "ball": {"type": "polytope-v", "vertices": vertices}}
+    assert run_cli(["gauge"], tmp_path, scene) == (exit_code, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    if exit_code == 1:
+        assert "origin is not interior" in err
+
+
+@pytest.mark.parametrize(
     "name, tripped, passed",
     [("MINKSIMPLEX_MAX_ASSIGNMENTS", "35", "36"), ("MINKSIMPLEX_MAX_FM_ROWS", "2", "3")],
 )
