@@ -167,7 +167,7 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
             center, radius = Vec(z[:d]), z[d]
             if radius <= 0:
                 continue
-            key = (center.coords, radius)
+            key = (center, radius)
             if key not in pieces:
                 # every vertex gauge from the center is the radius
                 prob = assignment_problem(assignment)
@@ -180,7 +180,7 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
             continue
         center, radius = Vec(res.witness[:d]), res.witness[d]
         if res.affine_dim == 0:
-            key = (center.coords, radius)
+            key = (center, radius)
         else:
             key = _tight_pairs(assignment, n_facets, res.implicit_rows)
         if key not in pieces:
@@ -192,7 +192,7 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
     elif any(p.affine_dim >= 1 for p in merged):
         cls = MULTIPLE
     else:
-        centers = {p.center.coords for p in merged}
+        centers = {p.center for p in merged}
         cls = SINGLETON if len(centers) == 1 else MULTIPLE
     return CircumcenterSet(simplex, ball, merged, cls, EXACT)
 

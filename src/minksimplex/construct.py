@@ -14,7 +14,7 @@ The last three vertices need care.  The third-to-last chord must avoid
 the ratio gauge(Q - g) = 2 gauge(P - g); otherwise the final target
 would be the midpoint of that same chord and the closing chord would
 reuse P.  The last two vertices come from a chord bisected by the
-target: exact edge-pair solving on the section polygon for polytopal
+target: integer edge-pair solving on the section polygon for polytopal
 balls, a bracketed root search (norms.root_in_bracket) on the chord
 angle for smooth ones: the chord overshoot is odd under direction
 reversal, so its values at angles 0 and pi bracket a root.
@@ -26,6 +26,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from . import config
@@ -34,9 +35,9 @@ from .errors import (
     NonConvergenceError,
     VerificationError,
 )
-from .linalg import Hyperplane, Vec, solve_linear, unit_vec, zero_vec
+from .linalg import ExactVec, Vec, solve_linear, unit_vec, zero_vec
 from .norms import Ball, PolytopeBall, UnitBall, chord_through, root_in_bracket
-from .polytopes import polygon_edges, vertex_enumerate
+from .polytopes import convex_hull_2d, vertex_rays
 from .scalars import EXACT, Rat
 from .simplex import Simplex
 
@@ -131,67 +132,85 @@ def bisected_chord(ball: UnitBall, origin: Vec, frame) -> tuple:
     return _bisected_chord_smooth(ball, origin, frame)
 
 
-def _bisected_chord_exact(ball: PolytopeBall, origin: Vec, frame) -> tuple:
-    v1, v2 = frame
-    halves = []
-    for n in ball.normals:
-        c1, c2 = n.dot(v1), n.dot(v2)
-        rhs = 1 - n.dot(origin)
+def _section_polygon(ball: PolytopeBall, origin: ExactVec, frame) -> tuple:
+    """The section {y : gauge(origin + y_1 v_1 + y_2 v_2) <= 1} of the
+    ball: its vertices as int pairs over one common denominator L, in
+    counterclockwise order from the lexicographically least, and L.  Row
+    k is the ball's integer normal row N_k / s with <N_k, V_j> / (s D_j)
+    the coefficient of y_j, cleared by s D_1 D_2 D_o; vertices that
+    share a tight row of the kernel are neighbours."""
+    (v1, v2), O, Do = frame, origin.X, origin.D
+    rows_n, s_n = ball._normal_rows
+    rows = []
+    for N in rows_n:
+        c1 = sum(map(mul, N, v1.X)) * v2.D * Do
+        c2 = sum(map(mul, N, v2.X)) * v1.D * Do
+        h = (s_n * Do - sum(map(mul, N, O))) * v1.D * v2.D
         if c1 == 0 and c2 == 0:
-            if rhs <= 0:
+            if h <= 0:
                 raise DegenerateInputError("section origin not interior")
             continue
-        halves.append(Hyperplane(Vec((c1, c2)), rhs))
-    verts = vertex_enumerate(halves)
-    if len(verts) < 3:
+        rows.append((c1, c2, -h))
+    rays = vertex_rays(rows, 2)
+    if len(rays) < 3:
         raise VerificationError("section polygon collapsed")
-    edges = polygon_edges(verts)
-    n_edges = len(edges)
-    for ai in range(n_edges):
-        a0, a1 = edges[ai]
-        da = a1 - a0
-        for bi in range(ai, n_edges):
-            if bi == ai:
+    L = math.lcm(*(y[2] for y, _ in rays))
+    pts = [(y[0] * (L // y[2]), y[1] * (L // y[2])) for y, _ in rays]
+    order = [min(range(len(pts)), key=pts.__getitem__)]
+    while len(order) < len(pts):
+        cur = order[-1]
+        nxt = [j for j, (_, m) in enumerate(rays) if m & rays[cur][1] and j not in order]
+        if len(nxt) == 2:  # the first step turns counterclockwise
+            (ox, oy), (px, py), (qx, qy) = pts[cur], pts[nxt[0]], pts[nxt[1]]
+            if (px - ox) * (qy - oy) < (py - oy) * (qx - ox):
+                nxt.reverse()
+        order.append(nxt[0])
+    return [pts[i] for i in order], L
+
+
+def _bisected_chord_exact(ball: PolytopeBall, origin: ExactVec, frame) -> tuple:
+    """Edge pairs of the section polygon in order, solved by integer
+    Cramer for a0 + s da = -(b0 + t db) with s, t in [0, 1]: then
+    y = a0 + s da and -y both lie on the polygon's boundary.  Parallel
+    edges meet along a segment of (s, t), whose least t is taken."""
+    poly, L = _section_polygon(ball, origin, frame)
+    v1, v2 = frame
+    edges = list(zip(poly, poly[1:] + poly[:1]))
+    for ai, (a0, a1) in enumerate(edges):
+        da = (a1[0] - a0[0], a1[1] - a0[1])
+        for b0, b1 in edges[ai + 1 :]:
+            db = (b1[0] - b0[0], b1[1] - b0[1])
+            r = (-a0[0] - b0[0], -a0[1] - b0[1])
+            det = da[0] * db[1] - da[1] * db[0]
+            if det:
+                # s = S / det, t = T / det
+                S, T = r[0] * db[1] - r[1] * db[0], da[0] * r[1] - da[1] * r[0]
+                if det < 0:
+                    det, S, T = -det, -S, -T
+                if not (0 <= S <= det and 0 <= T <= det):
+                    continue
+                s = Rat(S, det)
+            elif da[0] * r[1] == da[1] * r[0]:
+                # edge a and the reflected edge b share a line, on
+                # which s = mu - lam t
+                k = 0 if da[0] else 1
+                lam, mu = Rat(db[k], da[k]), Rat(r[k], da[k])
+                lo, hi = sorted((mu / lam, (mu - 1) / lam))
+                t = max(lo, 0)
+                if t > min(hi, 1):
+                    continue
+                s = mu - lam * t
+            else:
                 continue
-            b0, b1 = edges[bi]
-            db = b1 - b0
-            # solve a0 + s da = -(b0 + t db)
-            rows = [[da[0], db[0]], [da[1], db[1]]]
-            rhs = [-a0[0] - b0[0], -a0[1] - b0[1]]
-            sol = solve_linear(rows, rhs)
-            y = None
-            if sol.status == "unique":
-                s, t = sol.point
-                if 0 <= s <= 1 and 0 <= t <= 1:
-                    y = a0 + s * da
-            elif sol.status == "affine" and sol.dim == 1:
-                # parallel edges: the solutions form a segment in the
-                # (s, t) square; take its low end deterministically
-                base, dirv = sol.point, sol.basis[0]
-                tau_lo, tau_hi, consistent = None, None, True
-                for k in (0, 1):
-                    if dirv[k] == 0:
-                        if not (0 <= base[k] <= 1):
-                            consistent = False
-                            break
-                        continue
-                    b0 = (0 - base[k]) / dirv[k]
-                    b1 = (1 - base[k]) / dirv[k]
-                    lo_k, hi_k = (b0, b1) if b0 <= b1 else (b1, b0)
-                    tau_lo = lo_k if tau_lo is None else max(tau_lo, lo_k)
-                    tau_hi = hi_k if tau_hi is None else min(tau_hi, hi_k)
-                if consistent and tau_lo is not None and tau_lo <= tau_hi:
-                    s = base[0] + tau_lo * dirv[0]
-                    y = a0 + s * da
-            if y is None:
+            # y = (a0 + s da) / L
+            p, q = s.numerator, s.denominator
+            y1, y2 = (Rat(a * q + p * b, L * q) for a, b in zip(a0, da))
+            if y1 == 0 and y2 == 0:
                 continue
-            if y == Vec((Rat(0), Rat(0))):
-                continue
-            r = origin + y[0] * v1 + y[1] * v2
-            s_pt = origin - y[0] * v1 - y[1] * v2
-            if ball.gauge(r) != 1 or ball.gauge(s_pt) != 1:
-                continue
-            return r, s_pt
+            step = v1 * y1 + v2 * y2
+            ends = origin + step, origin - step
+            if ball.gauge(ends[0]) == 1 and ball.gauge(ends[1]) == 1:
+                return ends
     raise VerificationError("no bisected chord found on the section polygon")
 
 
@@ -373,7 +392,8 @@ def _unit_at_unit_distance_exact(ball: PolytopeBall, u: Vec) -> Vec:
     """Walk the unit polygon's edges solving gauge(w - u) = 1 exactly
     on each; the gauge is a max of linear functions of the edge
     parameter."""
-    for a, b in polygon_edges(ball.vertices):
+    hull = convex_hull_2d(ball.vertices)
+    for a, b in zip(hull, hull[1:] + hull[:1]):
         dv = b - a
         for n in ball.normals:
             denom = n.dot(dv)

@@ -1,12 +1,16 @@
 """Points, hyperplanes, and dense linear algebra over both scalar modes.
 
-Everything here works coordinate-wise on tuples, with one elimination
-per scalar mode.  Exact rows are scaled to integers and reduced
-fraction-free (bareiss) for every solve, rank and determinant; float
-rows run partial-pivoting Gauss-Jordan with the package tolerances
-(_float_eliminate).  Matrices are lists of row lists, small enough
-(dimension <= 4 plus a handful of unknowns) that no clever numerics
-are needed.
+A float Vec is a coordinate tuple of floats (plain ints allowed).  An
+exact Vec is an ExactVec: a tuple X of ints and one int D > 0 with
+gcd(X, D) = 1, the point X / D; its coords, one Rat per entry, are
+built only when read.
+
+Matrices are lists of row lists, small enough (dimension <= 4 plus a
+handful of unknowns) that no clever numerics are needed, with one
+elimination per scalar mode.  Exact rows are scaled to integers and
+reduced fraction-free (bareiss) for every solve, rank and determinant;
+float rows run partial-pivoting Gauss-Jordan with the package
+tolerances (_float_eliminate).
 """
 
 from __future__ import annotations
@@ -25,12 +29,15 @@ class Vec:
     """Immutable coordinate tuple, used for points and vectors alike.
 
     A Vec is exact when no coordinate is a float and float otherwise;
-    rationals and floats may not appear together.
+    rationals and floats may not appear together.  Vec(coords) returns
+    an ExactVec for exact coordinates; a plain Vec is the float lane,
+    whose coords may hold plain ints beside its floats.
     """
 
-    __slots__ = ("coords", "mode")
+    __slots__ = ("coords",)
+    mode = FLOAT
 
-    def __init__(self, coords: Iterable):
+    def __new__(cls, coords: Iterable):
         coords = tuple(coords)
         if not coords:
             raise DimensionError("empty coordinate tuple")
@@ -46,17 +53,17 @@ class Vec:
                 raise TypeError(f"bad coordinate {c!r}")
         if has_rat and has_float:
             raise MixedModeError("mixed rational/float coordinates")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "mode", FLOAT if has_float else EXACT)
+        if not has_float:
+            return ExactVec.of_ratios([(int(c.numerator), int(c.denominator)) for c in coords])
+        return Vec._of(coords)
 
     @classmethod
-    def _of(cls, coords: tuple, mode: str) -> "Vec":
-        """Vec of a coordinate tuple whose mode is already known: the
-        result of arithmetic on Vecs (and scalars) that passed the mode
-        checks, so the coordinates are not inspected again."""
-        v = object.__new__(cls)
+    def _of(cls, coords: tuple) -> "Vec":
+        """Float Vec of a coordinate tuple that passed the mode checks
+        already: the result of arithmetic on float Vecs and scalars, so
+        the coordinates are not inspected again."""
+        v = object.__new__(Vec)
         object.__setattr__(v, "coords", coords)
-        object.__setattr__(v, "mode", mode)
         return v
 
     def __setattr__(self, name, value):
@@ -73,33 +80,28 @@ class Vec:
 
     def __add__(self, other: "Vec") -> "Vec":
         self._check(other)
-        return Vec._of(tuple(map(add, self.coords, other.coords)), self.mode)
+        return Vec._of(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "Vec") -> "Vec":
         self._check(other)
-        return Vec._of(tuple(map(sub, self.coords, other.coords)), self.mode)
+        return Vec._of(tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "Vec":
-        return Vec._of(tuple(map(neg, self.coords)), self.mode)
+        return Vec._of(tuple(map(neg, self.coords)))
 
     def scale(self, s) -> "Vec":
         if not isinstance(s, int):
-            join_modes(self.mode, mode_of(s))
-        return Vec._of(tuple(s * a for a in self.coords), self.mode)
+            join_modes(FLOAT, mode_of(s))
+        return Vec._of(tuple(s * a for a in self.coords))
 
-    __mul__ = scale
-
-    def __rmul__(self, s) -> "Vec":
-        return self.scale(s)
+    __mul__ = __rmul__ = scale
 
     def __truediv__(self, s) -> "Vec":
         if not isinstance(s, int):
-            join_modes(self.mode, mode_of(s))
+            join_modes(FLOAT, mode_of(s))
         if s == 0:
             raise ZeroDivisionError("division of Vec by zero")
-        if self.mode == EXACT and isinstance(s, int):
-            s = Rat(s)
-        return Vec._of(tuple(a / s for a in self.coords), self.mode)
+        return Vec._of(tuple(a / s for a in self.coords))
 
     def dot(self, other: "Vec"):
         self._check(other)
@@ -116,7 +118,7 @@ class Vec:
         return self.coords
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Vec) and self.coords == other.coords
+        return type(other) is Vec and self.coords == other.coords
 
     def __hash__(self) -> int:
         return hash(self.coords)
@@ -134,12 +136,135 @@ class Vec:
         return f"Vec({', '.join(str(c) for c in self.coords)})"
 
 
-def zero_vec(dim: int) -> Vec:
-    return Vec([Rat(0)] * dim)
+def _ratio(s) -> tuple:
+    """(p, q) with s = p / q, q > 0, of an exact scalar; a float raises
+    MixedModeError."""
+    if isinstance(s, int):
+        return s, 1
+    join_modes(EXACT, mode_of(s))
+    return int(s.numerator), int(s.denominator)
 
 
-def unit_vec(dim: int, i: int) -> Vec:
-    return Vec([Rat(1) if k == i else Rat(0) for k in range(dim)])
+class ExactVec(Vec):
+    """Exact Vec in homogeneous integer form: the point X / D for a
+    tuple X of ints and an int D > 0 with gcd(X, D) = 1, so == and hash
+    compare ints.  Arithmetic runs on X and D and divides by one gcd at
+    the end (the fraction-free idea of Bareiss 1968, applied to
+    vectors).  coords is filled on first read, one Rat per entry."""
+
+    __slots__ = ("X", "D")
+    mode = EXACT
+
+    @classmethod
+    def of_ints(cls, X, D: int) -> "ExactVec":
+        """The point X / D for ints X and D > 0, in lowest terms."""
+        return _reduced(tuple(X), D)
+
+    @classmethod
+    def of_ratios(cls, pairs: Sequence[tuple]) -> "ExactVec":
+        """The point whose coordinates are p / q for the int pairs (p, q),
+        q > 0."""
+        D = math.lcm(*(q for _, q in pairs))
+        return _reduced(tuple(p * (D // q) for p, q in pairs), D)
+
+    def __getattr__(self, name):
+        if name != "coords":
+            raise AttributeError(name)
+        D = self.D
+        coords = tuple(Rat(x, D) for x in self.X)
+        object.__setattr__(self, "coords", coords)
+        return coords
+
+    @property
+    def dim(self) -> int:
+        return len(self.X)
+
+    def _check(self, other: Vec) -> None:
+        if other.__class__ is not ExactVec:
+            join_modes(EXACT, other.mode)
+        if len(self.X) != len(other.X):
+            raise DimensionError(f"dimension mismatch {self.dim} vs {other.dim}")
+
+    def _combine(self, other: Vec, op) -> "ExactVec":
+        """X / D op Y / E over the lcm of D and E."""
+        self._check(other)
+        D, E = self.D, other.D
+        if D == E:
+            return _reduced(tuple(map(op, self.X, other.X)), D)
+        g = math.gcd(D, E)
+        d, e = D // g, E // g
+        return _reduced(tuple(op(x * e, y * d) for x, y in zip(self.X, other.X)), D * e)
+
+    def __add__(self, other: Vec) -> "ExactVec":
+        return self._combine(other, add)
+
+    def __sub__(self, other: Vec) -> "ExactVec":
+        return self._combine(other, sub)
+
+    def __neg__(self) -> "ExactVec":
+        return _exact(tuple(map(neg, self.X)), self.D)
+
+    def scale(self, s) -> "ExactVec":
+        p, q = _ratio(s)
+        return _reduced(tuple(p * x for x in self.X), q * self.D)
+
+    __mul__ = __rmul__ = scale
+
+    def __truediv__(self, s) -> "ExactVec":
+        p, q = _ratio(s)
+        if p == 0:
+            raise ZeroDivisionError("division of Vec by zero")
+        q = q if p > 0 else -q
+        return _reduced(tuple(q * x for x in self.X), abs(p) * self.D)
+
+    def dot(self, other: Vec):
+        self._check(other)
+        return Rat(sum(map(mul, self.X, other.X)), self.D * other.D)
+
+    def to_float(self) -> Vec:
+        D = self.D
+        return Vec._of(tuple(x / D for x in self.X))
+
+    def is_zero(self) -> bool:
+        return not any(self.X)
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is ExactVec and self.D == other.D and self.X == other.X
+
+    def __hash__(self) -> int:
+        return hash((self.X, self.D))
+
+    def __len__(self) -> int:
+        return len(self.X)
+
+
+def _exact(X: tuple, D: int) -> ExactVec:
+    """ExactVec of an int tuple X and an int D > 0 with gcd(X, D) = 1."""
+    v = object.__new__(ExactVec)
+    _SET_X(v, X)
+    _SET_D(v, D)
+    return v
+
+
+def _reduced(X: tuple, D: int) -> ExactVec:
+    """ExactVec of an int tuple X and an int D > 0, divided by their gcd."""
+    if D != 1:
+        g = math.gcd(D, *X)
+        if g != 1:
+            X, D = tuple(x // g for x in X), D // g
+    return _exact(X, D)
+
+
+_SET_X = ExactVec.X.__set__
+_SET_D = ExactVec.D.__set__
+
+
+def zero_vec(dim: int) -> ExactVec:
+    return _exact((0,) * dim, 1)
+
+
+def unit_vec(dim: int, i: int) -> ExactVec:
+    return _exact(tuple(int(k == i) for k in range(dim)), 1)
 
 
 def cross2(u: Vec, v: Vec):
@@ -181,11 +306,13 @@ class Hyperplane:
 
     def canonical(self) -> tuple:
         """Orientation-preserving canonical coefficient tuple."""
-        coeffs = (*self.normal.coords, self.offset)
         if self.mode == EXACT:
-            ints = integer_rows([coeffs])[0][0]
+            n = self.normal
+            p, q = _ratio(self.offset)
+            ints = (*(x * q for x in n.X), p * n.D)
             g = math.gcd(*ints)
             return tuple(v // g for v in ints)
+        coeffs = (*self.normal.coords, self.offset)
         scale = math.sqrt(sum(float(c) * float(c) for c in self.normal.coords))
         return tuple(round(float(c) / scale, 12) for c in coeffs)
 
@@ -256,14 +383,11 @@ def integer_rows(rows: Sequence[Sequence]) -> tuple:
     return out, total
 
 
-def integer_points(points: Sequence[Vec]) -> tuple:
+def integer_points(points: Sequence[ExactVec]) -> tuple:
     """Exact points times the lcm of all their denominators, as int
     tuples, and that common multiplier."""
-    scale = math.lcm(*(int(c.denominator) for p in points for c in p.coords))
-    ints = [
-        tuple(int(c.numerator) * (scale // int(c.denominator)) for c in p.coords)
-        for p in points
-    ]
+    scale = math.lcm(*(p.D for p in points))
+    ints = [p.X if p.D == scale else tuple(x * (scale // p.D) for x in p.X) for p in points]
     return ints, scale
 
 

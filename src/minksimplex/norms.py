@@ -78,9 +78,9 @@ class PolytopeBall(UnitBall):
     the two lists swapped.
 
     Each list is also kept as integer rows over one common denominator
-    (the lcm of all its coordinates' denominators), computed once per
-    ball; gauge and support take their max over integer dot products
-    and divide once.
+    (the lcm of its points' D), computed once per ball and sorted as the
+    points are; gauge and support take their max over integer dot
+    products and divide once.
     """
 
     kind = "polytope"
@@ -93,16 +93,16 @@ class PolytopeBall(UnitBall):
         _validated: bool = False,
         _rows: Optional[tuple] = None,
     ):
-        self.vertices = tuple(sorted(vertices, key=Vec.key))
-        self.normals = tuple(sorted(normals, key=Vec.key))
-        if not self.vertices or not self.normals:
+        vertices, normals = tuple(vertices), tuple(normals)
+        if not vertices or not normals:
             raise DegenerateInputError("empty polytope data")
-        self.dim = self.vertices[0].dim
         if _rows is None:
-            if any(v.mode != EXACT for v in self.vertices + self.normals):
+            if any(v.mode != EXACT for v in (*vertices, *normals)):
                 raise MixedModeError("polytopal balls take exact coordinates")
-            _rows = (integer_points(self.vertices), integer_points(self.normals))
-        self._vertex_rows, self._normal_rows = _rows
+            _rows = (integer_points(vertices), integer_points(normals))
+        self.vertices, self._vertex_rows = _sorted_by_rows(vertices, _rows[0])
+        self.normals, self._normal_rows = _sorted_by_rows(normals, _rows[1])
+        self.dim = self.vertices[0].dim
         if not _validated:
             self._validate()
 
@@ -207,13 +207,21 @@ class PolytopeBall(UnitBall):
         return f"PolytopeBall(dim={self.dim}, facets={len(self.normals)})"
 
 
+def _sorted_by_rows(points: Sequence[Vec], scaled_rows: tuple) -> tuple:
+    """The points and their integer rows over one common denominator,
+    both in the rows' order, which is the points' Vec.key order."""
+    rows, scale = scaled_rows
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    return tuple(points[i] for i in order), (tuple(rows[i] for i in order), scale)
+
+
 def _max_dot(scaled_rows: tuple, x: Vec):
     """max over rows r of <r, x> / scale, for integer rows over a common
-    denominator scale: x's denominators are cleared once, the max is
-    taken on ints and divided once."""
+    denominator scale: the max is taken on x's ints X and divided once,
+    by D * scale."""
     rows, scale = scaled_rows
-    (xs,), x_scale = integer_points((x,))
-    return Rat(max(sum(map(mul, r, xs)) for r in rows), x_scale * scale)
+    xs = x.X
+    return Rat(max(sum(map(mul, r, xs)) for r in rows), x.D * scale)
 
 
 class PNormBall(UnitBall):

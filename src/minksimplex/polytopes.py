@@ -44,14 +44,13 @@ closed form (the edge midpoints, see simplex.py).
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import Sequence
 
 from . import config
 from .errors import DegenerateInputError, DimensionError, MixedModeError, ResourceCapError
-from .linalg import Hyperplane, Vec, bareiss, cross2, integer_rows, integer_solve
+from .linalg import ExactVec, Hyperplane, Vec, bareiss, cross2, integer_solve
 from .scalars import EXACT, Rat
 
 
@@ -77,15 +76,19 @@ def _dot(u, v) -> int:
     return sum(map(operator.mul, u, v))
 
 
-def _point_rows(points: Sequence[Vec]) -> list:
+def _point_rows(points: Sequence[ExactVec]) -> list:
     """Each exact point x = X / D as the int row (X, D), D > 0."""
-    return integer_rows([[*p.coords, 1] for p in points])[0]
+    return [(*p.X, p.D) for p in points]
 
 
 def _halfspace_rows(halfspaces: Sequence[Hyperplane]) -> list:
     """Each exact halfspace <a, x> <= b as the int row (a, -b), scaled
     by a positive multiplier so the inequality keeps its direction."""
-    return integer_rows([[*h.normal.coords, -h.offset] for h in halfspaces])[0]
+    rows = []
+    for h in halfspaces:
+        *a, b = h.canonical()
+        rows.append((*a, -b))
+    return rows
 
 
 def _greedy_basis(rows: Sequence[Sequence[int]], indices, k: int) -> list:
@@ -210,7 +213,7 @@ def facet_hyperplanes(points: Sequence[Vec]) -> list[Hyperplane]:
     _, d, rays = _facet_rays(points)
     if len(rays) > config.max_facets():
         raise ResourceCapError(f"facet count exceeds cap {config.max_facets()}")
-    return [Hyperplane(Vec(Rat(c) for c in y[:d]), Rat(-y[d])) for y, _ in rays]
+    return [Hyperplane(ExactVec.of_ints(y[:d], 1), Rat(-y[d])) for y, _ in rays]
 
 
 def polar_pair(points: Sequence[Vec]) -> tuple[list[Vec], list[Vec]]:
@@ -222,8 +225,7 @@ def polar_pair(points: Sequence[Vec]) -> tuple[list[Vec], list[Vec]]:
     pts, d, rays = _facet_rays(points)
     if any(y[d] >= 0 for y, _ in rays):
         raise DegenerateInputError("origin is not interior to the polytope")
-    vertices = [Vec(Rat(c) for c in p.coords) for p in _extreme(pts, rays, d)]
-    return vertices, [Vec(Rat(c, -y[d]) for c in y[:d]) for y, _ in rays]
+    return _extreme(pts, rays, d), [ExactVec.of_ints(y[:d], -y[d]) for y, _ in rays]
 
 
 def _vertex_rays(halfspaces: Sequence[Hyperplane]) -> tuple:
@@ -231,9 +233,15 @@ def _vertex_rays(halfspaces: Sequence[Hyperplane]) -> tuple:
     rays (X, D), D > 0, of their intersection with tight-row masks."""
     hs = list(halfspaces)
     d = _check_exact(hs, "halfspaces")
-    if len(hs) > config.max_facets():
-        raise ResourceCapError(f"{len(hs)} halfspaces exceed cap {config.max_facets()}")
-    return hs, d, [ray for ray in _polar_kernel(_halfspace_rows(hs), d) if ray[0][d] > 0]
+    return hs, d, vertex_rays(_halfspace_rows(hs), d)
+
+
+def vertex_rays(rows: Sequence[Sequence[int]], d: int) -> list:
+    """The vertex rays (X, D), D > 0, with tight-row masks, of the
+    intersection of the halfspaces given as int rows (a, -b) in R^d."""
+    if len(rows) > config.max_facets():
+        raise ResourceCapError(f"{len(rows)} halfspaces exceed cap {config.max_facets()}")
+    return [ray for ray in _polar_kernel(rows, d) if ray[0][d] > 0]
 
 
 def vertex_enumerate(halfspaces: Sequence[Hyperplane]) -> list[Vec]:
@@ -241,7 +249,7 @@ def vertex_enumerate(halfspaces: Sequence[Hyperplane]) -> list[Vec]:
     first d-subset of rows that meets each; the intersection must be
     bounded for the result to describe it.  Exact halfspaces only."""
     _, d, rays = _vertex_rays(halfspaces)
-    return [Vec(Rat(c, y[d]) for c in y[:d]) for y, _ in rays]
+    return [ExactVec.of_ints(y[:d], y[d]) for y, _ in rays]
 
 
 def minimal_halfspaces(halfspaces: Sequence[Hyperplane]) -> list[Hyperplane]:
@@ -259,54 +267,11 @@ def contains(halfspaces: Sequence[Hyperplane], p: Vec, strict: bool = False) -> 
     return all(h.eval(p) <= 0 for h in halfspaces)
 
 
-def _angular_cmp(center: Vec):
-    """Exact counterclockwise comparator for points around center."""
-
-    def half(u: Vec) -> int:
-        # 0 for angle in [0, pi), 1 for [pi, 2pi)
-        if u[1] > 0 or (u[1] == 0 and u[0] > 0):
-            return 0
-        return 1
-
-    def cmp(a: Vec, b: Vec) -> int:
-        ua, ub = a - center, b - center
-        ha, hb = half(ua), half(ub)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        c = cross2(ua, ub)
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        return 0
-
-    return cmp
-
-
-def polygon_order(vertices: Sequence[Vec]) -> list[Vec]:
-    """Vertices of a planar convex polygon in counterclockwise order,
-    starting from an arbitrary but deterministic vertex."""
-    pts = list(vertices)
-    if not pts or pts[0].dim != 2:
-        raise DimensionError("polygon_order needs planar points")
-    n = Rat(len(pts)) if pts[0].mode == EXACT else float(len(pts))
-    center = Vec((sum(p[0] for p in pts) / n, sum(p[1] for p in pts) / n))
-    ordered = sorted(pts, key=functools.cmp_to_key(_angular_cmp(center)))
-    start = min(range(len(ordered)), key=lambda i: ordered[i].key())
-    return ordered[start:] + ordered[:start]
-
-
-def polygon_edges(vertices: Sequence[Vec]) -> list[tuple[Vec, Vec]]:
-    """Consecutive vertex pairs of the convex polygon (ccw order)."""
-    ordered = polygon_order(vertices)
-    return [(ordered[i], ordered[(i + 1) % len(ordered)]) for i in range(len(ordered))]
-
-
 def convex_hull_2d(points: Sequence[Vec]) -> list[Vec]:
     """Extreme points of a planar point set in counterclockwise order
-    (monotone chain); collinear interior points are dropped.  Unlike
-    polygon_order this accepts interior points, so it is safe on
-    projections of higher-dimensional vertex sets."""
+    from the lexicographically least (monotone chain); interior and
+    collinear points are dropped, so it is safe on projections of
+    higher-dimensional vertex sets."""
     pts = sorted(dict.fromkeys(points), key=lambda p: (p.key()))
     if pts and pts[0].dim != 2:
         raise DimensionError("convex_hull_2d needs planar points")

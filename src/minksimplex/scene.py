@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError, MinksimplexError, ResourceCapError
-from .linalg import Hyperplane, Vec
+from .linalg import ExactVec, Hyperplane, Vec
 from .norms import PNormBall, PolytopeBall, UnitBall
 from .scalars import EXACT, Rat
 from .simplex import Simplex
@@ -161,23 +161,25 @@ def _finite(x, where: str) -> float:
 
 
 def _scalar(x, smooth: bool, where: str):
-    """A coordinate: a JSON number or a 'p/q' string; exact unless the
-    ball is smooth."""
+    """A coordinate: a JSON number or a 'p/q' string.  A float when the
+    ball is smooth, else the int pair (p, q), q > 0."""
     if isinstance(x, str):
         if not re.search(_RATIONAL, x):
             raise SceneError(f"bad rational literal {x!r}", where)
         num, _, den = x.partition("/")
         try:
-            x = Rat(int(num), int(den or 1))
+            x = (int(num), int(den or 1))
         except ValueError as exc:  # more digits than int() converts
             raise SceneError(str(exc), where)
     elif not _is_number(x):
         raise SceneError("coordinate must be a number or 'p/q' string", where)
     elif isinstance(x, int):
-        x = Rat(x)
+        x = (x, 1)
     elif not smooth:
         raise SceneError("float coordinates are only allowed with pnorm balls", where)
-    return _finite(x, where) if smooth else x
+    else:
+        return _finite(x, where)
+    return _finite(Rat(*x), where) if smooth else x
 
 
 def _vector(arr, dim: int, smooth: bool, where: str) -> Vec:
@@ -187,7 +189,7 @@ def _vector(arr, dim: int, smooth: bool, where: str) -> Vec:
     ]
     if len(coords) != dim:
         raise SceneError(f"expected {dim} coordinates, got {len(coords)}", where)
-    return Vec(coords)
+    return Vec(coords) if smooth else ExactVec.of_ratios(coords)
 
 
 def _ball(doc: dict, dim: int) -> UnitBall:

@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .errors import DegenerateInputError, DimensionError, MixedModeError
 from .linalg import (
+    ExactVec,
     Hyperplane,
     Vec,
     bareiss,
@@ -47,7 +48,7 @@ def hyperplane_through(points: Sequence[Vec]) -> Hyperplane:
     edges = [p - pts[0] for p in pts[1:]]
     if pts[0].mode == EXACT:
         ints, scale = integer_points(edges)
-        n = Vec([Rat(c, scale ** (d - 1)) for c in integer_cofactors(ints)])
+        n = ExactVec.of_ints(integer_cofactors(ints), scale ** (d - 1))
     else:
         rows = [list(e.coords) for e in edges]
         for k, row in enumerate(rows):
@@ -75,7 +76,7 @@ class Simplex:
             raise DimensionError("simplices here live in dimension >= 2")
         if len(pts) != d + 1:
             raise DimensionError(f"expected {d + 1} vertices, got {len(pts)}")
-        if len({p.coords for p in pts}) != len(pts):
+        if len(set(pts)) != len(pts):
             raise DegenerateInputError("repeated vertex")
         if any(p.dim != d for p in pts):
             raise DimensionError("vertices of different dimensions")
@@ -105,8 +106,7 @@ class Simplex:
         total = self.vertices[0]
         for v in self.vertices[1:]:
             total = total + v
-        k = Rat(self.dim + 1) if self.mode == EXACT else float(self.dim + 1)
-        return total / k
+        return total / (self.dim + 1)
 
     def facet_vertices(self, i: int) -> tuple:
         return tuple(v for k, v in enumerate(self.vertices) if k != i)
@@ -116,8 +116,7 @@ class Simplex:
         total = pts[0]
         for v in pts[1:]:
             total = total + v
-        k = Rat(self.dim) if self.mode == EXACT else float(self.dim)
-        return total / k
+        return total / self.dim
 
     @cached_property
     def _facets(self) -> tuple:
@@ -162,8 +161,7 @@ class Simplex:
         out = []
         for i, n in enumerate(normals):
             b = sum(map(mul, n, V[1 if i == 0 else 0]))
-            normal = Vec._of(tuple(Rat(c, dn) for c in n), EXACT)
-            out.append((Hyperplane(normal, Rat(b, db)), s))
+            out.append((Hyperplane(ExactVec.of_ints(n, dn), Rat(b, db)), s))
         return tuple(out)
 
     @cached_property
@@ -255,8 +253,7 @@ class Simplex:
         """Polar dual with respect to the centroid, in centroid-origin
         coordinates: vertex i is a_i / (b_i - <a_i, G>) = (d+1) a_i / s_i
         for facet i, since lambda_i(G) = 1/(d+1)."""
-        k = Rat(self.dim + 1) if self.mode == EXACT else float(self.dim + 1)
-        return Simplex([h.normal / s * k for h, s in self._facets])
+        return Simplex([h.normal / s * (self.dim + 1) for h, s in self._facets])
 
     def median_triangle(self) -> "Simplex":
         """Planar only: triangle whose side vectors are the medians,

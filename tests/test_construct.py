@@ -219,3 +219,63 @@ def test_equilateral_random_polygons():
         ball = random_symmetric_polygon(rng)
         tri = equilateral_triangle(ball)
         assert tri.side_lengths(ball) == [1, 1, 1]
+
+
+def _strs(v):
+    return tuple(str(c) for c in v.coords)
+
+
+# Outputs of the constructor before the section polygon moved to integer
+# rows: the exact values must not change.
+PINNED_SIMPLICES = [
+    (SQUARE, None, [("-1", "-1"), ("1", "0"), ("0", "1")]),
+    (SQUARE, 1, [("-1", "-1"), ("1", "0"), ("0", "1")]),
+    (DIAMOND, None, [("-1", "0"), ("1/2", "-1/2"), ("1/2", "1/2")]),
+    (HEXAGON, 2, [("-1", "-1"), ("1", "0"), ("0", "1")]),
+    (CUBE, None, [("-1", "-1", "-1"), ("1/3", "-1/3", "1"), ("1/3", "1/3", "-1"), ("1/3", "1", "1")]),
+    (CUBE, 0, [("-1", "-1", "-1"), ("1/3", "-1/9", "1"), ("1/3", "1/9", "-1"), ("1/3", "1", "1")]),
+    (CUBE, 1, [("-1", "-1", "-1"), ("1/3", "1", "-1/9"), ("1/3", "1", "1/9"), ("1/3", "-1", "1")]),
+    (OCTAHEDRON, None, [("-1", "0", "0"), ("1/3", "-2/3", "0"), ("1/3", "1/3", "-1/3"), ("1/3", "1/3", "1/3")]),
+    (OCTAHEDRON, 1, [("-1", "0", "0"), ("1/3", "-1/6", "-1/2"), ("1/3", "1/2", "1/6"), ("1/3", "-1/3", "1/3")]),
+    (OCTAHEDRON, 3, [("-1", "0", "0"), ("1/3", "-1/3", "-1/3"), ("1/3", "1/3", "-1/3"), ("1/3", "0", "2/3")]),
+    (HYPERCUBE, None, [("-1", "-1", "-1", "-1"), ("1/4", "1", "1/4", "1/4"), ("1/4", "0", "1", "1/4"),
+                       ("1/4", "0", "3/4", "1"), ("1/4", "0", "-1", "-1/2")]),
+    (HYPERCUBE, 1, [("-1", "-1", "-1", "-1"), ("1/4", "1/2", "1", "-1/4"), ("1/4", "1/6", "7/18", "1"),
+                    ("1/4", "1/6", "11/18", "1"), ("1/4", "1/6", "-1", "-3/4")]),
+    (HYPERCUBE, 3, [("-1", "-1", "-1", "-1"), ("1/4", "1", "1", "0"), ("1/4", "0", "-1", "-1/6"),
+                    ("1/4", "0", "1", "1/6"), ("1/4", "0", "0", "1")]),
+]
+
+
+@pytest.mark.parametrize("ball, seed, expected", PINNED_SIMPLICES)
+def test_quasiregular_simplex_pinned(ball, seed, expected):
+    c = quasiregular_simplex(ball, seed=seed)
+    assert [_strs(v) for v in c.simplex.vertices] == expected
+
+
+R = Rat
+PINNED_CHORDS = [
+    # the closing chord comes from two parallel edges of the section
+    # polygon (its edge-pair system has a line of solutions)
+    (SQUARE, (0, R(-1, 2)), ((1, 1), (1, -1)), ("-1", "-1"), ("1", "0")),
+    (HEXAGON, (0, R(-1, 2)), ((1, 1), (1, -1)), ("-1", "-1"), ("1", "0")),
+    (SQUARE, (R(1, 4), R(1, 5)), ((1, 0), (0, 1)), ("1", "-3/5"), ("-1/2", "1")),
+    (DIAMOND, (R(1, 4), R(1, 5)), ((1, 0), (0, 1)), ("9/20", "-11/20"), ("1/20", "19/20")),
+    (DIAMOND, (R(1, 3), 0), ((1, 1), (1, -1)), ("1/3", "2/3"), ("1/3", "-2/3")),
+    (HEXAGON, (R(1, 3), 0), ((1, 1), (1, -1)), ("2/3", "1"), ("0", "-1")),
+    (HEXAGON, (R(1, 4), R(1, 5)), ((2, 1), (0, 1)), ("2/5", "-3/5"), ("1/10", "1")),
+    (CUBE, (R(1, 3), 0, R(1, 5)), ((1, 0, 0), (0, 1, 1)), ("1", "-4/5", "-3/5"), ("-1/3", "4/5", "1")),
+    (CUBE, (R(1, 3), R(-1, 9), 0), ((0, 1, 0), (0, 0, 1)), ("1/3", "-1", "-1"), ("1/3", "7/9", "1")),
+    (OCTAHEDRON, (0, R(1, 4), 0), ((1, 1, 0), (0, 0, 1)), ("0", "1/4", "-3/4"), ("0", "1/4", "3/4")),
+    (OCTAHEDRON, (R(1, 3), 0, R(-1, 6)), ((0, 1, 0), (1, 0, 2)), ("1/3", "-1/2", "-1/6"), ("1/3", "1/2", "-1/6")),
+    (HYPERCUBE, (R(1, 4), 0, 0, R(1, 3)), ((1, 0, 0, 0), (0, 1, 1, 0)),
+     ("-1/2", "-1", "-1", "1/3"), ("1", "1", "1", "1/3")),
+    (HYPERCUBE, (R(1, 4), R(1, 8), R(-1, 2), 0), ((0, 0, 1, 0), (0, 1, 0, 1)),
+     ("1/4", "1", "0", "7/8"), ("1/4", "-3/4", "-1", "-7/8")),
+]
+
+
+@pytest.mark.parametrize("ball, origin, frame, r, s", PINNED_CHORDS)
+def test_bisected_chord_exact_pinned(ball, origin, frame, r, s):
+    ends = construct._bisected_chord_exact(ball, vec(*origin), [vec(*f) for f in frame])
+    assert (_strs(ends[0]), _strs(ends[1])) == (r, s)

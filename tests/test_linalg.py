@@ -1,17 +1,23 @@
 """Exact linear algebra: vectors, hyperplanes, and the rational solver."""
 
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minksimplex.errors import DimensionError, MixedModeError
 from minksimplex.linalg import (
+    ExactVec,
     Hyperplane,
     Vec,
     affine_rank,
     cross2,
     det,
     general_position,
+    integer_points,
     nullspace,
     rank,
     solve_linear,
@@ -192,3 +198,110 @@ def test_float_general_position_ignores_place_and_size():
     for size in (1e-5, 1.0, 1e300):
         pts = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0 + 1e-12)]
         assert not general_position([Vec((size * x, size * y)) for x, y in pts])
+
+
+# -- exact Vecs as (X, D) integer vectors ---------------------------------
+
+RAT = type(Rat(0))  # Fraction, or mpq under gmpy2
+
+_entries = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+    st.integers(-10**12, 10**12).map(Fraction),
+)
+_scalars = st.one_of(_entries, st.integers(-30, 30))
+
+
+def _oracle_pairs(d):
+    return st.tuples(st.lists(_entries, min_size=d, max_size=d), st.lists(_entries, min_size=d, max_size=d))
+
+
+def _frac(q) -> Fraction:
+    """A Rat as a Fraction, whichever backend made it."""
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+def _assert_matches(v, oracle):
+    """v is the reduced (X, D) form of the Fraction tuple oracle, and its
+    lazily built coords are that tuple, one Rat per entry."""
+    assert isinstance(v, ExactVec) and v.mode == "exact" and v.dim == len(oracle)
+    assert v.D > 0 and gcd(v.D, *v.X) == 1
+    assert all(type(x) is int for x in v.X)
+    assert [Fraction(x, v.D) for x in v.X] == list(oracle)
+    assert all(type(c) is RAT for c in v.coords)
+    assert [_frac(c) for c in v.coords] == list(oracle)
+    twin = Vec(list(oracle))
+    assert twin == v and hash(twin) == hash(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda d: st.tuples(_oracle_pairs(d), _scalars)))
+def test_exact_vec_matches_fraction_oracle(case):
+    (a, b), s = case
+    u, v = Vec([Rat(c) for c in a]), Vec(b)
+    _assert_matches(u, a)
+    _assert_matches(v, b)
+    _assert_matches(u + v, [x + y for x, y in zip(a, b)])
+    _assert_matches(u - v, [x - y for x, y in zip(a, b)])
+    _assert_matches(-u, [-x for x in a])
+    for w in (u.scale(s), u * s, s * u):
+        _assert_matches(w, [Fraction(s) * x for x in a])
+    if s != 0:
+        _assert_matches(u / s, [x / Fraction(s) for x in a])
+    d = u.dot(v)
+    assert type(d) is RAT and _frac(d) == sum(x * y for x, y in zip(a, b))
+    assert (u == v) == (list(a) == list(b))
+    # integer_points reads the (X, D) pairs over their lcm
+    ints, scale = integer_points([u, v])
+    assert scale == lcm(*(Fraction(x).denominator for x in (*a, *b)))
+    assert [list(p) for p in ints] == [[x * scale for x in a], [y * scale for y in b]]
+    assert all(type(x) is int for p in ints for x in p)
+
+
+def test_exact_vec_coords_are_filled_on_first_read():
+    v = Vec([Rat(1, 2), 3]) + Vec([0, Rat(1, 4)])
+    with pytest.raises(AttributeError):
+        Vec.coords.__get__(v)  # nothing built by the arithmetic
+    assert (v.X, v.D) == ((2, 13), 4)
+    assert v.coords == (Rat(1, 2), Rat(13, 4))
+    assert Vec.coords.__get__(v) is v.coords
+
+
+def test_two_lanes_never_mix():
+    e = Vec([Rat(1, 2), 3])
+    f = Vec([0.5, 3.0])
+    # a float Vec never carries (X, D), and float arithmetic keeps it so
+    for w in (f, f + f, f - f, -f, f * 2, 2 * f, f / 2, f.scale(0.5), e.to_float()):
+        assert type(w) is Vec and w.mode == "float"
+        assert not hasattr(w, "X") and not hasattr(w, "D")
+    for op in (
+        lambda: e + f,
+        lambda: f + e,
+        lambda: e - f,
+        lambda: f - e,
+        lambda: e.dot(f),
+        lambda: f.dot(e),
+        lambda: e.scale(0.5),
+        lambda: 0.5 * e,
+        lambda: e / 2.0,
+        lambda: f.scale(Rat(1, 2)),
+        lambda: Rat(1, 2) * f,
+        lambda: f / Rat(3, 2),
+        lambda: Vec([Rat(1, 2), 0.5]),
+        lambda: Hyperplane(e, 0.5),
+        lambda: Hyperplane(f, Rat(1, 2)),
+    ):
+        with pytest.raises(MixedModeError):
+            op()
+    # plain ints are valid in both lanes, as coordinates and as scalars
+    ints = Vec([1, 2])
+    assert type(ints) is ExactVec and (ints.X, ints.D) == ((1, 2), 1)
+    mixed = Vec([1, 2.0])
+    assert type(mixed) is Vec and mixed.coords == (1, 2.0)
+    for w in (e * 2, 2 * e, e / 2, e + ints, ints.scale(3)):
+        assert type(w) is ExactVec
+    for w in (f * 2, 2 * f, f / 2, f + mixed):
+        assert type(w) is Vec
+    # an exact and a float Vec are never equal, whatever their values
+    assert Vec([1, 2]) != Vec([1.0, 2.0]) and Vec([1.0, 2.0]) != Vec([1, 2])
+    assert not (e == f) and not (f == e)
+    assert len({Vec([1, 2]), Vec([1.0, 2.0])}) == 2
