@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import config
 from .errors import DegenerateInputError, MixedModeError, VerificationError
-from .linalg import Hyperplane, Vec, affine_rank, det, solve_linear
+from .linalg import ExactVec, Hyperplane, Vec, affine_rank, det, integer_solve, ratio, solve_linear
 from .norms import Ball, UnitBall
 from .scalars import EXACT, FLOAT, Rat, close
 from .simplex import Simplex
@@ -195,8 +195,8 @@ class Insphere:
     flipped_facet: Optional[int] = None  # None for the insphere proper
 
 
-def _tangency_system(simplex: Simplex, ball: UnitBall, flip: Optional[int]):
-    d = simplex.dim
+def _tangency_sphere(simplex: Simplex, ball: UnitBall, flip: Optional[int]) -> Optional[tuple]:
+    """(x, rho) with <a_j, x> + s_j h(a_j) rho = b_j for all j, or None if not unique."""
     rows, rhs = [], []
     for j, h in enumerate(simplex.facet_hyperplanes):
         sj = -1 if j == flip else 1
@@ -205,22 +205,34 @@ def _tangency_system(simplex: Simplex, ball: UnitBall, flip: Optional[int]):
             rows.append([*(float(c) for c in h.normal.coords), sj * float(hb)])
             rhs.append(float(h.offset))
         else:
-            rows.append([*h.normal.coords, sj * hb])
-            rhs.append(h.offset)
-    return rows, rhs
+            n, (p, q), (b, c) = h.normal, ratio(hb), ratio(h.offset)
+            m = math.lcm(n.D, q, c)
+            rows.append([*(x * (m // n.D) for x in n.X), sj * p * (m // q), b * (m // c)])
+    if ball.mode != FLOAT:
+        sol = integer_solve(rows, len(rows))
+        if sol is None or sol[2]:
+            return None
+        P, point, _ = sol
+        s = 1 if P > 0 else -1  # the center's denominator must be positive
+        return ExactVec.of_ints([s * v for v in point[:-1]], s * P), Rat(point[-1], P)
+    if flip is not None:
+        # entries are scaled to at most 1 first, so nothing can overflow
+        big = max(max(abs(c) for row in rows for c in row), 1.0)
+        if abs(det([[c / big for c in row] for row in rows])) <= config.EPS_ABS:
+            return None
+    lin = solve_linear(rows, rhs)
+    return (Vec(lin.point[:-1]), lin.point[-1]) if lin.status == "unique" else None
 
 
 def incenter(simplex: Simplex, ball: UnitBall) -> Insphere:
     """Unique interior point equidistant from all facet hyperplanes,
     with the common distance rho as second component."""
-    rows, rhs = _tangency_system(simplex, ball, flip=None)
-    lin = solve_linear(rows, rhs)
-    if lin.status != "unique":
+    sphere = _tangency_sphere(simplex, ball, flip=None)
+    if sphere is None:
         raise VerificationError("tangency system unexpectedly singular")
-    x, rho = Vec(lin.point[:-1]), lin.point[-1]
-    if not rho > 0:
+    if not sphere[1] > 0:
         raise VerificationError("nonpositive inradius")
-    return Insphere(x, rho)
+    return Insphere(*sphere)
 
 
 def exsphere(simplex: Simplex, ball: UnitBall, i: int) -> Optional[Insphere]:
@@ -229,22 +241,10 @@ def exsphere(simplex: Simplex, ball: UnitBall, i: int) -> Optional[Insphere]:
     Exists for every facet in the Euclidean plane; a degenerate norm
     can make the sign-flipped system singular or push the radius
     nonpositive, in which case None is returned."""
-    d = simplex.dim
-    if not 0 <= i <= d:
+    if not 0 <= i <= simplex.dim:
         raise IndexError(i)
-    rows, rhs = _tangency_system(simplex, ball, flip=i)
-    if ball.mode == FLOAT:
-        # entries are scaled to at most 1 first, so nothing can overflow
-        big = max(max(abs(c) for row in rows for c in row), 1.0)
-        if abs(det([[c / big for c in row] for row in rows])) <= config.EPS_ABS:
-            return None
-    lin = solve_linear(rows, rhs)
-    if lin.status != "unique":
-        return None
-    x, rho = Vec(lin.point[:-1]), lin.point[-1]
-    if not rho > 0:
-        return None
-    return Insphere(x, rho, flipped_facet=i)
+    sphere = _tangency_sphere(simplex, ball, flip=i)
+    return Insphere(*sphere, flipped_facet=i) if sphere and sphere[1] > 0 else None
 
 
 def exspheres(simplex: Simplex, ball: UnitBall) -> dict:

@@ -136,7 +136,7 @@ class Vec:
         return f"Vec({', '.join(str(c) for c in self.coords)})"
 
 
-def _ratio(s) -> tuple:
+def ratio(s) -> tuple:
     """(p, q) with s = p / q, q > 0, of an exact scalar; a float raises
     MixedModeError."""
     if isinstance(s, int):
@@ -205,13 +205,13 @@ class ExactVec(Vec):
         return _exact(tuple(map(neg, self.X)), self.D)
 
     def scale(self, s) -> "ExactVec":
-        p, q = _ratio(s)
+        p, q = ratio(s)
         return _reduced(tuple(p * x for x in self.X), q * self.D)
 
     __mul__ = __rmul__ = scale
 
     def __truediv__(self, s) -> "ExactVec":
-        p, q = _ratio(s)
+        p, q = ratio(s)
         if p == 0:
             raise ZeroDivisionError("division of Vec by zero")
         q = q if p > 0 else -q
@@ -308,7 +308,7 @@ class Hyperplane:
         """Orientation-preserving canonical coefficient tuple."""
         if self.mode == EXACT:
             n = self.normal
-            p, q = _ratio(self.offset)
+            p, q = ratio(self.offset)
             ints = (*(x * q for x in n.X), p * n.D)
             g = math.gcd(*ints)
             return tuple(v // g for v in ints)

@@ -80,7 +80,8 @@ class PolytopeBall(UnitBall):
     Each list is also kept as integer rows over one common denominator
     (the lcm of its points' D), computed once per ball and sorted as the
     points are; gauge and support take their max over integer dot
-    products and divide once.
+    products and divide once.  Nothing writes to a ball after it is
+    built, so scenes that spell one ball alike may share it.
     """
 
     kind = "polytope"

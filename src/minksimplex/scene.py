@@ -10,8 +10,10 @@ built with a fixed key order so reruns diff cleanly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -113,6 +115,8 @@ class Scene:
 
 _NAME = SCENE_SCHEMA["properties"]["points"]["propertyNames"]["pattern"]
 _BALL_KEY = {"polytope-v": "vertices", "polytope-h": "normals", "pnorm": "p"}
+BALL_CACHE_SIZE = 64
+_CAP_VARIABLES = ("MINKSIMPLEX_MAX_FACETS", "MINKSIMPLEX_MAX_DIM")
 
 # One walk reads a JSON document and checks each SCENE_SCHEMA keyword
 # where it reads that value, then the rules the schema cannot state:
@@ -192,7 +196,7 @@ def _vector(arr, dim: int, smooth: bool, where: str) -> Vec:
     return Vec(coords) if smooth else ExactVec.of_ratios(coords)
 
 
-def _ball(doc: dict, dim: int) -> UnitBall:
+def _ball(doc: dict, dim: int, cached: bool = True) -> UnitBall:
     kind = _object(doc, "$.ball", ["type"])["type"]
     if not isinstance(kind, str) or kind not in _BALL_KEY:
         raise SceneError(f"{kind!r} is not one of {list(_BALL_KEY)}", "$.ball.type")
@@ -204,6 +208,13 @@ def _ball(doc: dict, dim: int) -> UnitBall:
         if not _is_number(p) or p <= 1:
             raise SceneError(f"{p!r} is not a number greater than 1", where)
         return PNormBall(dim, _finite(p, where))
+    if cached:
+        try:
+            text = json.dumps(doc, sort_keys=True)
+        except (TypeError, ValueError):  # values JSON cannot hold
+            text = None
+        if text is not None and json.loads(text) == doc:  # a tuple dumps as a list
+            return _cached_ball(dim, text, *map(os.environ.get, _CAP_VARIABLES))
     rows = [
         _vector(v, dim, False, f"{where}[{k}]")
         for k, v in enumerate(_array(doc[key], where, 3))
@@ -211,6 +222,13 @@ def _ball(doc: dict, dim: int) -> UnitBall:
     if kind == "polytope-v":
         return PolytopeBall.from_vertices(rows)
     return PolytopeBall.from_halfspaces([Hyperplane(n, Rat(1)) for n in rows])
+
+
+@functools.lru_cache(maxsize=BALL_CACHE_SIZE)
+def _cached_ball(dim: int, text: str, *_settings) -> UnitBall:
+    """Polytope balls by dimension, canonical JSON text (1, 1.0 and true
+    differ) and raw cap settings; a ball that fails raises, unstored."""
+    return _ball(json.loads(text), dim, cached=False)
 
 
 def scene_from_dict(doc: dict) -> Scene:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from minksimplex import scene
 from minksimplex.linalg import Vec
 from minksimplex.norms import PolytopeBall
 from minksimplex.scalars import Rat
@@ -92,3 +93,11 @@ def random_rational_simplex(rng: random.Random, d: int, span: int = 4) -> Simple
 @pytest.fixture(scope="session")
 def rng():
     return random.Random("minksimplex-tests")
+
+
+@pytest.fixture(autouse=True)
+def fresh_ball_cache():
+    """Every test parses its balls anew, so no outcome depends on which
+    balls an earlier test left in the process's ball cache (a test may
+    monkeypatch the modules that build them)."""
+    scene._cached_ball.cache_clear()

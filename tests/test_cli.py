@@ -9,6 +9,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from minksimplex import scene as scene_module
 from minksimplex.circumcenter import cube_edge_midpoint_instance, polytopal_circumcenters
 from minksimplex.cli import main
 from minksimplex.config import EPS_REL
@@ -374,6 +375,65 @@ def test_byte_identical_reruns(tmp_path):
         ["verify", "--theorem", "41", "--trials", "4", "--seed", "9"], tmp_path, HEX_SCENE
     )
     assert c == d
+
+
+# -- the ball cache: a repeated request meets every check again -----------
+
+SQUARE_BALL = {"type": "polytope-v", "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]}
+SQUARE_SCENE = {"dimension": 2, "ball": SQUARE_BALL, "simplex": [[0, 0], [4, 0], [0, 3]]}
+
+
+@pytest.mark.parametrize(
+    "args, scene",
+    [
+        (["gauge"], POLY_SCENE),
+        (["circumcenters"], POLY_SCENE),
+        (["centers"], POLY_SCENE),
+        (["construct"], HEX_SCENE),
+        (["verify", "--theorem", "41", "--trials", "4", "--seed", "9"], HEX_SCENE),
+        (["render"], POLY_SCENE),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else "",
+)
+def test_cached_ball_gives_byte_identical_documents(tmp_path, args, scene):
+    def request():
+        if args == ["render"]:
+            return render_svg(tmp_path, scene)
+        code, text = run_cli(args, tmp_path, scene)
+        assert code == 0
+        return text
+
+    first = request()
+    assert scene_module._cached_ball.cache_info().currsize == 1
+    assert request() == first
+
+
+@pytest.mark.parametrize("spelling", [1.0, True])
+def test_cached_square_still_rejects_its_float_and_bool_spellings(tmp_path, capsys, spelling):
+    assert run_cli(["gauge"], tmp_path, SQUARE_SCENE)[0] == 0
+    vertices = [[spelling, 1], *SQUARE_BALL["vertices"][1:]]
+    twin = {**SQUARE_SCENE, "ball": {"type": "polytope-v", "vertices": vertices}}
+    assert run_cli(["gauge"], tmp_path, twin)[0] == 1
+    assert "$.ball.vertices[0][0]" in capsys.readouterr().err
+
+
+def test_cached_square_still_meets_the_cap_settings(tmp_path, monkeypatch, capsys):
+    assert run_cli(["gauge"], tmp_path, SQUARE_SCENE)[0] == 0
+    monkeypatch.setenv("MINKSIMPLEX_MAX_FACETS", "2")
+    assert run_cli(["gauge"], tmp_path, SQUARE_SCENE)[0] == 2
+    assert "4 facets exceed cap 2" in capsys.readouterr().err
+    monkeypatch.setenv("MINKSIMPLEX_MAX_FACETS", "lots")
+    assert run_cli(["gauge"], tmp_path, SQUARE_SCENE)[0] == 2
+    assert "MINKSIMPLEX_MAX_FACETS must be an integer, got 'lots'" in capsys.readouterr().err
+    assert run_cli(["gauge"], tmp_path, PNORM_SCENE)[0] == 0
+    # the key holds the raw setting: a scene error still comes before a bad one
+    vertices = [[1.0, 1], *SQUARE_BALL["vertices"][1:]]
+    twin = {**SQUARE_SCENE, "ball": {"type": "polytope-v", "vertices": vertices}}
+    assert run_cli(["gauge"], tmp_path, twin)[0] == 1
+    monkeypatch.delenv("MINKSIMPLEX_MAX_FACETS")
+    monkeypatch.setenv("MINKSIMPLEX_MAX_DIM", "1")
+    assert run_cli(["gauge"], tmp_path, SQUARE_SCENE)[0] == 2
+    assert "dimension 2 exceeds cap 1" in capsys.readouterr().err
 
 
 # -- svg ----------------------------------------------------------------

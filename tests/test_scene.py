@@ -1,12 +1,15 @@
 """Scene parsing, validation paths, and document serialization."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minksimplex import scene as scene_module
 from minksimplex.scene import (
+    BALL_CACHE_SIZE,
     Scene,
     SceneError,
     dumps_document,
@@ -209,3 +212,73 @@ def test_dumps_document_is_valid_json():
     parsed = json.loads(dumps_document(doc))
     assert parsed["scene"]["ball"]["type"] == "polytope-v"
     assert parsed["nested"] == [{"a": 1}]
+
+
+# -- the ball cache ---------------------------------------------------
+
+
+def test_same_scene_text_shares_one_ball():
+    text = json.dumps(GOOD_POLY)
+    a, b = parse_scene(text), parse_scene(text)
+    assert a is not b and a.ball is b.ball
+    # key order is not part of the key
+    ball = {"vertices": GOOD_POLY["ball"]["vertices"], "type": "polytope-v"}
+    assert scene_from_dict({**GOOD_POLY, "ball": ball}).ball is a.ball
+    # the dimension is: the same ball text in another dimension fails
+    assert err({"dimension": 3, "ball": GOOD_POLY["ball"]}).where == "$.ball.vertices[0]"
+
+
+def test_pnorm_balls_are_not_cached():
+    a, b = scene_from_dict(GOOD_PNORM), scene_from_dict(GOOD_PNORM)
+    assert a.ball is not b.ball and scene_module._cached_ball.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("spelling", [1.0, True])
+def test_cached_ball_does_not_admit_its_float_or_bool_twin(spelling):
+    scene_from_dict(GOOD_POLY)
+    vertices = [[spelling, 1], [-1, 1], [-1, -1], [1, -1]]
+    e = err({**GOOD_POLY, "ball": {"type": "polytope-v", "vertices": vertices}})
+    assert e.where == "$.ball.vertices[0][0]"
+
+
+def test_cached_ball_does_not_admit_its_tuple_twin():
+    scene_from_dict(GOOD_POLY)
+    vertices = tuple(tuple(v) for v in GOOD_POLY["ball"]["vertices"])
+    e = err({**GOOD_POLY, "ball": {"type": "polytope-v", "vertices": vertices}})
+    assert e.where == "$.ball.vertices" and "expected an array" in str(e)
+
+
+def test_failed_ball_is_not_cached():
+    doc = {"dimension": 2, "ball": {"type": "polytope-v", "vertices": [[1, 0], [-1, 0], [2, 0]]}}
+    first, second = err(doc), err(doc)
+    assert str(first) == str(second) and scene_module._cached_ball.cache_info().currsize == 0
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+def test_ball_json_cannot_encode_takes_the_uncached_path():
+    big = 10**700  # more digits than int-to-text conversion allows below
+    vertices = [[big, big], [-big, big], [-big, -big], [big, -big]]
+    doc = {"dimension": 2, "ball": {"type": "polytope-v", "vertices": vertices}}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        a, b = scene_from_dict(doc), scene_from_dict(doc)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert a.ball == b.ball and a.ball is not b.ball and scene_module._cached_ball.cache_info().currsize == 0
+
+
+def test_ball_cache_keeps_its_bound():
+    def square(k):
+        vertices = [[k, k], [-k, k], [-k, -k], [k, -k]]
+        return {"dimension": 2, "ball": {"type": "polytope-v", "vertices": vertices}}
+
+    balls = [scene_from_dict(square(k)).ball for k in range(1, BALL_CACHE_SIZE + 1)]
+    assert scene_module._cached_ball.cache_info().currsize == BALL_CACHE_SIZE
+    # a hit makes square 1 the most recently used, so square 2 goes first
+    assert scene_from_dict(square(1)).ball is balls[0]
+    scene_from_dict(square(BALL_CACHE_SIZE + 1))
+    assert scene_module._cached_ball.cache_info().currsize == BALL_CACHE_SIZE
+    assert scene_from_dict(square(1)).ball is balls[0]
+    assert scene_from_dict(square(3)).ball is balls[2]
+    assert scene_from_dict(square(2)).ball is not balls[1]
