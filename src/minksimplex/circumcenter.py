@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 from . import config
 from .errors import DegenerateInputError, DimensionError, MixedModeError, ResourceCapError
 from .feasibility import FeasibilityProblem, Ineq, feasible
-from .linalg import Vec, integer_points, solve_linear
+from .linalg import ExactVec, Vec, integer_points, integer_solve, solve_linear
 from .norms import Ball, PNormBall, PolytopeBall, UnitBall, lp_gradient, lp_norm
 from .scalars import EXACT, Rat
 from .simplex import Simplex
@@ -157,21 +157,22 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
     # otherwise; the first assignment reaching a solution set keeps it
     pieces: dict = {}
     for assignment in itertools.product(*candidates):
-        sol = solve_linear(
-            [coeffs[j] for j in assignment], [-table[i][j] for i, j in enumerate(assignment)]
+        sol = integer_solve(
+            [(*coeffs[j], -table[i][j]) for i, j in enumerate(assignment)], d + 1
         )
-        if sol.status == "infeasible":
+        if sol is None:
             continue
-        if sol.status == "unique":
-            z = sol.point
-            center, radius = Vec(z[:d]), z[d]
-            if radius <= 0:
+        P, z, basis = sol
+        if not basis:
+            s = 1 if P > 0 else -1  # (M, r) = z / P with a positive denominator
+            if s * z[d] <= 0:
                 continue
+            center, radius = ExactVec.of_ints([s * v for v in z[:d]], s * P), Rat(z[d], P)
             key = (center, radius)
             if key not in pieces:
                 # every vertex gauge from the center is the radius
                 prob = assignment_problem(assignment)
-                if prob.holds_at(z):
+                if prob.holds_at((*center.coords, radius)):
                     pieces[key] = CircumPiece(center, radius, 0, assignment, prob)
             continue
         prob = assignment_problem(assignment)

@@ -10,8 +10,14 @@ is divided by the gcd of its entries, and rows with one primitive
 direction keep the tightest bound, compared by cross-multiplication.
 Strict rows are thus decided exactly.  On feasible systems a rational
 witness is produced by interval back-substitution and checked by
-substitution, and the affine dimension of the feasible set is derived
-from its implicit equalities.
+substitution.  A second back-substitution from the same stages picks
+each value strictly inside its interval (or its single point); the
+stages are exact projections, so that point is relatively interior
+(Rockafellar 1970, Convex Analysis, Thm 6.8).  A valid row is tight on
+the whole set iff it is tight there (ibid.; Schrijver 1986, Theory of
+Linear and Integer Programming, 8.2): those non-strict rows are the
+implicit equalities, and the affine dimension is the number of free
+parameters minus their rank.
 
 Problems here are tiny (circumcenter systems have d+2 unknowns at
 most), which Fourier-Motzkin handles comfortably within the row cap.
@@ -26,7 +32,7 @@ from typing import Optional, Sequence
 
 from .config import max_fm_rows
 from .errors import DimensionError, MixedModeError, ResourceCapError, VerificationError
-from .linalg import integer_rows, integer_solve, rank
+from .linalg import bareiss, integer_rows, integer_solve
 from .scalars import Rat, is_exact
 
 
@@ -70,8 +76,7 @@ class FeasibilityProblem:
         and <coeffs, D x> is compared with D rhs."""
         if not all(map(is_exact, point)):
             raise MixedModeError("feasibility points must be exact rationals")
-        den = math.lcm(*(int(x.denominator) for x in point))
-        xs = [int(x.numerator) * (den // int(x.denominator)) for x in point]
+        xs, den = _integer_point(point)
         for coeffs, rhs in self.equalities:
             coeffs, rhs = _integer_row(coeffs, rhs)
             if sum(map(mul, coeffs, xs)) != rhs * den:
@@ -90,8 +95,17 @@ class FeasibilityResult:
     witness: Optional[tuple] = None
     affine_dim: Optional[int] = None
     # indices into problem.inequalities of the rows that hold with
-    # equality on the whole feasible set (reported with the dimension)
+    # equality on the whole feasible set (reported with the dimension):
+    # the non-strict rows tight at one relative-interior point, which is
+    # the same set (Rockafellar 1970, Thm 6.8; Schrijver 1986, 8.2)
     implicit_rows: Optional[tuple] = None
+
+
+def _integer_point(point: Sequence) -> tuple:
+    """Rational point as (ints, D): its coordinates times the lcm D of
+    their denominators."""
+    den = math.lcm(*(int(x.denominator) for x in point))
+    return [int(x.numerator) * (den // int(x.denominator)) for x in point], den
 
 
 def _integer_row(coeffs: tuple, rhs) -> tuple:
@@ -191,9 +205,20 @@ def _pick_in_interval(lo, lo_strict, hi, hi_strict):
     return hi - 1 if hi_strict else hi
 
 
-def _back_substitute(stages, n: int) -> list:
-    """Rational values for variables 0 .. n-1, each picked inside the
-    interval its stage leaves given the values before it."""
+def _pick_inside(lo, lo_strict, hi, hi_strict):
+    """A rational in the relative interior of the interval: the midpoint
+    (the single point when lo == hi), a bound moved inward by 1 when
+    only one exists, 0 when none does.  Strictness does not matter."""
+    if lo is not None and hi is not None:
+        return (lo + hi) / 2
+    if lo is not None:
+        return lo + 1
+    return Rat(0) if hi is None else hi - 1
+
+
+def _back_substitute(stages, n: int, pick) -> list:
+    """Rational values for variables 0 .. n-1, each picked by `pick`
+    inside the interval its stage leaves given the values before it."""
     values = []
     for j in range(n):
         lo = hi = None
@@ -214,18 +239,8 @@ def _back_substitute(stages, n: int) -> list:
                     lo, lo_strict = bound, strict
                 elif bound == lo and strict:
                     lo_strict = True
-        values.append(_pick_in_interval(lo, lo_strict, hi, hi_strict))
+        values.append(pick(lo, lo_strict, hi, hi_strict))
     return values
-
-
-def _solve_ineqs(rows: list, n: int) -> Optional[list]:
-    """Witness of an inequality-only integer system, or None."""
-    if n == 0:
-        return None if _normalize(rows) is None else []
-    stages = _fm_eliminate(rows, n)
-    if stages is None:
-        return None
-    return _back_substitute(stages, n)
 
 
 def _parametrize(problem: FeasibilityProblem):
@@ -261,9 +276,10 @@ def feasible(problem: FeasibilityProblem, with_dim: bool = True) -> FeasibilityR
         return FeasibilityResult(False)
     last, point, basis, reduced = param
     k = len(basis)
-    t = _solve_ineqs(reduced, k)
-    if t is None:
+    stages = _fm_eliminate(reduced, k)
+    if stages is None:
         return FeasibilityResult(False)
+    t = _back_substitute(stages, k, _pick_in_interval)
     witness = tuple(
         Rat(p + sum(bvec[i] * tv for bvec, tv in zip(basis, t)), last)
         for i, p in enumerate(point)
@@ -274,35 +290,15 @@ def feasible(problem: FeasibilityProblem, with_dim: bool = True) -> FeasibilityR
         # a unique solution has its dimension for free
         return FeasibilityResult(True, witness, None if k else 0)
 
-    # affine dimension: k minus the rank of implicit equalities among
-    # the reduced non-strict rows (strict rows are never tight on a
-    # nonempty set).
-    implicit = []
-    canon = _normalize(reduced)
-    for idx, (coeffs, rhs, strict) in enumerate(canon):
-        if strict:
-            continue
-        probe = list(canon)
-        probe[idx] = (coeffs, rhs, True)
-        if _solve_ineqs(probe, k) is None:
-            implicit.append((coeffs, rhs))
-    dim = k - (rank([list(coeffs) for coeffs, _ in implicit]) if implicit else 0)
-    # an input row is implicit when it bounds the direction of an
-    # implicit canonical row by the same value; a looser duplicate is
-    # slack everywhere, and a constant row is tight exactly when it
-    # reads 0 <= 0
-    tight = {}
-    for coeffs, rhs in implicit:
-        key, g = _direction(coeffs)
-        tight[key] = rhs, g
-    rows = []
-    for idx, (coeffs, rhs, strict) in enumerate(reduced):
-        if strict:
-            continue
-        key, g = _direction(coeffs)
-        bound = tight.get(key)
-        if (rhs == 0) if not g else (bound is not None and rhs * bound[1] == bound[0] * g):
-            rows.append(idx)
+    # the implicit equalities are the non-strict rows tight at a
+    # relative-interior point; strict rows are never tight on a
+    # nonempty set, and a constant row is tight when it reads 0 <= 0
+    ts, den = _integer_point(_back_substitute(stages, k, _pick_inside))
+    rows = [
+        idx for idx, (coeffs, rhs, strict) in enumerate(reduced)
+        if not strict and sum(map(mul, coeffs, ts)) == rhs * den
+    ]
+    dim = k - bareiss([reduced[idx][0] for idx in rows])[0]
     return FeasibilityResult(True, witness, dim, tuple(rows))
 
 

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from minksimplex import feasibility
 from minksimplex.config import max_fm_rows
 from minksimplex.errors import MixedModeError, ResourceCapError, VerificationError
 from minksimplex.feasibility import FeasibilityProblem, FeasibilityResult, Ineq, feasible, lp_max
@@ -182,27 +183,50 @@ def test_implicit_rows_through_equalities():
 
 def test_implicit_rows_agree_with_strict_probes():
     # a non-strict row is an implicit equality iff making it strict
-    # empties the set
+    # empties the set; in the plane, and with 3 and 4 unknowns cut by
+    # an equality row
     rng = random.Random("fm-implicit")
-    checked = tight = 0
-    for _ in range(40):
-        p = random_problem(rng, 2, rng.randint(2, 5))
-        # pin some rows against their negation so implicit rows occur
-        for row in list(p.inequalities[:2]):
-            if not row.strict:
-                p.add_le(tuple(-c for c in row.coeffs), -row.rhs)
-        res = feasible(p)
-        if not res.feasible:
-            continue
-        checked += 1
-        tight += len(res.implicit_rows)
-        for idx, row in enumerate(p.inequalities):
-            probe = FeasibilityProblem(2)
-            probe.inequalities = list(p.inequalities)
-            probe.inequalities[idx] = Ineq(row.coeffs, row.rhs, True)
-            empty = not feasible(probe, with_dim=False).feasible
-            assert (idx in res.implicit_rows) == (empty and not row.strict)
-    assert checked > 10 and tight > 10
+    for n, n_eqs in ((2, 0), (3, 1), (4, 1)):
+        checked = tight = 0
+        for _ in range(40):
+            p = random_problem(rng, n, rng.randint(2, 5))
+            for _ in range(n_eqs):
+                p.add_eq([Rat(rng.randint(-2, 2)) for _ in range(n)], Rat(rng.randint(-3, 3)))
+            # pin some rows against their negation so implicit rows occur
+            for row in list(p.inequalities[:2]):
+                if not row.strict:
+                    p.add_le(tuple(-c for c in row.coeffs), -row.rhs)
+            res = feasible(p)
+            if not res.feasible:
+                continue
+            checked += 1
+            tight += len(res.implicit_rows)
+            for idx, row in enumerate(p.inequalities):
+                probe = FeasibilityProblem(n, list(p.equalities), list(p.inequalities))
+                probe.inequalities[idx] = Ineq(row.coeffs, row.rhs, True)
+                empty = not feasible(probe, with_dim=False).feasible
+                assert (idx in res.implicit_rows) == (empty and not row.strict)
+        assert checked > 10 and tight > 10, (n, checked, tight)
+
+
+def test_one_elimination_per_call(monkeypatch):
+    # the implicit rows and the dimension come from the same Fourier-
+    # Motzkin stages as the witness: a segment in the plane, cut by
+    # several non-strict rows and one equality, is eliminated once
+    calls = []
+    eliminate = feasibility._fm_eliminate
+
+    def counted(rows, n):
+        calls.append(n)
+        return eliminate(rows, n)
+
+    monkeypatch.setattr(feasibility, "_fm_eliminate", counted)
+    p = le_problem(3, [((1, 0, 0), 1), ((-1, 0, 0), 1), ((0, 1, 0), 0), ((0, -1, 0), 0),
+                       ((1, 1, 0), 2)])
+    p.add_eq((Rat(0), Rat(0), Rat(1)), Rat(1))
+    res = feasible(p)
+    assert res.affine_dim == 1 and res.implicit_rows == (2, 3)
+    assert calls == [2]
 
 
 def test_failed_witness_check_raises(monkeypatch):
