@@ -1,23 +1,28 @@
 """Inscribed simplices whose centroid sits at the ball center.
 
 The builder places d+1 vertices on the unit sphere one chord at a
-time.  At each step it tracks the centroid the remaining vertices must
-average to and an affine section (origin plus frame) the remaining
-vertices are confined to.  Placing a vertex P at target centroid g
-moves the target to g + (g - P)/(l - 1) for the l - 1 vertices left,
-which stays strictly inside the ball because it lies between g and the
-far chord endpoint.  Dropping the used chord direction from the frame
-keeps every placed vertex off the affine span of the later ones, which
-is what makes the final simplex nondegenerate.
-
-The last three vertices need care.  The third-to-last chord must avoid
-the ratio gauge(Q - g) = 2 gauge(P - g); otherwise the final target
+time, in one loop over the levels d+1, d, ..., 3 (a level counts the
+vertices still to place).  It tracks the centroid g the remaining
+vertices must average to and an affine section (origin plus frame) the
+remaining vertices are confined to.  Level d+1 is the chord through the
+anchor.  Levels d ... 4 take one direction each, the first frame vector
+or one seeded draw, and place the chord end P nearer to g.  Level 3
+tries the seeded candidates and then a deterministic sweep until the
+chord avoids gauge(Q - g) = 2 gauge(P - g); otherwise the final target
 would be the midpoint of that same chord and the closing chord would
-reuse P.  The last two vertices come from a chord bisected by the
-target: integer edge-pair solving on the section polygon for polytopal
-balls, a bracketed root search (norms.root_in_bracket) on the chord
-angle for smooth ones: the chord overshoot is odd under direction
-reversal, so its values at angles 0 and pi bracket a root.
+reuse P.  Every level moves the target to g + (g - P)/(level - 1), which
+stays strictly inside the ball because it lies between g and the far
+chord end Q.  Above level 3, dropping the chord direction from the
+frame keeps every placed vertex off the affine span of the later ones,
+which is what makes the final simplex nondegenerate.  The frame starts
+as the standard basis and only loses vectors, so a direction's frame
+coordinates are its entries on those axes.
+
+The last two vertices come from a chord bisected by the target:
+integer edge-pair solving on the section polygon for polytopal balls, a
+bracketed root search (norms.root_in_bracket) on the chord angle for
+smooth ones: the chord overshoot is odd under direction reversal, so
+its values at angles 0 and pi bracket a root.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .errors import (
     NonConvergenceError,
     VerificationError,
 )
-from .linalg import ExactVec, Vec, solve_linear, unit_vec, zero_vec
+from .linalg import ExactVec, Vec, unit_vec, zero_vec
 from .norms import Ball, PolytopeBall, UnitBall, chord_through, root_in_bracket
 from .polytopes import convex_hull_2d, vertex_rays
 from .scalars import EXACT, Rat
@@ -61,17 +66,14 @@ class Construction:
     mode: str
 
 
-def _frame_coords(frame, w: Vec):
-    rows = [[f[i] for f in frame] for i in range(len(w))]
-    sol = solve_linear(rows, list(w.coords))
-    if sol.status != "unique":
-        raise VerificationError("chord direction left the section span")
-    return sol.point
-
-
 def _drop_direction(frame, w: Vec):
-    """Remove one frame vector so the rest spans a complement of w."""
-    coords = _frame_coords(frame, w)
+    """Remove one frame vector so the rest spans a complement of w.  The
+    frame vectors are standard basis vectors, so w's coordinates on them
+    are its entries on their axes."""
+    axes = [f.coords.index(1) for f in frame]
+    if any(x != 0 for k, x in enumerate(w.coords) if k not in axes):
+        raise VerificationError("chord direction left the section span")
+    coords = [w[k] for k in axes]
     if all(c == 0 for c in coords):
         raise VerificationError("zero chord direction")
     if w.mode == EXACT:
@@ -237,6 +239,24 @@ def _bisected_chord_smooth(ball: UnitBall, origin: Vec, frame) -> tuple:
     return r, o - (r - o)
 
 
+def _unit_anchor(ball: UnitBall, anchor: Optional[Vec]) -> Vec:
+    """The anchor as a point of the unit sphere: by default the first
+    ball vertex, or the first coordinate direction for smooth balls.  An
+    exact anchor must lie on the sphere; a float one is scaled onto it."""
+    exact = ball.mode == EXACT
+    if anchor is None:
+        return ball.vertices[0] if exact else unit_vec(ball.dim, 0).to_float()
+    if exact:
+        if ball.gauge(anchor) != 1:
+            raise DegenerateInputError("anchor must lie on the unit sphere")
+        return anchor
+    a = anchor.to_float()
+    ga = float(ball.gauge(a))
+    if ga <= 0:
+        raise DegenerateInputError("anchor must be nonzero")
+    return a / ga
+
+
 def quasiregular_simplex(
     ball: UnitBall,
     anchor: Optional[Vec] = None,
@@ -254,85 +274,48 @@ def quasiregular_simplex(
     d = ball.dim
     exact = ball.mode == EXACT
     rng = random.Random(("construct", seed).__repr__()) if seed is not None else None
+    anchor = _unit_anchor(ball, anchor)
     origin = zero_vec(d) if exact else zero_vec(d).to_float()
-    if anchor is None:
-        anchor = ball.vertices[0] if exact else unit_vec(d, 0).to_float()
-    else:
-        if exact:
-            if ball.gauge(anchor) != 1:
-                raise DegenerateInputError("anchor must lie on the unit sphere")
-        else:
-            a = anchor.to_float()
-            ga = float(ball.gauge(a))
-            if ga <= 0:
-                raise DegenerateInputError("anchor must be nonzero")
-            anchor = a / ga
-    one = Rat(1) if exact else 1.0
-    sphere = Ball(ball, origin, one)
+    sphere = Ball(ball, origin, Rat(1) if exact else 1.0)
 
     g = origin
     frame = [unit_vec(d, k) if exact else unit_vec(d, k).to_float() for k in range(d)]
     picks: list[ChordPick] = []
-    vertices: list[Vec] = []
-
-    for level in range(d + 1, 3, -1):
+    for level in range(d + 1, 2, -1):
         if level == d + 1:
-            w = anchor
-            bwd, fwd = chord_through(sphere, g, w)
-            p, q = anchor, g + bwd * w
+            directions = [anchor]
+        elif level > 3:
+            directions = [frame[0] if rng is None else _seeded_direction(frame, rng)]
         else:
-            w = frame[0] if rng is None else _seeded_direction(frame, rng)
+            directions = itertools.islice(_sweep_directions(frame), 64)
+            if rng is not None:
+                # seeded candidates first, deterministic sweep as fallback
+                seeded = [_seeded_direction(frame, rng) for _ in range(32)]
+                directions = itertools.chain(seeded, directions)
+        for w in directions:
             bwd, fwd = chord_through(sphere, g, w)
-            p, q, _, _ = _closer_endpoint(g, w, bwd, fwd)
-        l1 = level - 1
-        g_new = g + (g - p) / l1
+            if level == d + 1:
+                p, q, p_scale, q_scale = anchor, g + bwd * w, fwd, -bwd
+            else:
+                p, q, p_scale, q_scale = _closer_endpoint(g, w, bwd, fwd)
+            if level > 3:
+                break
+            # level 3: the next target must not be this chord's midpoint
+            gw = ball.gauge(w)
+            gap = 2 * (p_scale * gw) - q_scale * gw
+            if (gap != 0) if exact else (abs(gap) > config.EPS_REL):
+                break
+        else:
+            raise NonConvergenceError("no usable chord for the third-to-last vertex")
+        g_new = g + (g - p) / (level - 1)
         picks.append(ChordPick(level, p, q, w, g, g_new))
-        vertices.append(p)
-        frame = _drop_direction(frame, w)
+        if level > 3:
+            frame = _drop_direction(frame, w)
         g = g_new
 
-    # third-to-last vertex: chord must not put the next target at its
-    # own midpoint
-    found = None
-    if d == 2:
-        directions = [anchor]
-    else:
-        directions = itertools.islice(_sweep_directions(frame), 64)
-        if rng is not None:
-            # seeded candidates first, deterministic sweep as fallback
-            seeded = [_seeded_direction(frame, rng) for _ in range(32)]
-            directions = itertools.chain(seeded, directions)
-    for w in directions:
-        bwd, fwd = chord_through(sphere, g, w)
-        if d == 2:
-            p, q = anchor, g + bwd * w
-            p_scale, q_scale = fwd, -bwd
-            gw = ball.gauge(w)
-            p_dist, q_dist = p_scale * gw, q_scale * gw
-        else:
-            p, q, p_scale, q_scale = _closer_endpoint(g, w, bwd, fwd)
-            gw = ball.gauge(w)
-            p_dist, q_dist = p_scale * gw, q_scale * gw
-        if exact:
-            ok = 2 * p_dist != q_dist
-        else:
-            ok = abs(2.0 * float(p_dist) - float(q_dist)) > config.EPS_REL
-        if ok:
-            found = (p, q, w)
-            break
-    if found is None:
-        raise NonConvergenceError("no usable chord for the third-to-last vertex")
-    p, q, w = found
-    g_new = g + (g - p) / 2
-    picks.append(ChordPick(3, p, q, w, g, g_new))
-    vertices.append(p)
-    g = g_new
-
     r, s = bisected_chord(ball, g, frame)
-    vertices.extend([r, s])
-
     try:
-        simplex = Simplex(vertices)
+        simplex = Simplex([pick.vertex for pick in picks] + [r, s])
     except (DegenerateInputError, ValueError) as exc:
         raise VerificationError(f"constructed vertices degenerate: {exc}")
     _verify_inscribed(ball, simplex, origin)
@@ -361,16 +344,7 @@ def equilateral_triangle(ball: UnitBall, anchor: Optional[Vec] = None) -> Simple
     if ball.dim != 2:
         raise DegenerateInputError("equilateral construction is planar")
     exact = ball.mode == EXACT
-    if anchor is None:
-        u = ball.vertices[0] if exact else unit_vec(2, 0).to_float()
-    else:
-        u = anchor
-        if exact:
-            if ball.gauge(u) != 1:
-                raise DegenerateInputError("anchor must lie on the unit sphere")
-        else:
-            u = u.to_float()
-            u = u / float(ball.gauge(u))
+    u = _unit_anchor(ball, anchor)
     if exact:
         w = _unit_at_unit_distance_exact(ball, u)
     else:

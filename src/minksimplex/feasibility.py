@@ -76,7 +76,7 @@ class FeasibilityProblem:
         and <coeffs, D x> is compared with D rhs."""
         if not all(map(is_exact, point)):
             raise MixedModeError("feasibility points must be exact rationals")
-        xs, den = _integer_point(point)
+        (xs,), den = integer_rows([point])
         for coeffs, rhs in self.equalities:
             coeffs, rhs = _integer_row(coeffs, rhs)
             if sum(map(mul, coeffs, xs)) != rhs * den:
@@ -99,13 +99,6 @@ class FeasibilityResult:
     # the non-strict rows tight at one relative-interior point, which is
     # the same set (Rockafellar 1970, Thm 6.8; Schrijver 1986, 8.2)
     implicit_rows: Optional[tuple] = None
-
-
-def _integer_point(point: Sequence) -> tuple:
-    """Rational point as (ints, D): its coordinates times the lcm D of
-    their denominators."""
-    den = math.lcm(*(int(x.denominator) for x in point))
-    return [int(x.numerator) * (den // int(x.denominator)) for x in point], den
 
 
 def _integer_row(coeffs: tuple, rhs) -> tuple:
@@ -293,7 +286,7 @@ def feasible(problem: FeasibilityProblem, with_dim: bool = True) -> FeasibilityR
     # the implicit equalities are the non-strict rows tight at a
     # relative-interior point; strict rows are never tight on a
     # nonempty set, and a constant row is tight when it reads 0 <= 0
-    ts, den = _integer_point(_back_substitute(stages, k, _pick_inside))
+    (ts,), den = integer_rows([_back_substitute(stages, k, _pick_inside)])
     rows = [
         idx for idx, (coeffs, rhs, strict) in enumerate(reduced)
         if not strict and sum(map(mul, coeffs, ts)) == rhs * den

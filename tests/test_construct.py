@@ -1,6 +1,7 @@
 """Construction of inscribed centered simplices and equilateral
 triangles, across ball kinds, dimensions, and seeding strategies."""
 
+import hashlib
 import math
 import random
 
@@ -213,6 +214,14 @@ def test_equilateral_smooth():
         assert float(s) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_zero_float_anchor_is_refused():
+    # both constructors share one anchor rule: a zero float anchor has
+    # no multiple on the unit sphere
+    for build in (equilateral_triangle, quasiregular_simplex):
+        with pytest.raises(DegenerateInputError, match="anchor must be nonzero"):
+            build(PNormBall(2, 3.0), anchor=fvec(0.0, 0.0))
+
+
 def test_equilateral_random_polygons():
     rng = random.Random("equi")
     for _ in range(10):
@@ -279,3 +288,38 @@ PINNED_CHORDS = [
 def test_bisected_chord_exact_pinned(ball, origin, frame, r, s):
     ends = construct._bisected_chord_exact(ball, vec(*origin), [vec(*f) for f in frame])
     assert (_strs(ends[0]), _strs(ends[1])) == (r, s)
+
+
+def _float_lane_text(c):
+    """The float outputs as their reprs, so a changed last bit or a lost
+    sign of zero shows: every vertex coordinate, every pick direction,
+    then the closing chord's ends."""
+    parts = [repr(x) for v in c.simplex.vertices for x in v.coords]
+    parts += [repr(x) for p in c.picks for x in p.direction.coords]
+    parts += [repr(x) for v in c.closing_chord for x in v.coords]
+    return " ".join(parts)
+
+
+# sha256 prefixes of _float_lane_text per (dimension, p) and seed.  Seed
+# 3 draws level-3 directions with -0.0 entries in 3D and 4D, so the pins
+# also cover the sign of zero.
+PINNED_FLOAT_LANE = [
+    (2, 1.3, {None: "ac037501a8906d85", 0: "ac037501a8906d85", 3: "ac037501a8906d85", 7: "ac037501a8906d85"}),
+    (2, 3.0, {None: "54abe35f21e6664b", 0: "54abe35f21e6664b", 3: "54abe35f21e6664b", 7: "54abe35f21e6664b"}),
+    (2, 40.0, {None: "b75d5a1f987584ce", 0: "b75d5a1f987584ce", 3: "b75d5a1f987584ce", 7: "b75d5a1f987584ce"}),
+    (3, 1.3, {None: "f2eb55b70523cdc5", 0: "cdbecf44039f4ddd", 3: "b77d394bf4aa4090", 7: "64307636e7372c4d"}),
+    (3, 3.0, {None: "8bc5b63419f7e31a", 0: "8341f2f645764907", 3: "40a2bec93ff53049", 7: "99ef0f14066f24ee"}),
+    (3, 40.0, {None: "75b37f8454ca3ef5", 0: "10a312e0270caa21", 3: "332ee430584825b9", 7: "78106b38d8661ad1"}),
+    (4, 1.3, {None: "d62f1a5d3c49e492", 0: "0a4b099994e4ba96", 3: "3323c7e13d022ac5", 7: "79ee84945dbaeda0"}),
+    (4, 3.0, {None: "f84baee6b2e42b08", 0: "814c8d5b2f9b17b7", 3: "1f536627c23150ba", 7: "ce87e3a6be4d9163"}),
+    (4, 40.0, {None: "40b8bc741f34a507", 0: "0a9ec79f0ff42b93", 3: "369c8ee661ff0220", 7: "2dbf81e71d1b829d"}),
+]
+
+
+@pytest.mark.parametrize(
+    "dim, p, seed, digest",
+    [(d, p, s, h) for d, p, pins in PINNED_FLOAT_LANE for s, h in pins.items()],
+)
+def test_quasiregular_simplex_float_lane_pinned(dim, p, seed, digest):
+    text = _float_lane_text(quasiregular_simplex(PNormBall(dim, p), seed=seed))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
