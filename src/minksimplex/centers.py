@@ -94,18 +94,14 @@ def euler_line(simplex: Simplex, ball: UnitBall, center: Vec, radius) -> EulerLi
         raise DegenerateInputError("(center, radius) is not a circumcenter")
     d = simplex.dim
     if ball.mode == FLOAT:
-        g = simplex.centroid.to_float()
-        m = center.to_float()
-        r = float(radius)
-        dd, dp1 = float(d), float(d + 1)
+        g, m, r = simplex.centroid.to_float(), center.to_float(), float(radius)
     else:
-        g = simplex.centroid
-        m = _to_ball_mode(ball, center)
-        r = radius
-        dd, dp1 = Rat(d), Rat(d + 1)
-    concurrence = dp1 * g - dd * m
-    feuerbach = (dp1 * g - m) / dd
-    monge = (dp1 * g - 2 * m) / (dd - 1)
+        g, m, r = simplex.centroid, _to_ball_mode(ball, center), Rat(radius)
+    # d and d + 1 stay ints in both lanes: on floats they round as
+    # float(d) would, on exact Vecs they scale X / D exactly
+    concurrence = (d + 1) * g - d * m
+    feuerbach = ((d + 1) * g - m) / d
+    monge = ((d + 1) * g - 2 * m) / (d - 1)
 
     def _at_circumcenter(p: Vec) -> bool:
         if ball.mode == EXACT:
@@ -125,7 +121,7 @@ def euler_line(simplex: Simplex, ball: UnitBall, center: Vec, radius) -> EulerLi
         radius=r,
         concurrence=concurrence,
         feuerbach_center=feuerbach,
-        feuerbach_radius=r / dd,
+        feuerbach_radius=r / d,
         monge=monge,
         degenerate_line_indices=degenerate,
         mode=ball.mode,
@@ -143,15 +139,12 @@ def _check_euler_identities(simplex: Simplex, line: EulerLine) -> None:
         ac = simplex.facet_centroid(i)
         if not exact:
             a, ac = a.to_float(), ac.to_float()
-            dd = float(d)
-        else:
-            dd = Rat(d)
         # P = A_i + d (A'_i - M) for every i
         lhs = line.concurrence
-        rhs = a + dd * (ac - line.circumcenter)
+        rhs = a + d * (ac - line.circumcenter)
         # F - A'_i = (A_i - M) / d for every i
         lhs2 = line.feuerbach_center - ac
-        rhs2 = (a - line.circumcenter) / dd
+        rhs2 = (a - line.circumcenter) / d
         if exact:
             ok = lhs == rhs and lhs2 == rhs2
         else:

@@ -89,12 +89,8 @@ class CircumcenterSet:
             for var in range(n):
                 for step in (Rat(1), Rat(1, 4), Rat(1, 16)):
                     for sgn in (1, -1):
-                        probe = FeasibilityProblem(n)
-                        probe.equalities = list(p.problem.equalities)
-                        probe.inequalities = list(p.problem.inequalities)
-                        row = [Rat(0)] * n
-                        row[var] = Rat(-sgn)
-                        probe.add_le(row, -sgn * base[var] - step)
+                        row = Ineq(tuple(-sgn * (v == var) for v in range(n)), -sgn * base[var] - step)
+                        probe = FeasibilityProblem(n, p.problem.equalities, [*p.problem.inequalities, row])
                         res = feasible(probe, with_dim=False)
                         if res.feasible:
                             c = Vec(res.witness[:n - 1])
@@ -106,14 +102,26 @@ class CircumcenterSet:
 
 
 def _tight_pairs(assignment, n_facets: int, implicit_rows) -> frozenset:
-    """Key of a positive-dimensional piece: the (vertex i, facet k) pairs
-    whose row <n_k, A_i - M> = r holds on the whole piece.  All
-    assignments share these rows, so two nonempty pieces with the same
-    key satisfy each other's equalities and coincide.  `implicit_rows`
-    index the inequalities in the order polytopal_circumcenters builds
-    them: vertex by vertex, facet by facet, skipping assigned facets."""
+    """Key of a piece: the (vertex i, facet k) pairs whose row
+    <n_k, A_i - M> <= r is tight on the whole piece.  All assignments
+    share these rows, and a face of a polyhedron is fixed by its tight
+    subsystem (Schrijver 1986, 8.3), so two pieces with one key
+    coincide.  A point's tight rows have rank d + 1: points share a key
+    only when they coincide, and never with a larger piece.
+    `implicit_rows` index the inequalities in the order
+    polytopal_circumcenters builds them: vertex by vertex, facet by
+    facet, skipping assigned facets."""
     rows = [(i, k) for i, j in enumerate(assignment) for k in range(n_facets) if k != j]
     return frozenset(enumerate(assignment)).union(rows[idx] for idx in implicit_rows)
+
+
+def _point_key(table, dots, P: int) -> Optional[frozenset]:
+    """The tight pairs of the point (M, r) = z / P, P > 0, given
+    dots[k] = <coeffs_k, z>; None when a row dots[k] <= -T[i][k] P fails."""
+    slack = [[c + t[k] * P for k, c in enumerate(dots)] for t in table]
+    if max(map(max, slack)) > 0:
+        return None
+    return frozenset((i, k) for i, row in enumerate(slack) for k, s in enumerate(row) if not s)
 
 
 def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> CircumcenterSet:
@@ -153,8 +161,8 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
             + [positive],
         )
 
-    # pieces keyed by (center, radius) for points and by tight pairs
-    # otherwise; the first assignment reaching a solution set keeps it
+    # every piece is keyed by its tight pairs (_tight_pairs); the first
+    # assignment reaching a piece keeps it
     pieces: dict = {}
     for assignment in itertools.product(*candidates):
         sol = integer_solve(
@@ -164,27 +172,23 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
             continue
         P, z, basis = sol
         if not basis:
-            s = 1 if P > 0 else -1  # (M, r) = z / P with a positive denominator
-            if s * z[d] <= 0:
+            if P < 0:  # (M, r) = z / P with a positive denominator
+                P, z = -P, [-v for v in z]
+            if z[d] <= 0:
                 continue
-            center, radius = ExactVec.of_ints([s * v for v in z[:d]], s * P), Rat(z[d], P)
-            key = (center, radius)
-            if key not in pieces:
-                # every vertex gauge from the center is the radius
+            key = _point_key(table, [sum(map(mul, c, z)) for c in coeffs], P)
+            if key is not None and key not in pieces:
+                center = ExactVec.of_ints(z[:d], P)
                 prob = assignment_problem(assignment)
-                if prob.holds_at((*center.coords, radius)):
-                    pieces[key] = CircumPiece(center, radius, 0, assignment, prob)
+                pieces[key] = CircumPiece(center, Rat(z[d], P), 0, assignment, prob)
             continue
         prob = assignment_problem(assignment)
         res = feasible(prob, with_dim=True)
         if not res.feasible:
             continue
-        center, radius = Vec(res.witness[:d]), res.witness[d]
-        if res.affine_dim == 0:
-            key = (center, radius)
-        else:
-            key = _tight_pairs(assignment, n_facets, res.implicit_rows)
+        key = _tight_pairs(assignment, n_facets, res.implicit_rows)
         if key not in pieces:
+            center, radius = Vec(res.witness[:d]), res.witness[d]
             pieces[key] = CircumPiece(center, radius, res.affine_dim, assignment, prob)
 
     merged = list(pieces.values())

@@ -1,7 +1,10 @@
 """Exact linear feasibility with strict inequalities.
 
-Rows are integer and witnesses rational.  Each row is scaled by the lcm
-of its denominators (integer rows pass through).  The equality block is
+Rows are integers from entry: the FeasibilityProblem constructor,
+add_eq and add_le scale each exact row by the lcm of its denominators
+(an integer row is kept as it is), so the solver and holds_at read ints
+only, while callers pass rational rows and points and get rational
+witnesses.  The equality block is
 solved fraction-free (linalg.integer_solve) as x = (point + sum_c t_c
 basis_c) / P, with t_c = x_c on the free columns c, and every
 inequality is rewritten over t and multiplied by |P|, so it stays
@@ -48,43 +51,52 @@ class Ineq:
 @dataclass
 class FeasibilityProblem:
     """Conjunction of equalities and (possibly strict) inequalities over
-    n_vars rational unknowns."""
+    n_vars rational unknowns, stored as integer rows."""
 
     n_vars: int
     equalities: list = field(default_factory=list)  # (coeffs, rhs)
     inequalities: list = field(default_factory=list)  # Ineq
 
+    def __post_init__(self) -> None:
+        self.equalities = [self._integer_row(coeffs, rhs) for coeffs, rhs in self.equalities]
+        self.inequalities = [self._integer_ineq(row) for row in self.inequalities]
+
     def add_eq(self, coeffs, rhs) -> None:
-        self._check(coeffs, rhs)
-        self.equalities.append((tuple(coeffs), rhs))
+        self.equalities.append(self._integer_row(coeffs, rhs))
 
     def add_le(self, coeffs, rhs, strict: bool = False) -> None:
-        self._check(coeffs, rhs)
-        self.inequalities.append(Ineq(tuple(coeffs), rhs, strict))
+        self.inequalities.append(Ineq(*self._integer_row(coeffs, rhs), strict))
 
-    def _check(self, coeffs, rhs) -> None:
+    def _integer_ineq(self, row: Ineq) -> Ineq:
+        coeffs, rhs = self._integer_row(row.coeffs, row.rhs)
+        return row if coeffs is row.coeffs and rhs is row.rhs else Ineq(coeffs, rhs, row.strict)
+
+    def _integer_row(self, coeffs, rhs) -> tuple:
+        """(coeffs, rhs) times the lcm of their denominators, as ints;
+        an integer row comes back unchanged."""
         coeffs = tuple(coeffs)
         if len(coeffs) != self.n_vars:
             raise DimensionError(f"expected {self.n_vars} coefficients")
-        for c in (*coeffs, rhs):
-            if not is_exact(c):
-                raise MixedModeError("feasibility rows must be exact rationals")
+        if type(rhs) is int and all(type(c) is int for c in coeffs):
+            return coeffs, rhs
+        if not all(map(is_exact, (*coeffs, rhs))):
+            raise MixedModeError("feasibility rows must be exact rationals")
+        *ints, rhs = integer_rows([(*coeffs, rhs)])[0][0]
+        return tuple(ints), rhs
 
     def holds_at(self, point: Sequence) -> bool:
         """Direct substitution check of every row, on integers: the
-        point is scaled to a common denominator D, each row to integers,
-        and <coeffs, D x> is compared with D rhs."""
+        point is scaled to a common denominator D and <coeffs, D x> is
+        compared with D rhs."""
         if not all(map(is_exact, point)):
             raise MixedModeError("feasibility points must be exact rationals")
         (xs,), den = integer_rows([point])
         for coeffs, rhs in self.equalities:
-            coeffs, rhs = _integer_row(coeffs, rhs)
             if sum(map(mul, coeffs, xs)) != rhs * den:
                 return False
         for row in self.inequalities:
-            coeffs, rhs = _integer_row(row.coeffs, row.rhs)
-            lhs = sum(map(mul, coeffs, xs))
-            if not (lhs < rhs * den if row.strict else lhs <= rhs * den):
+            lhs, rhs = sum(map(mul, row.coeffs, xs)), row.rhs * den
+            if not (lhs < rhs if row.strict else lhs <= rhs):
                 return False
         return True
 
@@ -99,15 +111,6 @@ class FeasibilityResult:
     # the non-strict rows tight at one relative-interior point, which is
     # the same set (Rockafellar 1970, Thm 6.8; Schrijver 1986, 8.2)
     implicit_rows: Optional[tuple] = None
-
-
-def _integer_row(coeffs: tuple, rhs) -> tuple:
-    """(coeffs, rhs) times the lcm of their denominators, as ints;
-    integer rows pass through unchanged."""
-    if type(rhs) is int and all(type(c) is int for c in coeffs):
-        return coeffs, rhs
-    ints = integer_rows([(*coeffs, rhs)])[0][0]
-    return tuple(ints[:-1]), ints[-1]
 
 
 def _direction(coeffs: tuple) -> tuple:
@@ -243,20 +246,16 @@ def _parametrize(problem: FeasibilityProblem):
     row (coeffs, rhs, strict); the rows are constant when the solution
     is unique.  Returns (P, point, basis, reduced rows), or None when
     the equalities conflict."""
-    eqs = [_integer_row(coeffs, rhs) for coeffs, rhs in problem.equalities]
-    sol = integer_solve([[*coeffs, rhs] for coeffs, rhs in eqs], problem.n_vars)
+    sol = integer_solve([[*coeffs, rhs] for coeffs, rhs in problem.equalities], problem.n_vars)
     if sol is None:
         return None
     last, point, basis = sol
     sign = 1 if last > 0 else -1
-    reduced = []
-    for row in problem.inequalities:
-        coeffs, rhs = _integer_row(row.coeffs, row.rhs)
-        reduced.append((
-            tuple(sign * sum(map(mul, coeffs, bvec)) for bvec in basis),
-            sign * (last * rhs - sum(map(mul, coeffs, point))),
-            row.strict,
-        ))
+    reduced = [
+        (tuple(sign * sum(map(mul, row.coeffs, bvec)) for bvec in basis),
+         sign * (last * row.rhs - sum(map(mul, row.coeffs, point))), row.strict)
+        for row in problem.inequalities
+    ]
     return last, point, basis, reduced
 
 
@@ -300,25 +299,25 @@ def lp_max(problem: FeasibilityProblem, objective: Sequence):
 
     Returns (value, witness, attained); value None means unbounded.
     Used as an independent oracle (e.g. Chebyshev-style incenter).
+    The augmented system is parametrized and eliminated once: its
+    conflicting equalities, a Fourier-Motzkin contradiction and failing
+    constant rows under a unique solution all mean an empty set.
     """
     n = problem.n_vars
-    aug = FeasibilityProblem(n + 1)
-    for coeffs, rhs in problem.equalities:
-        aug.add_eq((*coeffs, 0), rhs)
-    for row in problem.inequalities:
-        aug.add_le((*row.coeffs, 0), row.rhs, row.strict)
     # z = <objective, x>
-    aug.add_eq((*(-c for c in objective), 1), 0)
-
-    base_res = feasible(aug, with_dim=False)
-    if not base_res.feasible:
-        raise ValueError("lp_max on infeasible problem")
-
+    aug = FeasibilityProblem(
+        n + 1,
+        [((*coeffs, 0), rhs) for coeffs, rhs in problem.equalities]
+        + [((*(-c for c in objective), 1), 0)],
+        [Ineq((*row.coeffs, 0), row.rhs, row.strict) for row in problem.inequalities],
+    )
     param = _parametrize(aug)
     if param is None:
-        raise ValueError("unexpected infeasible equality block")
+        raise ValueError("lp_max on infeasible problem")
     last, point, basis, reduced = param
     if not basis:
+        if _normalize(reduced) is None:
+            raise ValueError("lp_max on infeasible problem")
         return Rat(point[n], last), tuple(Rat(v, last) for v in point[:n]), True
     # z = (point[n] + sum_c basis_c[n] t_c) / P as two rows over
     # (z, t), times |P|; FM eliminates the last variable first, so z
@@ -330,17 +329,13 @@ def lp_max(problem: FeasibilityProblem, objective: Sequence):
     rows.append(((-abs(last), *zcoeffs), -sign * point[n], False))
     stages = _fm_eliminate(rows, len(basis) + 1)
     if stages is None:
-        raise ValueError("lp_max: infeasible after augmentation")
+        raise ValueError("lp_max on infeasible problem")
     bounds = [Rat(rhs, coeffs[0]) for coeffs, rhs, _ in stages[0] if coeffs[0] > 0]
     if not bounds:
         return None, None, False
     hi = min(bounds)
     # witness at the optimum (attained only for non-strict binding rows)
-    target = FeasibilityProblem(n)
-    for coeffs, rhs_v in problem.equalities:
-        target.add_eq(coeffs, rhs_v)
-    for row in problem.inequalities:
-        target.add_le(row.coeffs, row.rhs, row.strict)
+    target = FeasibilityProblem(n, list(problem.equalities), list(problem.inequalities))
     target.add_eq(tuple(objective), hi)
     res = feasible(target, with_dim=False)
     if res.feasible:

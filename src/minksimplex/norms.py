@@ -332,35 +332,18 @@ def isoperimetrix(ball: UnitBall) -> UnitBall:
 def birkhoff_orthogonal(ball: UnitBall, x: Vec, y: Vec) -> bool:
     """x is Birkhoff orthogonal to y: ||x|| <= ||x + t y|| for all t.
 
-    Polytopal: the minimum of the piecewise-linear convex function
-    t -> gauge(x + t y) is computed exactly from slope-crossing pairs.
+    Polytopal, by norming functionals (James 1947): x is orthogonal to
+    y exactly when some f in the dual ball with f(x) = gauge(x) has
+    f(y) = 0.  Those f are the convex hull of the normals tight at x,
+    so the test is min <n, y> <= 0 <= max over those normals.
     Smooth: one-sided derivative test at t = 0.
     """
-    if x.is_zero():
-        return True
-    if y.is_zero():
+    if x.is_zero() or y.is_zero():
         return True
     if isinstance(ball, PolytopeBall):
         gx = ball.gauge(x)
-        lines = [(n.dot(x), n.dot(y)) for n in ball.normals]
-        best = None
-        for c, s in lines:
-            if s == 0:
-                if best is None or c > best:
-                    best = c
-        for cj, sj in lines:
-            if sj <= 0:
-                continue
-            for ck, sk in lines:
-                if sk >= 0:
-                    continue
-                # crossing value of the increasing and decreasing lines
-                value = (cj * (-sk) + ck * sj) / (sj - sk)
-                if best is None or value > best:
-                    best = value
-        if best is None:
-            raise VerificationError("symmetric ball must have opposite slopes")
-        return best == gx
+        values = [n.dot(y) for n in ball.normals if n.dot(x) == gx]
+        return min(values) <= 0 <= max(values)
     # smooth: gauge is differentiable away from 0; the convex function
     # g(t) = ||x + t y|| has minimum at 0 iff g'(0) = 0
     grad = ball.gauge_gradient(x)

@@ -20,14 +20,17 @@ the rows of halfspaces, they are the vertices as point rows (X, D),
 kept when D > 0.  Rows of rank d have their null line as the one ray,
 oriented to a positive last entry (none when that entry is 0).
 
-The output is ordered as a walk over the d-subsets of rows in
-itertools.combinations order would first meet each ray: by the
-lexicographically first rank-d subset of its tight rows, which is their
-greedy basis in row order, and simply the tight rows when there are
-exactly d of them.  Each ray comes back with its tight-row mask, and
-one reader of the masks (_extreme) runs the other way: a point is a
-vertex when the facet rays tight at it have rank d, and a halfspace
-supports a facet when the vertex rays tight on it have rank d.
+The kernel promises no order.  Each ray comes back with its tight-row
+mask, and one reader of the masks (_extreme) runs the other way: a
+point is a vertex when the facet rays tight at it have rank d, and a
+halfspace supports a facet when the vertex rays tight on it have rank
+d.  The two functions that promise an order, facet_hyperplanes and
+vertex_enumerate, sort the rays as a walk over the d-subsets of rows in
+itertools.combinations order would first meet each (_combinations_order):
+by the lexicographically first rank-d subset of its tight rows, which
+is their first basis in row order (the pivot columns of bareiss run on
+the rows as columns), and simply the tight rows when there are exactly
+d of them.
 
 A polytopal ball and its polar come from one run (polar_pair): fed the
 points of P = conv(points), with the origin interior to P, the facet
@@ -91,25 +94,12 @@ def _halfspace_rows(halfspaces: Sequence[Hyperplane]) -> list:
     return rows
 
 
-def _greedy_basis(rows: Sequence[Sequence[int]], indices, k: int) -> list:
-    """The first k indices, in the order given, whose rows are
-    independent of the rows picked before them (fewer when the rows'
-    rank is below k): their lexicographically first basis.  Each row is
-    reduced fraction-free by the echelon remainders of the picked rows."""
-    echelon, basis = [], []
-    for i in indices:
-        r = rows[i]
-        for e, c in echelon:
-            if r[c]:
-                f, g = e[c], r[c]
-                r = [f * x - g * y for x, y in zip(r, e)]
-        c = next((c for c, x in enumerate(r) if x), None)
-        if c is not None:
-            echelon.append((r, c))
-            basis.append(i)
-            if len(basis) == k:
-                break
-    return basis
+def _first_independent(rows: Sequence[Sequence[int]], indices) -> list:
+    """The indices, in the order given, whose rows are independent of
+    the rows before them: their lexicographically first basis, read off
+    as the pivot columns of bareiss run on those rows as columns."""
+    indices = list(indices)
+    return [indices[c] for c in bareiss(list(zip(*(rows[i] for i in indices))))[3]]
 
 
 def _null_vector(rows: Sequence[Sequence[int]], d: int) -> list:
@@ -122,12 +112,10 @@ def _null_vector(rows: Sequence[Sequence[int]], d: int) -> list:
 def _polar_kernel(rows: Sequence[Sequence[int]], d: int) -> list:
     """The extreme rays y of the cone {y : <r, y> <= 0 for every row},
     as pairs (y, m) of a coprime int list and the int mask whose bit i
-    is set when row i is tight at y, ordered by the first d-subset of
-    rows (in combinations order) of rank d that is tight at each.  Rows
-    of rank d give their null line with a positive last entry (nothing
-    when that entry is 0), tight on every row; rows of lower rank give
-    nothing."""
-    first = _greedy_basis(rows, range(len(rows)), d + 1)
+    is set when row i is tight at y, in no promised order.  Rows of rank
+    d give their null line with a positive last entry (nothing when that
+    entry is 0), tight on every row; rows of lower rank give nothing."""
+    first = _first_independent(rows, range(len(rows)))
     if len(first) < d:
         return []
     if len(first) == d:
@@ -170,16 +158,22 @@ def _polar_kernel(rows: Sequence[Sequence[int]], d: int) -> list:
                     g = math.gcd(*y)
                     kept.append(([c // g for c in y], m | bit))
         rays = kept
+    return rays
+
+
+def _combinations_order(rays: Sequence, rows: Sequence[Sequence[int]]) -> list:
+    """The (y, m) rays of _polar_kernel in the order a walk over the
+    d-subsets of rows in itertools.combinations order first meets each:
+    by the lexicographically first basis of its tight rows, which are
+    that basis already when there are exactly d of them."""
+    d = len(rows[0]) - 1
 
     def first_basis(ray) -> list:
-        # the greedy basis of the tight rows is their lexicographically
-        # first rank-d subset; d tight rows are that subset already
         m = ray[1]
         tight = [i for i in range(m.bit_length()) if m >> i & 1]
-        return tight if len(tight) == d else _greedy_basis(rows, tight, d)
+        return tight if len(tight) == d else _first_independent(rows, tight)
 
-    rays.sort(key=first_basis)
-    return rays
+    return sorted(rays, key=first_basis)
 
 
 def _extreme(items: Sequence, rays: Sequence, d: int) -> list:
@@ -210,9 +204,10 @@ def facet_hyperplanes(points: Sequence[Vec]) -> list[Hyperplane]:
     """Outward facet hyperplanes of conv(points), in the order of the
     first d-subset of points that spans each: each returned (a, b)
     satisfies <a, x> <= b on the hull with equality on a facet."""
-    _, d, rays = _facet_rays(points)
+    pts, d, rays = _facet_rays(points)
     if len(rays) > config.max_facets():
         raise ResourceCapError(f"facet count exceeds cap {config.max_facets()}")
+    rays = _combinations_order(rays, _point_rows(pts))
     return [Hyperplane(ExactVec.of_ints(y[:d], 1), Rat(-y[d])) for y, _ in rays]
 
 
@@ -248,7 +243,8 @@ def vertex_enumerate(halfspaces: Sequence[Hyperplane]) -> list[Vec]:
     """Vertices of {x : <a_i, x> <= b_i for all i}, in the order of the
     first d-subset of rows that meets each; the intersection must be
     bounded for the result to describe it.  Exact halfspaces only."""
-    _, d, rays = _vertex_rays(halfspaces)
+    hs, d, rays = _vertex_rays(halfspaces)
+    rays = _combinations_order(rays, _halfspace_rows(hs))
     return [ExactVec.of_ints(y[:d], y[d]) for y, _ in rays]
 
 

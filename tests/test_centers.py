@@ -230,6 +230,10 @@ def test_euler_line_exact_345_max_norm():
     # all derived points are collinear with G and M
     for p in (line.concurrence, line.monge, line.feuerbach_center):
         assert cross2(p - g, m - g) == 0
+    # an int radius stays in the exact lane
+    int_line = euler_line(T345, SQUARE, m, 2)
+    assert int_line == line
+    assert type(int_line.radius) is type(int_line.feuerbach_radius) is type(Rat(1))
 
 
 def test_feuerbach_touches_facet_centroids():

@@ -309,6 +309,35 @@ def test_piece_problems_describe_their_assignment_sets():
     assert checked >= 25
 
 
+def test_point_pieces_have_distinct_centers_and_tight_sets():
+    # every piece is keyed by its tight (vertex, facet) pairs; a point
+    # piece's tight rows have rank d + 1, so distinct point pieces must
+    # differ both in center and in tight pairs, here taken on Fractions
+    rng = random.Random("point-keys")
+    inst = cube_edge_midpoint_instance()
+    instances = [(inst.simplex, inst.ball)]
+    plan = {2: range(2, 9), 3: range(4, 19)}
+    for normals in (cube_normals(2), cross_normals(2), cube_normals(3), cross_normals(3)):
+        ball = h_ball(normals)
+        instances += [(lattice_simplex(rng, normals, plan[ball.dim]), ball) for _ in range(6)]
+    points = 0
+    for simplex, ball in instances:
+        pieces = [p for p in polytopal_circumcenters(simplex, ball).pieces if p.affine_dim == 0]
+        keys = []
+        for p in pieces:
+            m = [Fraction(c) for c in p.center.coords]
+            keys.append(frozenset(
+                (i, k)
+                for i, a in enumerate(simplex.vertices) for k, n in enumerate(ball.normals)
+                if sum(Fraction(x) * (Fraction(y) - z) for x, y, z in zip(n.coords, a.coords, m))
+                == Fraction(p.radius)
+            ))
+        assert len({p.center for p in pieces}) == len(pieces)
+        assert len(set(keys)) == len(pieces)
+        points += len(pieces)
+    assert points >= 20
+
+
 def test_distinct_centers_probes_segments():
     cset = polytopal_circumcenters(T345, SQUARE)
     centers = cset.distinct_centers(3)

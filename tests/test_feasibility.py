@@ -8,13 +8,14 @@ every witness by direct substitution.  The integer core must also give
 the same results field for field as the Fraction reference below.
 """
 
+import math
 import random
 
 import pytest
 
 from minksimplex import feasibility
 from minksimplex.config import max_fm_rows
-from minksimplex.errors import MixedModeError, ResourceCapError, VerificationError
+from minksimplex.errors import DimensionError, MixedModeError, ResourceCapError, VerificationError
 from minksimplex.feasibility import FeasibilityProblem, FeasibilityResult, Ineq, feasible, lp_max
 from minksimplex.linalg import LinearSolution, rank, solve_linear
 from minksimplex.scalars import Rat
@@ -284,6 +285,78 @@ def test_lp_max_infeasible_raises():
     p.add_le((Rat(-1),), Rat(-1))
     with pytest.raises(ValueError):
         lp_max(p, (Rat(1),))
+
+
+def test_lp_max_infeasible_cases_share_one_error():
+    # conflicting equalities; a Fourier-Motzkin contradiction; a unique
+    # solution that fails a constant row
+    conflict = FeasibilityProblem(1, [((Rat(1),), Rat(0)), ((Rat(1),), Rat(1))])
+    contradiction = le_problem(1, [((1,), 0), ((-1,), -1)])
+    off_row = FeasibilityProblem(1, [((Rat(1),), Rat(1))], [Ineq((Rat(1),), Rat(0))])
+    for p in (conflict, contradiction, off_row):
+        with pytest.raises(ValueError, match="^lp_max on infeasible problem$"):
+            lp_max(p, (Rat(1),))
+
+
+def rational_rows(rng, n):
+    """Equalities and inequalities with mixed denominators, as Rat rows."""
+    def entry():
+        return Rat(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+
+    eqs = [([entry() for _ in range(n)], entry()) for _ in range(rng.randint(0, n - 1))]
+    ineqs = [([entry() for _ in range(n)], entry(), rng.random() < 0.3)
+             for _ in range(rng.randint(1, 5))]
+    return eqs, ineqs
+
+
+def scaled(coeffs, rhs):
+    """The int row of (coeffs, rhs): times the lcm of its denominators."""
+    lcm = math.lcm(*(x.denominator for x in (*coeffs, rhs)))
+    return tuple(int(c * lcm) for c in coeffs), int(rhs * lcm)
+
+
+def test_rows_are_integer_from_entry():
+    # one system built three ways: the constructor with Rat rows,
+    # add_eq/add_le, and the constructor with int rows, which it keeps
+    rng = random.Random("integer-entry")
+    feasible_seen = 0
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        eqs, ineqs = rational_rows(rng, n)
+        by_ctor = FeasibilityProblem(n, eqs, [Ineq(tuple(c), b, s) for c, b, s in ineqs])
+        by_add = FeasibilityProblem(n)
+        for c, b in eqs:
+            by_add.add_eq(c, b)
+        for c, b, s in ineqs:
+            by_add.add_le(c, b, s)
+        int_ineqs = [Ineq(*scaled(c, b), s) for c, b, s in ineqs]
+        by_ints = FeasibilityProblem(n, [scaled(c, b) for c, b in eqs], int_ineqs)
+        assert all(a is b for a, b in zip(by_ints.inequalities, int_ineqs))
+        problems = (by_ctor, by_add, by_ints)
+        for p in problems:
+            assert p.equalities == [scaled(c, b) for c, b in eqs]
+            assert p.inequalities == int_ineqs
+            assert all(type(v) is int for c, b in p.equalities for v in (*c, b))
+            assert all(type(v) is int for r in p.inequalities for v in (*r.coeffs, r.rhs))
+        for with_dim in (True, False):
+            results = [feasible(p, with_dim) for p in problems]
+            assert results[0] == results[1] == results[2]
+        feasible_seen += results[0].feasible
+        points = [[Rat(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(n)] for _ in range(6)]
+        if results[0].feasible:
+            points.append(list(results[0].witness))
+        for x in points:
+            assert by_ctor.holds_at(x) == by_add.holds_at(x) == by_ints.holds_at(x)
+    assert 20 < feasible_seen < 70
+
+
+def test_rows_are_checked_at_entry():
+    with pytest.raises(MixedModeError):
+        FeasibilityProblem(1, [], [Ineq((0.5,), Rat(1))])
+    with pytest.raises(MixedModeError):
+        FeasibilityProblem(1).add_eq((Rat(1),), 1.0)
+    with pytest.raises(DimensionError):
+        FeasibilityProblem(2, [((Rat(1),), Rat(0))])
 
 
 # -- reference: Fourier-Motzkin on Fractions ---------------------------

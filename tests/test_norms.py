@@ -4,6 +4,7 @@ Property tests run exact on polytopal balls; smooth p-norm checks use
 the float tolerances from config.
 """
 
+import itertools
 import math
 import random
 
@@ -262,6 +263,59 @@ def test_non_radon_has_asymmetric_pair():
             birkhoff_orthogonal(ball, x, y) and not birkhoff_orthogonal(ball, y, x)
             for x, y in pairs
         )
+
+
+def crossing_birkhoff(ball, x, y) -> bool:
+    """The slope-crossing rule: t -> gauge(x + t y) is the max of the
+    lines <n, x> + t <n, y>, so its minimum is the largest of the flat
+    lines and of the crossings of a rising with a falling line; x is
+    orthogonal to y when that minimum is gauge(x)."""
+    lines = [(n.dot(x), n.dot(y)) for n in ball.normals]
+    values = [c for c, s in lines if s == 0]
+    values += [
+        (cj * -sk + ck * sj) / (sj - sk)
+        for cj, sj in lines if sj > 0 for ck, sk in lines if sk < 0
+    ]
+    return max(values) == ball.gauge(x)
+
+
+def random_rational_ball(rng, d):
+    while True:
+        half = [vec(*(Rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)))
+                for _ in range(d + rng.randint(0, 2))]
+        try:
+            return PolytopeBall.from_vertices(half + [-v for v in half])
+        except DegenerateInputError:
+            continue
+
+
+def test_birkhoff_norming_functionals_match_slope_crossings():
+    # random directions, vertices, edge midpoints and edge directions
+    # (two vertices sharing d - 1 facets), on random rational balls
+    rng = random.Random("birkhoff-crossings")
+    outcomes = []
+    for d in (2, 2, 3, 3, 4):
+        for _ in range(3):
+            ball = random_rational_ball(rng, d)
+            verts = ball.vertices
+            tight = [{k for k, n in enumerate(ball.normals) if n.dot(v) == 1} for v in verts]
+            edges = [(a, b) for (a, ta), (b, tb) in itertools.combinations(zip(verts, tight), 2)
+                     if len(ta & tb) >= d - 1]
+
+            def rand():
+                return vec(*(Rat(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)))
+
+            xs = [rand() for _ in range(4)] + list(verts[:6])
+            xs += [(a + b) / 2 for a, b in edges[:6]]
+            ys = [rand() for _ in range(4)] + list(verts[:4]) + [b - a for a, b in edges[:6]]
+            for x in xs:
+                for y in ys:
+                    if x.is_zero() or y.is_zero():
+                        continue
+                    got = birkhoff_orthogonal(ball, x, y)
+                    assert got == crossing_birkhoff(ball, x, y), (ball, x, y)
+                    outcomes.append(got)
+    assert len(outcomes) > 1500 and 0.05 < sum(outcomes) / len(outcomes) < 0.95
 
 
 def test_birkhoff_zero_vectors_are_orthogonal():

@@ -24,6 +24,7 @@ from minksimplex.linalg import (
     rank,
     solve_linear,
 )
+from minksimplex import polytopes
 from minksimplex.norms import PolytopeBall
 from minksimplex.polytopes import (
     facet_hyperplanes,
@@ -89,6 +90,16 @@ def ref_nullspace(rows):
 
 def ref_rank(rows):
     return len(rows[0]) - len(ref_nullspace(rows))
+
+
+def ref_first_independent(rows, indices):
+    """Rank scan on Fractions: an index is kept when its row raises the
+    rank of the rows kept before it."""
+    kept = []
+    for i in indices:
+        if ref_rank([rows[j] for j in kept + [i]]) > len(kept):
+            kept.append(i)
+    return kept
 
 
 def ref_affine_rank(points):
@@ -528,3 +539,23 @@ def test_unbounded_halfspace_input_says_so():
         with pytest.raises(DegenerateInputError) as err:
             PolytopeBall.from_halfspaces([Hyperplane(n, Rat(1)) for n in normals])
         assert str(err.value) == "halfspace intersection is unbounded"
+
+
+def test_first_independent_rows_match_fraction_rank_scan():
+    # the kernel's start rows and the combinations order both rest on
+    # the first basis of a row list; dependent rows (combinations of
+    # others, repeats, zero rows) are mixed in at random places
+    rng = random.Random("first-independent")
+    skipped = 0
+    for _ in range(300):
+        d = rng.randint(2, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(d + 1)] for _ in range(rng.randint(1, d + 2))]
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            f, g = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows.insert(rng.randrange(len(rows) + 1), [f * x + g * y for x, y in zip(a, b)])
+        indices = rng.sample(range(len(rows)), rng.randint(1, len(rows)))
+        want = ref_first_independent(rows, indices)
+        assert polytopes._first_independent(rows, indices) == want
+        skipped += len(want) < len(indices)
+    assert skipped > 100
