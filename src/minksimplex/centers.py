@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import config
-from .errors import DegenerateInputError, MixedModeError, VerificationError
+from .errors import DegenerateInputError, VerificationError
 from .linalg import ExactVec, Hyperplane, Vec, affine_rank, det, integer_solve, ratio, solve_linear
 from .norms import Ball, UnitBall
 from .scalars import EXACT, FLOAT, Rat, close
@@ -78,14 +78,6 @@ class EulerLine:
         return cross <= tol
 
 
-def _to_ball_mode(ball: UnitBall, v: Vec) -> Vec:
-    if ball.mode == EXACT:
-        if v.mode != EXACT:
-            raise MixedModeError("exact ball needs exact points")
-        return v
-    return v.to_float()
-
-
 def euler_line(simplex: Simplex, ball: UnitBall, center: Vec, radius) -> EulerLine:
     """Derived collinear points for one circumcenter of the simplex.
 
@@ -96,7 +88,8 @@ def euler_line(simplex: Simplex, ball: UnitBall, center: Vec, radius) -> EulerLi
     if ball.mode == FLOAT:
         g, m, r = simplex.centroid.to_float(), center.to_float(), float(radius)
     else:
-        g, m, r = simplex.centroid, _to_ball_mode(ball, center), Rat(radius)
+        # is_circumcenter raised MixedModeError for a float center
+        g, m, r = simplex.centroid, center, Rat(radius)
     # d and d + 1 stay ints in both lanes: on floats they round as
     # float(d) would, on exact Vecs they scale X / D exactly
     concurrence = (d + 1) * g - d * m
@@ -253,25 +246,13 @@ def bisector(h1: Hyperplane, h2: Hyperplane, ball: UnitBall, signs: tuple = (1, 
     s1, s2 = signs
     if s1 not in (1, -1) or s2 not in (1, -1):
         raise ValueError("signs must be +1 or -1")
-    g1 = ball.support(h1.normal)
-    g2 = ball.support(h2.normal)
+    n1, n2, b1, b2 = h1.normal, h2.normal, h1.offset, h2.offset
+    g1, g2 = ball.support(n1), ball.support(n2)
     if ball.mode == FLOAT:
-        n1, n2 = h1.normal.to_float(), h2.normal.to_float()
-        parts = (
-            n1 * (s1 / float(g1)),
-            n2 * (-s2 / float(g2)),
-            float(h1.offset) * s1 / float(g1),
-            -float(h2.offset) * s2 / float(g2),
-        )
-    else:
-        parts = (
-            h1.normal * (Rat(s1) / g1),
-            h2.normal * (Rat(-s2) / g2),
-            h1.offset * s1 / g1,
-            -(h2.offset * s2) / g2,
-        )
-    normal = parts[0] + parts[1]
-    offset = parts[2] + parts[3]
+        n1, n2 = n1.to_float(), n2.to_float()
+        b1, b2, g1, g2 = float(b1), float(b2), float(g1), float(g2)
+    normal = n1 * (s1 / g1) + n2 * (-s2 / g2)
+    offset = b1 * s1 / g1 - b2 * s2 / g2
     if normal.is_zero():
         raise DegenerateInputError("hyperplanes are parallel")
     return Hyperplane(normal, offset)

@@ -19,8 +19,10 @@ as the standard basis and only loses vectors, so a direction's frame
 coordinates are its entries on those axes.
 
 The last two vertices come from a chord bisected by the target:
-integer edge-pair solving on the section polygon for polytopal balls, a
-bracketed root search (norms.root_in_bracket) on the chord angle for
+integer edge-pair solving on the section polygon for polytopal balls
+(the kernel's vertices of the section as int pairs over one common
+denominator, ordered by polytopes.convex_hull_2d), a bracketed root
+search (norms.root_in_bracket) on the chord angle for
 smooth ones: the chord overshoot is odd under direction reversal, so
 its values at angles 0 and pi bracket a root.
 """
@@ -137,10 +139,10 @@ def bisected_chord(ball: UnitBall, origin: Vec, frame) -> tuple:
 def _section_polygon(ball: PolytopeBall, origin: ExactVec, frame) -> tuple:
     """The section {y : gauge(origin + y_1 v_1 + y_2 v_2) <= 1} of the
     ball: its vertices as int pairs over one common denominator L, in
-    counterclockwise order from the lexicographically least, and L.  Row
-    k is the ball's integer normal row N_k / s with <N_k, V_j> / (s D_j)
-    the coefficient of y_j, cleared by s D_1 D_2 D_o; vertices that
-    share a tight row of the kernel are neighbours."""
+    counterclockwise order from the lexicographically least
+    (convex_hull_2d), and L.  Row k is the ball's integer normal row
+    N_k / s with <N_k, V_j> / (s D_j) the coefficient of y_j, cleared by
+    s D_1 D_2 D_o."""
     (v1, v2), O, Do = frame, origin.X, origin.D
     rows_n, s_n = ball._normal_rows
     rows = []
@@ -157,17 +159,7 @@ def _section_polygon(ball: PolytopeBall, origin: ExactVec, frame) -> tuple:
     if len(rays) < 3:
         raise VerificationError("section polygon collapsed")
     L = math.lcm(*(y[2] for y, _ in rays))
-    pts = [(y[0] * (L // y[2]), y[1] * (L // y[2])) for y, _ in rays]
-    order = [min(range(len(pts)), key=pts.__getitem__)]
-    while len(order) < len(pts):
-        cur = order[-1]
-        nxt = [j for j, (_, m) in enumerate(rays) if m & rays[cur][1] and j not in order]
-        if len(nxt) == 2:  # the first step turns counterclockwise
-            (ox, oy), (px, py), (qx, qy) = pts[cur], pts[nxt[0]], pts[nxt[1]]
-            if (px - ox) * (qy - oy) < (py - oy) * (qx - ox):
-                nxt.reverse()
-        order.append(nxt[0])
-    return [pts[i] for i in order], L
+    return convex_hull_2d([(y[0] * (L // y[2]), y[1] * (L // y[2])) for y, _ in rays]), L
 
 
 def _bisected_chord_exact(ball: PolytopeBall, origin: ExactVec, frame) -> tuple:
@@ -365,7 +357,8 @@ def equilateral_triangle(ball: UnitBall, anchor: Optional[Vec] = None) -> Simple
 def _unit_at_unit_distance_exact(ball: PolytopeBall, u: Vec) -> Vec:
     """Walk the unit polygon's edges solving gauge(w - u) = 1 exactly
     on each; the gauge is a max of linear functions of the edge
-    parameter."""
+    parameter.  w = u and w = -u never qualify: their gauges are 0 and
+    2."""
     hull = convex_hull_2d(ball.vertices)
     for a, b in zip(hull, hull[1:] + hull[:1]):
         dv = b - a
@@ -382,11 +375,8 @@ def _unit_at_unit_distance_exact(ball: PolytopeBall, u: Vec) -> Vec:
                 if not (0 <= t <= 1):
                     continue
                 w = a + t * dv
-                if ball.gauge(w - u) != 1:
-                    continue
-                if w == u or w == -u:
-                    continue
-                return w
+                if ball.gauge(w - u) == 1:
+                    return w
     raise VerificationError("no unit vector at unit distance found")
 
 

@@ -597,11 +597,11 @@ def affine_rank(points: Sequence) -> int:
     return rank(diffs) if diffs else 0
 
 
-def general_position(points: Sequence[Vec], mode: Optional[str] = None) -> bool:
+def general_position(points: Sequence[Vec]) -> bool:
     """True when d+1 points in R^d span a nondegenerate simplex.
 
-    Exact mode: nonzero determinant of the homogenized matrix.  Float
-    mode: the edges A_k - A_0, each divided by its Euclidean length,
+    Exact points: nonzero determinant of the homogenized matrix.  Float
+    points: the edges A_k - A_0, each divided by its Euclidean length,
     must have |det| > EPS_REL.  The points are first divided by their
     largest |coordinate|, so no difference overflows; with unit edges
     the verdict depends on neither the simplex's size nor its place.
@@ -610,9 +610,7 @@ def general_position(points: Sequence[Vec], mode: Optional[str] = None) -> bool:
     d = pts[0].dim
     if len(pts) != d + 1:
         raise DimensionError(f"expected {d + 1} points in R^{d}, got {len(pts)}")
-    if mode is None:
-        mode = pts[0].mode
-    if mode == EXACT:
+    if pts[0].mode == EXACT:
         return det([[*p.coords, 1] for p in pts]) != 0
     big = max(abs(float(c)) for p in pts for c in p.coords) or 1.0
     scaled = [[float(c) / big for c in p.coords] for p in pts]

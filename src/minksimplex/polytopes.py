@@ -53,7 +53,7 @@ from typing import Sequence
 
 from . import config
 from .errors import DegenerateInputError, DimensionError, MixedModeError, ResourceCapError
-from .linalg import ExactVec, Hyperplane, Vec, bareiss, cross2, integer_solve
+from .linalg import ExactVec, Hyperplane, Vec, bareiss, integer_solve
 from .scalars import EXACT, Rat
 
 
@@ -265,11 +265,15 @@ def contains(halfspaces: Sequence[Hyperplane], p: Vec, strict: bool = False) -> 
 
 def convex_hull_2d(points: Sequence[Vec]) -> list[Vec]:
     """Extreme points of a planar point set in counterclockwise order
-    from the lexicographically least (monotone chain); interior and
-    collinear points are dropped, so it is safe on projections of
-    higher-dimensional vertex sets."""
-    pts = sorted(dict.fromkeys(points), key=lambda p: (p.key()))
-    if pts and pts[0].dim != 2:
+    from the lexicographically least (monotone chain, Andrew 1979);
+    repeats, interior and collinear points are dropped, so it is safe on
+    projections of higher-dimensional vertex sets.  The points are Vecs
+    of one lane or plain number pairs, read by index only: int pairs
+    over a common denominator order exactly with no Rat built."""
+    pts = sorted(dict.fromkeys(points), key=tuple)
+    if len({p.mode for p in pts if isinstance(p, Vec)}) > 1:
+        raise MixedModeError("convex_hull_2d takes points of one lane")
+    if pts and len(pts[0]) != 2:
         raise DimensionError("convex_hull_2d needs planar points")
     if len(pts) <= 2:
         return pts
@@ -277,7 +281,10 @@ def convex_hull_2d(points: Sequence[Vec]) -> list[Vec]:
     def build(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and cross2(out[-1] - out[-2], p - out[-2]) <= 0:
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0:
+                    break
                 out.pop()
             out.append(p)
         return out

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import config
 from .errors import DimensionError, MinksimplexError
-from .linalg import Vec
+from .linalg import Vec, integer_points
 from .norms import UnitBall, lp_norm
 from .polytopes import convex_hull_2d
 from .scalars import EXACT
@@ -48,12 +48,23 @@ def project(v: Vec, axes: tuple) -> tuple:
 _SAMPLES = 256  # points on the outline of a smooth ball
 
 
+def _shadow(points: Sequence[Vec], axes: tuple) -> list:
+    """Convex hull of the points' projection on the axes plane, as
+    float pairs.  Exact points are projected as int pairs over their
+    common denominator L and each hull vertex is divided by L once;
+    int / int rounds correctly, as float(Fraction) does."""
+    i, j = axes
+    if points[0].mode == EXACT:
+        rows, L = integer_points(points)
+        return [(x / L, y / L) for x, y in convex_hull_2d([(r[i], r[j]) for r in rows])]
+    return convex_hull_2d([(p[i], p[j]) for p in points])
+
+
 def _ball_outline(ball: UnitBall, axes: tuple) -> list:
     """Boundary polygon of the ball's shadow on the axes plane, unit
     scale, centered at the origin."""
     if ball.mode == EXACT:
-        hull = convex_hull_2d([Vec((v[axes[0]], v[axes[1]])) for v in ball.vertices])
-        return [(float(p[0]), float(p[1])) for p in hull]
+        return _shadow(ball.vertices, axes)
     # the shadow of a p-ball on a coordinate plane is the planar p-ball
     out = []
     for k in range(_SAMPLES):
@@ -101,9 +112,7 @@ def render_scene(
         proj = [project(v, axes) for v in simplex.vertices]
         for i, j in simplex.edges():
             edges.append((proj[i], proj[j]))
-        mp = simplex.medial_polytope
-        hull = convex_hull_2d([Vec((v[axes[0]], v[axes[1]])) for v in mp.vertices()])
-        bodies.insert(0, ("medial", [(float(p[0]), float(p[1])) for p in hull]))
+        bodies.insert(0, ("medial", _shadow(simplex.medial_polytope.vertices(), axes)))
 
     markers = {name: project(p, axes) for name, p in point_labels.items()}
 

@@ -117,6 +117,10 @@ _NAME = SCENE_SCHEMA["properties"]["points"]["propertyNames"]["pattern"]
 _BALL_KEY = {"polytope-v": "vertices", "polytope-h": "normals", "pnorm": "p"}
 BALL_CACHE_SIZE = 64
 _CAP_VARIABLES = ("MINKSIMPLEX_MAX_FACETS", "MINKSIMPLEX_MAX_DIM")
+# one encoder per setting: json.dumps builds a new one for every call
+# that passes a flag off its default
+_canonical_json = json.JSONEncoder(sort_keys=True).encode
+_strict_json = json.JSONEncoder(allow_nan=False).encode
 
 # One walk reads a JSON document and checks each SCENE_SCHEMA keyword
 # where it reads that value, then the rules the schema cannot state:
@@ -210,7 +214,7 @@ def _ball(doc: dict, dim: int, cached: bool = True) -> UnitBall:
         return PNormBall(dim, _finite(p, where))
     if cached:
         try:
-            text = json.dumps(doc, sort_keys=True)
+            text = _canonical_json(doc)
         except (TypeError, ValueError):  # values JSON cannot hold
             text = None
         if text is not None and json.loads(text) == doc:  # a tuple dumps as a list
@@ -318,7 +322,7 @@ def result_document(command: str, scene: Optional[Scene], payload: dict, version
 
 def _leaf_json(obj, where: str) -> str:
     try:
-        return json.dumps(obj, allow_nan=False)
+        return _strict_json(obj)
     except ValueError:  # inf or nan, which a JSON document cannot hold
         raise MinksimplexError(f"result {where} = {obj} is beyond the float range") from None
 

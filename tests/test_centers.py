@@ -19,12 +19,12 @@ from minksimplex.centers import (
     feuerbach_sphere,
     incenter,
 )
-from minksimplex.circumcenter import polytopal_circumcenters
+from minksimplex.circumcenter import polytopal_circumcenters, smooth_circumcenters
 from minksimplex.construct import quasiregular_simplex
-from minksimplex.errors import DegenerateInputError
+from minksimplex.errors import DegenerateInputError, MixedModeError
 from minksimplex.feasibility import FeasibilityProblem, lp_max
 from minksimplex.linalg import Hyperplane, Vec, cross2
-from minksimplex.norms import euclidean_ball, point_hyperplane_distance
+from minksimplex.norms import PNormBall, euclidean_ball, point_hyperplane_distance
 from minksimplex.scalars import Rat
 from minksimplex.simplex import Simplex
 
@@ -242,6 +242,32 @@ def test_feuerbach_touches_facet_centroids():
     assert sphere.radius == Rat(1)
     for i in range(3):
         assert SQUARE.gauge(T345.facet_centroid(i) - sphere.center) == sphere.radius
+
+
+def test_feuerbach_sphere_on_a_pnorm_ball():
+    ball = PNormBall(2, 3.0)
+    piece = smooth_circumcenters(T345F, ball).pieces[0]
+    sphere = feuerbach_sphere(T345F, ball, piece.center, piece.radius)
+    assert sphere.radius == pytest.approx(piece.radius / 2, rel=1e-12)
+    for i in range(3):
+        g = sphere.gauge_from_center(T345F.facet_centroid(i))
+        assert float(g) == pytest.approx(sphere.radius, rel=1e-9)
+
+
+def test_collapsed_float_euler_line_contains_only_its_centroid():
+    ball = PNormBall(2, 3.0)
+    T = quasiregular_simplex(ball).simplex
+    g = T.centroid
+    line = euler_line(T, ball, g, ball.gauge(T.vertices[0] - g))
+    assert line.collapsed
+    assert line.contains(g)
+    assert line.contains(line.monge) and line.contains(line.feuerbach_center)
+    assert not line.contains(g + fvec(0, 1e-3))
+
+
+def test_euler_line_keeps_the_exact_lane_exact():
+    with pytest.raises(MixedModeError):
+        euler_line(T345, SQUARE, fvec(2, 1), 2.0)
 
 
 def test_euler_points_division_ratios():

@@ -1,6 +1,7 @@
 """End-to-end command line checks: exit codes, JSON shape, SVG output."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -192,7 +193,7 @@ def test_verify_radon_family_needs_radon_ball(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("trials", ["0", "-3", "x"])
 def test_verify_rejects_non_positive_trials(tmp_path, capsys, trials):
     with pytest.raises(SystemExit) as exc:
         run_cli(["verify", "--theorem", "44", "--trials", trials], tmp_path, HEX_SCENE)
@@ -239,6 +240,18 @@ def test_invalid_ball_is_reported_before_the_facet_cap(
     assert err.startswith("error: ") and "Traceback" not in err
     if exit_code == 1:
         assert "origin is not interior" in err
+
+
+def test_halfspace_count_is_capped_before_boundedness(tmp_path, monkeypatch, capsys):
+    # polytope-h caps its input rows before it builds the ball, so eight
+    # normals in a half-plane trip the cap of 6 although they bound nothing
+    normals = [[1, 0], [1, 1], [1, 2], [1, 3], [1, -1], [1, -2], [1, -3], [2, 1]]
+    scene = {"dimension": 2, "ball": {"type": "polytope-h", "normals": normals}}
+    assert run_cli(["gauge"], tmp_path, scene) == (1, "")
+    assert "unbounded" in capsys.readouterr().err
+    monkeypatch.setenv("MINKSIMPLEX_MAX_FACETS", "6")
+    assert run_cli(["gauge"], tmp_path, scene) == (2, "")
+    assert "8 facets exceed cap 6" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -489,11 +502,12 @@ def test_render_3d_projection(tmp_path):
     assert len(world.findall("s:line", ns)) == 6
     svg_default = render_svg(tmp_path, CUBE_SCENE)
     assert svg_default != svg
-    code = main([
-        "render", "--in", write_scene(tmp_path, CUBE_SCENE),
-        "--svg", str(tmp_path / "x.svg"), "--project", "0,9",
-    ])
-    assert code == 2
+    for axes in ("0,9", "a,b"):
+        code = main([
+            "render", "--in", write_scene(tmp_path, CUBE_SCENE),
+            "--svg", str(tmp_path / "x.svg"), "--project", axes,
+        ])
+        assert code == 2
 
 
 def test_render_ball_only_scene(tmp_path):
@@ -502,6 +516,65 @@ def test_render_ball_only_scene(tmp_path):
     world = ET.fromstring(svg).find(".//s:g[@id='world']", ns)
     polys = world.findall("s:polygon", ns)
     assert len(polys) == 1 and polys[0].get("class") == "ball"
+
+
+SVG_PINS = [
+    # exact outlines over rational coordinates, projections of 3D and 4D
+    # balls, and sampled p = 3 outlines with float medial polygons
+    (POLY_SCENE, [], "8467f8592b5912be0a573ceb572e41cafb5a52e25cbace1b76ce9b6eaac198c8"),
+    (
+        {**HEX_SCENE, "simplex": [[0, 0], [3, 1], ["1/2", 2]]},
+        [],
+        "f4947ed037e8fc7f90d867ea34dd3e86bb43383e41128e31ab9f3b84cc74f324",
+    ),
+    (CUBE_SCENE, ["--project", "0,2"], "5b9a8baacd9778ee74c52e317c265b93316ce12d4274ef03866f3c049e06160f"),
+    (
+        {
+            "dimension": 4,
+            "ball": {
+                "type": "polytope-v",
+                "vertices": [[s if k == i else 0 for k in range(4)] for i in range(4) for s in (1, -1)],
+            },
+            "simplex": [[0, 0, 0, 0], [2, 0, 0, 0], [0, 2, 1, 0], [0, 0, 2, 1], [1, 0, 0, 2]],
+        },
+        [],
+        "7fbdebb047968392f71ed8053baa0cdf6c3a7283e4a8c7276f60b20000c2bebd",
+    ),
+    (
+        {"dimension": 2, "ball": {"type": "pnorm", "p": 3}, "simplex": [[0, 0], [4, 0], [1, 3]]},
+        [],
+        "0dd5cd89aa02b3632dc260c8a7e39a47866665f30a62674d31df09142c6e6909",
+    ),
+    (
+        {
+            "dimension": 3,
+            "ball": {"type": "pnorm", "p": 3},
+            "simplex": [[0, 0, 0], [3, 0, 0], [0, 2, 0], [1, 1, 2]],
+        },
+        [],
+        "02106ae79502fe367880f81721dbace65e9e47940dfcb341d0b6119f8e484e79",
+    ),
+]
+
+
+@pytest.mark.parametrize("scene, extra, digest", SVG_PINS)
+def test_render_svg_bytes_pinned(tmp_path, scene, extra, digest):
+    svg = render_svg(tmp_path, scene, extra)
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
+def test_render_draws_a_probed_second_translate(tmp_path):
+    # both circumcenter pieces have the witness (0, 0), so the second
+    # translate comes from probing inside the segment piece
+    scene = {
+        "dimension": 2,
+        "ball": POLY_SCENE["ball"],
+        "simplex": [[0, -3], [-3, 3], [3, -3]],
+    }
+    ns = {"s": "http://www.w3.org/2000/svg"}
+    world = ET.fromstring(render_svg(tmp_path, scene)).find(".//s:g[@id='world']", ns)
+    translates = [p.get("points") for p in world.findall("s:polygon", ns) if p.get("class") == "translate"]
+    assert translates == ["-3,-3 3,-3 3,3 -3,3", "-3,-3 5,-3 5,5 -3,5"]
 
 
 def test_console_entry_point(tmp_path):

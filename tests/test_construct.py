@@ -4,6 +4,7 @@ triangles, across ball kinds, dimensions, and seeding strategies."""
 import hashlib
 import math
 import random
+from operator import mul
 
 import pytest
 
@@ -17,6 +18,7 @@ from minksimplex.construct import (
 from minksimplex.errors import DegenerateInputError
 from minksimplex.linalg import Vec, unit_vec
 from minksimplex.norms import PNormBall, PolytopeBall, euclidean_ball
+from minksimplex.polytopes import vertex_rays
 from minksimplex.scalars import Rat
 from minksimplex.simplex import Simplex
 
@@ -288,6 +290,60 @@ PINNED_CHORDS = [
 def test_bisected_chord_exact_pinned(ball, origin, frame, r, s):
     ends = construct._bisected_chord_exact(ball, vec(*origin), [vec(*f) for f in frame])
     assert (_strs(ends[0]), _strs(ends[1])) == (r, s)
+
+
+def _mask_walk_section(ball, origin, frame):
+    """Oracle for construct._section_polygon: the same kernel rows and
+    vertices, ordered by walking from the lexicographically least vertex
+    to the neighbours it shares a tight kernel row with, the first step
+    turning counterclockwise."""
+    (v1, v2), O, Do = frame, origin.X, origin.D
+    rows_n, s_n = ball._normal_rows
+    rows = []
+    for N in rows_n:
+        c1 = sum(map(mul, N, v1.X)) * v2.D * Do
+        c2 = sum(map(mul, N, v2.X)) * v1.D * Do
+        h = (s_n * Do - sum(map(mul, N, O))) * v1.D * v2.D
+        if c1 or c2:
+            rows.append((c1, c2, -h))
+    rays = vertex_rays(rows, 2)
+    L = math.lcm(*(y[2] for y, _ in rays))
+    pts = [(y[0] * (L // y[2]), y[1] * (L // y[2])) for y, _ in rays]
+    order = [min(range(len(pts)), key=pts.__getitem__)]
+    while len(order) < len(pts):
+        cur = order[-1]
+        nxt = [j for j, (_, m) in enumerate(rays) if m & rays[cur][1] and j not in order]
+        if len(nxt) == 2:
+            (ox, oy), (px, py), (qx, qy) = pts[cur], pts[nxt[0]], pts[nxt[1]]
+            if (px - ox) * (qy - oy) < (py - oy) * (qx - ox):
+                nxt.reverse()
+        order.append(nxt[0])
+    return [pts[i] for i in order], L
+
+
+def test_section_polygon_matches_the_mask_walk():
+    rng = random.Random("section-polygon")
+    balls = EXACT_BALLS + [random_symmetric_polygon(rng) for _ in range(4)]
+    balls += [random_symmetric_polytope_3d(rng) for _ in range(4)]
+    checked = 0
+    for ball in balls:
+        d = ball.dim
+        for _ in range(6):
+            frame = [
+                vec(*(R(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(d))) for _ in range(2)
+            ]
+            (a, b) = frame
+            if all(a[i] * b[j] == a[j] * b[i] for i in range(d) for j in range(d)):
+                continue  # not a 2-plane
+            x = vec(*(rng.randint(-3, 3) for _ in range(d)))
+            if x.is_zero():
+                continue
+            origin = x * (R(rng.randint(0, 9), 10) / ball.gauge(x))
+            assert construct._section_polygon(ball, origin, frame) == _mask_walk_section(
+                ball, origin, frame
+            )
+            checked += 1
+    assert checked >= 60
 
 
 def _float_lane_text(c):

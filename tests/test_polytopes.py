@@ -1,10 +1,11 @@
 """Exact polytope plumbing: hulls, facet/vertex enumeration, ordering."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from minksimplex.errors import DegenerateInputError, MixedModeError
+from minksimplex.errors import DegenerateInputError, DimensionError, MixedModeError
 from minksimplex.linalg import Hyperplane, Vec
 from minksimplex.polytopes import (
     contains,
@@ -16,7 +17,7 @@ from minksimplex.polytopes import (
 )
 from minksimplex.scalars import Rat
 
-from conftest import vec
+from conftest import fvec, vec
 
 
 def test_facet_hyperplanes_square():
@@ -128,6 +129,55 @@ def test_convex_hull_2d_ccw_order():
         a, b, c = hull[i], hull[(i + 1) % n], hull[(i + 2) % n]
         u, w = b - a, c - b
         assert u[0] * w[1] - u[1] * w[0] > 0
+
+
+def _hull_by_edges(points) -> list:
+    """Brute-force oracle in Fractions: walk from the lexicographically
+    least point along directed edges (a, b) with every point on the left
+    of a -> b or on the segment [a, b]."""
+    pts = sorted({(Fraction(x), Fraction(y)) for x, y in points})
+    if len(pts) <= 2:
+        return pts
+
+    def on_edge(a, b, q) -> bool:
+        c = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
+        return c > 0 or c == 0 and all(min(s, t) <= u <= max(s, t) for s, t, u in zip(a, b, q))
+
+    out = [pts[0]]
+    while True:
+        b = next(b for b in pts if b != out[-1] and all(on_edge(out[-1], b, q) for q in pts))
+        if b == out[0]:
+            return out
+        out.append(b)
+
+
+def test_convex_hull_2d_takes_pairs_and_vecs_alike():
+    rng = random.Random("hull-pairs")
+    for trial in range(300):
+        n = rng.randint(1, 12)
+        pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+        if trial % 3 == 0:  # a run of collinear points and repeats
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            pts += [(k * a, k * b + 1) for k in range(-2, 3)] + pts[:2]
+        hull = convex_hull_2d(pts)
+        assert hull == _hull_by_edges(pts)
+        assert all(type(c) is int for p in hull for c in p)
+        assert [tuple(v) for v in convex_hull_2d([vec(*p) for p in pts])] == hull
+        floats = [(x / 7, y / 3) for x, y in pts]
+        assert convex_hull_2d(floats) == [v.coords for v in convex_hull_2d([fvec(*p) for p in floats])]
+
+
+def test_convex_hull_2d_keeps_the_lanes_apart():
+    with pytest.raises(MixedModeError):
+        convex_hull_2d([vec(0, 0), fvec(1, 0), vec(0, 1)])
+    with pytest.raises(MixedModeError):
+        convex_hull_2d([fvec(0, 0), vec(1, 0), fvec(0, 1), fvec(1, 1)])
+
+
+def test_convex_hull_2d_needs_planar_points():
+    for pts in ([vec(0, 0, 0), vec(1, 0, 0), vec(0, 1, 0)], [(0, 0, 0), (1, 0, 0), (0, 1, 0)]):
+        with pytest.raises(DimensionError):
+            convex_hull_2d(pts)
 
 
 def test_degenerate_inputs_raise():
