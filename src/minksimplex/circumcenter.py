@@ -1,16 +1,26 @@
 """Circumcenter sets of simplices.
 
-Polytopal mode enumerates vertex-to-ball-facet assignments: vertex A_i
-touching facet j of the scaled ball pins <n_j, A_i - M> = r together
-with the normal-cone inequalities <n_k, A_i - M> <= r, giving one exact
-feasibility problem per assignment over the unknowns (M, r).  The union
-of the feasible pieces is the complete circumcenter set; pieces may be
-points, segments, or unbounded polyhedra.  Every row is read off one
-integer incidence table per call, T[i][k] = <N_k, V_i> for the ball's
-normals and the simplex's vertices over a common denominator each
-(n_k = N_k / s_n, A_i = V_i / s_v): the candidate facets of a vertex are
-sign tests on T, and the row of (A_i, facet k), times s_n s_v, is
-<(-s_v N_k, -s_n s_v), (M, r)> <= -T[i][k].
+Polytopal mode: (M, r) is a circumcenter with its radius when
+<n_k, A_i - M> <= r for every vertex A_i and ball facet k, with equality
+at some k for each i.  The inequalities cut out one polyhedron
+Q = {(M, r) : <n_k, M> + r >= h_k}, h_k = max_i <n_k, A_i>, with one row
+per facet, as a pair (i, k) whose vertex misses h_k is strict on Q.
+Assigning each A_i a facet j_i whose h it attains picks the face of Q
+where the rows J = {j_i} are tight; these faces (points, segments or
+unbounded pieces) make up the circumcenter set.  Q is pointed, and
+r > 0 on it: -n_k is a normal too, so 2r >= h_k + h_-k > 0.  One
+double-description run (polytopes._polar_kernel) lists its vertices and
+extreme rays with their tight-row masks: the face of J is generated by
+those whose mask holds J (empty unless one is a vertex), its tight rows
+are the AND of their masks and its affine dimension their rank minus 1.
+A face is fixed by its tight subsystem (Schrijver 1986, 8.3), so a
+piece is keyed by its tight (vertex, facet) pairs and kept by the first
+assignment reaching it: a point is its vertex, and a larger piece's
+witness is the Fourier-Motzkin one (feasibility.feasible) of that
+assignment's system, which it keeps as its problem.  Rows come from one
+integer table, T[i][k] = <N_k, V_i> (n_k = N_k / s_n, A_i = V_i / s_v):
+A_i attains h_k where T[i][k] is its column's maximum, and the row of
+(A_i, k), times s_n s_v, is <(-s_v N_k, -s_n s_v), (M, r)> <= -T[i][k].
 
 Smooth mode runs damped Newton iterations on the gauge differences from
 several starts and reports what it finds (a start that comes within
@@ -21,19 +31,23 @@ exhaustiveness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 import struct
 from dataclasses import dataclass
-from operator import mul
+from operator import and_, mul
 from typing import Optional, Sequence
 
 from . import config
-from .errors import DegenerateInputError, DimensionError, MixedModeError, ResourceCapError
+from .errors import (
+    DegenerateInputError, DimensionError, MixedModeError, ResourceCapError, VerificationError,
+)
 from .feasibility import FeasibilityProblem, Ineq, feasible
-from .linalg import ExactVec, Vec, integer_points, integer_solve, solve_linear
+from .linalg import ExactVec, Vec, bareiss, integer_points, solve_linear
 from .norms import Ball, PNormBall, PolytopeBall, UnitBall, lp_gradient, lp_norm
+from .polytopes import _polar_kernel
 from .scalars import EXACT, Rat
 from .simplex import Simplex
 
@@ -101,29 +115,6 @@ class CircumcenterSet:
         return list(found.values())
 
 
-def _tight_pairs(assignment, n_facets: int, implicit_rows) -> frozenset:
-    """Key of a piece: the (vertex i, facet k) pairs whose row
-    <n_k, A_i - M> <= r is tight on the whole piece.  All assignments
-    share these rows, and a face of a polyhedron is fixed by its tight
-    subsystem (Schrijver 1986, 8.3), so two pieces with one key
-    coincide.  A point's tight rows have rank d + 1: points share a key
-    only when they coincide, and never with a larger piece.
-    `implicit_rows` index the inequalities in the order
-    polytopal_circumcenters builds them: vertex by vertex, facet by
-    facet, skipping assigned facets."""
-    rows = [(i, k) for i, j in enumerate(assignment) for k in range(n_facets) if k != j]
-    return frozenset(enumerate(assignment)).union(rows[idx] for idx in implicit_rows)
-
-
-def _point_key(table, dots, P: int) -> Optional[frozenset]:
-    """The tight pairs of the point (M, r) = z / P, P > 0, given
-    dots[k] = <coeffs_k, z>; None when a row dots[k] <= -T[i][k] P fails."""
-    slack = [[c + t[k] * P for k, c in enumerate(dots)] for t in table]
-    if max(map(max, slack)) > 0:
-        return None
-    return frozenset((i, k) for i, row in enumerate(slack) for k, s in enumerate(row) if not s)
-
-
 def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> CircumcenterSet:
     if simplex.mode != EXACT:
         raise MixedModeError("polytopal circumcenters need an exact simplex")
@@ -131,21 +122,16 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
     normals, s_n = ball._normal_rows
     vertices, s_v = integer_points(simplex.vertices)
     n_facets = len(normals)
-    # the incidence table T[i][k] = <N_k, V_i> = s_n s_v <n_k, A_i>
+    # the incidence table T[i][k] = <N_k, V_i> = s_n s_v <n_k, A_i> and
+    # its column maxima, s_n s_v h_k; facet j can touch A_i only where
+    # A_i attains h_j
     table = [[sum(map(mul, n, v)) for n in normals] for v in vertices]
-    # facet j can touch A_i only if <n_j, A_i - A_m> >= 0 for every
-    # vertex A_m (subtracting the two touch equalities)
-    candidates = [
-        [j for j in range(n_facets) if all(t[j] >= u[j] for u in table)] for t in table
-    ]
-    total = 1
-    for opts in candidates:
-        total *= len(opts)
+    top = [max(col) for col in zip(*table)]
+    candidates = [[j for j in range(n_facets) if t[j] == top[j]] for t in table]
+    total = math.prod(map(len, candidates))
     cap = config.max_assignments()
     if total > cap:
-        raise ResourceCapError(
-            f"{total} facet assignments exceed cap {cap}"
-        )
+        raise ResourceCapError(f"{total} facet assignments exceed cap {cap}")
 
     # rows[i][k] is <n_k, A_i - M> <= r read off the table (see the
     # module docstring); A_i on its assigned facet j makes row j an equality
@@ -161,35 +147,38 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
             + [positive],
         )
 
-    # every piece is keyed by its tight pairs (_tight_pairs); the first
-    # assignment reaching a piece keeps it
-    pieces: dict = {}
+    # the vertices and extreme rays (X, R, D) of Q, (M, r) = (X, R) / D,
+    # from its rows <coeffs_k, (X, R)> + top_k D <= 0 and -D <= 0; bit k
+    # of a mask is facet k's row
+    generators = _polar_kernel(
+        [(*c, h) for c, h in zip(coeffs, top)] + [(0,) * (d + 1) + (-1,)], d + 1
+    ) if total else []
+    faces: dict = {}  # facet set J (a mask) -> (key, generators of its face) or None
+    pieces: dict = {}  # key -> the piece of the first assignment reaching it
     for assignment in itertools.product(*candidates):
-        sol = integer_solve(
-            [(*coeffs[j], -table[i][j]) for i, j in enumerate(assignment)], d + 1
-        )
-        if sol is None:
+        J = sum({1 << j for j in assignment})
+        if J not in faces:
+            face = [(y, m) for y, m in generators if m & J == J]
+            faces[J] = None
+            if any(y[-1] for y, _ in face):  # a vertex, D > 0: the face is not empty
+                tight = functools.reduce(and_, (m for _, m in face))
+                key = frozenset((i, k) for i, ks in enumerate(candidates)
+                                for k in ks if tight >> k & 1)
+                faces[J] = key, [y for y, _ in face]
+        if faces[J] is None or faces[J][0] in pieces:
             continue
-        P, z, basis = sol
-        if not basis:
-            if P < 0:  # (M, r) = z / P with a positive denominator
-                P, z = -P, [-v for v in z]
-            if z[d] <= 0:
-                continue
-            key = _point_key(table, [sum(map(mul, c, z)) for c in coeffs], P)
-            if key is not None and key not in pieces:
-                center = ExactVec.of_ints(z[:d], P)
-                prob = assignment_problem(assignment)
-                pieces[key] = CircumPiece(center, Rat(z[d], P), 0, assignment, prob)
-            continue
+        key, face = faces[J]
         prob = assignment_problem(assignment)
-        res = feasible(prob, with_dim=True)
-        if not res.feasible:
-            continue
-        key = _tight_pairs(assignment, n_facets, res.implicit_rows)
-        if key not in pieces:
+        dim = bareiss(face)[0] - 1
+        if dim:
+            res = feasible(prob, with_dim=False)
+            if not res.feasible:
+                raise VerificationError("a nonempty face of Q has an empty assignment system")
             center, radius = Vec(res.witness[:d]), res.witness[d]
-            pieces[key] = CircumPiece(center, radius, res.affine_dim, assignment, prob)
+        else:
+            (*X, R, D), = face
+            center, radius = ExactVec.of_ints(X, D), Rat(R, D)
+        pieces[key] = CircumPiece(center, radius, dim, assignment, prob)
 
     merged = list(pieces.values())
     if not merged:

@@ -479,32 +479,36 @@ def integer_solve(aug: Sequence[Sequence[int]], n: int) -> Optional[tuple]:
     unknowns, reduced by bareiss over every column; a pivot in the
     right-hand side means infeasible (None).  Otherwise returns (P,
     point, basis) as ints, with P the last pivot (1 for no pivot):
-    point / P is one solution, 0 on the free columns, and basis[c] / P
-    the direction that is 1 on the c-th free column and 0 on the others.
-    P * x is integral on the pivot columns (Cramer's rule), so
-    back substitution over the pivot rows divides exactly; with every
-    right-hand side 0 the point is 0 and is not back-substituted."""
+    point / P is one solution, 0 on the free columns (and 0 with no
+    back substitution when every right-hand side is 0), and basis[c] / P
+    the direction that is 1 on the c-th free column and 0 on the others."""
     r, _, a, cols = bareiss(aug)
     if r and cols[-1] == n:
         return None
     last = a[r - 1][cols[-1]] if r else 1
-
-    def back_substitute(y: list, weight: int) -> list:
-        # y holds P * x on the free columns; the right-hand side
-        # enters weight times
-        for row, c in zip(reversed(a[:r]), reversed(cols)):
-            acc = weight * row[n]
-            for j in range(c + 1, n):
-                if y[j]:
-                    acc -= row[j] * y[j]
-            y[c] = acc // row[c]
-        return y
-
+    point = [0] * n
     # a homogeneous system keeps its zero right-hand side through bareiss
-    point = back_substitute([0] * n, last) if any(row[n] for row in a[:r]) else [0] * n
+    if any(row[n] for row in a[:r]):
+        back_substitute(a, cols, point, n, last)
     free = [c for c in range(n) if c not in cols]
-    basis = [back_substitute([last if j == c else 0 for j in range(n)], 0) for c in free]
+    basis = [back_substitute(a, cols, [last * (j == c) for j in range(n)], n, 0) for c in free]
     return last, point, basis
+
+
+def back_substitute(a: list, cols: list, y: list, rhs: int, weight: int) -> list:
+    """Fill in y, which holds P * x on the free columns, with P * x on
+    the pivot columns cols of bareiss's echelon rows a, whose column rhs
+    is the right-hand side taken weight times (P for a point, 0 for a
+    direction); P * x is integral (Cramer's rule), so each division is
+    exact."""
+    n = len(y)
+    for row, c in zip(reversed(a[:len(cols)]), reversed(cols)):
+        acc = weight * row[rhs]
+        for j in range(c + 1, n):
+            if y[j]:
+                acc -= row[j] * y[j]
+        y[c] = acc // row[c]
+    return y
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> LinearSolution:

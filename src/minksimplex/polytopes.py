@@ -53,7 +53,7 @@ from typing import Sequence
 
 from . import config
 from .errors import DegenerateInputError, DimensionError, MixedModeError, ResourceCapError
-from .linalg import ExactVec, Hyperplane, Vec, bareiss, integer_solve
+from .linalg import ExactVec, Hyperplane, Vec, back_substitute, bareiss, integer_solve
 from .scalars import EXACT, Rat
 
 
@@ -102,13 +102,6 @@ def _first_independent(rows: Sequence[Sequence[int]], indices) -> list:
     return [indices[c] for c in bareiss(list(zip(*(rows[i] for i in indices))))[3]]
 
 
-def _null_vector(rows: Sequence[Sequence[int]], d: int) -> list:
-    """The coprime int generator of the null line of d rows of rank d."""
-    y = integer_solve([[*r, 0] for r in rows], d + 1)[2][0]
-    g = math.gcd(*y)
-    return [c // g for c in y]
-
-
 def _polar_kernel(rows: Sequence[Sequence[int]], d: int) -> list:
     """The extreme rays y of the cone {y : <r, y> <= 0 for every row},
     as pairs (y, m) of a coprime int list and the int mask whose bit i
@@ -119,19 +112,21 @@ def _polar_kernel(rows: Sequence[Sequence[int]], d: int) -> list:
     if len(first) < d:
         return []
     if len(first) == d:
-        y = _null_vector([rows[i] for i in first], d)
-        return [(y if y[d] > 0 else [-c for c in y], (1 << len(rows)) - 1)] if y[d] else []
-    # the simplicial cone of the first d + 1 independent rows: ray j is
-    # tight on all of them but row j, on whose inner side it lies
+        y = integer_solve([[*rows[i], 0] for i in first], d + 1)[2][0]
+        g = math.gcd(*y) if y[d] > 0 else -math.gcd(*y)
+        return [([c // g for c in y], (1 << len(rows)) - 1)] if y[d] else []
+    # the simplicial cone of the first d + 1 independent rows B: ray j is
+    # tight on all of them but row j, on whose inner side it lies: column
+    # j of B^-1 times -|P|, P the last pivot of bareiss over [B | I]
+    _, _, a, cols = bareiss([[*rows[i], *(int(i == k) for k in first)] for i in first])
+    start = sum(1 << i for i in first)
     rays = []
-    for j in first:
-        y = _null_vector([rows[i] for i in first if i != j], d)
-        if _dot(rows[j], y) > 0:
-            y = [-c for c in y]
-        rays.append((y, sum(1 << i for i in first if i != j)))
-    start = set(first)
+    for j, i in enumerate(first):
+        y = back_substitute(a, cols, [0] * (d + 1), d + 1 + j, -abs(a[d][d]))
+        g = math.gcd(*y)
+        rays.append(([c // g for c in y], start ^ 1 << i))
     for i, r in enumerate(rows):
-        if i in start:
+        if start >> i & 1:
             continue
         bit = 1 << i
         pos, neg, kept = [], [], []

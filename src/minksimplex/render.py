@@ -32,17 +32,27 @@ _STYLE = """\
 """
 
 
-def _fmt(x) -> str:
-    f = float(x)
+def _float(x, den: int = 1) -> float:
+    """x / den as a float (int / int rounds as float(Fraction) does); a
+    value beyond the float range, exact or rounded to inf, is an error."""
+    try:
+        f = float(x / den)
+    except OverflowError:  # an exact value past the float range
+        f = math.inf if x > 0 else -math.inf
     if not math.isfinite(f):
         raise MinksimplexError(f"drawing coordinate {f} is beyond the float range")
+    return f
+
+
+def _fmt(x) -> str:
+    f = _float(x)
     if f == int(f) and abs(f) < 1e15:
         return str(int(f))
     return repr(f)
 
 
 def project(v: Vec, axes: tuple) -> tuple:
-    return float(v[axes[0]]), float(v[axes[1]])
+    return _float(v[axes[0]]), _float(v[axes[1]])
 
 
 _SAMPLES = 256  # points on the outline of a smooth ball
@@ -51,12 +61,12 @@ _SAMPLES = 256  # points on the outline of a smooth ball
 def _shadow(points: Sequence[Vec], axes: tuple) -> list:
     """Convex hull of the points' projection on the axes plane, as
     float pairs.  Exact points are projected as int pairs over their
-    common denominator L and each hull vertex is divided by L once;
-    int / int rounds correctly, as float(Fraction) does."""
+    common denominator L and each hull vertex is divided by L once."""
     i, j = axes
     if points[0].mode == EXACT:
         rows, L = integer_points(points)
-        return [(x / L, y / L) for x, y in convex_hull_2d([(r[i], r[j]) for r in rows])]
+        hull = convex_hull_2d([(r[i], r[j]) for r in rows])
+        return [(_float(x, L), _float(y, L)) for x, y in hull]
     return convex_hull_2d([(p[i], p[j]) for p in points])
 
 
@@ -100,7 +110,7 @@ def render_scene(
     bodies.append(("ball", outline))
     for center, radius in sphere_translates:
         cx, cy = project(center, axes)
-        r = float(radius)
+        r = _float(radius)
         bodies.append(
             ("translate", [(cx + r * x, cy + r * y) for x, y in outline])
         )

@@ -650,3 +650,27 @@ def test_render_pnorm_scene_svg(tmp_path):
     for x, y in medial:
         # inside the 3-4-5 triangle (0,0), (4,0), (0,3)
         assert x >= -EPS_REL and y >= -EPS_REL and 3 * x + 4 * y <= 12 + EPS_REL
+
+
+# exact coordinates of 10^400 are valid scene input, but no float can
+# draw them: the ball's outline, the simplex (and its medial polytope)
+# and a marker each reach the drawing through a different conversion
+BEYOND = 10**400
+SQUARE_VERTICES = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
+BEYOND_FLOAT_SCENES = [
+    {"dimension": 2,
+     "ball": {"type": "polytope-v", "vertices": [[BEYOND, 0], [-BEYOND, 0], [0, 1], [0, -1]]}},
+    {"dimension": 2, "ball": {"type": "polytope-v", "vertices": SQUARE_VERTICES},
+     "simplex": [[0, 0], [BEYOND, 0], [0, 1]]},
+    {"dimension": 2, "ball": {"type": "polytope-v", "vertices": SQUARE_VERTICES},
+     "points": {"P": [-BEYOND, 0]}},
+]
+
+
+@pytest.mark.parametrize("scene", BEYOND_FLOAT_SCENES)
+def test_render_beyond_the_float_range_exits_2(tmp_path, capsys, scene):
+    argv = ["render", "--in", write_scene(tmp_path, scene), "--svg", str(tmp_path / "out.svg")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "drawing coordinate" in err and "beyond the float range" in err
+    assert not (tmp_path / "out.svg").exists()

@@ -10,6 +10,7 @@ coordinates, and determinants equal to the last bit.
 """
 
 import itertools
+import math
 import random
 import pytest
 
@@ -20,6 +21,7 @@ from minksimplex.linalg import (
     Vec,
     bareiss,
     det,
+    integer_solve,
     nullspace,
     rank,
     solve_linear,
@@ -559,3 +561,32 @@ def test_first_independent_rows_match_fraction_rank_scan():
         assert polytopes._first_independent(rows, indices) == want
         skipped += len(want) < len(indices)
     assert skipped > 100
+
+
+def null_vector_start(rows, d):
+    """The kernel's start cone as it was first built: for each of the
+    d + 1 rows, the coprime null vector of the other d (one solve each),
+    turned to the inner side of the row it leaves out."""
+    rays = []
+    for j in range(d + 1):
+        y = integer_solve([[*r, 0] for i, r in enumerate(rows) if i != j], d + 1)[2][0]
+        g = math.gcd(*y)
+        y = [c // g for c in y]
+        if sum(a * b for a, b in zip(rows[j], y)) > 0:
+            y = [-c for c in y]
+        rays.append((y, sum(1 << i for i in range(d + 1) if i != j)))
+    return rays
+
+
+def test_start_cone_matches_null_vector_solves():
+    # d + 1 independent rows are their own start cone, so the kernel
+    # returns it unchanged, in order, with its masks
+    rng = random.Random("start-cone")
+    checked = 0
+    while checked < 300:
+        d = rng.randint(1, 5)
+        rows = [[rng.randint(-5, 5) for _ in range(d + 1)] for _ in range(d + 1)]
+        if bareiss(rows)[0] < d + 1:
+            continue
+        assert polytopes._polar_kernel(rows, d) == null_vector_start(rows, d)
+        checked += 1
