@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from . import config
 from .errors import DegenerateInputError, VerificationError
-from .linalg import ExactVec, Hyperplane, Vec, affine_rank, det, integer_solve, ratio, solve_linear
+from .linalg import ExactVec, Hyperplane, Vec, affine_rank, det, solve_linear
 from .norms import Ball, UnitBall
 from .scalars import EXACT, FLOAT, Rat, close
 from .simplex import Simplex
@@ -182,25 +183,26 @@ class Insphere:
 
 
 def _tangency_sphere(simplex: Simplex, ball: UnitBall, flip: Optional[int]) -> Optional[tuple]:
-    """(x, rho) with <a_j, x> + s_j h(a_j) rho = b_j for all j, or None if not unique."""
+    """(x, rho) with <a_j, x> + s_j h(a_j) rho = b_j for all j, or None if not unique.
+
+    Exact, in barycentric coordinates: lambda_j = s_j rho / H_j for the
+    heights H_j = S s_v / (D M_j) of the facet table, and sum lambda_j
+    = 1, so sigma = sum s_j M_j gives x = sum s_j M_j V_j / (D sigma)
+    and rho = S s_v / (D sigma), with no solution when sigma = 0."""
+    if ball.mode == EXACT:
+        signed = [-m if j == flip else m for j, m in enumerate(simplex.facet_supports(ball))]
+        (V, D, _, _, S), sigma = simplex.facet_table, sum(signed)
+        if sigma == 0:
+            return None
+        c = 1 if sigma > 0 else -1  # the center's denominator must be positive
+        X = [c * sum(map(mul, signed, col)) for col in zip(*V)]
+        return ExactVec.of_ints(X, c * D * sigma), Rat(S * ball._vertex_rows[1], D * sigma)
     rows, rhs = [], []
     for j, h in enumerate(simplex.facet_hyperplanes):
         sj = -1 if j == flip else 1
         hb = ball.support(h.normal)
-        if ball.mode == FLOAT:
-            rows.append([*(float(c) for c in h.normal.coords), sj * float(hb)])
-            rhs.append(float(h.offset))
-        else:
-            n, (p, q), (b, c) = h.normal, ratio(hb), ratio(h.offset)
-            m = math.lcm(n.D, q, c)
-            rows.append([*(x * (m // n.D) for x in n.X), sj * p * (m // q), b * (m // c)])
-    if ball.mode != FLOAT:
-        sol = integer_solve(rows, len(rows))
-        if sol is None or sol[2]:
-            return None
-        P, point, _ = sol
-        s = 1 if P > 0 else -1  # the center's denominator must be positive
-        return ExactVec.of_ints([s * v for v in point[:-1]], s * P), Rat(point[-1], P)
+        rows.append([*(float(c) for c in h.normal.coords), sj * float(hb)])
+        rhs.append(float(h.offset))
     if flip is not None:
         # entries are scaled to at most 1 first, so nothing can overflow
         big = max(max(abs(c) for row in rows for c in row), 1.0)
@@ -265,6 +267,9 @@ def facet_bisector(simplex: Simplex, ball: UnitBall, i: int, j: int, external: b
     facet j."""
     if i == j:
         raise DegenerateInputError("bisector needs two distinct facets")
+    if ball.mode == EXACT:
+        A, b, q = simplex.bisector_row(ball, i, j, -1 if external else 1)
+        return Hyperplane(ExactVec.of_ints(A, q), Rat(b, q))
     return bisector(
         simplex.facet_hyperplanes[i],
         simplex.facet_hyperplanes[j],

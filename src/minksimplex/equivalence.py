@@ -11,7 +11,7 @@ by the command-line contract.
 
 Exact polytopal instances give exact verdicts; smooth-ball instances
 are evaluated at a relative tolerance of 1e-7 and their reports are
-labeled "numeric".
+labeled "numeric".  Exact verdicts compare int pairs (p, q) for p / q.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .centers import exspheres, facet_bisector, incenter
 from .config import EPS_EQUIV
 from .construct import equilateral_triangle, quasiregular_simplex
 from .errors import DegenerateInputError
-from .linalg import Vec
+from .linalg import ExactVec, Vec, ratio
 from .norms import UnitBall, dual_ball, is_radon, isoperimetrix
 from .scalars import EXACT, Rat
 from .simplex import Simplex
@@ -59,31 +59,49 @@ class EquivalenceReport:
 
 
 def _scalar_str(x) -> str:
-    return repr(float(x)) if isinstance(x, float) else str(x)
+    """A float's repr, or an exact value or int pair as Rat prints it."""
+    if isinstance(x, float):
+        return repr(x)
+    if isinstance(x, tuple):
+        g = math.gcd(*x)
+        return str(x[0] // g) if x[1] == g else f"{x[0] // g}/{x[1] // g}"
+    return str(x)
+
+
+def _vec_strs(v: Vec) -> list:
+    if v.mode == EXACT:
+        return [_scalar_str((x, v.D)) for x in v.X]
+    return [_scalar_str(c) for c in v.coords]
 
 
 def fingerprint(simplex: Simplex, ball: UnitBall, seed=None) -> dict:
     if ball.mode == EXACT:
-        ball_part = {
-            "kind": ball.kind,
-            "vertices": [[_scalar_str(c) for c in v.coords] for v in ball.vertices],
-        }
+        ball_part = {"kind": ball.kind, "vertices": [_vec_strs(v) for v in ball.vertices]}
     else:
         ball_part = {"kind": ball.kind, "p": ball.p}
     return {
         "dimension": simplex.dim,
-        "simplex": [[_scalar_str(c) for c in v.coords] for v in simplex.vertices],
+        "simplex": [_vec_strs(v) for v in simplex.vertices],
         "ball": ball_part,
         "seed": seed,
     }
 
 
 def _all_equal(values, mode: str) -> bool:
+    """Exact values are int pairs (p, q), q > 0, for p / q."""
     vals = list(values)
     if mode == EXACT:
-        return all(v == vals[0] for v in vals[1:])
+        p0, q0 = vals[0]
+        return all(p * q0 == p0 * q for p, q in vals[1:])
     fs = [float(v) for v in vals]
     return max(fs) - min(fs) <= EPS_EQUIV * max(abs(f) for f in fs)
+
+
+def _gauges(ball: UnitBall, vectors) -> list:
+    """The gauges of the vectors, as int pairs in the exact lane."""
+    if ball.mode == EXACT:
+        return [ball.gauge_ratio(v) for v in vectors]
+    return [ball.gauge(v) for v in vectors]
 
 
 def _extent(simplex: Simplex) -> float:
@@ -101,9 +119,7 @@ def _points_equal(a: Vec, b: Vec, mode: str, extent: float) -> bool:
     )
 
 
-def _same_hyperplane(h1, h2, mode: str, extent: float) -> bool:
-    if mode == EXACT:
-        return h1.same_set(h2)
+def _same_hyperplane(h1, h2, extent: float) -> bool:
     n1 = [float(c) for c in h1.normal.coords]
     n2 = [float(c) for c in h2.normal.coords]
     s1, s2 = math.hypot(*n1), math.hypot(*n2)
@@ -116,31 +132,38 @@ def _same_hyperplane(h1, h2, mode: str, extent: float) -> bool:
     return False
 
 
+def _same_row(u: tuple, w: tuple) -> bool:
+    """Whether int rows (A, b, q) of hyperplanes <A, x> = b give one set:
+    (A, b) and (A', b') are parallel."""
+    a, c = (*u[0], u[1]), (*w[0], w[1])
+    k = next(i for i, x in enumerate(a) if x)
+    return all(a[k] * y == c[k] * x for x, y in zip(a, c))
+
+
 # -- individual conditions -------------------------------------------
 
 
 def equal_heights(simplex: Simplex, ball: UnitBall):
-    hs = simplex.heights(ball)
+    hs = simplex.height_ratios(ball) if ball.mode == EXACT else simplex.heights(ball)
     return _all_equal(hs, ball.mode), [_scalar_str(h) for h in hs]
 
 
 def equal_medians(simplex: Simplex, ball: UnitBall):
-    ms = simplex.median_lengths(ball)
+    ms = _gauges(ball, [simplex.median_vector(i) for i in range(simplex.dim + 1)])
     return _all_equal(ms, ball.mode), [_scalar_str(m) for m in ms]
 
 
 def equal_side_gauges(simplex: Simplex, ball: UnitBall):
-    ss = simplex.side_lengths(ball)
+    vs = simplex.vertices
+    ss = _gauges(ball, [vs[j] - vs[i] for i, j in simplex.edges()])
     return _all_equal(ss, ball.mode), [_scalar_str(s) for s in ss]
 
 
 def centroid_is_incenter(simplex: Simplex, ball: UnitBall):
     inc = incenter(simplex, ball)
-    ok = _points_equal(inc.center, simplex.centroid, ball.mode, _extent(simplex))
-    return ok, {
-        "incenter": [_scalar_str(c) for c in inc.center.coords],
-        "centroid": [_scalar_str(c) for c in simplex.centroid.coords],
-    }
+    extent = None if ball.mode == EXACT else _extent(simplex)
+    ok = _points_equal(inc.center, simplex.centroid, ball.mode, extent)
+    return ok, {"incenter": _vec_strs(inc.center), "centroid": _vec_strs(simplex.centroid)}
 
 
 def equal_exradii(simplex: Simplex, ball: UnitBall):
@@ -150,7 +173,7 @@ def equal_exradii(simplex: Simplex, ball: UnitBall):
         e = exs[i]
         if e is None:
             return False, {"missing_pattern": i}
-        radii.append(e.radius)
+        radii.append(ratio(e.radius) if ball.mode == EXACT else e.radius)
     return _all_equal(radii, ball.mode), [_scalar_str(r) for r in radii]
 
 
@@ -159,10 +182,14 @@ def quasi_medial_hyperplanes_are_bisectors(simplex: Simplex, ball: UnitBall):
     facet bisectors.  Both families contain the shared ridge of their
     facet pair, which pins the matching pairwise."""
     mismatches = []
-    extent = _extent(simplex)
-    for (i, j), qm in simplex.quasi_medial_hyperplanes().items():
-        bis = facet_bisector(simplex, ball, i, j)
-        if not _same_hyperplane(qm, bis, ball.mode, extent):
+    extent = None if ball.mode == EXACT else _extent(simplex)
+    for i, j in simplex.edges():
+        if extent is None:
+            same = _same_row(simplex.bisector_row(ball, i, j), simplex.quasi_medial_row(i, j))
+        else:
+            bis = facet_bisector(simplex, ball, i, j)
+            same = _same_hyperplane(simplex.quasi_medial_hyperplane(i, j), bis, extent)
+        if not same:
             mismatches.append([i, j])
     return not mismatches, {"mismatched_pairs": mismatches}
 
@@ -196,7 +223,7 @@ def is_reduced_triangle(simplex: Simplex, ball: UnitBall):
 
 def quasiregular(simplex: Simplex, ball: UnitBall):
     g = simplex.centroid
-    gs = [ball.gauge(v - g) for v in simplex.vertices]
+    gs = _gauges(ball, [v - g for v in simplex.vertices])
     return _all_equal(gs, ball.mode), [_scalar_str(x) for x in gs]
 
 
@@ -335,8 +362,8 @@ def _seeded_boundary_point(ball: UnitBall, rng: random.Random) -> Vec:
         if any(coords):
             break
     if ball.mode == EXACT:
-        v = Vec([Rat(c) for c in coords])
-        return v / ball.gauge(v)
+        p, q = ball.gauge_ratio(ExactVec.of_ints(coords, 1))
+        return ExactVec.of_ints([q * c for c in coords], p)
     v = Vec([float(c) for c in coords])
     return v / float(ball.gauge(v))
 
@@ -344,7 +371,7 @@ def _seeded_boundary_point(ball: UnitBall, rng: random.Random) -> Vec:
 def _seeded_placement(simplex: Simplex, rng: random.Random, mode: str) -> Simplex:
     d = simplex.dim
     scale = Rat(rng.randint(1, 5), rng.randint(1, 3))
-    shift = Vec([Rat(rng.randint(-8, 8), rng.choice((1, 2, 4))) for _ in range(d)])
+    shift = ExactVec.of_ratios([(rng.randint(-8, 8), rng.choice((1, 2, 4))) for _ in range(d)])
     if mode != EXACT:
         scale = float(scale)
         shift = shift.to_float()
@@ -384,7 +411,7 @@ def random_simplex(d: int, seed) -> Simplex:
     rng = random.Random(("random-simplex", d, seed).__repr__())
     while True:
         vertices = [
-            Vec([Rat(rng.randint(-24, 24), rng.choice((2, 3, 6))) for _ in range(d)])
+            ExactVec.of_ratios([(rng.randint(-24, 24), rng.choice((2, 3, 6))) for _ in range(d)])
             for _ in range(d + 1)
         ]
         try:

@@ -427,20 +427,6 @@ def bareiss(rows: Sequence[Sequence[int]]) -> tuple:
     return r, sign * prev, a, cols
 
 
-def integer_cofactors(rows: Sequence[Sequence[int]]) -> list:
-    """Cofactor vector (generalized cross product) of d-1 integer rows
-    in R^d: the n with <n, x> = det([x; rows]) for every x, each minor
-    taken by bareiss.  It is normal to the rows and zero exactly when
-    they are linearly dependent."""
-    d = len(rows) + 1
-    out = []
-    for i in range(d):
-        r, value, _, _ = bareiss([[*row[:i], *row[i + 1 :]] for row in rows])
-        cof = value if r == d - 1 else 0
-        out.append(cof if i % 2 == 0 else -cof)
-    return out
-
-
 def _float_eliminate(aug: list, n: int) -> tuple:
     """Gauss-Jordan with partial pivoting on the first n columns of the
     float rows aug, in place: the float lane's one elimination.  Entries

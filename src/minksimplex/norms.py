@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence
 
@@ -24,7 +25,7 @@ from .errors import (
     ResourceCapError,
     VerificationError,
 )
-from .linalg import Hyperplane, Vec, bareiss, integer_points, solve_linear
+from .linalg import ExactVec, Hyperplane, Vec, bareiss, integer_points, solve_linear
 from .scalars import EXACT, FLOAT, Rat, is_float
 
 
@@ -81,7 +82,8 @@ class PolytopeBall(UnitBall):
     (the lcm of its points' D), computed once per ball and sorted as the
     points are; gauge and support take their max over integer dot
     products and divide once.  Nothing writes to a ball after it is
-    built, so scenes that spell one ball alike may share it.
+    built but its cached isoperimetrix, so scenes that spell one ball
+    alike may share it.
     """
 
     kind = "polytope"
@@ -171,19 +173,29 @@ class PolytopeBall(UnitBall):
 
     def gauge(self, x: Vec):
         """Minkowski functional: max_j <n_j, x>, exact."""
-        if x.mode != EXACT:
-            raise MixedModeError("polytopal gauge needs exact coordinates")
-        if x.dim != self.dim:
-            raise DimensionError("dimension mismatch")
-        return _max_dot(self._normal_rows, x)
+        return Rat(*self.gauge_ratio(x))
 
     def support(self, a: Vec):
         """Support function h_B(a) = max over vertices of <a, v>."""
-        if a.mode != EXACT:
-            raise MixedModeError("polytopal support needs exact coordinates")
-        if a.dim != self.dim:
+        return Rat(*self._max_ratio(self._vertex_rows, a, "support"))
+
+    def gauge_ratio(self, x: Vec) -> tuple:
+        """The gauge as an int pair (p, q), q > 0, for p / q."""
+        return self._max_ratio(self._normal_rows, x, "gauge")
+
+    def _max_ratio(self, scaled_rows: tuple, x: Vec, what: str) -> tuple:
+        if x.mode != EXACT:
+            raise MixedModeError(f"polytopal {what} needs exact coordinates")
+        if x.dim != self.dim:
             raise DimensionError("dimension mismatch")
-        return _max_dot(self._vertex_rows, a)
+        return _max_dot(scaled_rows[0], x.X), x.D * scaled_rows[1]
+
+    @cached_property
+    def _isoperimetrix(self) -> "PolytopeBall":
+        """The quarter-turned polar ball (planar), built once, from the
+        polar's points and integer rows turned by (x, y) -> (-y, x)."""
+        rows = [([(-r[1], r[0]) for r in rs], s) for rs, s in (self._normal_rows, self._vertex_rows)]
+        return PolytopeBall(map(_rot90, self.normals), map(_rot90, self.vertices), _validated=True, _rows=rows)
 
     def dual(self) -> "PolytopeBall":
         """Polar ball: vertices and facet normals trade places."""
@@ -216,13 +228,9 @@ def _sorted_by_rows(points: Sequence[Vec], scaled_rows: tuple) -> tuple:
     return tuple(points[i] for i in order), (tuple(rows[i] for i in order), scale)
 
 
-def _max_dot(scaled_rows: tuple, x: Vec):
-    """max over rows r of <r, x> / scale, for integer rows over a common
-    denominator scale: the max is taken on x's ints X and divided once,
-    by D * scale."""
-    rows, scale = scaled_rows
-    xs = x.X
-    return Rat(max(sum(map(mul, r, xs)) for r in rows), x.D * scale)
+def _max_dot(rows: Sequence, X) -> int:
+    """max of <r, X> over the integer rows r, for ints X."""
+    return max(sum(map(mul, r, X)) for r in rows)
 
 
 class PNormBall(UnitBall):
@@ -310,8 +318,8 @@ def dual_ball(ball: UnitBall) -> UnitBall:
     return ball.dual()
 
 
-def _rot90(v: Vec) -> Vec:
-    return Vec((-v[1], v[0]))
+def _rot90(v: ExactVec) -> ExactVec:
+    return ExactVec.of_ints((-v.X[1], v.X[0]), v.D)
 
 
 def isoperimetrix(ball: UnitBall) -> UnitBall:
@@ -321,12 +329,7 @@ def isoperimetrix(ball: UnitBall) -> UnitBall:
     if isinstance(ball, PNormBall):
         # rotating an l_q ball by 90 degrees maps it onto itself
         return ball.dual()
-    d = ball.dual()
-    return PolytopeBall(
-        [_rot90(v) for v in d.vertices],
-        [_rot90(n) for n in d.normals],
-        _validated=True,
-    )
+    return ball._isoperimetrix
 
 
 def birkhoff_orthogonal(ball: UnitBall, x: Vec, y: Vec) -> bool:
@@ -366,8 +369,7 @@ def is_radon(ball: UnitBall) -> bool:
     if len(iso.vertices) != len(ball.vertices):
         return False
     lam = ball.gauge(iso.vertices[0])
-    scaled = sorted((v / lam for v in iso.vertices), key=Vec.key)
-    return tuple(scaled) == ball.vertices
+    return {v / lam for v in iso.vertices} == set(ball.vertices)
 
 
 def point_hyperplane_distance(ball: UnitBall, p: Vec, h: Hyperplane):

@@ -53,7 +53,7 @@ from typing import Sequence
 
 from . import config
 from .errors import DegenerateInputError, DimensionError, MixedModeError, ResourceCapError
-from .linalg import ExactVec, Hyperplane, Vec, back_substitute, bareiss, integer_solve
+from .linalg import ExactVec, Hyperplane, Vec, back_substitute, bareiss
 from .scalars import EXACT, Rat
 
 
@@ -108,21 +108,27 @@ def _polar_kernel(rows: Sequence[Sequence[int]], d: int) -> list:
     is set when row i is tight at y, in no promised order.  Rows of rank
     d give their null line with a positive last entry (nothing when that
     entry is 0), tight on every row; rows of lower rank give nothing."""
-    first = _first_independent(rows, range(len(rows)))
+    # one bareiss over [R^T | I]: its pivots in R^T are the first
+    # independent rows B (_first_independent), it solves B^T z = e_k, and
+    # for rank d its last row holds the null line y of R (R y = 0) in I
+    n_rows = len(rows)
+    _, _, a, cols = bareiss([(*c, *(0,) * k, 1, *(0,) * (d - k)) for k, c in enumerate(zip(*rows))])
+    first = [c for c in cols if c < n_rows]
     if len(first) < d:
         return []
     if len(first) == d:
-        y = integer_solve([[*rows[i], 0] for i in first], d + 1)[2][0]
+        y = a[d][n_rows:]
         g = math.gcd(*y) if y[d] > 0 else -math.gcd(*y)
-        return [([c // g for c in y], (1 << len(rows)) - 1)] if y[d] else []
-    # the simplicial cone of the first d + 1 independent rows B: ray j is
-    # tight on all of them but row j, on whose inner side it lies: column
-    # j of B^-1 times -|P|, P the last pivot of bareiss over [B | I]
-    _, _, a, cols = bareiss([[*rows[i], *(int(i == k) for k in first)] for i in first])
+        return [([c // g for c in y], (1 << n_rows) - 1)] if y[d] else []
+    # the simplicial cone of B: ray j is tight on all rows of B but row j,
+    # on whose inner side it lies: column j of -|P| B^-1, P the last
+    # pivot, which is row j of Z = -|P| (B^T)^-1, Z[k] its column k
+    weight = -abs(a[d][first[d]])
+    Z = [back_substitute(a, first, [0] * n_rows, n_rows + k, weight) for k in range(d + 1)]
     start = sum(1 << i for i in first)
     rays = []
-    for j, i in enumerate(first):
-        y = back_substitute(a, cols, [0] * (d + 1), d + 1 + j, -abs(a[d][d]))
+    for i in first:
+        y = [z[i] for z in Z]
         g = math.gcd(*y)
         rays.append(([c // g for c in y], start ^ 1 << i))
     for i, r in enumerate(rows):

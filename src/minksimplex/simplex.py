@@ -5,6 +5,10 @@ lambda_i(x) = (b_i - <a_i, x>) / s_i of the facets <a_i, x> <= b_i:
 medial hyperplanes are lambda_i = 1/2, quasi-medial ones lambda_i =
 lambda_j.  Heights and widths take the unit ball as an argument.
 Everything stays exact in rational mode.
+
+An exact simplex reads heights, widths, in/exspheres, bisectors and
+quasi-medial hyperplanes as ints off one facet table (facet_table and
+facet_supports); public methods build their Rat values last.
 """
 
 from __future__ import annotations
@@ -12,18 +16,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 from typing import Sequence
 
+from . import norms
 from .errors import DegenerateInputError, DimensionError, MixedModeError
 from .linalg import (
     ExactVec,
     Hyperplane,
     Vec,
+    back_substitute,
     bareiss,
     det,
     general_position,
-    integer_cofactors,
     integer_points,
 )
 from .norms import UnitBall
@@ -34,12 +39,13 @@ from .scalars import EXACT, Rat
 def hyperplane_through(points: Sequence[Vec]) -> Hyperplane:
     """Hyperplane spanned by d affinely independent points in R^d.
 
-    Normal components are cofactors of the edge-vector matrix.  In
-    rational mode the edges are cleared to integers once and the
-    cofactors come from integer_cofactors, so they are exact.  In float
-    mode each edge row is divided by its largest |entry| first, which
-    only rescales the normal, so cofactors stay near 1 and the offset
-    stays finite.
+    Normal components are cofactors of the edge-vector matrix R.  In
+    rational mode the edges are cleared to integers once and reduced by
+    one bareiss: the cofactor of the free column f is (-1)^f times the
+    determinant on the pivot columns, and back substitution fills in
+    the others (R n = 0), all exact.  In float mode each edge row is
+    divided by its largest |entry| first, which only rescales the
+    normal, so cofactors stay near 1 and the offset stays finite.
     """
     pts = list(points)
     d = pts[0].dim
@@ -48,7 +54,13 @@ def hyperplane_through(points: Sequence[Vec]) -> Hyperplane:
     edges = [p - pts[0] for p in pts[1:]]
     if pts[0].mode == EXACT:
         ints, scale = integer_points(edges)
-        n = ExactVec.of_ints(integer_cofactors(ints), scale ** (d - 1))
+        r, minor, a, cols = bareiss(ints)
+        cof = [0] * d
+        if r == d - 1:
+            f = sum(range(d)) - sum(cols)
+            cof[f] = (-1) ** f * minor
+            back_substitute(a, cols, cof, f, 0)
+        n = ExactVec.of_ints(cof, scale ** (d - 1))
     else:
         rows = [list(e.coords) for e in edges]
         for k, row in enumerate(rows):
@@ -84,13 +96,14 @@ class Simplex:
         if any(p.mode != mode for p in pts):
             raise MixedModeError("simplex vertices mix exact and float coordinates")
         if mode == EXACT:
-            # vertices cleared to ints V_k = D A_k and the edge matrix
-            # E = (V_k - V_0), k >= 1: independent edges, general position
+            # vertices cleared to ints V_k = D A_k and bareiss over [E | I],
+            # E = (V_k - V_0), k >= 1: its pivots stay in E exactly when
+            # the edges are independent (general position)
             V, D = integer_points(pts)
-            E = [list(map(sub, v, V[0])) for v in V[1:]]
-            r, det_e, _, _ = bareiss(E)
-            independent = r == d
-            self._cleared = (V, D, E, det_e)
+            E = [(*map(sub, v, V[0]), *(0,) * k, 1, *(0,) * (d - 1 - k)) for k, v in enumerate(V[1:])]
+            _, _, a, cols = bareiss(E)
+            independent = cols[-1] < d
+            self._cleared = (V, D, a)
         else:
             independent = general_position(pts)
         if not independent:
@@ -98,6 +111,7 @@ class Simplex:
         self.vertices = tuple(pts)
         self.dim = d
         self.mode = mode
+        self._by_ball: dict = {}  # id(ball) -> (ball, supports)
 
     # -- affine anatomy ----------------------------------------------
 
@@ -124,7 +138,10 @@ class Simplex:
         > 0 along the edge to A_i's nearest facet vertex A_j, so a large
         b_i cancels neither its sign nor its size (exact: any j agrees)."""
         if self.mode == EXACT:
-            return self._exact_facets()
+            _, D, N, B, S = self.facet_table
+            dn, db = D ** (self.dim - 1), D**self.dim
+            s = Rat(S, db)
+            return tuple((Hyperplane(ExactVec.of_ints(n, dn), Rat(b, db)), s) for n, b in zip(N, B))
         out = []
         for i, a in enumerate(self.vertices):
             facet = self.facet_vertices(i)
@@ -138,31 +155,54 @@ class Simplex:
             out.append((h, s))
         return tuple(out)
 
-    def _exact_facets(self) -> tuple:
-        """_facets from one integer adjugate of the edge matrix E of
-        _cleared.  The column of adj(E) that belongs to the edge V_k - V_0
-        is normal to every other edge, so it is the normal of the facet
-        opposite A_k, and minus the sum of the columns is normal to every
-        V_l - V_1, the facet opposite A_0.  A column's dot product with
-        its own edge is det(E), so every s_i is |det E|, and one sign
-        orients all facets.  The normals are D^(d-1) times
-        hyperplane_through's cofactor normals, so b_i and s_i carry D^d."""
+    @cached_property
+    def facet_table(self) -> tuple:
+        """The exact facet table (V, D, N, B, S) of ints: A_i = V_i / D, and
+        facet i is <n_i, X> <= B_i for x = X / D, n_i = N[i], with
+        s_i = S / D^d for S = |det E|; its hyperplane has a_i = n_i /
+        D^(d-1) and b_i = B_i / D^d.  Column k of -|P| E^-1, P = +-det E
+        the last pivot of __init__'s bareiss, is -sign(det E) adj(E)_k:
+        normal to every edge but V_(k+1) - V_0, on which it is -S, so it
+        is n_(k+1); n_0 = -(n_1 + ... + n_d) is normal to every V_l - V_1."""
         d = self.dim
-        V, D, E, det_e = self._cleared
-        # row k of E is V_(k+1) - V_0; the cofactor vector of the other
-        # rows is (-1)^k its adj column, whose <., V_0 - V_(k+1)> = -det E
-        normals = []
-        for k in range(d):
-            sign = (-1 if det_e > 0 else 1) * (-1) ** k
-            normals.append([sign * c for c in integer_cofactors(E[:k] + E[k + 1 :])])
-        normals.insert(0, [-sum(c) for c in zip(*normals)])
-        dn, db = D ** (d - 1), D**d
-        s = Rat(abs(det_e), db)
-        out = []
-        for i, n in enumerate(normals):
-            b = sum(map(mul, n, V[1 if i == 0 else 0]))
-            out.append((Hyperplane(ExactVec.of_ints(n, dn), Rat(b, db)), s))
-        return tuple(out)
+        V, D, a = self._cleared
+        S = abs(a[d - 1][d - 1])
+        N = [back_substitute(a, range(d), [0] * d, d + k, -S) for k in range(d)]
+        N.insert(0, [-sum(c) for c in zip(*N)])
+        B = [sum(map(mul, n, V[1 if i == 0 else 0])) for i, n in enumerate(N)]
+        return V, D, N, B, S
+
+    def facet_supports(self, ball: UnitBall) -> list:
+        """M_i = max over the ball's integer vertex rows of <., n_i>, so
+        h_B(a_i) = M_i / (s_v D^(d-1)) for the rows' denominator s_v;
+        computed once per ball, which is kept with them."""
+        if id(ball) not in self._by_ball:
+            if self.mode != EXACT:
+                raise MixedModeError("polytopal support needs exact coordinates")
+            if ball.dim != self.dim:
+                raise DimensionError("dimension mismatch")
+            rows, N = ball._vertex_rows[0], self.facet_table[2]
+            self._by_ball[id(ball)] = ball, [norms._max_dot(rows, n) for n in N]
+        return self._by_ball[id(ball)][1]
+
+    def height_ratios(self, ball: UnitBall) -> list:
+        """The heights s_i / h_B(a_i) as int pairs (S s_v, D M_i)."""
+        M, (_, D, _, _, S) = self.facet_supports(ball), self.facet_table
+        return [(S * ball._vertex_rows[1], D * m) for m in M]
+
+    def quasi_medial_row(self, i: int, j: int) -> tuple:
+        """lambda_i = lambda_j as ints (A, b, q): <A / q, x> = b / q."""
+        _, D, N, B, S = self.facet_table
+        return [D * (x - y) for x, y in zip(N[i], N[j])], B[i] - B[j], S
+
+    def bisector_row(self, ball: UnitBall, i: int, j: int, sign: int = 1) -> tuple:
+        """(<a_i, x> - b_i) / h_B(a_i) = sign (<a_j, x> - b_j) / h_B(a_j) as
+        ints (A, b, q), from a_i / h_B(a_i) = s_v n_i / M_i and b_i /
+        h_B(a_i) = s_v B_i / (D M_i)."""
+        (mi, mj), sv = itemgetter(i, j)(self.facet_supports(ball)), ball._vertex_rows[1]
+        _, D, N, B, _ = self.facet_table
+        A = [D * sv * (mj * x - sign * mi * y) for x, y in zip(N[i], N[j])]
+        return A, sv * (mj * B[i] - sign * mi * B[j]), D * mi * mj
 
     @cached_property
     def facet_hyperplanes(self) -> tuple:
@@ -175,9 +215,6 @@ class Simplex:
 
     def median_length(self, i: int, ball: UnitBall):
         return ball.gauge(self.median_vector(i))
-
-    def median_lengths(self, ball: UnitBall) -> list:
-        return [self.median_length(i, ball) for i in range(self.dim + 1)]
 
     def edges(self) -> list:
         return list(itertools.combinations(range(self.dim + 1), 2))
@@ -216,6 +253,8 @@ class Simplex:
 
     def height(self, i: int, ball: UnitBall):
         """Minkowskian distance from A_i to its opposite facet plane."""
+        if self.mode == EXACT == ball.mode:
+            return Rat(*self.height_ratios(ball)[i])
         h, s = self._facets[i]
         if ball.mode == "float":
             s = float(s)
@@ -231,6 +270,9 @@ class Simplex:
         facet normal, so this is the smallest height; tests confirm the
         attainment against a direction-grid oracle.
         """
+        if self.mode == EXACT == ball.mode:
+            _, D, _, _, S = self.facet_table
+            return Rat(S * ball._vertex_rows[1], D * max(self.facet_supports(ball)))
         return min(self.heights(ball))
 
     # -- membership ---------------------------------------------------
@@ -253,6 +295,9 @@ class Simplex:
         """Polar dual with respect to the centroid, in centroid-origin
         coordinates: vertex i is a_i / (b_i - <a_i, G>) = (d+1) a_i / s_i
         for facet i, since lambda_i(G) = 1/(d+1)."""
+        if self.mode == EXACT:
+            _, D, N, _, S = self.facet_table
+            return Simplex([ExactVec.of_ints([(self.dim + 1) * D * c for c in n], S) for n in N])
         return Simplex([h.normal / s * (self.dim + 1) for h, s in self._facets])
 
     def median_triangle(self) -> "Simplex":
