@@ -22,6 +22,9 @@ integer table, T[i][k] = <N_k, V_i> (n_k = N_k / s_n, A_i = V_i / s_v):
 A_i attains h_k where T[i][k] is its column's maximum, and the row of
 (A_i, k), times s_n s_v, is <(-s_v N_k, -s_n s_v), (M, r)> <= -T[i][k].
 
+The location predicates' cone tests read the circumball's integer
+section rows (norms.PolytopeBall.section_rows) along one line each.
+
 Smooth mode runs damped Newton iterations on the gauge differences from
 several starts and reports what it finds (a start that comes within
 EPS_MERGE of a center already found stops there); its classification is
@@ -45,8 +48,8 @@ from .errors import (
     DegenerateInputError, DimensionError, MixedModeError, ResourceCapError, VerificationError,
 )
 from .feasibility import FeasibilityProblem, Ineq, feasible
-from .linalg import ExactVec, Vec, bareiss, integer_points, solve_linear
-from .norms import Ball, PNormBall, PolytopeBall, UnitBall, lp_gradient, lp_norm
+from .linalg import ExactVec, Vec, bareiss, cross2, integer_points, ratio, solve_linear, zero_vec
+from .norms import Ball, PNormBall, PolytopeBall, UnitBall, line_interval, lp_gradient, lp_norm
 from .polytopes import _polar_kernel
 from .scalars import EXACT, Rat
 from .simplex import Simplex
@@ -323,28 +326,20 @@ def in_vertex_facet_cone(
     simplex: Simplex, i: int, ball: PolytopeBall, center: Vec, radius
 ) -> bool:
     """Membership of the circumcenter in the cone with apex A_i over
-    aff(facet_i) intersected with the circumball, decided by exact
-    feasibility over (p, mu) with p = A_i + mu (M - A_i), mu > 0."""
-    d = simplex.dim
+    aff(facet_i) intersected with the circumball: the line
+    A_i + mu (M - A_i) = M + (1 - mu)(A_i - M) meets the facet plane at
+    mu = -h(A_i) / <a_i, M - A_i> (nowhere when that is 0, as A_i is off
+    the plane), and the test is mu > 0 with (1 - mu)(A_i - M) in the
+    circumball moved to the origin."""
     a = simplex.vertices[i]
-    h = simplex.facet_hyperplanes[i]
-    prob = FeasibilityProblem(d + 1)
-    # p - mu (M - A_i) = A_i
-    for k in range(d):
-        row = [Rat(0)] * (d + 1)
-        row[k] = Rat(1)
-        row[d] = -(center[k] - a[k])
-        prob.add_eq(row, a[k])
-    # p on the facet plane
-    prob.add_eq((*h.normal.coords, Rat(0)), h.offset)
-    # p in the circumball: <n, p - M> <= r for every ball facet
-    for n in ball.normals:
-        prob.add_le((*n.coords, Rat(0)), radius + n.dot(center))
-    # mu > 0
-    row = [Rat(0)] * (d + 1)
-    row[d] = Rat(-1)
-    prob.add_le(row, Rat(0), strict=True)
-    return feasible(prob, with_dim=False).feasible
+    rows = ball.section_rows(zero_vec(simplex.dim), [a - center], radius)
+    facet = simplex.facet_hyperplanes[i]
+    slope = facet.normal.dot(center - a)
+    mu = -facet.eval(a) / slope if slope else 0
+    if mu <= 0:
+        return False
+    p, q = ratio(1 - mu)
+    return all(c * p <= h * q for (c,), h in rows)
 
 
 def in_beyond_facet_cone(
@@ -361,24 +356,13 @@ def in_beyond_facet_cone(
     u, v = simplex.facet_vertices(i)
     # parameter range of {u + t (v - u)} inside the circumball; it
     # contains [0, 1] because both edge endpoints are on the sphere
-    lo = hi = None
-    for n in ball.normals:
-        base = n.dot(u - center)
-        slope = n.dot(v - u)
-        if slope == 0:
-            continue
-        bound = (radius - base) / slope
-        if slope > 0:
-            hi = bound if hi is None else min(hi, bound)
-        else:
-            lo = bound if lo is None else max(lo, bound)
+    lo, hi = (Rat(*e) for e in line_interval(ball.section_rows(u - center, [v - u], radius)))
     # rescale the ray from A_i through the center until it hits the
     # edge's line: center - A_i = alpha (u - A_i) + beta (v - A_i)
-    rows = [[u[k] - a[k], v[k] - a[k]] for k in range(2)]
-    sol = solve_linear(rows, [center[k] - a[k] for k in range(2)])
-    if sol.status != "unique":
+    det = cross2(u - a, v - a)
+    if det == 0:
         raise DegenerateInputError("vertex lies on the opposite edge's line")
-    alpha, beta = sol.point
+    alpha, beta = cross2(center - a, v - a) / det, cross2(u - a, center - a) / det
     lam = alpha + beta
     if lam <= 0:
         return False

@@ -25,6 +25,10 @@ denominator, ordered by polytopes.convex_hull_2d), a bracketed root
 search (norms.root_in_bracket) on the chord angle for
 smooth ones: the chord overshoot is odd under direction reversal, so
 its values at angles 0 and pi bracket a root.
+
+Every exact section here, a chord, the section polygon or an edge of
+the unit polygon in the equilateral walk, is read from the integer rows
+of PolytopeBall.section_rows.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import mul
 from typing import Optional
 
 from . import config
@@ -140,22 +143,11 @@ def _section_polygon(ball: PolytopeBall, origin: ExactVec, frame) -> tuple:
     """The section {y : gauge(origin + y_1 v_1 + y_2 v_2) <= 1} of the
     ball: its vertices as int pairs over one common denominator L, in
     counterclockwise order from the lexicographically least
-    (convex_hull_2d), and L.  Row k is the ball's integer normal row
-    N_k / s with <N_k, V_j> / (s D_j) the coefficient of y_j, cleared by
-    s D_1 D_2 D_o."""
-    (v1, v2), O, Do = frame, origin.X, origin.D
-    rows_n, s_n = ball._normal_rows
-    rows = []
-    for N in rows_n:
-        c1 = sum(map(mul, N, v1.X)) * v2.D * Do
-        c2 = sum(map(mul, N, v2.X)) * v1.D * Do
-        h = (s_n * Do - sum(map(mul, N, O))) * v1.D * v2.D
-        if c1 == 0 and c2 == 0:
-            if h <= 0:
-                raise DegenerateInputError("section origin not interior")
-            continue
-        rows.append((c1, c2, -h))
-    rays = vertex_rays(rows, 2)
+    (convex_hull_2d), and L.  The kernel rows are ball.section_rows."""
+    rows = ball.section_rows(origin, frame)
+    if any(h <= 0 for c, h in rows if not any(c)):
+        raise DegenerateInputError("section origin not interior")
+    rays = vertex_rays([(*c, -h) for c, h in rows if any(c)], 2)
     if len(rays) < 3:
         raise VerificationError("section polygon collapsed")
     L = math.lcm(*(y[2] for y, _ in rays))
@@ -355,28 +347,24 @@ def equilateral_triangle(ball: UnitBall, anchor: Optional[Vec] = None) -> Simple
 
 
 def _unit_at_unit_distance_exact(ball: PolytopeBall, u: Vec) -> Vec:
-    """Walk the unit polygon's edges solving gauge(w - u) = 1 exactly
-    on each; the gauge is a max of linear functions of the edge
-    parameter.  w = u and w = -u never qualify: their gauges are 0 and
-    2."""
+    """Walk the unit polygon's edges a + t (b - a), t in [0, 1], solving
+    gauge(w - u) = 1 exactly on each: a facet row (c, h) of the section
+    through a - u is tight at t = h / c, or on the whole edge when
+    c = h = 0 (then t = 0 and t = 1 are tried), and the candidate is
+    kept when every row holds there.  w = u and w = -u never qualify:
+    their gauges are 0 and 2."""
     hull = convex_hull_2d(ball.vertices)
     for a, b in zip(hull, hull[1:] + hull[:1]):
         dv = b - a
-        for n in ball.normals:
-            denom = n.dot(dv)
-            base = n.dot(a - u)
-            if denom == 0:
-                if base != 1:
-                    continue
-                t_candidates = [Rat(0), Rat(1)]
+        rows = ball.section_rows(a - u, [dv])
+        for (c,), h in rows:
+            if c == 0:
+                candidates = [(0, 1), (1, 1)] if h == 0 else []
             else:
-                t_candidates = [(1 - base) / denom]
-            for t in t_candidates:
-                if not (0 <= t <= 1):
-                    continue
-                w = a + t * dv
-                if ball.gauge(w - u) == 1:
-                    return w
+                candidates = [(h, c) if c > 0 else (-h, -c)]
+            for p, q in candidates:
+                if 0 <= p <= q and all(e * p <= f * q for (e,), f in rows):
+                    return a + Rat(p, q) * dv
     raise VerificationError("no unit vector at unit distance found")
 
 

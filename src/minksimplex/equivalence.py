@@ -68,20 +68,29 @@ def _scalar_str(x) -> str:
     return str(x)
 
 
-def _vec_strs(v: Vec) -> list:
-    if v.mode == EXACT:
-        return [_scalar_str((x, v.D)) for x in v.X]
-    return [_scalar_str(c) for c in v.coords]
+def _printed(x):
+    """A fingerprint or a condition's raw payload as a report prints it:
+    lists and dicts entry by entry, a Vec as its coordinates' strings,
+    ints and strings as they are, other scalars and int pairs by
+    _scalar_str.  Payloads are printed only for a report whose verdicts
+    disagree."""
+    if isinstance(x, dict):
+        return {k: _printed(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return list(map(_printed, x))
+    if isinstance(x, Vec):
+        return [_scalar_str((c, x.D)) for c in x.X] if x.mode == EXACT else list(map(_scalar_str, x.coords))
+    return x if isinstance(x, (int, str)) else _scalar_str(x)
 
 
 def fingerprint(simplex: Simplex, ball: UnitBall, seed=None) -> dict:
     if ball.mode == EXACT:
-        ball_part = {"kind": ball.kind, "vertices": [_vec_strs(v) for v in ball.vertices]}
+        ball_part = {"kind": ball.kind, "vertices": _printed(list(ball.vertices))}
     else:
         ball_part = {"kind": ball.kind, "p": ball.p}
     return {
         "dimension": simplex.dim,
-        "simplex": [_vec_strs(v) for v in simplex.vertices],
+        "simplex": _printed(list(simplex.vertices)),
         "ball": ball_part,
         "seed": seed,
     }
@@ -145,25 +154,25 @@ def _same_row(u: tuple, w: tuple) -> bool:
 
 def equal_heights(simplex: Simplex, ball: UnitBall):
     hs = simplex.height_ratios(ball) if ball.mode == EXACT else simplex.heights(ball)
-    return _all_equal(hs, ball.mode), [_scalar_str(h) for h in hs]
+    return _all_equal(hs, ball.mode), hs
 
 
 def equal_medians(simplex: Simplex, ball: UnitBall):
     ms = _gauges(ball, [simplex.median_vector(i) for i in range(simplex.dim + 1)])
-    return _all_equal(ms, ball.mode), [_scalar_str(m) for m in ms]
+    return _all_equal(ms, ball.mode), ms
 
 
 def equal_side_gauges(simplex: Simplex, ball: UnitBall):
     vs = simplex.vertices
     ss = _gauges(ball, [vs[j] - vs[i] for i, j in simplex.edges()])
-    return _all_equal(ss, ball.mode), [_scalar_str(s) for s in ss]
+    return _all_equal(ss, ball.mode), ss
 
 
 def centroid_is_incenter(simplex: Simplex, ball: UnitBall):
     inc = incenter(simplex, ball)
     extent = None if ball.mode == EXACT else _extent(simplex)
     ok = _points_equal(inc.center, simplex.centroid, ball.mode, extent)
-    return ok, {"incenter": _vec_strs(inc.center), "centroid": _vec_strs(simplex.centroid)}
+    return ok, {"incenter": inc.center, "centroid": simplex.centroid}
 
 
 def equal_exradii(simplex: Simplex, ball: UnitBall):
@@ -174,7 +183,7 @@ def equal_exradii(simplex: Simplex, ball: UnitBall):
         if e is None:
             return False, {"missing_pattern": i}
         radii.append(ratio(e.radius) if ball.mode == EXACT else e.radius)
-    return _all_equal(radii, ball.mode), [_scalar_str(r) for r in radii]
+    return _all_equal(radii, ball.mode), radii
 
 
 def quasi_medial_hyperplanes_are_bisectors(simplex: Simplex, ball: UnitBall):
@@ -210,42 +219,31 @@ def is_reduced_triangle(simplex: Simplex, ball: UnitBall):
             shrunk = simplex.shrink_vertex(i, delta if simplex.mode == EXACT else float(delta))
             w1 = shrunk.min_width(ball)
             if not w1 < w0:
-                return False, {
-                    "audit_failure": {
-                        "vertex": i,
-                        "delta": str(delta),
-                        "width_before": _scalar_str(w0),
-                        "width_after": _scalar_str(w1),
-                    }
-                }
-    return True, {"heights": hs, "min_width": _scalar_str(w0)}
+                failure = {"vertex": i, "delta": delta, "width_before": w0, "width_after": w1}
+                return False, {"audit_failure": failure}
+    return True, {"heights": hs, "min_width": w0}
 
 
 def quasiregular(simplex: Simplex, ball: UnitBall):
     g = simplex.centroid
     gs = _gauges(ball, [v - g for v in simplex.vertices])
-    return _all_equal(gs, ball.mode), [_scalar_str(x) for x in gs]
+    return _all_equal(gs, ball.mode), gs
 
 
 # -- report assembly -------------------------------------------------
 
 
 def _report(family, named_conditions, simplex, ball, seed) -> EquivalenceReport:
-    labels, verdicts, payloads = [], [], {}
-    for label, fn in named_conditions:
-        verdict, payload = fn()
-        labels.append(label)
-        verdicts.append(verdict)
-        payloads[label] = payload
-    report = EquivalenceReport(
+    results = [(label, *fn()) for label, fn in named_conditions]
+    labels, verdicts, _ = zip(*results)
+    return EquivalenceReport(
         family=family,
-        conditions=tuple(labels),
-        verdicts=tuple(verdicts),
+        conditions=labels,
+        verdicts=verdicts,
         mode=EXACT if ball.mode == EXACT else NUMERIC_MODE,
         fingerprint=fingerprint(simplex, ball, seed),
-        witnesses=payloads if len(set(verdicts)) > 1 else {},
+        witnesses={k: _printed(p) for k, _, p in results} if len(set(verdicts)) > 1 else {},
     )
-    return report
 
 
 def verify_equal_heights_family(simplex: Simplex, ball: UnitBall, seed=None) -> EquivalenceReport:

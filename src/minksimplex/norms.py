@@ -5,7 +5,8 @@ and smooth p-norm balls for 1 < p < inf (float mode).  Polytopal balls
 carry both representations, converted exactly at construction:
 vertices, and facet normals n with the ball equal to {x : <n, x> <= 1}.
 Polarity then swaps the two lists, which keeps dual_ball exact and
-involutive.
+involutive.  PolytopeBall.section_rows is the one routine that turns
+a polytopal ball's section by a line or a plane into integer rows.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .errors import (
     ResourceCapError,
     VerificationError,
 )
-from .linalg import ExactVec, Hyperplane, Vec, bareiss, integer_points, solve_linear
-from .scalars import EXACT, FLOAT, Rat, is_float
+from .linalg import ExactVec, Hyperplane, Vec, bareiss, integer_points, ratio, solve_linear
+from .scalars import EXACT, FLOAT, Rat, is_float, join_modes
 
 
 def lp_norm(xs: Sequence[float], p: float) -> float:
@@ -182,6 +183,26 @@ class PolytopeBall(UnitBall):
     def gauge_ratio(self, x: Vec) -> tuple:
         """The gauge as an int pair (p, q), q > 0, for p / q."""
         return self._max_ratio(self._normal_rows, x, "gauge")
+
+    def section_rows(self, origin: Vec, directions: Sequence[Vec], radius=1) -> list:
+        """The section of radius * B by origin + span(directions) as one
+        integer row (c, h) per facet, in the normals' order: the point
+        origin + sum_j y_j w_j lies in radius * B exactly when
+        <c, y> <= h on every row.  With origin X_o / D_o, w_j = X_j / D_j,
+        radius a / b and facet normal N / s_n,
+            c_j = b D_o <N, X_j> prod_{l != j} D_l,
+            h = (s_n a D_o - b <N, X_o>) prod_l D_l."""
+        for v in (origin, *directions):
+            join_modes(EXACT, v.mode)
+            if v.dim != self.dim:
+                raise DimensionError(f"dimension mismatch {self.dim} vs {v.dim}")
+        a, b = ratio(radius)
+        P = math.prod(w.D for w in directions)
+        O, Do = origin.X, origin.D
+        scales = [b * Do * P // w.D for w in directions]
+        rows, s_n = self._normal_rows
+        return [(tuple(k * sum(map(mul, N, w.X)) for k, w in zip(scales, directions)),
+                 (s_n * a * Do - b * sum(map(mul, N, O))) * P) for N in rows]
 
     def _max_ratio(self, scaled_rows: tuple, x: Vec, what: str) -> tuple:
         if x.mode != EXACT:
@@ -393,24 +414,11 @@ def chord_through(ball: Ball, p: Vec, direction: Vec) -> tuple:
     unit = ball.unit
     if isinstance(unit, PolytopeBall):
         rel = p - ball.center
-        if unit.gauge(rel) >= ball.radius:
+        (g, q), (a, b) = unit.gauge_ratio(rel), ratio(ball.radius)
+        if g * b >= a * q:
             raise DegenerateInputError("chord base point must be strictly inside")
-        tplus = None
-        tminus = None
-        for n in unit.normals:
-            s = n.dot(direction)
-            if s == 0:
-                continue
-            t = (ball.radius - n.dot(rel)) / s
-            if s > 0:
-                if tplus is None or t < tplus:
-                    tplus = t
-            else:
-                if tminus is None or t > tminus:
-                    tminus = t
-        if tplus is None or tminus is None:
-            raise VerificationError("a line through a bounded ball must leave it both ways")
-        return tminus, tplus
+        lo, hi = line_interval(unit.section_rows(rel, [direction], ball.radius))
+        return Rat(*lo), Rat(*hi)
 
     # smooth: one root search on each side, on plain floats
     rel = [a - c for a, c in zip(unit._floats(p), unit._floats(ball.center))]
@@ -422,6 +430,22 @@ def chord_through(ball: Ball, p: Vec, direction: Vec) -> tuple:
     tp = _chord_end(rel, dirs, unit.p, r, g0)
     tm = -_chord_end(rel, [-c for c in dirs], unit.p, r, g0)
     return tm, tp
+
+
+def line_interval(rows) -> tuple:
+    """The t with c t <= h on every row (c,), h of a one-direction
+    section_rows, as (lo, hi), each an int pair (p, q), q > 0, for
+    p / q: a row with c > 0 bounds t above by h / c, one with c < 0
+    bounds it below."""
+    lo = hi = None
+    for (c,), h in rows:
+        if c > 0 and (hi is None or h * hi[1] < hi[0] * c):
+            hi = h, c
+        elif c < 0 and (lo is None or h * lo[1] < lo[0] * c):
+            lo = -h, -c
+    if lo is None or hi is None:
+        raise VerificationError("a line through a bounded ball must leave it both ways")
+    return lo, hi
 
 
 def _chord_end(rel: list, dirs: list, p: float, r: float, g0: float) -> float:
