@@ -13,14 +13,14 @@ double-description run (polytopes._polar_kernel) lists its vertices and
 extreme rays with their tight-row masks: the face of J is generated by
 those whose mask holds J (empty unless one is a vertex), its tight rows
 are the AND of their masks and its affine dimension their rank minus 1.
-A face is fixed by its tight subsystem (Schrijver 1986, 8.3), so a
-piece is keyed by its tight (vertex, facet) pairs and kept by the first
-assignment reaching it: a point is its vertex, and a larger piece's
-witness is the Fourier-Motzkin one (feasibility.feasible) of that
-assignment's system, which it keeps as its problem.  Rows come from one
-integer table, T[i][k] = <N_k, V_i> (n_k = N_k / s_n, A_i = V_i / s_v):
-A_i attains h_k where T[i][k] is its column's maximum, and the row of
-(A_i, k), times s_n s_v, is <(-s_v N_k, -s_n s_v), (M, r)> <= -T[i][k].
+A face is fixed by its tight rows (Schrijver 1986, 8.3), so a piece is
+keyed by that mask and kept by the first assignment reaching it; its
+system (its problem) is Q's rows with J tight, and r > 0.  A point is
+its vertex, and a larger piece's witness is the Fourier-Motzkin one
+(feasibility.feasible) of that system.  Rows come from one integer
+table, T[i][k] = <N_k, V_i> (n_k = N_k / s_n, A_i = V_i / s_v): A_i
+attains h_k where T[i][k] is its column's maximum top_k, and Q's row k,
+times s_n s_v, is <(-s_v N_k, -s_n s_v), (M, r)> <= -top_k.
 
 The location predicates' cone tests read the circumball's integer
 section rows (norms.PolytopeBall.section_rows) along one line each.
@@ -62,8 +62,10 @@ UNKNOWN = "unknown"
 
 @dataclass
 class CircumPiece:
-    """One feasible assignment: a polyhedral piece of the circumcenter
-    set in (M, r) space (polytopal mode), or a found point (smooth)."""
+    """A polyhedral piece of the circumcenter set in (M, r) space, or a
+    found point (smooth).  A polytopal piece is a face of Q keyed by its
+    tight rows, `assignment` the first to reach it and `problem` Q's rows
+    with that assignment's facets tight."""
 
     center: Vec
     radius: object
@@ -136,19 +138,9 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
     if total > cap:
         raise ResourceCapError(f"{total} facet assignments exceed cap {cap}")
 
-    # rows[i][k] is <n_k, A_i - M> <= r read off the table (see the
-    # module docstring); A_i on its assigned facet j makes row j an equality
+    # Q's rows <coeffs_k, (M, r)> <= -top_k (see the module docstring)
     coeffs = [(*(-s_v * c for c in n), -s_n * s_v) for n in normals]
-    rows = [[Ineq(coeffs[k], -t[k]) for k in range(n_facets)] for t in table]
     positive = Ineq((0,) * d + (-1,), 0, True)  # r > 0
-
-    def assignment_problem(assignment) -> FeasibilityProblem:
-        return FeasibilityProblem(
-            d + 1,
-            [(coeffs[j], -table[i][j]) for i, j in enumerate(assignment)],
-            [row for i, j in enumerate(assignment) for k, row in enumerate(rows[i]) if k != j]
-            + [positive],
-        )
 
     # the vertices and extreme rays (X, R, D) of Q, (M, r) = (X, R) / D,
     # from its rows <coeffs_k, (X, R)> + top_k D <= 0 and -D <= 0; bit k
@@ -156,22 +148,24 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
     generators = _polar_kernel(
         [(*c, h) for c, h in zip(coeffs, top)] + [(0,) * (d + 1) + (-1,)], d + 1
     ) if total else []
-    faces: dict = {}  # facet set J (a mask) -> (key, generators of its face) or None
-    pieces: dict = {}  # key -> the piece of the first assignment reaching it
+    faces: dict = {}  # facet set J (a mask) -> (tight mask, generators of its face) or None
+    pieces: dict = {}  # tight mask -> the piece of the first assignment reaching it
     for assignment in itertools.product(*candidates):
         J = sum({1 << j for j in assignment})
         if J not in faces:
             face = [(y, m) for y, m in generators if m & J == J]
             faces[J] = None
             if any(y[-1] for y, _ in face):  # a vertex, D > 0: the face is not empty
-                tight = functools.reduce(and_, (m for _, m in face))
-                key = frozenset((i, k) for i, ks in enumerate(candidates)
-                                for k in ks if tight >> k & 1)
-                faces[J] = key, [y for y, _ in face]
+                faces[J] = functools.reduce(and_, (m for _, m in face)), [y for y, _ in face]
         if faces[J] is None or faces[J][0] in pieces:
             continue
         key, face = faces[J]
-        prob = assignment_problem(assignment)
+        # Q's rows with J tight
+        prob = FeasibilityProblem(
+            d + 1,
+            [(coeffs[j], -top[j]) for j in range(n_facets) if J >> j & 1],
+            [Ineq(coeffs[k], -top[k]) for k in range(n_facets) if not J >> k & 1] + [positive],
+        )
         dim = bareiss(face)[0] - 1
         if dim:
             res = feasible(prob, with_dim=False)
@@ -184,13 +178,9 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
         pieces[key] = CircumPiece(center, radius, dim, assignment, prob)
 
     merged = list(pieces.values())
-    if not merged:
-        cls = EMPTY
-    elif any(p.affine_dim >= 1 for p in merged):
-        cls = MULTIPLE
-    else:
-        centers = {p.center for p in merged}
-        cls = SINGLETON if len(centers) == 1 else MULTIPLE
+    # two vertices of Q differ in M, as r = max_k (h_k - <n_k, M>) on each
+    single = len(merged) == 1 and merged[0].affine_dim == 0
+    cls = SINGLETON if single else MULTIPLE if merged else EMPTY
     return CircumcenterSet(simplex, ball, merged, cls, EXACT)
 
 

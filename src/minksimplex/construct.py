@@ -195,7 +195,7 @@ def _bisected_chord_exact(ball: PolytopeBall, origin: ExactVec, frame) -> tuple:
                 continue
             step = v1 * y1 + v2 * y2
             ends = origin + step, origin - step
-            if ball.gauge(ends[0]) == 1 and ball.gauge(ends[1]) == 1:
+            if all(num == den for num, den in map(ball.gauge_ratio, ends)):
                 return ends
     raise VerificationError("no bisected chord found on the section polygon")
 
@@ -231,7 +231,8 @@ def _unit_anchor(ball: UnitBall, anchor: Optional[Vec]) -> Vec:
     if anchor is None:
         return ball.vertices[0] if exact else unit_vec(ball.dim, 0).to_float()
     if exact:
-        if ball.gauge(anchor) != 1:
+        p, q = ball.gauge_ratio(anchor)
+        if p != q:
             raise DegenerateInputError("anchor must lie on the unit sphere")
         return anchor
     a = anchor.to_float()
@@ -284,11 +285,15 @@ def quasiregular_simplex(
                 p, q, p_scale, q_scale = _closer_endpoint(g, w, bwd, fwd)
             if level > 3:
                 break
-            # level 3: the next target must not be this chord's midpoint
-            gw = ball.gauge(w)
-            gap = 2 * (p_scale * gw) - q_scale * gw
-            if (gap != 0) if exact else (abs(gap) > config.EPS_REL):
-                break
+            # level 3: the next target must not be this chord's midpoint,
+            # 2 gauge(P - g) = gauge(Q - g); gauge(w) > 0 cancels exactly
+            if exact:
+                if 2 * p_scale != q_scale:
+                    break
+            else:
+                gw = ball.gauge(w)
+                if abs(2 * (p_scale * gw) - q_scale * gw) > config.EPS_REL:
+                    break
         else:
             raise NonConvergenceError("no usable chord for the third-to-last vertex")
         g_new = g + (g - p) / (level - 1)
@@ -311,7 +316,8 @@ def _verify_inscribed(ball: UnitBall, simplex: Simplex, center: Vec) -> None:
         if simplex.centroid != center:
             raise VerificationError("centroid missed the ball center")
         for v in simplex.vertices:
-            if ball.gauge(v - center) != 1:
+            p, q = ball.gauge_ratio(v - center)
+            if p != q:
                 raise VerificationError("vertex off the unit sphere")
     else:
         c = simplex.centroid.to_float()
@@ -336,11 +342,12 @@ def equilateral_triangle(ball: UnitBall, anchor: Optional[Vec] = None) -> Simple
     zero = zero_vec(2) if exact else zero_vec(2).to_float()
     tri = Simplex([zero, u, w])
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        side = ball.gauge(tri.vertices[b] - tri.vertices[a])
+        side = tri.vertices[b] - tri.vertices[a]
         if exact:
-            ok = side == 1
+            p, q = ball.gauge_ratio(side)
+            ok = p == q
         else:
-            ok = abs(float(side) - 1.0) <= config.EPS_REL
+            ok = abs(float(ball.gauge(side)) - 1.0) <= config.EPS_REL
         if not ok:
             raise VerificationError("side gauges unequal")
     return tri
