@@ -29,7 +29,8 @@ Smooth mode runs damped Newton iterations on the gauge differences from
 several starts and reports what it finds (a start that comes within
 EPS_MERGE of a center already found stops there); its classification is
 always "unknown" because root finding proves existence, not
-exhaustiveness.
+exhaustiveness.  With `first` it stops at its first center, pieces[0]
+either way, so start_failures counts only the starts that ran.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class CircumcenterSet:
     pieces: list
     classification: str
     mode: str
-    start_failures: int = 0
+    start_failures: int = 0  # smooth: failures among the starts that ran
 
     def covers(self, center: Vec, radius) -> bool:
         """Whether some enumerated piece contains the candidate."""
@@ -192,7 +193,7 @@ _N_STEPS = 80  # Newton iterations per start
 _MERGE_RESERVE = 4
 
 
-def smooth_circumcenters(simplex: Simplex, ball: PNormBall) -> CircumcenterSet:
+def smooth_circumcenters(simplex: Simplex, ball: PNormBall, *, first: bool = False) -> CircumcenterSet:
     d = simplex.dim
     A = [[float(c) for c in v.coords] for v in simplex.vertices]
     scale = max(abs(c) for a in A for c in a) or 1.0
@@ -266,15 +267,20 @@ def smooth_circumcenters(simplex: Simplex, ball: PNormBall) -> CircumcenterSet:
             continue
         if all(math.dist(known, m) > rho for known, _ in solutions):
             solutions.append((m, r))
+            if first:
+                break
 
     pieces = [CircumPiece(Vec(m), r, 0) for m, r in solutions]
     return CircumcenterSet(simplex, ball, pieces, UNKNOWN, "float", failures)
 
 
-def circumcenters(simplex: Simplex, ball: UnitBall) -> CircumcenterSet:
+def circumcenters(simplex: Simplex, ball: UnitBall, *, first: bool = False) -> CircumcenterSet:
+    """`first` stops the smooth search at pieces[0].  The polytopal
+    enumeration ignores it: its classification needs every piece, and
+    each piece's Fourier-Motzkin run checks MINKSIMPLEX_MAX_FM_ROWS."""
     if isinstance(ball, PolytopeBall):
         return polytopal_circumcenters(simplex, ball)
-    return smooth_circumcenters(simplex, ball)
+    return smooth_circumcenters(simplex, ball, first=first)
 
 
 def is_circumcenter(simplex: Simplex, ball: UnitBall, center: Vec, radius=None) -> bool:

@@ -136,7 +136,7 @@ def cmd_centers(scene: Scene, args) -> tuple:
             for i in range(simplex.dim + 1)
         ],
     }
-    cset = circumcenters(simplex, ball)
+    cset = circumcenters(simplex, ball, first=True)
     payload["circumcenter_classification"] = cset.classification
     if cset.pieces:
         piece = cset.pieces[0]
