@@ -23,6 +23,7 @@ flipped facet.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import mul
 from typing import Optional
@@ -82,7 +83,13 @@ class EulerLine:
 def euler_line(simplex: Simplex, ball: UnitBall, center: Vec, radius) -> EulerLine:
     """Derived collinear points for one circumcenter of the simplex.
 
-    Raises if (center, radius) fails the direct circumcenter check."""
+    Raises if (center, radius) fails the direct circumcenter check, and
+    on a float simplex whose largest |coordinate| is subnormal: the float
+    checks are relative to that scale, and subnormals lack the precision."""
+    if ball.mode == FLOAT:
+        scale = max(abs(c) for v in simplex.vertices for c in v.to_float().coords)
+        if scale < sys.float_info.min:
+            raise DegenerateInputError("simplex coordinates are below the normal float range")
     if not is_circumcenter(simplex, ball, center, radius):
         raise DegenerateInputError("(center, radius) is not a circumcenter")
     d = simplex.dim
@@ -100,10 +107,9 @@ def euler_line(simplex: Simplex, ball: UnitBall, center: Vec, radius) -> EulerLi
     def _at_circumcenter(p: Vec) -> bool:
         if ball.mode == EXACT:
             return p == m
-        return all(
-            abs(float(a) - float(b)) <= config.EPS_ABS * max(1.0, abs(float(b)))
-            for a, b in zip(p.to_float().coords, m.coords)
-        )
+        # within EPS_ABS of the simplex's scale, with no absolute floor
+        tol = config.EPS_ABS * scale
+        return all(abs(a - b) <= tol for a, b in zip(p.to_float().coords, m.coords))
 
     degenerate = tuple(
         i for i in range(d + 1) if _at_circumcenter(simplex.facet_centroid(i))

@@ -45,9 +45,7 @@ from operator import and_, mul
 from typing import Optional, Sequence
 
 from . import config
-from .errors import (
-    DegenerateInputError, DimensionError, MixedModeError, ResourceCapError, VerificationError,
-)
+from .errors import DegenerateInputError, DimensionError, MixedModeError, VerificationError
 from .feasibility import FeasibilityProblem, Ineq, feasible
 from .linalg import ExactVec, Vec, bareiss, cross2, integer_points, ratio, solve_linear, zero_vec
 from .norms import Ball, PNormBall, PolytopeBall, UnitBall, line_interval, lp_gradient, lp_norm
@@ -135,9 +133,7 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
     top = [max(col) for col in zip(*table)]
     candidates = [[j for j in range(n_facets) if t[j] == top[j]] for t in table]
     total = math.prod(map(len, candidates))
-    cap = config.max_assignments()
-    if total > cap:
-        raise ResourceCapError(f"{total} facet assignments exceed cap {cap}")
+    config.check_cap("MINKSIMPLEX_MAX_ASSIGNMENTS", total, "facet assignments")
 
     # Q's rows <coeffs_k, (M, r)> <= -top_k (see the module docstring)
     coeffs = [(*(-s_v * c for c in n), -s_n * s_v) for n in normals]
@@ -233,7 +229,7 @@ def smooth_circumcenters(simplex: Simplex, ball: PNormBall, *, first: bool = Fal
             if min(g) < config.EPS_COLLAPSE * scale:
                 break  # collapsed onto a vertex
             f = [gi - g[0] for gi in g[1:]]
-            if max(map(abs, f)) <= config.EPS_ABS * max(1.0, max(g)):
+            if max(map(abs, f)) <= config.EPS_ABS * max(g):
                 ok = True
                 break
             # row i: d(g_i - g_0)/dm = grad(A_0 - m) - grad(A_i - m),
@@ -292,8 +288,8 @@ def is_circumcenter(simplex: Simplex, ball: UnitBall, center: Vec, radius=None) 
             return False
         return g0 > 0 and (radius is None or g0 == radius)
     vals = [float(ball.gauge(a - center)) for a in simplex.vertices]
-    ref = max(max(vals), config.EPS_TINY)
-    if max(vals) - min(vals) > config.EPS_REL * ref:
+    ref = max(vals)
+    if ref - min(vals) > config.EPS_REL * ref:
         return False
     if radius is not None and abs(g0 - float(radius)) > config.EPS_REL * ref:
         return False

@@ -1,12 +1,17 @@
 """Size caps and float tolerances.
 
-Caps are read from the environment on each call so tests can tighten or
-relax them without reloading modules.
+This is the one module that reads, checks and words a resource cap.
+Each MINKSIMPLEX_MAX_* setting is read from the environment on each
+call (cap), so tests can tighten or relax it without reloading modules;
+a setting that is not a positive integer raises ConfigError.  A count
+over its cap raises ResourceCapError as "<count> <what> exceed cap
+<cap>" (check_cap), a dimension over MINKSIMPLEX_MAX_DIM as "dimension
+<d> exceeds cap <cap>" (check_dim).
 """
 
 import os
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError, ResourceCapError
 
 # Relative / absolute tolerances for float64 (smooth-norm) code paths.
 EPS_REL = 1e-9
@@ -14,10 +19,6 @@ EPS_ABS = 1e-12
 
 # Smooth-mode equivalence verdicts compare scalars at this looser tolerance.
 EPS_EQUIV = 1e-7
-
-# Floor under a float scale that a relative tolerance multiplies, so a
-# zero scale does not turn the comparison into an exact one.
-EPS_TINY = 1e-30
 
 # A smooth-mode Newton start gives up within this distance of a vertex
 # (relative to the simplex's coordinate scale): the gauge has a kink there.
@@ -40,7 +41,8 @@ _DEFAULTS = {
 }
 
 
-def _get(name: str) -> int:
+def cap(name: str) -> int:
+    """The cap `name` (a key of _DEFAULTS) as set in the environment."""
     raw = os.environ.get(name)
     if raw is None:
         return _DEFAULTS[name]
@@ -53,17 +55,18 @@ def _get(name: str) -> int:
     return value
 
 
-def max_facets() -> int:
-    return _get("MINKSIMPLEX_MAX_FACETS")
+def check_cap(name: str, count: int, what: str) -> None:
+    """Raise ResourceCapError when `count` `what` exceed the cap `name`."""
+    limit = cap(name)
+    if count > limit:
+        raise ResourceCapError(f"{count} {what} exceed cap {limit}")
 
 
-def max_dim() -> int:
-    return _get("MINKSIMPLEX_MAX_DIM")
-
-
-def max_assignments() -> int:
-    return _get("MINKSIMPLEX_MAX_ASSIGNMENTS")
-
-
-def max_fm_rows() -> int:
-    return _get("MINKSIMPLEX_MAX_FM_ROWS")
+def check_dim(d: int) -> None:
+    """Raise DimensionError below dimension 2, ResourceCapError above
+    MINKSIMPLEX_MAX_DIM."""
+    if d < 2:
+        raise DimensionError("dimension must be at least 2")
+    limit = cap("MINKSIMPLEX_MAX_DIM")
+    if d > limit:
+        raise ResourceCapError(f"dimension {d} exceeds cap {limit}")

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from operator import mul
 from typing import Optional, Sequence
 
-from .config import max_fm_rows
-from .errors import DimensionError, MixedModeError, ResourceCapError, VerificationError
+from . import config
+from .errors import DimensionError, MixedModeError, VerificationError
 from .linalg import bareiss, integer_rows, integer_solve
 from .scalars import Rat, is_exact
 
@@ -149,7 +149,7 @@ def _fm_eliminate(rows: list, n: int):
     stages[j] holds the system in variables 0..j (variable j not yet
     eliminated).  Returns None when a contradictory constant row shows up.
     """
-    cap = max_fm_rows()
+    config.cap("MINKSIMPLEX_MAX_FM_ROWS")  # a bad setting fails even a run with no stage
     stages = [None] * n
     current = rows
     for j in range(n - 1, -1, -1):
@@ -176,10 +176,7 @@ def _fm_eliminate(rows: list, n: int):
                     coeffs = [c // g for c in coeffs]
                     rhs //= g
                 combined.append((tuple(coeffs), rhs, lo_strict or up_strict))
-        if len(combined) > cap:
-            raise ResourceCapError(
-                f"Fourier-Motzkin exceeded {cap} rows while eliminating"
-            )
+        config.check_cap("MINKSIMPLEX_MAX_FM_ROWS", len(combined), "Fourier-Motzkin rows")
         current = combined
     # constant rows remaining after all variables are gone
     return None if _normalize(current) is None else stages
@@ -299,35 +296,20 @@ def lp_max(problem: FeasibilityProblem, objective: Sequence):
 
     Returns (value, witness, attained); value None means unbounded.
     Used as an independent oracle (e.g. Chebyshev-style incenter).
-    The augmented system is parametrized and eliminated once: its
-    conflicting equalities, a Fourier-Motzkin contradiction and failing
-    constant rows under a unique solution all mean an empty set.
+    z = <objective, x> enters as column 0 through two inequality rows,
+    so it is the first free column of the parametrization and stage 0
+    of the elimination bounds z alone.  Conflicting equalities or a
+    contradiction in the elimination mean an empty set.
     """
     n = problem.n_vars
-    # z = <objective, x>
     aug = FeasibilityProblem(
         n + 1,
-        [((*coeffs, 0), rhs) for coeffs, rhs in problem.equalities]
-        + [((*(-c for c in objective), 1), 0)],
-        [Ineq((*row.coeffs, 0), row.rhs, row.strict) for row in problem.inequalities],
+        [((0, *coeffs), rhs) for coeffs, rhs in problem.equalities],
+        [Ineq((0, *row.coeffs), row.rhs, row.strict) for row in problem.inequalities]
+        + [Ineq((1, *(-c for c in objective)), 0), Ineq((-1, *objective), 0)],
     )
     param = _parametrize(aug)
-    if param is None:
-        raise ValueError("lp_max on infeasible problem")
-    last, point, basis, reduced = param
-    if not basis:
-        if _normalize(reduced) is None:
-            raise ValueError("lp_max on infeasible problem")
-        return Rat(point[n], last), tuple(Rat(v, last) for v in point[:n]), True
-    # z = (point[n] + sum_c basis_c[n] t_c) / P as two rows over
-    # (z, t), times |P|; FM eliminates the last variable first, so z
-    # goes first and the rows left at stage 0 bound z alone
-    sign = 1 if last > 0 else -1
-    zcoeffs = tuple(sign * bvec[n] for bvec in basis)
-    rows = [((0, *coeffs), rhs, strict) for coeffs, rhs, strict in reduced]
-    rows.append(((abs(last), *(-c for c in zcoeffs)), sign * point[n], False))
-    rows.append(((-abs(last), *zcoeffs), -sign * point[n], False))
-    stages = _fm_eliminate(rows, len(basis) + 1)
+    stages = None if param is None else _fm_eliminate(param[3], len(param[2]))
     if stages is None:
         raise ValueError("lp_max on infeasible problem")
     bounds = [Rat(rhs, coeffs[0]) for coeffs, rhs, _ in stages[0] if coeffs[0] > 0]

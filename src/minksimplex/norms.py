@@ -23,7 +23,6 @@ from .errors import (
     DimensionError,
     MixedModeError,
     NonConvergenceError,
-    ResourceCapError,
     VerificationError,
 )
 from .linalg import ExactVec, Hyperplane, Vec, bareiss, integer_points, ratio, solve_linear
@@ -131,10 +130,7 @@ class PolytopeBall(UnitBall):
                     "halfspace <a,x> <= b needs b > 0 (origin inside)"
                 )
             normals.append(h.normal / h.offset)
-        if len(normals) > config.max_facets():
-            raise ResourceCapError(
-                f"{len(normals)} facets exceed cap {config.max_facets()}"
-            )
+        config.check_cap("MINKSIMPLEX_MAX_FACETS", len(normals), "facets")
         # the ball is the polar of conv(normals), bounded exactly when
         # the origin is interior to that hull
         try:
@@ -145,14 +141,8 @@ class PolytopeBall(UnitBall):
 
     def _validate(self) -> None:
         d = self.dim
-        if d < 2:
-            raise DimensionError("dimension must be at least 2")
-        if d > config.max_dim():
-            raise ResourceCapError(f"dimension {d} exceeds cap {config.max_dim()}")
-        if len(self.normals) > config.max_facets():
-            raise ResourceCapError(
-                f"{len(self.normals)} facets exceed cap {config.max_facets()}"
-            )
+        config.check_dim(d)
+        config.check_cap("MINKSIMPLEX_MAX_FACETS", len(self.normals), "facets")
         (vrows, s_v), (nrows, s_n) = self._vertex_rows, self._normal_rows
         vset = set(vrows)
         if {tuple(-c for c in v) for v in vrows} != vset:
@@ -264,10 +254,7 @@ class PNormBall(UnitBall):
         p = float(p)
         if not (1.0 < p < math.inf):
             raise DegenerateInputError("p must satisfy 1 < p < inf")
-        if dim < 2:
-            raise DimensionError("dimension must be at least 2")
-        if dim > config.max_dim():
-            raise ResourceCapError(f"dimension {dim} exceeds cap {config.max_dim()}")
+        config.check_dim(dim)
         self.dim = dim
         self.p = p
 

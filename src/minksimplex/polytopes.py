@@ -52,16 +52,9 @@ import operator
 from typing import Sequence
 
 from . import config
-from .errors import DegenerateInputError, DimensionError, MixedModeError, ResourceCapError
+from .errors import DegenerateInputError, DimensionError, MixedModeError
 from .linalg import ExactVec, Hyperplane, Vec, back_substitute, bareiss
 from .scalars import EXACT, Rat
-
-
-def _check_dim(d: int) -> None:
-    if d < 2:
-        raise DimensionError("polytope machinery needs dimension >= 2")
-    if d > config.max_dim():
-        raise ResourceCapError(f"dimension {d} exceeds cap {config.max_dim()}")
 
 
 def _check_exact(items: Sequence, what: str) -> int:
@@ -69,7 +62,7 @@ def _check_exact(items: Sequence, what: str) -> int:
     if not items:
         raise DegenerateInputError(f"no {what}")
     d = items[0].dim
-    _check_dim(d)
+    config.check_dim(d)
     if any(x.mode != EXACT for x in items):
         raise MixedModeError(f"V/H conversion takes exact {what} only")
     return d
@@ -206,8 +199,7 @@ def facet_hyperplanes(points: Sequence[Vec]) -> list[Hyperplane]:
     first d-subset of points that spans each: each returned (a, b)
     satisfies <a, x> <= b on the hull with equality on a facet."""
     pts, d, rays = _facet_rays(points)
-    if len(rays) > config.max_facets():
-        raise ResourceCapError(f"facet count exceeds cap {config.max_facets()}")
+    config.check_cap("MINKSIMPLEX_MAX_FACETS", len(rays), "facets")
     rays = _combinations_order(rays, _point_rows(pts))
     return [Hyperplane(ExactVec.of_ints(y[:d], 1), Rat(-y[d])) for y, _ in rays]
 
@@ -235,8 +227,7 @@ def _vertex_rays(halfspaces: Sequence[Hyperplane]) -> tuple:
 def vertex_rays(rows: Sequence[Sequence[int]], d: int) -> list:
     """The vertex rays (X, D), D > 0, with tight-row masks, of the
     intersection of the halfspaces given as int rows (a, -b) in R^d."""
-    if len(rows) > config.max_facets():
-        raise ResourceCapError(f"{len(rows)} halfspaces exceed cap {config.max_facets()}")
+    config.check_cap("MINKSIMPLEX_MAX_FACETS", len(rows), "halfspaces")
     return [ray for ray in _polar_kernel(rows, d) if ray[0][d] > 0]
 
 

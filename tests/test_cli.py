@@ -283,6 +283,34 @@ def test_bad_cap_setting_exits_2_without_traceback(tmp_path):
     assert "MINKSIMPLEX_MAX_FM_ROWS" in proc.stderr and "Traceback" not in proc.stderr
 
 
+OCTAGON_SCENE = {
+    "dimension": 2,
+    "ball": {
+        "type": "polytope-v",
+        "vertices": [[2, 1], [2, -1], [1, 2], [-1, 2], [-2, -1], [-2, 1], [-1, -2], [1, -2]],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, value, command, scene, message",
+    [
+        ("MINKSIMPLEX_MAX_ASSIGNMENTS", "35", "circumcenters", CUBE_SCENE,
+         "36 facet assignments exceed cap 35"),
+        ("MINKSIMPLEX_MAX_FM_ROWS", "2", "circumcenters", CUBE_SCENE,
+         "3 Fourier-Motzkin rows exceed cap 2"),
+        ("MINKSIMPLEX_MAX_FACETS", "6", "gauge", OCTAGON_SCENE, "8 facets exceed cap 6"),
+        ("MINKSIMPLEX_MAX_DIM", "1", "gauge", POLY_SCENE, "dimension 2 exceeds cap 1"),
+    ],
+)
+def test_each_cap_message(tmp_path, monkeypatch, capsys, name, value, command, scene, message):
+    # every cap is worded in one place, as "<count> <what> exceed cap <cap>"
+    # or, for the dimension, "dimension <d> exceeds cap <cap>"
+    monkeypatch.setenv(name, value)
+    assert run_cli([command], tmp_path, scene) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unwritable_out_path_exits_1(tmp_path, capsys):
     scene = write_scene(tmp_path, POLY_SCENE)
     code = main(["gauge", "--in", scene, "--out", str(tmp_path / "missing" / "out.json")])

@@ -13,8 +13,7 @@ import random
 
 import pytest
 
-from minksimplex import feasibility
-from minksimplex.config import max_fm_rows
+from minksimplex import config, feasibility
 from minksimplex.errors import DimensionError, MixedModeError, ResourceCapError, VerificationError
 from minksimplex.feasibility import FeasibilityProblem, FeasibilityResult, Ineq, feasible, lp_max
 from minksimplex.linalg import LinearSolution, rank, solve_linear
@@ -404,7 +403,7 @@ def ref_normalize(ineqs):
 
 
 def ref_fm_eliminate(ineqs, n):
-    cap = max_fm_rows()
+    cap = config.cap("MINKSIMPLEX_MAX_FM_ROWS")
     stages = [None] * n
     current = ineqs
     for j in range(n - 1, -1, -1):

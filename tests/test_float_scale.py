@@ -4,7 +4,9 @@ A pivot is judged against the coefficients alone and a leftover row
 against the right-hand side too, so huge but well-posed systems are
 solved instead of reported infeasible; the exsphere singularity test
 scales its rows before the determinant instead of raising a bound to
-the power d + 1.  Facet normals, Euler-line checks and collinearity
+the power d + 1.  The circumcenter tests compare gauges and points
+relative to the simplex's own scale, with no absolute floor that a tiny
+simplex falls under.  Facet normals, Euler-line checks and collinearity
 tests likewise scale before they multiply, so a simplex with 1e300
 coordinates gets its centers and its picture.  A result that is itself
 beyond the float range ends in exit 2 with a message naming it.
@@ -15,7 +17,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from minksimplex.centers import exspheres, incenter
+from minksimplex.centers import euler_line, exspheres, incenter
+from minksimplex.circumcenter import circumcenters, is_circumcenter
 from minksimplex.cli import main
 from minksimplex.config import EPS_REL
 from minksimplex.linalg import Vec, solve_linear
@@ -243,3 +246,38 @@ def test_verify_compares_at_the_simplex_scale(tmp_path, family, simplex):
     code, text = run_scene(tmp_path, ["verify", "--theorem", family, "--trials", "2"], body)
     assert code == 0
     assert json.loads(text)["all_agree"] is True
+
+
+def right_triangle_4_3(s: float) -> Simplex:
+    return Simplex([Vec((0.0, 0.0)), Vec((4 * s, 0.0)), Vec((0.0, 3 * s))])
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-5, 1e-150, 1e-300])
+def test_tiny_triangle_has_its_one_circumcenter(s):
+    # an absolute residual floor let every Newton start pass at 1e-300,
+    # the centroid first; the one p = 3 circumcenter is (2, 1.5) s
+    T = right_triangle_4_3(s)
+    found = circumcenters(T, P3)
+    assert found.start_failures == circumcenters(right_triangle_4_3(1.0), P3).start_failures
+    (piece,) = found.pieces
+    assert piece.center.coords == pytest.approx((2 * s, 1.5 * s), rel=1e-13, abs=0)
+    assert is_circumcenter(T, P3, piece.center, piece.radius)
+    assert not is_circumcenter(T, P3, T.centroid)
+    line = euler_line(T, P3, piece.center, piece.radius)
+    assert line.degenerate_line_indices == (0,)
+
+
+def test_centers_of_tiny_triangle(tmp_path):
+    code, doc = run(tmp_path, "centers", [[0, 0], [4e-300, 0], [0, 3e-300]])
+    assert code == 0
+    euler = doc["euler"]
+    assert euler["circumcenter"] == pytest.approx([2e-300, 1.5e-300], rel=1e-13, abs=0)
+    assert (euler["collapsed"], euler["degenerate_line_indices"]) == (False, [0])
+
+
+@pytest.mark.parametrize("s", [1e-310, 1e-315, 1e-320])
+def test_centers_of_subnormal_triangle_exit_2(tmp_path, capsys, s):
+    # the Euler-line checks are relative to the simplex's scale, which
+    # a subnormal float holds to a few digits only
+    assert run(tmp_path, "centers", [[0, 0], [4 * s, 0], [0, 3 * s]]) == (2, None)
+    assert "below the normal float range" in capsys.readouterr().err
