@@ -23,7 +23,6 @@ flipped facet.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from operator import mul
 from typing import Optional
@@ -87,9 +86,7 @@ def euler_line(simplex: Simplex, ball: UnitBall, center: Vec, radius) -> EulerLi
     on a float simplex whose largest |coordinate| is subnormal: the float
     checks are relative to that scale, and subnormals lack the precision."""
     if ball.mode == FLOAT:
-        scale = max(abs(c) for v in simplex.vertices for c in v.to_float().coords)
-        if scale < sys.float_info.min:
-            raise DegenerateInputError("simplex coordinates are below the normal float range")
+        scale = simplex.float_scale()
     if not is_circumcenter(simplex, ball, center, radius):
         raise DegenerateInputError("(center, radius) is not a circumcenter")
     d = simplex.dim

@@ -16,8 +16,9 @@ are the AND of their masks and its affine dimension their rank minus 1.
 A face is fixed by its tight rows (Schrijver 1986, 8.3), so a piece is
 keyed by that mask and kept by the first assignment reaching it; its
 system (its problem) is Q's rows with J tight, and r > 0.  A point is
-its vertex, and a larger piece's witness is the Fourier-Motzkin one
-(feasibility.feasible) of that system.  Rows come from one integer
+its vertex, and its system is built on first read; a larger piece's
+witness is the Fourier-Motzkin one (feasibility.feasible) of that
+system.  Rows come from one integer
 table, T[i][k] = <N_k, V_i> (n_k = N_k / s_n, A_i = V_i / s_v): A_i
 attains h_k where T[i][k] is its column's maximum top_k, and Q's row k,
 times s_n s_v, is <(-s_v N_k, -s_n s_v), (M, r)> <= -top_k.
@@ -42,7 +43,7 @@ import random
 import struct
 from dataclasses import dataclass
 from operator import and_, mul
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import config
 from .errors import DegenerateInputError, DimensionError, MixedModeError, VerificationError
@@ -59,18 +60,27 @@ MULTIPLE = "multiple"
 UNKNOWN = "unknown"
 
 
-@dataclass
 class CircumPiece:
     """A polyhedral piece of the circumcenter set in (M, r) space, or a
     found point (smooth).  A polytopal piece is a face of Q keyed by its
     tight rows, `assignment` the first to reach it and `problem` Q's rows
-    with that assignment's facets tight."""
+    with that assignment's facets tight; a point piece is given `system`
+    in its place, a function that builds the problem on first read."""
 
-    center: Vec
-    radius: object
-    affine_dim: int
-    assignment: Optional[tuple] = None
-    problem: Optional[FeasibilityProblem] = None
+    def __init__(self, center: Vec, radius, affine_dim: int, assignment: Optional[tuple] = None,
+                 problem: Optional[FeasibilityProblem] = None, *, system: Optional[Callable] = None):
+        self.center, self.radius, self.affine_dim, self.assignment = center, radius, affine_dim, assignment
+        self._problem, self._system = problem, system
+
+    @property
+    def problem(self) -> Optional[FeasibilityProblem]:
+        if self._system is not None:
+            self._problem, self._system = self._system(), None
+        return self._problem
+
+    def __eq__(self, other) -> bool:
+        fields = ("center", "radius", "affine_dim", "assignment", "problem")
+        return other.__class__ is CircumPiece and all(getattr(self, f) == getattr(other, f) for f in fields)
 
     def holds(self, center: Vec, radius) -> bool:
         if self.problem is None:
@@ -139,6 +149,14 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
     coeffs = [(*(-s_v * c for c in n), -s_n * s_v) for n in normals]
     positive = Ineq((0,) * d + (-1,), 0, True)  # r > 0
 
+    def system(J: int) -> FeasibilityProblem:
+        """Q's rows with the facets of the mask J tight."""
+        return FeasibilityProblem(
+            d + 1,
+            [(coeffs[j], -top[j]) for j in range(n_facets) if J >> j & 1],
+            [Ineq(coeffs[k], -top[k]) for k in range(n_facets) if not J >> k & 1] + [positive],
+        )
+
     # the vertices and extreme rays (X, R, D) of Q, (M, r) = (X, R) / D,
     # from its rows <coeffs_k, (X, R)> + top_k D <= 0 and -D <= 0; bit k
     # of a mask is facet k's row
@@ -157,22 +175,17 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
         if faces[J] is None or faces[J][0] in pieces:
             continue
         key, face = faces[J]
-        # Q's rows with J tight
-        prob = FeasibilityProblem(
-            d + 1,
-            [(coeffs[j], -top[j]) for j in range(n_facets) if J >> j & 1],
-            [Ineq(coeffs[k], -top[k]) for k in range(n_facets) if not J >> k & 1] + [positive],
-        )
         dim = bareiss(face)[0] - 1
         if dim:
+            prob = system(J)
             res = feasible(prob, with_dim=False)
             if not res.feasible:
                 raise VerificationError("a nonempty face of Q has an empty assignment system")
-            center, radius = Vec(res.witness[:d]), res.witness[d]
+            pieces[key] = CircumPiece(Vec(res.witness[:d]), res.witness[d], dim, assignment, prob)
         else:
             (*X, R, D), = face
-            center, radius = ExactVec.of_ints(X, D), Rat(R, D)
-        pieces[key] = CircumPiece(center, radius, dim, assignment, prob)
+            pieces[key] = CircumPiece(ExactVec.of_ints(X, D), Rat(R, D), 0, assignment,
+                                      system=functools.partial(system, J))
 
     merged = list(pieces.values())
     # two vertices of Q differ in M, as r = max_k (h_k - <n_k, M>) on each

@@ -11,16 +11,18 @@ inequality is rewritten over t and multiplied by |P|, so it stays
 integer.  Fourier-Motzkin eliminates t: each combination of two rows
 is divided by the gcd of its entries, and rows with one primitive
 direction keep the tightest bound, compared by cross-multiplication.
-Strict rows are thus decided exactly.  On feasible systems a rational
-witness is produced by interval back-substitution and checked by
-substitution.  A second back-substitution from the same stages picks
-each value strictly inside its interval (or its single point); the
-stages are exact projections, so that point is relatively interior
-(Rockafellar 1970, Convex Analysis, Thm 6.8).  A valid row is tight on
-the whole set iff it is tight there (ibid.; Schrijver 1986, Theory of
-Linear and Integer Programming, 8.2): those non-strict rows are the
-implicit equalities, and the affine dimension is the number of free
-parameters minus their rank.
+Strict rows are thus decided exactly.  On feasible systems a witness
+comes from interval back-substitution on int pairs: values so far are
+numerators T over one denominator Q, bounds (rhs Q - <coeffs, T>, c Q)
+compare by cross-multiplication, and the witness gets one Rat per
+coordinate at the end; it is checked by substitution.  A second
+back-substitution picks each value strictly inside its interval (or
+its single point); the stages are exact projections, so that point is
+relatively interior (Rockafellar 1970, Convex Analysis, Thm 6.8).  A
+valid row is tight on the whole set iff it is tight there (ibid.;
+Schrijver 1986, Theory of Linear and Integer Programming, 8.2): those
+non-strict rows are the implicit equalities, and the affine dimension
+is the number of free parameters minus their rank.
 
 Problems here are tiny (circumcenter systems have d+2 unknowns at
 most), which Fourier-Motzkin handles comfortably within the row cap.
@@ -182,37 +184,30 @@ def _fm_eliminate(rows: list, n: int):
     return None if _normalize(current) is None else stages
 
 
-def _pick_in_interval(lo, lo_strict, hi, hi_strict):
-    """A rational inside the interval, preferring 0, then bounds."""
-    zero = Rat(0)
-    if (lo is None or lo < zero or (lo == zero and not lo_strict)) and (
-        hi is None or hi > zero or (hi == zero and not hi_strict)
+def _pick(lo, lo_strict, hi, hi_strict, zero_first: bool) -> tuple:
+    """A rational in the interval, as a pair (p, q), q > 0, like its
+    bounds: 0 if zero_first and 0 lies in it, else the midpoint of two
+    bounds, else one bound moved inward by 1 if strict, else 0."""
+    if zero_first and (lo is None or lo[0] < 0 or (lo[0] == 0 and not lo_strict)) and (
+        hi is None or hi[0] > 0 or (hi[0] == 0 and not hi_strict)
     ):
-        return zero
+        return 0, 1
     if lo is not None and hi is not None:
-        if lo == hi:
-            return lo  # only reachable when both non-strict
-        return (lo + hi) / 2
+        return lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]
     if lo is not None:
-        return lo + 1 if lo_strict else lo
-    return hi - 1 if hi_strict else hi
+        return (lo[0] + lo[1], lo[1]) if lo_strict else lo
+    if hi is not None:
+        return (hi[0] - hi[1], hi[1]) if hi_strict else hi
+    return 0, 1
 
 
-def _pick_inside(lo, lo_strict, hi, hi_strict):
-    """A rational in the relative interior of the interval: the midpoint
-    (the single point when lo == hi), a bound moved inward by 1 when
-    only one exists, 0 when none does.  Strictness does not matter."""
-    if lo is not None and hi is not None:
-        return (lo + hi) / 2
-    if lo is not None:
-        return lo + 1
-    return Rat(0) if hi is None else hi - 1
-
-
-def _back_substitute(stages, n: int, pick) -> list:
-    """Rational values for variables 0 .. n-1, each picked by `pick`
-    inside the interval its stage leaves given the values before it."""
-    values = []
+def _back_substitute(stages, n: int, inside: bool) -> tuple:
+    """Values for variables 0 .. n-1 as ints T over one denominator
+    Q > 0, each picked by _pick in the interval its stage leaves given
+    the values before it; with `inside` every bound counts as strict and
+    0 comes last.  A bound is (rhs Q - <coeffs, T>, c Q), signed so the
+    second entry is positive; bounds compare by cross-multiplication."""
+    T, Q = [], 1
     for j in range(n):
         lo = hi = None
         lo_strict = hi_strict = False
@@ -220,20 +215,25 @@ def _back_substitute(stages, n: int, pick) -> list:
             c = coeffs[j]
             if c == 0:
                 continue
-            partial = sum(a * v for a, v in zip(coeffs, values) if a)
-            bound = Rat(rhs - partial, c)
+            p, q = rhs * Q - sum(map(mul, coeffs, T)), c * Q
             if c > 0:
-                if hi is None or bound < hi:
-                    hi, hi_strict = bound, strict
-                elif bound == hi and strict:
+                if hi is None or p * hi[1] < hi[0] * q:
+                    hi, hi_strict = (p, q), strict or inside
+                elif strict and p * hi[1] == hi[0] * q:
                     hi_strict = True
             else:
-                if lo is None or bound > lo:
-                    lo, lo_strict = bound, strict
-                elif bound == lo and strict:
+                p, q = -p, -q
+                if lo is None or p * lo[1] > lo[0] * q:
+                    lo, lo_strict = (p, q), strict or inside
+                elif strict and p * lo[1] == lo[0] * q:
                     lo_strict = True
-        values.append(pick(lo, lo_strict, hi, hi_strict))
-    return values
+        p, q = _pick(lo, lo_strict, hi, hi_strict, not inside)
+        g = math.gcd(p, q)
+        p, q = p // g, q // g
+        g = math.gcd(Q, q)  # Q becomes lcm(Q, q)
+        T = [t * (q // g) for t in T] + [p * (Q // g)]
+        Q *= q // g
+    return T, Q
 
 
 def _parametrize(problem: FeasibilityProblem):
@@ -268,11 +268,13 @@ def feasible(problem: FeasibilityProblem, with_dim: bool = True) -> FeasibilityR
     stages = _fm_eliminate(reduced, k)
     if stages is None:
         return FeasibilityResult(False)
-    t = _back_substitute(stages, k, _pick_in_interval)
-    witness = tuple(
-        Rat(p + sum(bvec[i] * tv for bvec, tv in zip(basis, t)), last)
-        for i, p in enumerate(point)
-    )
+    # x = (Q point + sum_c T_c basis_c) / (P Q)
+    T, Q = _back_substitute(stages, k, False)
+    X = [Q * p for p in point]
+    for bvec, t in zip(basis, T):
+        if t:
+            X = [x + t * b for x, b in zip(X, bvec)]
+    witness = tuple(Rat(x, last * Q) for x in X)
     if not problem.holds_at(witness):
         raise VerificationError("feasibility witness failed the substitution check")
     if not with_dim:
@@ -282,7 +284,7 @@ def feasible(problem: FeasibilityProblem, with_dim: bool = True) -> FeasibilityR
     # the implicit equalities are the non-strict rows tight at a
     # relative-interior point; strict rows are never tight on a
     # nonempty set, and a constant row is tight when it reads 0 <= 0
-    (ts,), den = integer_rows([_back_substitute(stages, k, _pick_inside)])
+    ts, den = _back_substitute(stages, k, True)
     rows = [
         idx for idx, (coeffs, rhs, strict) in enumerate(reduced)
         if not strict and sum(map(mul, coeffs, ts)) == rhs * den

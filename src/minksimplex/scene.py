@@ -291,7 +291,12 @@ def scalar_to_json(x):
 
 
 def vec_to_json(v: Vec) -> list:
-    return [scalar_to_json(c) for c in v.coords]
+    """Coordinates as scalar_to_json writes them; an ExactVec's X_i / D
+    in lowest terms by one gcd each, with no Rat built."""
+    if v.__class__ is not ExactVec:
+        return [scalar_to_json(c) for c in v.coords]
+    D = v.D
+    return [str(x // g) if (g := math.gcd(x, D)) == D else f"{x // g}/{D // g}" for x in v.X]
 
 
 def ball_to_json(ball: UnitBall) -> dict:

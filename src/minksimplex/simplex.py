@@ -14,6 +14,7 @@ facet_supports); public methods build their Rat values last.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter, mul, sub
@@ -298,7 +299,17 @@ class Simplex:
         if self.mode == EXACT:
             _, D, N, _, S = self.facet_table
             return Simplex([ExactVec.of_ints([(self.dim + 1) * D * c for c in n], S) for n in N])
+        self.float_scale()  # raises below the normal float range
         return Simplex([h.normal / s * (self.dim + 1) for h, s in self._facets])
+
+    def float_scale(self) -> float:
+        """The largest |coordinate| as a float.  Raises
+        DegenerateInputError when it is subnormal: float tests relative to
+        that scale, and the points built from it, lack the precision."""
+        scale = max(abs(c) for v in self.vertices for c in v.to_float().coords)
+        if scale < sys.float_info.min:
+            raise DegenerateInputError("simplex coordinates are below the normal float range")
+        return scale
 
     def median_triangle(self) -> "Simplex":
         """Planar only: triangle whose side vectors are the medians,
