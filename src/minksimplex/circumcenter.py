@@ -10,15 +10,15 @@ where the rows J = {j_i} are tight; these faces (points, segments or
 unbounded pieces) make up the circumcenter set.  Q is pointed, and
 r > 0 on it: -n_k is a normal too, so 2r >= h_k + h_-k > 0.  One
 double-description run (polytopes._polar_kernel) lists its vertices and
-extreme rays with their tight-row masks: the face of J is generated by
-those whose mask holds J (empty unless one is a vertex), its tight rows
-are the AND of their masks and its affine dimension their rank minus 1.
-A face is fixed by its tight rows (Schrijver 1986, 8.3), so a piece is
-keyed by that mask and kept by the first assignment reaching it; its
-system (its problem) is Q's rows with J tight, and r > 0.  A point is
-its vertex, and its system is built on first read; a larger piece's
-witness is the Fourier-Motzkin one (feasibility.feasible) of that
-system.  Rows come from one integer
+extreme rays with their tight-row masks, and each facet gets the bitset
+of the generators tight on it: the face of J is the AND of its facets'
+bitsets (empty unless it holds a vertex), its affine dimension the rank
+of its generators minus 1.  A face is fixed by the generators it holds
+(Ziegler 1995, ch. 2), so a piece is keyed by that bitset and kept by
+the first assignment reaching it; its system (its problem) is Q's rows
+with J tight, and r > 0.  A point is its vertex, and its system is
+built on first read; a larger piece's witness is the Fourier-Motzkin
+one (feasibility.feasible) of that system.  Rows come from one integer
 table, T[i][k] = <N_k, V_i> (n_k = N_k / s_n, A_i = V_i / s_v): A_i
 attains h_k where T[i][k] is its column's maximum top_k, and Q's row k,
 times s_n s_v, is <(-s_v N_k, -s_n s_v), (M, r)> <= -top_k.
@@ -63,7 +63,8 @@ UNKNOWN = "unknown"
 class CircumPiece:
     """A polyhedral piece of the circumcenter set in (M, r) space, or a
     found point (smooth).  A polytopal piece is a face of Q keyed by its
-    tight rows, `assignment` the first to reach it and `problem` Q's rows
+    bitset of Q's generators (the AND of its facets' generator bitsets),
+    `assignment` the first to reach it and `problem` Q's rows
     with that assignment's facets tight; a point piece is given `system`
     in its place, a function that builds the problem on first read."""
 
@@ -159,32 +160,29 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
 
     # the vertices and extreme rays (X, R, D) of Q, (M, r) = (X, R) / D,
     # from its rows <coeffs_k, (X, R)> + top_k D <= 0 and -D <= 0; bit k
-    # of a mask is facet k's row
+    # of a mask is facet k's row, bit g of a face generator g's
     generators = _polar_kernel(
         [(*c, h) for c, h in zip(coeffs, top)] + [(0,) * (d + 1) + (-1,)], d + 1
     ) if total else []
-    faces: dict = {}  # facet set J (a mask) -> (tight mask, generators of its face) or None
-    pieces: dict = {}  # tight mask -> the piece of the first assignment reaching it
+    tight = [sum(1 << g for g, (_, m) in enumerate(generators) if m >> k & 1) for k in range(n_facets)]
+    vertex_bits = sum(1 << g for g, (y, _) in enumerate(generators) if y[-1])  # D > 0
+    pieces: dict = {}  # face -> the piece of the first assignment reaching it
     for assignment in itertools.product(*candidates):
-        J = sum({1 << j for j in assignment})
-        if J not in faces:
-            face = [(y, m) for y, m in generators if m & J == J]
-            faces[J] = None
-            if any(y[-1] for y, _ in face):  # a vertex, D > 0: the face is not empty
-                faces[J] = functools.reduce(and_, (m for _, m in face)), [y for y, _ in face]
-        if faces[J] is None or faces[J][0] in pieces:
+        face = functools.reduce(and_, map(tight.__getitem__, assignment))
+        if not face & vertex_bits or face in pieces:  # empty, or reached before
             continue
-        key, face = faces[J]
-        dim = bareiss(face)[0] - 1
+        J = sum({1 << j for j in assignment})
+        ys = [y for g, (y, _) in enumerate(generators) if face >> g & 1]
+        dim = bareiss(ys)[0] - 1
         if dim:
             prob = system(J)
             res = feasible(prob, with_dim=False)
             if not res.feasible:
                 raise VerificationError("a nonempty face of Q has an empty assignment system")
-            pieces[key] = CircumPiece(Vec(res.witness[:d]), res.witness[d], dim, assignment, prob)
+            pieces[face] = CircumPiece(Vec(res.witness[:d]), res.witness[d], dim, assignment, prob)
         else:
-            (*X, R, D), = face
-            pieces[key] = CircumPiece(ExactVec.of_ints(X, D), Rat(R, D), 0, assignment,
+            (*X, R, D), = ys
+            pieces[face] = CircumPiece(ExactVec.of_ints(X, D), Rat(R, D), 0, assignment,
                                       system=functools.partial(system, J))
 
     merged = list(pieces.values())

@@ -313,7 +313,7 @@ class Hyperplane:
             g = math.gcd(*ints)
             return tuple(v // g for v in ints)
         coeffs = (*self.normal.coords, self.offset)
-        scale = math.sqrt(sum(float(c) * float(c) for c in self.normal.coords))
+        scale = math.hypot(*map(float, self.normal.coords))
         return tuple(round(float(c) / scale, 12) for c in coeffs)
 
     def unoriented_key(self) -> tuple:

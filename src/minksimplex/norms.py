@@ -356,11 +356,11 @@ def birkhoff_orthogonal(ball: UnitBall, x: Vec, y: Vec) -> bool:
         values = [n.dot(y) for n in ball.normals if n.dot(x) == gx]
         return min(values) <= 0 <= max(values)
     # smooth: gauge is differentiable away from 0; the convex function
-    # g(t) = ||x + t y|| has minimum at 0 iff g'(0) = 0
+    # g(t) = ||x + t y|| has minimum at 0 iff g'(0) = 0, and |g'(0)| is
+    # at most gauge(y) (the gradient has dual norm 1)
     grad = ball.gauge_gradient(x)
     deriv = sum(g * float(c) for g, c in zip(grad, y.coords))
-    scale = max(ball.gauge(y), 1.0)
-    return abs(deriv) <= config.EPS_REL * scale + config.EPS_ABS
+    return abs(deriv) <= config.EPS_REL * ball.gauge(y)
 
 
 def is_radon(ball: UnitBall) -> bool:

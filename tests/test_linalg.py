@@ -26,7 +26,7 @@ from minksimplex.linalg import (
 )
 from minksimplex.scalars import Rat
 
-from conftest import vec
+from conftest import fvec, vec
 
 
 def test_vec_arithmetic():
@@ -107,6 +107,18 @@ def test_hyperplane_eval_and_identity():
     # oriented equality distinguishes flips, unoriented key does not
     assert h != h.flip()
     assert h.unoriented_key() == h.flip().unoriented_key()
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_float_hyperplane_canonical_at_extreme_scales(scale):
+    # the normal's length neither overflows to inf (every hyperplane
+    # canonical (0, 0, 0)) nor underflows to 0 (a ZeroDivisionError)
+    for normal, offset in (((1.0, 0.0), 1.0), ((0.0, 1.0), 0.5)):
+        h = Hyperplane(fvec(*(c * scale for c in normal)), offset * scale)
+        twin = Hyperplane(fvec(*normal), offset)
+        assert h.canonical() == twin.canonical()
+        assert h == twin and hash(h) == hash(twin) and h.same_set(twin)
+    assert Hyperplane(fvec(scale, 0.0), scale) != Hyperplane(fvec(0.0, scale), scale / 2)
 
 
 def test_solve_linear_unique():

@@ -231,6 +231,15 @@ def test_birkhoff_euclidean_matches_inner_product():
     assert not birkhoff_orthogonal(ball, fvec(1, 0), fvec(1, 1))
 
 
+@pytest.mark.parametrize("lam", [1e-12, 1.0, 1e12])
+def test_birkhoff_smooth_is_scale_free_in_y(lam):
+    # orthogonality does not change under y -> lam y, so a short y is
+    # not orthogonal to everything
+    ball = PNormBall(2, 3.0)
+    assert birkhoff_orthogonal(ball, fvec(1, 0), fvec(0, lam))
+    assert not birkhoff_orthogonal(ball, fvec(1, 0), fvec(lam, 0))
+
+
 def test_birkhoff_asymmetry_in_max_norm():
     # gauge((1,1) + t(0,1)) = max(1, |1+t|) >= 1 with equality near 0,
     # so (1,1) is Birkhoff orthogonal to (0,1); the reverse direction
