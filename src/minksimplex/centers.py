@@ -23,12 +23,11 @@ flipped facet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
 from . import config
-from .errors import DegenerateInputError, VerificationError
+from .errors import DegenerateInputError, FrozenRecord, VerificationError
 from .linalg import ExactVec, Hyperplane, Vec, affine_rank, det, solve_linear
 from .norms import Ball, UnitBall
 from .scalars import EXACT, FLOAT, Rat, close
@@ -37,17 +36,13 @@ from .simplex import Simplex
 from .circumcenter import is_circumcenter
 
 
-@dataclass(frozen=True)
-class EulerLine:
-    centroid: Vec
-    circumcenter: Vec
-    radius: object
-    concurrence: Vec
-    feuerbach_center: Vec
-    feuerbach_radius: object
-    monge: Vec
-    degenerate_line_indices: tuple
-    mode: str
+class EulerLine(FrozenRecord):
+    def __init__(self, centroid: Vec, circumcenter: Vec, radius, concurrence: Vec, feuerbach_center: Vec,
+                 feuerbach_radius, monge: Vec, degenerate_line_indices: tuple, mode: str):
+        self.__dict__.update(
+            centroid=centroid, circumcenter=circumcenter, radius=radius, concurrence=concurrence,
+            feuerbach_center=feuerbach_center, feuerbach_radius=feuerbach_radius, monge=monge,
+            degenerate_line_indices=degenerate_line_indices, mode=mode)
 
     @property
     def collapsed(self) -> bool:
@@ -178,11 +173,9 @@ def feuerbach_sphere(simplex: Simplex, ball: UnitBall, center: Vec, radius) -> B
     return sphere
 
 
-@dataclass(frozen=True)
-class Insphere:
-    center: Vec
-    radius: object
-    flipped_facet: Optional[int] = None  # None for the insphere proper
+class Insphere(FrozenRecord):
+    def __init__(self, center: Vec, radius, flipped_facet: Optional[int] = None):  # None: the insphere proper
+        self.__dict__.update(center=center, radius=radius, flipped_facet=flipped_facet)
 
 
 def _tangency_sphere(simplex: Simplex, ball: UnitBall, flip: Optional[int]) -> Optional[tuple]:

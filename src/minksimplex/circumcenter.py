@@ -41,12 +41,11 @@ import itertools
 import math
 import random
 import struct
-from dataclasses import dataclass
 from operator import and_, mul
 from typing import Callable, Optional, Sequence
 
 from . import config
-from .errors import DegenerateInputError, DimensionError, MixedModeError, VerificationError
+from .errors import DegenerateInputError, DimensionError, FrozenRecord, MixedModeError, VerificationError
 from .feasibility import FeasibilityProblem, Ineq, feasible
 from .linalg import ExactVec, Vec, bareiss, cross2, integer_points, ratio, solve_linear, zero_vec
 from .norms import Ball, PNormBall, PolytopeBall, UnitBall, line_interval, lp_gradient, lp_norm
@@ -89,14 +88,17 @@ class CircumPiece:
         return self.problem.holds_at((*center.coords, radius))
 
 
-@dataclass
 class CircumcenterSet:
-    simplex: Simplex
-    ball: UnitBall
-    pieces: list
-    classification: str
-    mode: str
-    start_failures: int = 0  # smooth: failures among the starts that ran
+    __slots__ = ("simplex", "ball", "pieces", "classification", "mode", "start_failures")
+
+    def __init__(self, simplex: Simplex, ball: UnitBall, pieces: list, classification: str, mode: str,
+                 start_failures: int = 0):  # smooth: failures among the starts that ran
+        self.simplex, self.ball, self.pieces = simplex, ball, pieces
+        self.classification, self.mode, self.start_failures = classification, mode, start_failures
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and all(
+            getattr(self, f) == getattr(other, f) for f in CircumcenterSet.__slots__)
 
     def covers(self, center: Vec, radius) -> bool:
         """Whether some enumerated piece contains the candidate."""
@@ -377,15 +379,16 @@ def in_medial_polytope(simplex: Simplex, center: Vec, strict: bool = False) -> b
     return simplex.medial_polytope.contains(center, strict)
 
 
-@dataclass
 class InteriorUniquenessReport:
     """Planar check: a circumcenter strictly inside the medial triangle
     forces the whole circumcenter set to be that one point."""
 
-    applies: bool
-    singleton: bool
-    interior_witness: Optional[Vec]
-    computed: CircumcenterSet
+    def __init__(self, applies: bool, singleton: bool, interior_witness: Optional[Vec], computed: CircumcenterSet):
+        self.applies, self.singleton = applies, singleton
+        self.interior_witness, self.computed = interior_witness, computed
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
 
 
 def medial_interior_uniqueness(simplex: Simplex, ball: PolytopeBall) -> InteriorUniquenessReport:
@@ -408,11 +411,9 @@ def medial_interior_uniqueness(simplex: Simplex, ball: PolytopeBall) -> Interior
 # -- worked instance: cube ball, vertex on an edge midpoint ----------
 
 
-@dataclass(frozen=True)
-class CubeEdgeMidpointInstance:
-    ball: PolytopeBall
-    simplex: Simplex
-    translation_direction: Vec
+class CubeEdgeMidpointInstance(FrozenRecord):
+    def __init__(self, ball: PolytopeBall, simplex: Simplex, translation_direction: Vec):
+        self.__dict__.update(ball=ball, simplex=simplex, translation_direction=translation_direction)
 
 
 def cube_edge_midpoint_instance() -> CubeEdgeMidpointInstance:

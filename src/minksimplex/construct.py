@@ -36,12 +36,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from . import config
 from .errors import (
     DegenerateInputError,
+    FrozenRecord,
     NonConvergenceError,
     VerificationError,
 )
@@ -52,23 +52,17 @@ from .scalars import EXACT, Rat
 from .simplex import Simplex
 
 
-@dataclass(frozen=True)
-class ChordPick:
-    level: int  # how many vertices remained before this pick
-    vertex: Vec
-    far_end: Vec
-    direction: Vec
-    target_before: Vec
-    target_after: Vec
+class ChordPick(FrozenRecord):
+    def __init__(self, level: int, vertex: Vec, far_end: Vec, direction: Vec, target_before: Vec, target_after: Vec):
+        # level: how many vertices remained before this pick
+        self.__dict__.update(level=level, vertex=vertex, far_end=far_end, direction=direction,
+                             target_before=target_before, target_after=target_after)
 
 
-@dataclass(frozen=True)
-class Construction:
-    simplex: Simplex
-    ball: UnitBall
-    picks: tuple
-    closing_chord: tuple  # the two vertices from the bisected chord
-    mode: str
+class Construction(FrozenRecord):
+    def __init__(self, simplex: Simplex, ball: UnitBall, picks: tuple, closing_chord: tuple, mode: str):
+        # closing_chord: the two vertices from the bisected chord
+        self.__dict__.update(simplex=simplex, ball=ball, picks=picks, closing_chord=closing_chord, mode=mode)
 
 
 def _drop_direction(frame, w: Vec):

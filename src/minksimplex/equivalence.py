@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 from .centers import exspheres, facet_bisector, incenter
 from .config import EPS_EQUIV
 from .construct import equilateral_triangle, quasiregular_simplex
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, FrozenRecord
 from .linalg import ExactVec, Vec, ratio
 from .norms import UnitBall, dual_ball, is_radon, isoperimetrix
 from .scalars import EXACT, Rat
@@ -33,14 +32,11 @@ from .simplex import Simplex
 NUMERIC_MODE = "numeric"
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    family: str
-    conditions: tuple
-    verdicts: tuple
-    mode: str
-    fingerprint: dict
-    witnesses: dict = field(default_factory=dict)
+class EquivalenceReport(FrozenRecord):
+    def __init__(self, family: str, conditions: tuple, verdicts: tuple, mode: str, fingerprint: dict,
+                 witnesses: Optional[dict] = None):
+        self.__dict__.update(family=family, conditions=conditions, verdicts=verdicts, mode=mode,
+                             fingerprint=fingerprint, witnesses={} if witnesses is None else witnesses)
 
     @property
     def agreement(self) -> bool:
@@ -435,11 +431,9 @@ def random_negative(
 # -- campaigns --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CampaignOutcome:
-    family: str
-    reports: tuple
-    disagreements: tuple
+class CampaignOutcome(FrozenRecord):
+    def __init__(self, family: str, reports: tuple, disagreements: tuple):
+        self.__dict__.update(family=family, reports=reports, disagreements=disagreements)
 
     @property
     def all_agree(self) -> bool:

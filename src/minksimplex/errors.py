@@ -1,4 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the base of its
+immutable records."""
+
+
+class FrozenRecord:
+    """An immutable record: each subclass sets its fields once, in its
+    own __init__, through __dict__.  Records are == when they are of one
+    class with == fields, and hash by their fields in the order __init__
+    set them."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
 
 class MinksimplexError(Exception):

@@ -31,33 +31,38 @@ most), which Fourier-Motzkin handles comfortably within the row cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import mul
 from typing import Optional, Sequence
 
 from . import config
-from .errors import DimensionError, MixedModeError, VerificationError
+from .errors import DimensionError, FrozenRecord, MixedModeError, VerificationError
 from .linalg import bareiss, integer_rows, integer_solve
 from .scalars import Rat, is_exact
 
 
-@dataclass(frozen=True)
-class Ineq:
+class Ineq(FrozenRecord):
     """Row <coeffs, x> (<= | <) rhs."""
 
-    coeffs: tuple
-    rhs: object
-    strict: bool = False
+    def __init__(self, coeffs: tuple, rhs, strict: bool = False):
+        self.__dict__.update(coeffs=coeffs, rhs=rhs, strict=strict)
 
 
-@dataclass
 class FeasibilityProblem:
     """Conjunction of equalities and (possibly strict) inequalities over
-    n_vars rational unknowns, stored as integer rows."""
+    n_vars rational unknowns, stored as integer rows: equalities as
+    (coeffs, rhs) pairs, inequalities as Ineqs."""
 
-    n_vars: int
-    equalities: list = field(default_factory=list)  # (coeffs, rhs)
-    inequalities: list = field(default_factory=list)  # Ineq
+    __slots__ = ("n_vars", "equalities", "inequalities")
+
+    def __init__(self, n_vars: int, equalities: Optional[list] = None, inequalities: Optional[list] = None):
+        self.n_vars = n_vars
+        self.equalities = [] if equalities is None else equalities
+        self.inequalities = [] if inequalities is None else inequalities
+        self.__post_init__()
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and (self.n_vars, self.equalities, self.inequalities) == (
+            other.n_vars, other.equalities, other.inequalities)
 
     def __post_init__(self) -> None:
         self.equalities = [self._integer_row(coeffs, rhs) for coeffs, rhs in self.equalities]
@@ -103,16 +108,23 @@ class FeasibilityProblem:
         return True
 
 
-@dataclass
 class FeasibilityResult:
-    feasible: bool
-    witness: Optional[tuple] = None
-    affine_dim: Optional[int] = None
-    # indices into problem.inequalities of the rows that hold with
-    # equality on the whole feasible set (reported with the dimension):
-    # the non-strict rows tight at one relative-interior point, which is
-    # the same set (Rockafellar 1970, Thm 6.8; Schrijver 1986, 8.2)
-    implicit_rows: Optional[tuple] = None
+    __slots__ = ("feasible", "witness", "affine_dim", "implicit_rows")
+
+    def __init__(self, feasible: bool, witness: Optional[tuple] = None, affine_dim: Optional[int] = None,
+                 implicit_rows: Optional[tuple] = None):
+        # implicit_rows: indices into problem.inequalities of the rows that
+        # hold with equality on the whole feasible set (reported with the
+        # dimension): the non-strict rows tight at one relative-interior
+        # point, which is the same set (Rockafellar 1970, Thm 6.8;
+        # Schrijver 1986, 8.2)
+        self.feasible, self.witness = feasible, witness
+        self.affine_dim, self.implicit_rows = affine_dim, implicit_rows
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and (
+            self.feasible, self.witness, self.affine_dim, self.implicit_rows) == (
+            other.feasible, other.witness, other.affine_dim, other.implicit_rows)
 
 
 def _direction(coeffs: tuple) -> tuple:

@@ -16,7 +16,6 @@ tolerances (_float_eliminate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add, mul, neg, sub
 from typing import Iterable, Optional, Sequence
 
@@ -340,7 +339,6 @@ class Hyperplane:
         return f"Hyperplane({self.normal!r}, {self.offset})"
 
 
-@dataclass
 class LinearSolution:
     """Outcome of solve_linear: 'unique', 'affine', or 'infeasible'.
 
@@ -348,9 +346,14 @@ class LinearSolution:
     space directions; for 'unique' basis is empty.
     """
 
-    status: str
-    point: Optional[tuple] = None
-    basis: tuple = ()
+    __slots__ = ("status", "point", "basis")
+
+    def __init__(self, status: str, point: Optional[tuple] = None, basis: tuple = ()):
+        self.status, self.point, self.basis = status, point, basis
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and (self.status, self.point, self.basis) == (
+            other.status, other.point, other.basis)
 
     @property
     def dim(self) -> Optional[int]:

@@ -12,7 +12,6 @@ a polytopal ball's section by a line or a plane into integer rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence
@@ -21,6 +20,7 @@ from . import config, polytopes
 from .errors import (
     DegenerateInputError,
     DimensionError,
+    FrozenRecord,
     MixedModeError,
     NonConvergenceError,
     VerificationError,
@@ -297,13 +297,12 @@ def euclidean_ball(dim: int) -> PNormBall:
     return PNormBall(dim, 2.0)
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(FrozenRecord):
     """Translate center + radius * unit."""
 
-    unit: UnitBall
-    center: Vec
-    radius: object
+    def __init__(self, unit: UnitBall, center: Vec, radius):
+        self.__dict__.update(unit=unit, center=center, radius=radius)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.unit.mode == EXACT and (self.center.mode != EXACT or is_float(self.radius)):

@@ -15,10 +15,9 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError, MinksimplexError, ResourceCapError
+from .errors import ConfigError, FrozenRecord, MinksimplexError, ResourceCapError
 from .linalg import ExactVec, Hyperplane, Vec
 from .norms import PNormBall, PolytopeBall, UnitBall
 from .scalars import EXACT, Rat
@@ -101,12 +100,9 @@ class SceneError(MinksimplexError, ValueError):
         self.where = where
 
 
-@dataclass(frozen=True)
-class Scene:
-    dimension: int
-    ball: UnitBall
-    simplex: Optional[Simplex]
-    points: dict
+class Scene(FrozenRecord):
+    def __init__(self, dimension: int, ball: UnitBall, simplex: Optional[Simplex], points: dict):
+        self.__dict__.update(dimension=dimension, ball=ball, simplex=simplex, points=points)
 
     @property
     def mode(self) -> str:
@@ -325,42 +321,71 @@ def result_document(command: str, scene: Optional[Scene], payload: dict, version
     return doc
 
 
-def _leaf_json(obj, where: str) -> str:
-    try:
-        return _strict_json(obj)
-    except ValueError:  # inf or nan, which a JSON document cannot hold
-        raise MinksimplexError(f"result {where} = {obj} is beyond the float range") from None
+# json's text of each scalar type it writes directly; _strict_json
+# writes any other leaf, and raises ValueError for inf and nan
+_json_str = json.encoder.encode_basestring_ascii
+_SCALAR_JSON = {
+    str: _json_str, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null",
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else _strict_json(x),
+}
 
 
-def _write_json(obj, indent: int, out: list, where: str) -> None:
-    pad = "  " * indent
+class _Unwritable(Exception):
+    """A leaf that JSON cannot hold; steps gather its path while the
+    walk unwinds, innermost first, as (is_index, key) pairs."""
+
+    def __init__(self, leaf):
+        super().__init__(leaf)
+        self.leaf, self.steps = leaf, []
+
+
+def _write_json(obj, pad: str, out: list) -> None:
+    """Append obj's text to out: dicts and lists that hold a dict or a
+    list get one member per line, indented past pad."""
     if isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        out.append("{\n")
-        for k, (key, val) in enumerate(obj.items()):
-            out.append(f"{pad}  {json.dumps(key)}: ")
-            _write_json(val, indent + 1, out, f"{where}.{key}" if where else key)
-            out.append(",\n" if k < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, list):
-        if all(not isinstance(x, (dict, list)) for x in obj):
-            out.append(_leaf_json(obj, where))
-            return
-        out.append("[\n")
+        inner, head = pad + "  ", "{\n"
+        for key, val in obj.items():
+            out.append(f"{head}{inner}{_json_str(key) if key.__class__ is str else json.dumps(key)}: ")
+            try:
+                _write_json(val, inner, out)
+            except _Unwritable as exc:
+                exc.steps.append((False, key))
+                raise
+            head = ",\n"
+        out.append(f"\n{pad}}}")
+    elif isinstance(obj, list) and any(isinstance(x, (dict, list)) for x in obj):
+        inner, head = pad + "  ", "[\n"
         for k, val in enumerate(obj):
-            out.append(pad + "  ")
-            _write_json(val, indent + 1, out, f"{where}[{k}]")
-            out.append(",\n" if k < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        out.append(_leaf_json(obj, where))
+            out.append(head + inner)
+            try:
+                _write_json(val, inner, out)
+            except _Unwritable as exc:
+                exc.steps.append((True, k))
+                raise
+            head = ",\n"
+        out.append(f"\n{pad}]")
+    else:  # a scalar or an inline list of scalars
+        try:
+            if isinstance(obj, list):
+                out.append(f"[{', '.join([_SCALAR_JSON.get(x.__class__, _strict_json)(x) for x in obj])}]")
+            else:
+                out.append(_SCALAR_JSON.get(obj.__class__, _strict_json)(obj))
+        except ValueError:  # inf or nan, which a JSON document cannot hold
+            raise _Unwritable(obj) from None
 
 
 def dumps_document(doc: dict) -> str:
     """Deterministic human-scale formatting: nested structures get one
     element per line, innermost scalar lists stay inline."""
     out: list = []
-    _write_json(doc, 0, out, "")
+    try:
+        _write_json(doc, "", out)
+    except _Unwritable as exc:
+        where = ""
+        for is_index, key in reversed(exc.steps):
+            where = f"{where}[{key}]" if is_index else f"{where}.{key}" if where else key
+        raise MinksimplexError(f"result {where} = {exc.leaf} is beyond the float range") from None
     return "".join(out) + "\n"

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter, mul, sub
 from typing import Sequence
 
 from . import norms
-from .errors import DegenerateInputError, DimensionError, MixedModeError
+from .errors import DegenerateInputError, DimensionError, FrozenRecord, MixedModeError
 from .linalg import (
     ExactVec,
     Hyperplane,
@@ -351,15 +350,14 @@ class Simplex:
         return f"Simplex(dim={self.dim}, vertices={[tuple(map(str, v.coords)) for v in self.vertices]})"
 
 
-@dataclass(frozen=True)
-class MedialPolytope:
+class MedialPolytope(FrozenRecord):
     """Intersection of the simplex with the far sides of its medial
     hyperplanes, as halfspaces {h.eval <= 0}.  Its vertices are the
     points of {0 <= lambda_i <= 1/2} with two coordinates 1/2: the
     C(d+1, 2) edge midpoints."""
 
-    halfspaces: tuple
-    edge_midpoints: tuple
+    def __init__(self, halfspaces: tuple, edge_midpoints: tuple):
+        self.__dict__.update(halfspaces=halfspaces, edge_midpoints=edge_midpoints)
 
     def contains(self, p: Vec, strict: bool = False) -> bool:
         return _half_contains(self.halfspaces, p, strict)

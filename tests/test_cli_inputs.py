@@ -81,6 +81,19 @@ def test_cli_import_loads_only_the_stdlib():
     assert loaded - set(sys.stdlib_module_names) <= {"minksimplex", "gmpy2"}
 
 
+def test_cli_import_loads_no_dataclass_machinery():
+    # dataclasses pulls in inspect, ast, dis and tokenize: a cold start
+    # pays for them on every CLI call
+    code = (
+        "import sys; before = set(sys.modules); import minksimplex.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "minksimplex.cli" in proc.stdout.split()
+    assert {"dataclasses", "inspect"}.isdisjoint(proc.stdout.split())
+
+
 def test_unbounded_h_form_ball_is_a_scene_error(tmp_path, capsys):
     scene = {"dimension": 2, "ball": {"type": "polytope-h", "normals": [[1, 0], [-1, 0], [0, 1]]}}
     code, err = run(tmp_path, capsys, ["gauge"], json.dumps(scene))

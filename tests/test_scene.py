@@ -1,6 +1,7 @@
 """Scene parsing, validation paths, and document serialization."""
 
 import json
+import math
 import sys
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minksimplex import scene as scene_module
+from minksimplex.errors import MinksimplexError
 from minksimplex.scene import (
     BALL_CACHE_SIZE,
     Scene,
@@ -204,6 +206,16 @@ def test_result_document_layout():
     # scalar lists stay on one line
     assert '"xs": [1, 2, 3]' in text
     assert text.endswith("}\n")
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"a": [{"b": [1.0, math.inf]}]}, "result a[0].b = [1.0, inf] is beyond the float range"),
+    ({"xs": [[1, -math.inf]]}, "result xs[0] = [1, -inf] is beyond the float range"),
+])
+def test_dumps_document_names_the_unwritable_value_and_its_path(doc, message):
+    with pytest.raises(MinksimplexError) as info:
+        dumps_document(doc)
+    assert str(info.value) == message
 
 
 def test_dumps_document_is_valid_json():
