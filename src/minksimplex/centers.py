@@ -23,6 +23,7 @@ flipped facet.
 from __future__ import annotations
 
 import math
+import sys
 from operator import mul
 from typing import Optional
 
@@ -30,7 +31,7 @@ from . import config
 from .errors import DegenerateInputError, FrozenRecord, VerificationError
 from .linalg import ExactVec, Hyperplane, Vec, affine_rank, det, solve_linear
 from .norms import Ball, UnitBall
-from .scalars import EXACT, FLOAT, Rat, close
+from .scalars import EXACT, FLOAT, Rat
 from .simplex import Simplex
 
 from .circumcenter import is_circumcenter
@@ -51,27 +52,32 @@ class EulerLine(FrozenRecord):
         return self.circumcenter == self.centroid
 
     def contains(self, point: Vec, tol: float = config.EPS_REL) -> bool:
-        if self.collapsed:
-            if self.mode == EXACT:
-                return point == self.centroid
-            return all(
-                close(float(a), float(b), rel=tol)
-                for a, b in zip(point.coords, self.centroid.coords)
-            )
+        """Whether point is on the line through the centroid G and the
+        circumcenter M (is G, if collapsed).  Float points are judged at
+        tol plus a few ulps of the largest |coordinate| of G, M and point."""
         if self.mode == EXACT:
+            if self.collapsed:
+                return point == self.centroid
             return affine_rank([self.centroid, self.circumcenter, point]) <= 1
         g = [float(c) for c in self.centroid.coords]
-        u = [float(c) - b for c, b in zip(self.circumcenter.coords, g)]
-        v = [float(c) - b for c, b in zip(point.coords, g)]
+        m = [float(c) for c in self.circumcenter.coords]
+        p = [float(c) for c in point.coords]
+        slack = 8 * (len(g) + 1) * sys.float_info.epsilon * max(map(abs, (*g, *m, *p)))
+        if self.collapsed:
+            bound = float(self.radius) * tol + slack
+            return all(abs(a - b) <= bound for a, b in zip(p, g))
+        u = [a - b for a, b in zip(m, g)]
+        v = [a - b for a, b in zip(p, g)]
         nu, nv = math.hypot(*u), math.hypot(*v)
         if nu == 0.0 or nv == 0.0:
             return True
         # unit u and v are parallel when every 2x2 minor u_i v_j - u_j v_i
-        # vanishes; scaling first keeps the products from overflowing
+        # vanishes; scaling first keeps the products from overflowing, and
+        # the slack in u and v moves the unit vectors by slack / |u|, |v|
         u = [c / nu for c in u]
         v = [c / nv for c in v]
         cross = max(abs(ui * vj - uj * vi) for ui, vi in zip(u, v) for uj, vj in zip(u, v))
-        return cross <= tol
+        return cross <= tol + slack / nu + slack / nv
 
 
 def euler_line(simplex: Simplex, ball: UnitBall, center: Vec, radius) -> EulerLine:
@@ -143,13 +149,8 @@ def _check_euler_identities(simplex: Simplex, line: EulerLine) -> None:
             # the rhs cancels terms of the size of the inputs, so the
             # rounding left in it scales with them, not with the rhs
             scale = d * max(abs(float(c)) for v in (a, ac, line.circumcenter) for c in v.coords)
-            ok = all(
-                abs(float(x) - float(y)) <= config.EPS_REL * scale
-                for x, y in zip(lhs.coords, rhs.coords)
-            ) and all(
-                abs(float(x) - float(y)) <= config.EPS_REL * scale
-                for x, y in zip(lhs2.coords, rhs2.coords)
-            )
+            pairs = zip((*lhs.coords, *lhs2.coords), (*rhs.coords, *rhs2.coords))
+            ok = all(abs(float(x) - float(y)) <= config.EPS_REL * scale for x, y in pairs)
         if not ok:
             raise VerificationError("euler line identities violated")
     if not (line.contains(line.concurrence) and line.contains(line.monge) and line.contains(line.feuerbach_center)):
@@ -167,7 +168,7 @@ def feuerbach_sphere(simplex: Simplex, ball: UnitBall, center: Vec, radius) -> B
         if ball.mode == EXACT:
             ok = g == sphere.radius
         else:
-            ok = close(float(g), float(sphere.radius), rel=config.EPS_REL)
+            ok = abs(float(g) - float(sphere.radius)) <= config.EPS_REL * float(sphere.radius)
         if not ok:
             raise VerificationError("facet centroid off the feuerbach sphere")
     return sphere

@@ -24,13 +24,9 @@ The kernel promises no order.  Each ray comes back with its tight-row
 mask, and one reader of the masks (_extreme) runs the other way: a
 point is a vertex when the facet rays tight at it have rank d, and a
 halfspace supports a facet when the vertex rays tight on it have rank
-d.  The two functions that promise an order, facet_hyperplanes and
-vertex_enumerate, sort the rays as a walk over the d-subsets of rows in
-itertools.combinations order would first meet each (_combinations_order):
-by the lexicographically first rank-d subset of its tight rows, which
-is their first basis in row order (the pivot columns of bareiss run on
-the rows as columns), and simply the tight rows when there are exactly
-d of them.
+d.  facet_hyperplanes and vertex_enumerate sort what they return, by
+Hyperplane.canonical and by Vec.key, so their order does not follow the
+order of their input.
 
 A polytopal ball and its polar come from one run (polar_pair): fed the
 points of P = conv(points), with the origin interior to P, the facet
@@ -87,14 +83,6 @@ def _halfspace_rows(halfspaces: Sequence[Hyperplane]) -> list:
     return rows
 
 
-def _first_independent(rows: Sequence[Sequence[int]], indices) -> list:
-    """The indices, in the order given, whose rows are independent of
-    the rows before them: their lexicographically first basis, read off
-    as the pivot columns of bareiss run on those rows as columns."""
-    indices = list(indices)
-    return [indices[c] for c in bareiss(list(zip(*(rows[i] for i in indices))))[3]]
-
-
 def _polar_kernel(rows: Sequence[Sequence[int]], d: int) -> list:
     """The extreme rays y of the cone {y : <r, y> <= 0 for every row},
     as pairs (y, m) of a coprime int list and the int mask whose bit i
@@ -102,8 +90,8 @@ def _polar_kernel(rows: Sequence[Sequence[int]], d: int) -> list:
     d give their null line with a positive last entry (nothing when that
     entry is 0), tight on every row; rows of lower rank give nothing."""
     # one bareiss over [R^T | I]: its pivots in R^T are the first
-    # independent rows B (_first_independent), it solves B^T z = e_k, and
-    # for rank d its last row holds the null line y of R (R y = 0) in I
+    # independent rows B in row order, it solves B^T z = e_k, and for
+    # rank d its last row holds the null line y of R (R y = 0) in I
     n_rows = len(rows)
     _, _, a, cols = bareiss([(*c, *(0,) * k, 1, *(0,) * (d - k)) for k, c in enumerate(zip(*rows))])
     first = [c for c in cols if c < n_rows]
@@ -155,21 +143,6 @@ def _polar_kernel(rows: Sequence[Sequence[int]], d: int) -> list:
     return rays
 
 
-def _combinations_order(rays: Sequence, rows: Sequence[Sequence[int]]) -> list:
-    """The (y, m) rays of _polar_kernel in the order a walk over the
-    d-subsets of rows in itertools.combinations order first meets each:
-    by the lexicographically first basis of its tight rows, which are
-    that basis already when there are exactly d of them."""
-    d = len(rows[0]) - 1
-
-    def first_basis(ray) -> list:
-        m = ray[1]
-        tight = [i for i in range(m.bit_length()) if m >> i & 1]
-        return tight if len(tight) == d else _first_independent(rows, tight)
-
-    return sorted(rays, key=first_basis)
-
-
 def _extreme(items: Sequence, rays: Sequence, d: int) -> list:
     """The items, one per kernel input row, whose row is tight on rays
     of rank d; rays are (y, m) pairs from _polar_kernel."""
@@ -195,13 +168,13 @@ def _facet_rays(points: Sequence[Vec]) -> tuple:
 
 
 def facet_hyperplanes(points: Sequence[Vec]) -> list[Hyperplane]:
-    """Outward facet hyperplanes of conv(points), in the order of the
-    first d-subset of points that spans each: each returned (a, b)
-    satisfies <a, x> <= b on the hull with equality on a facet."""
-    pts, d, rays = _facet_rays(points)
+    """Outward facet hyperplanes of conv(points), sorted by
+    Hyperplane.canonical: each returned (a, b) satisfies <a, x> <= b on
+    the hull with equality on a facet."""
+    _, d, rays = _facet_rays(points)
     config.check_cap("MINKSIMPLEX_MAX_FACETS", len(rays), "facets")
-    rays = _combinations_order(rays, _point_rows(pts))
-    return [Hyperplane(ExactVec.of_ints(y[:d], 1), Rat(-y[d])) for y, _ in rays]
+    hyps = [Hyperplane(ExactVec.of_ints(y[:d], 1), Rat(-y[d])) for y, _ in rays]
+    return sorted(hyps, key=Hyperplane.canonical)
 
 
 def polar_pair(points: Sequence[Vec]) -> tuple[list[Vec], list[Vec]]:
@@ -232,12 +205,11 @@ def vertex_rays(rows: Sequence[Sequence[int]], d: int) -> list:
 
 
 def vertex_enumerate(halfspaces: Sequence[Hyperplane]) -> list[Vec]:
-    """Vertices of {x : <a_i, x> <= b_i for all i}, in the order of the
-    first d-subset of rows that meets each; the intersection must be
-    bounded for the result to describe it.  Exact halfspaces only."""
-    hs, d, rays = _vertex_rays(halfspaces)
-    rays = _combinations_order(rays, _halfspace_rows(hs))
-    return [ExactVec.of_ints(y[:d], y[d]) for y, _ in rays]
+    """Vertices of {x : <a_i, x> <= b_i for all i}, sorted by Vec.key;
+    the intersection must be bounded for the result to describe it.
+    Exact halfspaces only."""
+    _, d, rays = _vertex_rays(halfspaces)
+    return sorted((ExactVec.of_ints(y[:d], y[d]) for y, _ in rays), key=Vec.key)
 
 
 def minimal_halfspaces(halfspaces: Sequence[Hyperplane]) -> list[Hyperplane]:

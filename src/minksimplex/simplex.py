@@ -39,40 +39,29 @@ from .scalars import EXACT, Rat
 def hyperplane_through(points: Sequence[Vec]) -> Hyperplane:
     """Hyperplane spanned by d affinely independent points in R^d.
 
-    Normal components are cofactors of the edge-vector matrix R.  In
-    rational mode the edges are cleared to integers once and reduced by
-    one bareiss: the cofactor of the free column f is (-1)^f times the
-    determinant on the pivot columns, and back substitution fills in
-    the others (R n = 0), all exact.  In float mode each edge row is
-    divided by its largest |entry| first, which only rescales the
-    normal, so cofactors stay near 1 and the offset stays finite.
+    Normal components are cofactors of the edge-vector matrix, each a
+    det in the points' lane, so an exact normal is exact.  In float mode
+    each edge row is divided by its largest |entry| first, which only
+    rescales the normal, so cofactors stay near 1 and the offset stays
+    finite.
     """
     pts = list(points)
     d = pts[0].dim
     if len(pts) != d:
         raise DimensionError(f"need {d} points to span a hyperplane in R^{d}")
-    edges = [p - pts[0] for p in pts[1:]]
-    if pts[0].mode == EXACT:
-        ints, scale = integer_points(edges)
-        r, minor, a, cols = bareiss(ints)
-        cof = [0] * d
-        if r == d - 1:
-            f = sum(range(d)) - sum(cols)
-            cof[f] = (-1) ** f * minor
-            back_substitute(a, cols, cof, f, 0)
-        n = ExactVec.of_ints(cof, scale ** (d - 1))
-    else:
-        rows = [list(e.coords) for e in edges]
+    exact = pts[0].mode == EXACT
+    rows = [list((p - pts[0]).coords) for p in pts[1:]]
+    if not exact:
         for k, row in enumerate(rows):
             big = max(map(abs, row))
             if big:
                 rows[k] = [c / big for c in row]
-        normal = []
-        for i in range(d):
-            minor = [[row[j] for j in range(d) if j != i] for row in rows]
-            cof = det(minor) if minor else 1.0
-            normal.append(cof if i % 2 == 0 else -cof)
-        n = Vec(normal)
+    normal = []
+    for i in range(d):
+        minor = [[row[j] for j in range(d) if j != i] for row in rows]
+        cof = det(minor) if minor else (1 if exact else 1.0)
+        normal.append(cof if i % 2 == 0 else -cof)
+    n = Vec(normal)
     if n.is_zero():
         raise DegenerateInputError("points are affinely dependent")
     return Hyperplane(n, n.dot(pts[0]))

@@ -13,16 +13,19 @@ beyond the float range ends in exit 2 with a message naming it.
 """
 
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from minksimplex.centers import euler_line, exspheres, incenter
+from minksimplex.centers import euler_line, exspheres, feuerbach_sphere, incenter
 from minksimplex.circumcenter import circumcenters, is_circumcenter
 from minksimplex.cli import main
 from minksimplex.config import EPS_REL
+from minksimplex.construct import quasiregular_simplex
+from minksimplex.errors import VerificationError
 from minksimplex.linalg import Vec, solve_linear
-from minksimplex.norms import PNormBall, lp_norm
+from minksimplex.norms import Ball, PNormBall, lp_norm
 from minksimplex.simplex import Simplex
 
 P3 = PNormBall(2, 3.0)
@@ -303,3 +306,63 @@ def test_verify_of_subnormal_triangle_exit_2(tmp_path, capsys, family):
     code, _ = run_scene(tmp_path, ["verify", "--theorem", family, "--trials", "2"], body)
     assert code == 2
     assert "simplex coordinates are below the normal float range" in capsys.readouterr().err
+
+
+# -- Euler-line checks at the coordinates' scale ----------------------
+
+TRIANGLE_345 = [[0, 0], [4, 0], [0, 3]]
+TETRAHEDRON_345 = [[0, 0, 0], [4, 0, 0], [0, 3, 0], [0, 0, 2]]
+
+
+@pytest.mark.parametrize("s", [0, 1e4, 1e6, 1e7, 1e9, 1e12])
+@pytest.mark.parametrize("p", [1.5, 3])
+@pytest.mark.parametrize("base", [TRIANGLE_345, TETRAHEDRON_345])
+def test_centers_and_render_of_a_shifted_simplex(tmp_path, base, p, s):
+    # M - G and P - G carry a few ulps of the position's |coordinate|
+    # of rounding, which the unit vectors' minors must allow for
+    body = {
+        "dimension": len(base[0]),
+        "ball": {"type": "pnorm", "p": p},
+        "simplex": [[c + s for c in v] for v in base],
+    }
+    assert run_scene(tmp_path, ["centers"], body)[0] == 0
+    assert run_scene(tmp_path, ["render"], body)[0] == 0
+
+
+@pytest.mark.parametrize("s", [0.0, 1e7])
+def test_euler_line_rejects_a_point_just_off_it(s):
+    T = right_triangle_4_3(1.0).translate(Vec((s, s)))
+    piece = circumcenters(T, P3).pieces[0]
+    line = euler_line(T, P3, piece.center, piece.radius)
+    assert line.contains(line.concurrence) and line.contains(line.monge)
+    g, m = line.centroid.coords, line.circumcenter.coords
+    u = (m[0] - g[0], m[1] - g[1])
+    off = 1e-6 * math.hypot(*u)
+    n = (-u[1] / math.hypot(*u), u[0] / math.hypot(*u))
+    assert line.contains(Vec((g[0] + 2 * u[0], g[1] + 2 * u[1])))
+    assert not line.contains(Vec((g[0] + 2 * u[0] + off * n[0], g[1] + 2 * u[1] + off * n[1])))
+
+
+def test_collapsed_euler_line_at_a_tiny_scale():
+    # an absolute floor of 1e-12 let the collapsed line hold any point
+    # within 1e-12 of a centroid whose coordinates are near 1e-300
+    ball = PNormBall(2, 3.0)
+    T = quasiregular_simplex(ball).simplex.scale(1e-300)
+    g = T.centroid
+    line = euler_line(T, ball, g, ball.gauge(T.vertices[0] - g))
+    assert line.collapsed
+    assert line.contains(g) and line.contains(line.monge) and line.contains(line.concurrence)
+    assert not line.contains(g + Vec((0.0, 1e-13)))
+    assert not line.contains(g + Vec((0.0, 1e-303)))
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-300, 1e300])
+def test_feuerbach_check_rejects_a_gauge_off_by_a_millionth(monkeypatch, s):
+    T = right_triangle_4_3(s)
+    piece = circumcenters(T, P3).pieces[0]
+    sphere = feuerbach_sphere(T, P3, piece.center, piece.radius)
+    assert sphere.radius == pytest.approx(piece.radius / 2, rel=1e-12)
+    original = Ball.gauge_from_center
+    monkeypatch.setattr(Ball, "gauge_from_center", lambda self, x: original(self, x) * (1 + 1e-6))
+    with pytest.raises(VerificationError, match="feuerbach sphere"):
+        feuerbach_sphere(T, P3, piece.center, piece.radius)

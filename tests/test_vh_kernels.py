@@ -94,16 +94,6 @@ def ref_rank(rows):
     return len(rows[0]) - len(ref_nullspace(rows))
 
 
-def ref_first_independent(rows, indices):
-    """Rank scan on Fractions: an index is kept when its row raises the
-    rank of the rows kept before it."""
-    kept = []
-    for i in indices:
-        if ref_rank([rows[j] for j in kept + [i]]) > len(kept):
-            kept.append(i)
-    return kept
-
-
 def ref_affine_rank(points):
     base = points[0]
     diffs = [[a - b for a, b in zip(p, base)] for p in points[1:]]
@@ -124,7 +114,7 @@ def ref_facet_hyperplanes(points):
             continue
         h = Hyperplane(normal, offset) if signs == {-1} else Hyperplane(-normal, -offset)
         found[h.canonical()] = h
-    return list(found.values())
+    return sorted(found.values(), key=Hyperplane.canonical)
 
 
 def ref_vertex_enumerate(halfspaces):
@@ -137,7 +127,7 @@ def ref_vertex_enumerate(halfspaces):
         x = Vec(sol.point)
         if all(h.eval(x) <= 0 for h in halfspaces):
             seen[x.coords] = x
-    return list(seen.values())
+    return sorted(seen.values(), key=Vec.key)
 
 
 def ref_minimal_halfspaces(halfspaces, vertices):
@@ -459,6 +449,25 @@ def test_shuffled_points_give_the_same_facet_set(d):
             check_polar_pair(pts, hyps, vertex_enumerate(hyps))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_shuffled_input_gives_identical_lists(d):
+    # the lists are sorted by Hyperplane.canonical and Vec.key, so no
+    # order of the points or halfspaces shows through
+    rng = random.Random(f"vh-canonical-order:{d}")
+    for _ in range(6 if d < 4 else 3):
+        pts = symmetric_point_set(rng, d, d + 2) + point_set(rng, d)
+        hyps = facet_hyperplanes(pts)
+        verts = vertex_enumerate(hyps)
+        assert canonical(hyps) == sorted(canonical(hyps))
+        assert [v.key() for v in verts] == sorted(v.key() for v in verts)
+        for _ in range(4):
+            rng.shuffle(pts)
+            assert facet_hyperplanes(pts) == hyps
+            rows = hyps[::-1]
+            rng.shuffle(rows)
+            assert vertex_enumerate(rows) == verts
+
+
 def test_ball_validation_on_integer_rows_keeps_its_errors():
     square = [vec(1, 1), vec(-1, 1), vec(-1, -1), vec(1, -1)]
     normals = [vec(1, 0), vec(0, 1), vec(-1, 0), vec(0, -1)]
@@ -541,26 +550,6 @@ def test_unbounded_halfspace_input_says_so():
         with pytest.raises(DegenerateInputError) as err:
             PolytopeBall.from_halfspaces([Hyperplane(n, Rat(1)) for n in normals])
         assert str(err.value) == "halfspace intersection is unbounded"
-
-
-def test_first_independent_rows_match_fraction_rank_scan():
-    # the kernel's start rows and the combinations order both rest on
-    # the first basis of a row list; dependent rows (combinations of
-    # others, repeats, zero rows) are mixed in at random places
-    rng = random.Random("first-independent")
-    skipped = 0
-    for _ in range(300):
-        d = rng.randint(2, 4)
-        rows = [[rng.randint(-3, 3) for _ in range(d + 1)] for _ in range(rng.randint(1, d + 2))]
-        for _ in range(rng.randint(1, 3)):
-            a, b = rng.choice(rows), rng.choice(rows)
-            f, g = rng.randint(-2, 2), rng.randint(-2, 2)
-            rows.insert(rng.randrange(len(rows) + 1), [f * x + g * y for x, y in zip(a, b)])
-        indices = rng.sample(range(len(rows)), rng.randint(1, len(rows)))
-        want = ref_first_independent(rows, indices)
-        assert polytopes._first_independent(rows, indices) == want
-        skipped += len(want) < len(indices)
-    assert skipped > 100
 
 
 def null_vector_start(rows, d):
