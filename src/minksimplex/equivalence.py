@@ -10,8 +10,13 @@ Campaign ids ("41", "42", "43", "44", "r41") are opaque labels fixed
 by the command-line contract.
 
 Exact polytopal instances give exact verdicts; smooth-ball instances
-are evaluated at a relative tolerance of 1e-7 and their reports are
-labeled "numeric".  Exact verdicts compare int pairs (p, q) for p / q.
+give reports labeled "numeric".  Exact verdicts compare int pairs
+(p, q) for p / q.  Float verdicts decide equality in one place,
+_all_equal, at a relative 1e-7.  The values it compares are lengths
+(heights, gauges, exradii) or ratios of values of affine functions
+(barycentric coordinates, a quasi-medial hyperplane against a
+bisector), so no verdict depends on where the simplex sits or on its
+size.
 """
 
 from __future__ import annotations
@@ -109,32 +114,11 @@ def _gauges(ball: UnitBall, vectors) -> list:
     return [ball.gauge(v) for v in vectors]
 
 
-def _extent(simplex: Simplex) -> float:
-    """Largest |coordinate| of the simplex: float points and offsets are
-    compared at this scale, so verdicts do not depend on its size."""
-    return max(abs(float(c)) for v in simplex.vertices for c in v.coords)
-
-
-def _points_equal(a: Vec, b: Vec, mode: str, extent: float) -> bool:
-    if mode == EXACT:
-        return a == b
-    return all(
-        abs(float(x) - float(y)) <= EPS_EQUIV * extent
-        for x, y in zip(a.coords, b.coords)
-    )
-
-
-def _same_hyperplane(h1, h2, extent: float) -> bool:
-    n1 = [float(c) for c in h1.normal.coords]
-    n2 = [float(c) for c in h2.normal.coords]
-    s1, s2 = math.hypot(*n1), math.hypot(*n2)
-    o1, o2 = float(h1.offset) / s1, float(h2.offset) / s2
-    for sign in (1.0, -1.0):
-        if all(
-            abs(a / s1 - sign * b / s2) <= EPS_EQUIV for a, b in zip(n1, n2)
-        ) and abs(o1 - sign * o2) <= EPS_EQUIV * extent:
-            return True
-    return False
+def _float_rise(n: Vec, u: Vec, w: Vec) -> float:
+    """<n, u - w> for float points u, w and an exact or a float normal n:
+    an affine function's change from w to u, which its offset's
+    rounding at the simplex's position does not enter."""
+    return n.to_float().dot(u - w)
 
 
 def _same_row(u: tuple, w: tuple) -> bool:
@@ -165,9 +149,18 @@ def equal_side_gauges(simplex: Simplex, ball: UnitBall):
 
 
 def centroid_is_incenter(simplex: Simplex, ball: UnitBall):
+    """The centroid is the one point whose barycentric coordinates are
+    all equal, so in floats the incenter's lambda_i(x) = h_i(x) /
+    h_i(A_i) are compared at a relative 1e-7."""
     inc = incenter(simplex, ball)
-    extent = None if ball.mode == EXACT else _extent(simplex)
-    ok = _points_equal(inc.center, simplex.centroid, ball.mode, extent)
+    if ball.mode == EXACT:
+        ok = inc.center == simplex.centroid
+    else:
+        x, vs = inc.center.to_float(), [v.to_float() for v in simplex.vertices]
+        # h_i vanishes at A_(i-1), a vertex of facet i
+        lams = [_float_rise(h.normal, x, vs[i - 1]) / _float_rise(h.normal, vs[i], vs[i - 1])
+                for i, h in enumerate(simplex.facet_hyperplanes)]
+        ok = _all_equal(lams, ball.mode)
     return ok, {"incenter": inc.center, "centroid": simplex.centroid}
 
 
@@ -185,15 +178,19 @@ def equal_exradii(simplex: Simplex, ball: UnitBall):
 def quasi_medial_hyperplanes_are_bisectors(simplex: Simplex, ball: UnitBall):
     """Set coincidence of the quasi-medial hyperplanes with the interior
     facet bisectors.  Both families contain the shared ridge of their
-    facet pair, which pins the matching pairwise."""
+    facet pair, which pins the matching pairwise.  So in floats the
+    quasi-medial Q and the bisector B of edge {i, j} are one set when
+    Q(A_k) / B(A_k), k = i, j, agree at a relative 1e-7."""
     mismatches = []
-    extent = None if ball.mode == EXACT else _extent(simplex)
+    vs = None if ball.mode == EXACT else [v.to_float() for v in simplex.vertices]
     for i, j in simplex.edges():
-        if extent is None:
+        if vs is None:
             same = _same_row(simplex.bisector_row(ball, i, j), simplex.quasi_medial_row(i, j))
         else:
-            bis = facet_bisector(simplex, ball, i, j)
-            same = _same_hyperplane(simplex.quasi_medial_hyperplane(i, j), bis, extent)
+            r = min({0, 1, 2} - {i, j})  # A_r is on the ridge, where Q and B vanish
+            q, b = simplex.quasi_medial_hyperplane(i, j).normal, facet_bisector(simplex, ball, i, j).normal
+            ratios = [_float_rise(q, vs[k], vs[r]) / _float_rise(b, vs[k], vs[r]) for k in (i, j)]
+            same = _all_equal(ratios, ball.mode)
         if not same:
             mismatches.append([i, j])
     return not mismatches, {"mismatched_pairs": mismatches}

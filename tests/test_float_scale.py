@@ -297,17 +297,6 @@ def test_verify_of_subnormal_triangle_exit_2(tmp_path, capsys, family):
     assert "simplex coordinates are below the normal float range" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("family", ["41", "43"])
-def test_verify_of_subnormal_triangle_exit_2(tmp_path, capsys, family):
-    # both families read the centroid-dual, whose vertices divide the
-    # facet normals by subnormal offsets; the message names the scene
-    # simplex's scale, not a failure of a dual the scene never gave
-    body = {"dimension": 2, "ball": {"type": "pnorm", "p": 3}, "simplex": [[0, 0], [4e-310, 0], [0, 3e-310]]}
-    code, _ = run_scene(tmp_path, ["verify", "--theorem", family, "--trials", "2"], body)
-    assert code == 2
-    assert "simplex coordinates are below the normal float range" in capsys.readouterr().err
-
-
 # -- Euler-line checks at the coordinates' scale ----------------------
 
 TRIANGLE_345 = [[0, 0], [4, 0], [0, 3]]
