@@ -88,17 +88,11 @@ class CircumPiece:
         return self.problem.holds_at((*center.coords, radius))
 
 
-class CircumcenterSet:
-    __slots__ = ("simplex", "ball", "pieces", "classification", "mode", "start_failures")
-
+class CircumcenterSet(FrozenRecord):
     def __init__(self, simplex: Simplex, ball: UnitBall, pieces: list, classification: str, mode: str,
                  start_failures: int = 0):  # smooth: failures among the starts that ran
-        self.simplex, self.ball, self.pieces = simplex, ball, pieces
-        self.classification, self.mode, self.start_failures = classification, mode, start_failures
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is self.__class__ and all(
-            getattr(self, f) == getattr(other, f) for f in CircumcenterSet.__slots__)
+        self.__dict__.update(simplex=simplex, ball=ball, pieces=pieces, classification=classification, mode=mode,
+                             start_failures=start_failures)
 
     def covers(self, center: Vec, radius) -> bool:
         """Whether some enumerated piece contains the candidate."""
@@ -379,16 +373,13 @@ def in_medial_polytope(simplex: Simplex, center: Vec, strict: bool = False) -> b
     return simplex.medial_polytope.contains(center, strict)
 
 
-class InteriorUniquenessReport:
+class InteriorUniquenessReport(FrozenRecord):
     """Planar check: a circumcenter strictly inside the medial triangle
     forces the whole circumcenter set to be that one point."""
 
     def __init__(self, applies: bool, singleton: bool, interior_witness: Optional[Vec], computed: CircumcenterSet):
-        self.applies, self.singleton = applies, singleton
-        self.interior_witness, self.computed = interior_witness, computed
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is self.__class__ and vars(self) == vars(other)
+        self.__dict__.update(applies=applies, singleton=singleton, interior_witness=interior_witness,
+                             computed=computed)
 
 
 def medial_interior_uniqueness(simplex: Simplex, ball: PolytopeBall) -> InteriorUniquenessReport:

@@ -17,7 +17,7 @@ import functools
 import sys
 from typing import Optional
 
-from . import __version__
+from . import __version__, equivalence
 from .centers import euler_line, exspheres, incenter
 from .circumcenter import circumcenters, is_ag_quasiregular
 from .construct import quasiregular_simplex
@@ -37,7 +37,7 @@ from .render import render_scene
 
 _VERSION_LINE = f"minksimplex {__version__}"
 
-FAMILIES = ("41", "42", "43", "44", "r41")
+FAMILIES = tuple(equivalence.FAMILIES)  # --theorem choices in table order; a tuple, so tests can sample it
 
 
 def _read_input(path: Optional[str]) -> str:

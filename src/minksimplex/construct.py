@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from typing import Optional
 
 from . import config
@@ -233,6 +234,11 @@ def _unit_anchor(ball: UnitBall, anchor: Optional[Vec]) -> Vec:
     ga = float(ball.gauge(a))
     if ga <= 0:
         raise DegenerateInputError("anchor must be nonzero")
+    if not sys.float_info.min <= ga < math.inf:
+        # a subnormal gauge leaves the quotient short of digits, an
+        # overflowing one rounds it to 0: scale the anchor near 1 first
+        a = a / max(map(abs, a.coords))
+        ga = float(ball.gauge(a))
     return a / ga
 
 

@@ -6,8 +6,8 @@ theorems, so on sound input the verdicts must agree (all true or all
 false); a mixed vector is evidence of an implementation bug, never of
 the geometry, and the report says which conditions disagreed.
 
-Campaign ids ("41", "42", "43", "44", "r41") are opaque labels fixed
-by the command-line contract.
+Campaign ids, the keys of FAMILIES ("41", "42", "43", "44", "r41"),
+are opaque labels fixed by the command-line contract.
 
 Exact polytopal instances give exact verdicts; smooth-ball instances
 give reports labeled "numeric".  Exact verdicts compare int pairs
@@ -30,7 +30,7 @@ from .config import EPS_EQUIV
 from .construct import equilateral_triangle, quasiregular_simplex
 from .errors import DegenerateInputError, FrozenRecord
 from .linalg import ExactVec, Vec, ratio
-from .norms import UnitBall, dual_ball, is_radon, isoperimetrix
+from .norms import UnitBall, is_radon, isoperimetrix
 from .scalars import EXACT, Rat
 from .simplex import Simplex
 
@@ -244,7 +244,7 @@ def verify_equal_heights_family(simplex: Simplex, ball: UnitBall, seed=None) -> 
     equal; three live on the simplex itself, three on its centroid-dual
     in the dual norm."""
     dual_T = simplex.dual_simplex()
-    dual_B = dual_ball(ball)
+    dual_B = ball.dual()
     conds = [
         ("equal-heights", lambda: equal_heights(simplex, ball)),
         ("quasi-medial-are-bisectors", lambda: quasi_medial_hyperplanes_are_bisectors(simplex, ball)),
@@ -260,7 +260,7 @@ def verify_quasiregular_family(simplex: Simplex, ball: UnitBall, seed=None) -> E
     """Six conditions equivalent to the centroid being a circumcenter;
     the mirror family of verify_equal_heights_family under duality."""
     dual_T = simplex.dual_simplex()
-    dual_B = dual_ball(ball)
+    dual_B = ball.dual()
     conds = [
         ("quasiregular", lambda: quasiregular(simplex, ball)),
         ("equal-medians", lambda: equal_medians(simplex, ball)),
@@ -280,7 +280,7 @@ def duality_bridge_holds(simplex: Simplex, ball: UnitBall) -> bool:
     reproduce the equal-heights family verdicts, reindexed; exact
     because the double dual is the centered simplex itself."""
     primal = verify_equal_heights_family(simplex, ball)
-    mirrored = verify_quasiregular_family(simplex.dual_simplex(), dual_ball(ball))
+    mirrored = verify_quasiregular_family(simplex.dual_simplex(), ball.dual())
     return all(
         mirrored.verdicts[k] == primal.verdicts[DUALITY_PERMUTATION[k]]
         for k in range(6)
@@ -383,7 +383,7 @@ def planted_generator(kind: str, ball: UnitBall, d: int, seed: int) -> Simplex:
         built = quasiregular_simplex(ball, anchor=anchor)
         return _seeded_placement(built.simplex, rng, ball.mode)
     if kind == "equal_heights":
-        dual = dual_ball(ball)
+        dual = ball.dual()
         anchor = _seeded_boundary_point(dual, rng)
         built = quasiregular_simplex(dual, anchor=anchor)
         return _seeded_placement(built.simplex.dual_simplex(), rng, ball.mode)
@@ -437,21 +437,21 @@ class CampaignOutcome(FrozenRecord):
         return not self.disagreements
 
 
+# campaign id -> (planted kinds, verify); each verify reads its function
+# from the module globals at call time, so a wrapper installed there runs
+FAMILIES = {
+    "41": (("equal_heights",), lambda T, B, s: [verify_equal_heights_family(T, B, s)]),
+    "42": (("equal_heights",), lambda T, B, s: [verify_reduced_family(T, B, s)]),
+    "43": (("ag_quasiregular",), lambda T, B, s: [verify_quasiregular_family(T, B, s)]),
+    "44": (("ag_quasiregular", "equilateral"), lambda T, B, s: list(verify_median_triangle_families(T, B, s))),
+    "r41": (("ag_quasiregular",), lambda T, B, s: [verify_radon_collapse(T, B, s)]),
+}
+
+
 def _campaign_spec(family: str):
-    if family == "41":
-        return ("equal_heights",), lambda T, B, s: [verify_equal_heights_family(T, B, s)]
-    if family == "42":
-        return ("equal_heights",), lambda T, B, s: [verify_reduced_family(T, B, s)]
-    if family == "43":
-        return ("ag_quasiregular",), lambda T, B, s: [verify_quasiregular_family(T, B, s)]
-    if family == "44":
-        return (
-            ("ag_quasiregular", "equilateral"),
-            lambda T, B, s: list(verify_median_triangle_families(T, B, s)),
-        )
-    if family == "r41":
-        return ("ag_quasiregular",), lambda T, B, s: [verify_radon_collapse(T, B, s)]
-    raise ValueError(f"unknown family: {family}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family: {family}")
+    return FAMILIES[family]
 
 
 def verify_family(family: str, simplex: Simplex, ball: UnitBall, seed=None) -> list:

@@ -56,17 +56,12 @@ class FeasibilityProblem:
 
     def __init__(self, n_vars: int, equalities: Optional[list] = None, inequalities: Optional[list] = None):
         self.n_vars = n_vars
-        self.equalities = [] if equalities is None else equalities
-        self.inequalities = [] if inequalities is None else inequalities
-        self.__post_init__()
+        self.equalities = [self._integer_row(coeffs, rhs) for coeffs, rhs in equalities or ()]
+        self.inequalities = [self._integer_ineq(row) for row in inequalities or ()]
 
     def __eq__(self, other) -> bool:
         return other.__class__ is self.__class__ and (self.n_vars, self.equalities, self.inequalities) == (
             other.n_vars, other.equalities, other.inequalities)
-
-    def __post_init__(self) -> None:
-        self.equalities = [self._integer_row(coeffs, rhs) for coeffs, rhs in self.equalities]
-        self.inequalities = [self._integer_ineq(row) for row in self.inequalities]
 
     def add_eq(self, coeffs, rhs) -> None:
         self.equalities.append(self._integer_row(coeffs, rhs))

@@ -4,8 +4,8 @@ Two ball kinds: centrally symmetric rational polytopes (exact mode)
 and smooth p-norm balls for 1 < p < inf (float mode).  Polytopal balls
 carry both representations, converted exactly at construction:
 vertices, and facet normals n with the ball equal to {x : <n, x> <= 1}.
-Polarity then swaps the two lists, which keeps dual_ball exact and
-involutive.  PolytopeBall.section_rows is the one routine that turns
+Polarity then swaps the two lists, which keeps PolytopeBall.dual exact
+and involutive.  PolytopeBall.section_rows is the one routine that turns
 a polytopal ball's section by a line or a plane into integer rows.
 """
 
@@ -93,20 +93,20 @@ class PolytopeBall(UnitBall):
         self,
         vertices: Sequence[Vec],
         normals: Sequence[Vec],
-        _validated: bool = False,
         _rows: Optional[tuple] = None,
     ):
         vertices, normals = tuple(vertices), tuple(normals)
         if not vertices or not normals:
             raise DegenerateInputError("empty polytope data")
-        if _rows is None:
+        validate = _rows is None
+        if validate:
             if any(v.mode != EXACT for v in (*vertices, *normals)):
                 raise MixedModeError("polytopal balls take exact coordinates")
             _rows = (integer_points(vertices), integer_points(normals))
         self.vertices, self._vertex_rows = _sorted_by_rows(vertices, _rows[0])
         self.normals, self._normal_rows = _sorted_by_rows(normals, _rows[1])
         self.dim = self.vertices[0].dim
-        if not _validated:
+        if validate:
             self._validate()
 
     # -- construction ------------------------------------------------
@@ -206,16 +206,11 @@ class PolytopeBall(UnitBall):
         """The quarter-turned polar ball (planar), built once, from the
         polar's points and integer rows turned by (x, y) -> (-y, x)."""
         rows = [([(-r[1], r[0]) for r in rs], s) for rs, s in (self._normal_rows, self._vertex_rows)]
-        return PolytopeBall(map(_rot90, self.normals), map(_rot90, self.vertices), _validated=True, _rows=rows)
+        return PolytopeBall(map(_rot90, self.normals), map(_rot90, self.vertices), _rows=rows)
 
     def dual(self) -> "PolytopeBall":
         """Polar ball: vertices and facet normals trade places."""
-        return PolytopeBall(
-            self.normals,
-            self.vertices,
-            _validated=True,
-            _rows=(self._normal_rows, self._vertex_rows),
-        )
+        return PolytopeBall(self.normals, self.vertices, _rows=(self._normal_rows, self._vertex_rows))
 
     def __eq__(self, other) -> bool:
         return (
@@ -301,14 +296,11 @@ class Ball(FrozenRecord):
     """Translate center + radius * unit."""
 
     def __init__(self, unit: UnitBall, center: Vec, radius):
-        self.__dict__.update(unit=unit, center=center, radius=radius)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.unit.mode == EXACT and (self.center.mode != EXACT or is_float(self.radius)):
+        if unit.mode == EXACT and (center.mode != EXACT or is_float(radius)):
             raise MixedModeError("exact unit ball with float center/radius")
-        if self.radius <= 0:
+        if radius <= 0:
             raise DegenerateInputError("ball radius must be positive")
+        self.__dict__.update(unit=unit, center=center, radius=radius)
 
     def gauge_from_center(self, x: Vec):
         return self.unit.gauge(x - self.center)
@@ -319,10 +311,6 @@ class Ball(FrozenRecord):
 
 
 # -- free functions -------------------------------------------------
-
-
-def dual_ball(ball: UnitBall) -> UnitBall:
-    return ball.dual()
 
 
 def _rot90(v: ExactVec) -> ExactVec:

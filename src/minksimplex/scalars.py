@@ -8,11 +8,9 @@ float raises MixedModeError instead of coercing.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Union
 
-from .config import EPS_ABS, EPS_REL
 from .errors import MixedModeError
 
 try:
@@ -68,16 +66,3 @@ def join_modes(a: str, b: str) -> str:
     if a != b:
         raise MixedModeError(f"cannot mix {a} and {b} arithmetic")
     return a
-
-
-def close(a: float, b: float, rel: float = EPS_REL, abs_: float = EPS_ABS) -> bool:
-    """Float comparison with relative tolerance and absolute floor."""
-    return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)
-
-
-def sign(x) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0

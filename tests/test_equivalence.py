@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from minksimplex import cli, equivalence
 from minksimplex.circumcenter import is_ag_quasiregular
 from minksimplex.construct import equilateral_triangle, quasiregular_simplex
 from minksimplex.equivalence import (
@@ -260,6 +261,26 @@ def test_verify_family_single_instance():
     assert [r.family for r in reports] == ["44a", "44b"]
     with pytest.raises(ValueError):
         verify_family("99", T, HEXAGON)
+
+
+def test_family_table_reads_its_verify_functions_at_call_time(monkeypatch):
+    # a wrapper installed in the module's globals (as a tracer does)
+    # sees every call that verify_family and run_campaign make
+    calls = []
+    original = equivalence.verify_median_triangle_families
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(equivalence, "verify_median_triangle_families", counted)
+    T = planted("ag_quasiregular", HEXAGON)
+    assert [r.family for r in verify_family("44", T, HEXAGON)] == ["44a", "44b"]
+    assert len(calls) == 1
+    # one planted trial and at least one sampled negative
+    assert len(run_campaign("44", HEXAGON, trials=2, seed=0).reports) == 4
+    assert len(calls) >= 3
+    assert cli.FAMILIES == ("41", "42", "43", "44", "r41")
 
 
 def test_planted_equilateral_is_equilateral():

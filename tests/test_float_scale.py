@@ -177,6 +177,21 @@ def test_gauge_beyond_the_float_range_exits_2(tmp_path, capsys):
     assert "gauges.points.P" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p,anchor", [
+    *((p, [5e-324, 5e-324]) for p in (1.5, 3, 100)),
+    *((p, [1.7e308, 1.7e308]) for p in (1.5, 3)),
+    (3, [1e-320, 0, 2e-320]),
+])
+def test_construct_scales_an_anchor_outside_the_normal_range(tmp_path, p, anchor):
+    # a subnormal gauge left the scaled anchor short of digits (exit 3),
+    # an overflowing one rounded it to 0 (exit 2)
+    body = {"dimension": len(anchor), "ball": {"type": "pnorm", "p": p}, "points": {"anchor": anchor}}
+    code, text = run_scene(tmp_path, ["construct"], body)
+    assert code == 0
+    for v in json.loads(text)["simplex"]:
+        assert lp_norm(v, p) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_render_beyond_the_float_range_exits_2(tmp_path, capsys):
     body = {"dimension": 2, "ball": {"type": "pnorm", "p": 7}, "simplex": [
         [2.0, 1.6418294408555458e308],
@@ -242,9 +257,9 @@ def test_gauge_of_a_far_or_tiny_triangle(tmp_path, simplex):
     [[0, 0], [1e300, 1], [0, 1e300]],
 ])
 def test_verify_compares_at_the_simplex_scale(tmp_path, family, simplex):
-    # points and offsets are compared at the simplex's largest
-    # coordinate and hyperplane normals at unit length, with no floor
-    # that a tiny simplex falls under or a huge one overflows
+    # float verdicts compare dimensionless values (lengths, and ratios
+    # of affine-function values) at a relative 1e-7, so no verdict
+    # depends on the simplex's size
     body = {"dimension": 2, "ball": {"type": "pnorm", "p": 3}, "simplex": simplex}
     code, text = run_scene(tmp_path, ["verify", "--theorem", family, "--trials", "2"], body)
     assert code == 0

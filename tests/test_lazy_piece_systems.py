@@ -22,9 +22,9 @@ def counting_problems(monkeypatch):
     built = []
 
     class Counted(FeasibilityProblem):
-        def __post_init__(self):
+        def __init__(self, *args, **kwargs):
             built.append(self)
-            super().__post_init__()
+            super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(circumcenter_module, "FeasibilityProblem", Counted)
     return built

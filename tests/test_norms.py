@@ -27,7 +27,6 @@ from minksimplex.norms import (
     PolytopeBall,
     birkhoff_orthogonal,
     chord_through,
-    dual_ball,
     euclidean_ball,
     is_radon,
     isoperimetrix,
@@ -183,7 +182,7 @@ def test_pnorm_large_powers_and_coordinates(p, big):
 def test_duality_square_diamond():
     assert SQUARE.dual() == DIAMOND
     assert DIAMOND.dual() == SQUARE
-    assert dual_ball(CUBE) == OCTAHEDRON
+    assert CUBE.dual() == OCTAHEDRON
 
 
 def test_isoperimetrix_planar():

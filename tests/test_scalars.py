@@ -5,13 +5,11 @@ from minksimplex.scalars import (
     EXACT,
     FLOAT,
     Rat,
-    close,
     from_float,
     is_exact,
     is_float,
     join_modes,
     mode_of,
-    sign,
 )
 
 
@@ -46,14 +44,3 @@ def test_modes():
         join_modes(EXACT, FLOAT)
     with pytest.raises(TypeError):
         mode_of("7")
-
-
-def test_sign():
-    assert sign(Rat(-3, 7)) == -1
-    assert sign(Rat(0)) == 0
-    assert sign(2.5) == 1
-
-
-def test_close_and_equal():
-    assert close(1.0, 1.0 + 1e-12)
-    assert not close(1.0, 1.0 + 1e-6)

@@ -34,7 +34,7 @@ from minksimplex.polytopes import (
     polar_pair,
     vertex_enumerate,
 )
-from minksimplex.scalars import Rat, sign
+from minksimplex.scalars import Rat
 
 from conftest import vec
 
@@ -109,7 +109,7 @@ def ref_facet_hyperplanes(points):
         if len(basis) != 1:
             continue
         normal, offset = Vec(basis[0][:d]), basis[0][d]
-        signs = {sign(normal.dot(p) - offset) for p in pts} - {0}
+        signs = {(v > 0) - (v < 0) for v in (normal.dot(p) - offset for p in pts)} - {0}
         if len(signs) != 1:
             continue
         h = Hyperplane(normal, offset) if signs == {-1} else Hyperplane(-normal, -offset)
