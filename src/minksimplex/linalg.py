@@ -10,7 +10,9 @@ handful of unknowns) that no clever numerics are needed, with one
 elimination per scalar mode.  Exact rows are scaled to integers and
 reduced fraction-free (bareiss) for every solve, rank and determinant;
 float rows run partial-pivoting Gauss-Jordan with the package
-tolerances (_float_eliminate).
+tolerances (_float_eliminate), which square solves of order 2 and 3
+(the smooth search's Newton steps in 2 and 3 dimensions) run unrolled,
+to the same bits (_square_solve).
 """
 
 from __future__ import annotations
@@ -77,12 +79,15 @@ class Vec:
             raise DimensionError(f"dimension mismatch {self.dim} vs {other.dim}")
         join_modes(self.mode, other.mode)
 
+    # _check passes only for a float Vec of the same length: test that first
     def __add__(self, other: "Vec") -> "Vec":
-        self._check(other)
+        if other.__class__ is not Vec or len(other.coords) != len(self.coords):
+            self._check(other)
         return Vec._of(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "Vec") -> "Vec":
-        self._check(other)
+        if other.__class__ is not Vec or len(other.coords) != len(self.coords):
+            self._check(other)
         return Vec._of(tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "Vec":
@@ -434,10 +439,12 @@ def _float_eliminate(aug: list, n: int) -> tuple:
     """Gauss-Jordan with partial pivoting on the first n columns of the
     float rows aug, in place: the float lane's one elimination.  Entries
     within EPS_REL of the largest |coefficient| (EPS_ABS at least) count
-    as zero, so a large right-hand side cannot zero a pivot.  Returns
-    the pivots as (row, col, value at pivot time) and the swap sign."""
+    as zero, so a large right-hand side cannot zero a pivot.  Rows are
+    swapped and replaced, never changed in place, and no row is divided
+    by its pivot.  Returns the pivots as (row, col, value at pivot time)
+    and the swap sign."""
     m = len(aug)
-    scale = max((abs(c) for row in aug for c in row[:n]), default=1.0) or 1.0
+    scale = max([abs(c) for row in aug for c in row[:n]], default=1.0) or 1.0
     tol = max(EPS_ABS, EPS_REL * scale)
     pivots, sign = [], 1
     for col in range(n):
@@ -445,8 +452,8 @@ def _float_eliminate(aug: list, n: int) -> tuple:
         best = None
         for i in range(r, m):
             v = abs(aug[i][col])
-            if not v <= tol and (best is None or v > abs(aug[best][col])):
-                best = i
+            if not v <= tol and (best is None or v > top):
+                best, top = i, v
         if best is None:
             continue
         if best != r:
@@ -461,6 +468,59 @@ def _float_eliminate(aug: list, n: int) -> tuple:
         if r + 1 == m:
             break
     return pivots, sign
+
+
+def _square_solve(aug: list, n: int) -> Optional[tuple]:
+    """The point of the n x n float rows aug ([coeffs | rhs] tuples,
+    n = 2 or 3) when every column gets a pivot, else None; aug is left
+    as it is.  The same operations as _float_eliminate, op for op, with
+    the row width unrolled: the same scale and tolerance, the same pivot
+    choice, every other row updated on every column, and each coordinate
+    the right-hand side over its pivot entry as it stands.  So the point
+    has the general path's bits."""
+    if n == 3:
+        a, b, c = aug
+        scale = max(abs(a[0]), abs(a[1]), abs(a[2]), abs(b[0]), abs(b[1]), abs(b[2]),
+                    abs(c[0]), abs(c[1]), abs(c[2]))
+    else:
+        a, b = aug
+        scale = max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
+    tol = max(EPS_ABS, EPS_REL * (scale or 1.0))
+    rows = aug[:]
+    for col in range(n):
+        best = None
+        for i in range(col, n):
+            v = abs(rows[i][col])
+            if not v <= tol and (best is None or v > top):
+                best, top = i, v
+        if best is None:
+            return None
+        prow = rows[best]
+        if best != col:
+            rows[best] = rows[col]
+            rows[col] = prow
+        piv = prow[col]
+        for i in range(n):
+            if i != col:
+                row = rows[i]
+                v = row[col]
+                if not abs(v) <= tol:
+                    f = v / piv
+                    if n == 3:
+                        v0, v1, v2, v3 = row
+                        w0, w1, w2, w3 = prow
+                        rows[i] = (v0 - f * w0 if w0 else v0, v1 - f * w1 if w1 else v1,
+                                   v2 - f * w2 if w2 else v2, v3 - f * w3 if w3 else v3)
+                    else:
+                        v0, v1, v2 = row
+                        w0, w1, w2 = prow
+                        rows[i] = (v0 - f * w0 if w0 else v0, v1 - f * w1 if w1 else v1,
+                                   v2 - f * w2 if w2 else v2)
+    if n == 3:
+        a, b, c = rows
+        return (a[3] / a[0], b[3] / b[1], c[3] / c[2])
+    a, b = rows
+    return (a[2] / a[0], b[2] / b[1])
 
 
 def integer_solve(aug: Sequence[Sequence[int]], n: int) -> Optional[tuple]:
@@ -505,9 +565,12 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> LinearSolution:
     point + direction basis), or infeasible.
 
     Exact systems are scaled to integers and solved by integer_solve;
-    only x = (P * x) / P is rational.  Float systems run
-    _float_eliminate, and each pivot row is divided by its pivot entry
-    only at the end, so each entry is rounded once.
+    only x = (P * x) / P is rational.  Float systems of 2 or 3 equations
+    in as many unknowns first try _square_solve, which gives the general
+    path's bits; when a column has no pivot, or for any other shape,
+    _float_eliminate runs, and only the entries that are read (the
+    point's and the basis's) are divided by their pivot row's pivot
+    entry, once, at the end.
     """
     m = len(rows)
     if m != len(rhs):
@@ -525,25 +588,29 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> LinearSolution:
             "affine" if basis else "unique", tuple(Rat(v, last) for v in point), basis
         )
 
-    aug = [[float(c) for c in row] + [float(b)] for row, b in zip(rows, rhs)]
-    # leftover rows are judged against the right-hand side as given too
-    tol = max(EPS_ABS, EPS_REL * (max(abs(c) for row in aug for c in row) or 1.0))
+    aug = [(*map(float, row), float(b)) for row, b in zip(rows, rhs)]
+    if m == n and (n == 2 or n == 3):
+        point = _square_solve(aug, n)
+        if point is not None:
+            return LinearSolution("unique", point)
+    given = aug[:]  # _float_eliminate replaces rows, so given keeps them
     pivots, _ = _float_eliminate(aug, n)
-    for row, col, _ in pivots:
-        # the entry as it stands: eliminating above it may have nudged it
-        piv = aug[row][col]
-        aug[row] = [v / piv for v in aug[row]]
-    if any(not abs(aug[i][n]) <= tol for i in range(len(pivots), m)):
-        return LinearSolution("infeasible")
+    if len(pivots) < m:
+        # leftover rows are judged against the right-hand side as given too
+        tol = max(EPS_ABS, EPS_REL * (max([abs(c) for row in given for c in row]) or 1.0))
+        if any(not abs(aug[i][n]) <= tol for i in range(len(pivots), m)):
+            return LinearSolution("infeasible")
+    # each pivot row over its pivot entry as it stands (eliminating above
+    # it may have nudged it), read only where it is used
     point = [0.0] * n
     for row, col, _ in pivots:
-        point[col] = aug[row][n]
+        point[col] = aug[row][n] / aug[row][col]
     basis = []
     for fc in sorted(set(range(n)) - {col for _, col, _ in pivots}):
         direction = [0.0] * n
         direction[fc] = 1.0
         for row, col, _ in pivots:
-            direction[col] = -aug[row][fc]
+            direction[col] = -(aug[row][fc] / aug[row][col])
         basis.append(tuple(direction))
     return LinearSolution("affine" if basis else "unique", tuple(point), tuple(basis))
 
