@@ -8,6 +8,15 @@ implementation rather than to the mathematics.
 
 Output is deterministic: the same scene, flags, and seed produce byte
 identical documents apart from the version line.
+
+A command reaches the lazily registered modules (see the package
+docstring) only through module attributes, such as
+`circumcenter.circumcenters(...)`, so a process executes only the
+modules its command uses.  The --theorem choices come from `config`,
+so that parsing the arguments runs no `equivalence`.  The modules are
+registered, not imported inside the commands, so that every one is in
+`sys.modules` once this module is imported, which the benchmark tracer
+relies on.
 """
 
 from __future__ import annotations
@@ -17,11 +26,7 @@ import functools
 import sys
 from typing import Optional
 
-from . import __version__, equivalence
-from .centers import euler_line, exspheres, incenter
-from .circumcenter import circumcenters, is_ag_quasiregular
-from .construct import quasiregular_simplex
-from .equivalence import run_campaign, verify_family
+from . import __version__, centers, circumcenter, config, construct, equivalence, render
 from .errors import MinksimplexError, VerificationError
 from .scalars import EXACT
 from .scene import (
@@ -33,11 +38,10 @@ from .scene import (
     scalar_to_json,
     vec_to_json,
 )
-from .render import render_scene
 
 _VERSION_LINE = f"minksimplex {__version__}"
 
-FAMILIES = tuple(equivalence.FAMILIES)  # --theorem choices in table order; a tuple, so tests can sample it
+FAMILIES = config.FAMILIES  # --theorem choices in table order; a tuple, so tests can sample it
 
 
 def _read_input(path: Optional[str]) -> str:
@@ -114,7 +118,7 @@ def cmd_gauge(scene: Scene, args) -> tuple:
 
 def cmd_circumcenters(scene: Scene, args) -> tuple:
     simplex = _require_simplex(scene)
-    cset = circumcenters(simplex, scene.ball)
+    cset = circumcenter.circumcenters(simplex, scene.ball)
     payload = {
         "classification": cset.classification,
         "pieces": _pieces_json(cset),
@@ -127,8 +131,8 @@ def cmd_circumcenters(scene: Scene, args) -> tuple:
 def cmd_centers(scene: Scene, args) -> tuple:
     simplex = _require_simplex(scene)
     ball = scene.ball
-    inc = incenter(simplex, ball)
-    exs = exspheres(simplex, ball)
+    inc = centers.incenter(simplex, ball)
+    exs = centers.exspheres(simplex, ball)
     payload = {
         "incenter": _insphere_json(inc),
         "exspheres": [
@@ -136,11 +140,11 @@ def cmd_centers(scene: Scene, args) -> tuple:
             for i in range(simplex.dim + 1)
         ],
     }
-    cset = circumcenters(simplex, ball, first=True)
+    cset = circumcenter.circumcenters(simplex, ball, first=True)
     payload["circumcenter_classification"] = cset.classification
     if cset.pieces:
         piece = cset.pieces[0]
-        line = euler_line(simplex, ball, piece.center, piece.radius)
+        line = centers.euler_line(simplex, ball, piece.center, piece.radius)
         payload["euler"] = {
             "circumcenter": vec_to_json(line.circumcenter),
             "radius": scalar_to_json(line.radius),
@@ -160,12 +164,12 @@ def cmd_centers(scene: Scene, args) -> tuple:
 def cmd_construct(scene: Scene, args) -> tuple:
     anchor = scene.points.get("anchor")
     seed = args.seed if args.strategy == "seeded" else None
-    built = quasiregular_simplex(scene.ball, anchor=anchor, seed=seed)
+    built = construct.quasiregular_simplex(scene.ball, anchor=anchor, seed=seed)
     payload = {
         "strategy": args.strategy,
         "seed": seed,
         "simplex": [vec_to_json(v) for v in built.simplex.vertices],
-        "ag_quasiregular": bool(is_ag_quasiregular(built.simplex, scene.ball)),
+        "ag_quasiregular": bool(circumcenter.is_ag_quasiregular(built.simplex, scene.ball)),
         "picks": [
             {
                 "level": p.level,
@@ -184,10 +188,10 @@ def cmd_construct(scene: Scene, args) -> tuple:
 def cmd_verify(scene: Scene, args) -> tuple:
     family = args.theorem
     if scene.simplex is not None:
-        reports = verify_family(family, scene.simplex, scene.ball, args.seed)
+        reports = equivalence.verify_family(family, scene.simplex, scene.ball, args.seed)
         disagreements = [r for r in reports if not r.agreement]
     else:
-        outcome = run_campaign(family, scene.ball, trials=args.trials, seed=args.seed)
+        outcome = equivalence.run_campaign(family, scene.ball, trials=args.trials, seed=args.seed)
         reports = list(outcome.reports)
         disagreements = list(outcome.disagreements)
     payload = {
@@ -207,7 +211,7 @@ def cmd_render(scene: Scene, args) -> tuple:
     translates = []
     markers = dict(scene.points)
     if simplex is not None:
-        cset = circumcenters(simplex, scene.ball)
+        cset = circumcenter.circumcenters(simplex, scene.ball)
         seen = {}
         for p in cset.pieces:
             seen.setdefault(p.center.coords, (p.center, p.radius))
@@ -222,7 +226,7 @@ def cmd_render(scene: Scene, args) -> tuple:
         translates = translates[:4]
         if translates:
             center, radius = translates[0]
-            line = euler_line(simplex, scene.ball, center, radius)
+            line = centers.euler_line(simplex, scene.ball, center, radius)
             markers.setdefault("G", line.centroid)
             markers.setdefault("M", line.circumcenter)
             markers.setdefault("P", line.concurrence)
@@ -235,7 +239,7 @@ def cmd_render(scene: Scene, args) -> tuple:
             raise MinksimplexError(f"bad --project value {args.project!r}")
     else:
         axes = (0, 1) if scene.dimension == 2 else (1, 2)
-    svg = render_scene(
+    svg = render.render_scene(
         scene.ball,
         simplex,
         sphere_translates=translates,

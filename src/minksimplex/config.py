@@ -1,4 +1,4 @@
-"""Size caps and float tolerances.
+"""Size caps, float tolerances and the campaign ids.
 
 This is the one module that reads, checks and words a resource cap.
 Each MINKSIMPLEX_MAX_* setting is read from the environment on each
@@ -32,6 +32,11 @@ EPS_MERGE = 1e-2
 # A float root search stops once its bracket is this narrow (times the
 # bracket's scale where that exceeds 1): a few ulps of 1.0.
 EPS_BISECT = 1e-15
+
+# Campaign ids of the equivalence families, in table order: the keys of
+# equivalence.FAMILIES and the CLI's --theorem choices, opaque labels
+# fixed by the command-line contract.
+FAMILIES = ("41", "42", "43", "44", "r41")
 
 _DEFAULTS = {
     "MINKSIMPLEX_MAX_FACETS": 64,

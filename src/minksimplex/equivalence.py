@@ -6,8 +6,8 @@ theorems, so on sound input the verdicts must agree (all true or all
 false); a mixed vector is evidence of an implementation bug, never of
 the geometry, and the report says which conditions disagreed.
 
-Campaign ids, the keys of FAMILIES ("41", "42", "43", "44", "r41"),
-are opaque labels fixed by the command-line contract.
+Campaign ids, the keys of FAMILIES, are `config.FAMILIES`: opaque
+labels fixed by the command-line contract.
 
 Exact polytopal instances give exact verdicts; smooth-ball instances
 give reports labeled "numeric".  Exact verdicts compare int pairs
@@ -26,7 +26,7 @@ import random
 from typing import Callable, Optional
 
 from .centers import exspheres, facet_bisector, incenter
-from .config import EPS_EQUIV
+from .config import EPS_EQUIV, FAMILIES as FAMILY_IDS
 from .construct import equilateral_triangle, quasiregular_simplex
 from .errors import DegenerateInputError, FrozenRecord
 from .linalg import ExactVec, Vec, ratio
@@ -437,15 +437,16 @@ class CampaignOutcome(FrozenRecord):
         return not self.disagreements
 
 
-# campaign id -> (planted kinds, verify); each verify reads its function
-# from the module globals at call time, so a wrapper installed there runs
-FAMILIES = {
-    "41": (("equal_heights",), lambda T, B, s: [verify_equal_heights_family(T, B, s)]),
-    "42": (("equal_heights",), lambda T, B, s: [verify_reduced_family(T, B, s)]),
-    "43": (("ag_quasiregular",), lambda T, B, s: [verify_quasiregular_family(T, B, s)]),
-    "44": (("ag_quasiregular", "equilateral"), lambda T, B, s: list(verify_median_triangle_families(T, B, s))),
-    "r41": (("ag_quasiregular",), lambda T, B, s: [verify_radon_collapse(T, B, s)]),
-}
+# campaign id -> (planted kinds, verify), rows in the order of FAMILY_IDS;
+# each verify reads its function from the module globals at call time,
+# so a wrapper installed there runs
+FAMILIES = dict(zip(FAMILY_IDS, (
+    (("equal_heights",), lambda T, B, s: [verify_equal_heights_family(T, B, s)]),
+    (("equal_heights",), lambda T, B, s: [verify_reduced_family(T, B, s)]),
+    (("ag_quasiregular",), lambda T, B, s: [verify_quasiregular_family(T, B, s)]),
+    (("ag_quasiregular", "equilateral"), lambda T, B, s: list(verify_median_triangle_families(T, B, s))),
+    (("ag_quasiregular",), lambda T, B, s: [verify_radon_collapse(T, B, s)]),
+), strict=True))
 
 
 def _campaign_spec(family: str):

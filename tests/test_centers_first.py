@@ -77,7 +77,7 @@ def centers_request(tmp_path, p, vertices):
 
 def test_centers_documents_match_the_full_search(tmp_path, monkeypatch):
     stopped = [centers_request(tmp_path, p, v) for p, v in SCENES]
-    monkeypatch.setattr(cli, "circumcenters", lambda simplex, ball, first=False: circumcenters(simplex, ball))
+    monkeypatch.setattr(circumcenter_module, "circumcenters", lambda simplex, ball, first=False: circumcenters(simplex, ball))
     full = [centers_request(tmp_path, p, v) for p, v in SCENES]
     assert stopped == full
     assert json.loads(stopped[-1][1])["euler"] is None
