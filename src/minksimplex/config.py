@@ -1,12 +1,12 @@
 """Size caps, float tolerances and the campaign ids.
 
-This is the one module that reads, checks and words a resource cap.
-Each MINKSIMPLEX_MAX_* setting is read from the environment on each
-call (cap), so tests can tighten or relax it without reloading modules;
-a setting that is not a positive integer raises ConfigError.  A count
-over its cap raises ResourceCapError as "<count> <what> exceed cap
-<cap>" (check_cap), a dimension over MINKSIMPLEX_MAX_DIM as "dimension
-<d> exceeds cap <cap>" (check_dim).
+This is the one module that reads the environment (cap, and
+raw_settings for cache keys) and the one that checks and words a cap.
+Each MINKSIMPLEX_MAX_* setting is read on each call, so tests can change
+it without reloading modules; a setting that is not a positive integer
+raises ConfigError.  A count over its cap raises ResourceCapError as
+"<count> <what> exceed cap <cap>" (check_cap), a dimension over
+MINKSIMPLEX_MAX_DIM as "dimension <d> exceeds cap <cap>" (check_dim).
 """
 
 import os
@@ -44,6 +44,11 @@ _DEFAULTS = {
     "MINKSIMPLEX_MAX_ASSIGNMENTS": 500_000,
     "MINKSIMPLEX_MAX_FM_ROWS": 50_000,
 }
+
+
+def raw_settings() -> tuple:
+    """Each setting's unparsed environment value (None where unset)."""
+    return tuple(map(os.environ.get, _DEFAULTS))
 
 
 def cap(name: str) -> int:

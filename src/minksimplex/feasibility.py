@@ -14,15 +14,15 @@ direction keep the tightest bound, compared by cross-multiplication.
 Strict rows are thus decided exactly.  On feasible systems a witness
 comes from interval back-substitution on int pairs: values so far are
 numerators T over one denominator Q, bounds (rhs Q - <coeffs, T>, c Q)
-compare by cross-multiplication, and the witness gets one Rat per
-coordinate at the end; it is checked by substitution.  A second
-back-substitution picks each value strictly inside its interval (or
-its single point); the stages are exact projections, so that point is
-relatively interior (Rockafellar 1970, Convex Analysis, Thm 6.8).  A
-valid row is tight on the whole set iff it is tight there (ibid.;
-Schrijver 1986, Theory of Linear and Integer Programming, 8.2): those
-non-strict rows are the implicit equalities, and the affine dimension
-is the number of free parameters minus their rank.
+compare by cross-multiplication.  The witness is checked by
+substitution on those ints and gets one Rat per coordinate at the
+end.  A second back-substitution picks each value strictly inside its
+interval (or its single point); the stages are exact projections, so
+that point is relatively interior (Rockafellar 1970, Convex Analysis,
+Thm 6.8).  A valid row is tight on the whole set iff it is tight
+there (ibid.; Schrijver 1986, Theory of Linear and Integer Programming,
+8.2): those non-strict rows are the implicit equalities, and the affine
+dimension is the number of free parameters minus their rank.
 
 Problems here are tiny (circumcenter systems have d+2 unknowns at
 most), which Fourier-Motzkin handles comfortably within the row cap.
@@ -87,12 +87,15 @@ class FeasibilityProblem:
         return tuple(ints), rhs
 
     def holds_at(self, point: Sequence) -> bool:
-        """Direct substitution check of every row, on integers: the
-        point is scaled to a common denominator D and <coeffs, D x> is
-        compared with D rhs."""
+        """holds_at_ints at a rational point, scaled to ints over one denominator."""
         if not all(map(is_exact, point)):
             raise MixedModeError("feasibility points must be exact rationals")
         (xs,), den = integer_rows([point])
+        return self.holds_at_ints(xs, den)
+
+    def holds_at_ints(self, xs: Sequence, den: int) -> bool:
+        """Direct substitution check of every row at the point xs / den,
+        for ints xs and den > 0: <coeffs, xs> is compared with rhs den."""
         for coeffs, rhs in self.equalities:
             if sum(map(mul, coeffs, xs)) != rhs * den:
                 return False
@@ -281,9 +284,12 @@ def feasible(problem: FeasibilityProblem, with_dim: bool = True) -> FeasibilityR
     for bvec, t in zip(basis, T):
         if t:
             X = [x + t * b for x, b in zip(X, bvec)]
-    witness = tuple(Rat(x, last * Q) for x in X)
-    if not problem.holds_at(witness):
+    den = last * Q
+    if den < 0:
+        X, den = [-x for x in X], -den
+    if not problem.holds_at_ints(X, den):
         raise VerificationError("feasibility witness failed the substitution check")
+    witness = tuple(Rat(x, den) for x in X)
     if not with_dim:
         # a unique solution has its dimension for free
         return FeasibilityResult(True, witness, None if k else 0)

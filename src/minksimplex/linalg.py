@@ -55,7 +55,7 @@ class Vec:
         if has_rat and has_float:
             raise MixedModeError("mixed rational/float coordinates")
         if not has_float:
-            return ExactVec.of_ratios([(int(c.numerator), int(c.denominator)) for c in coords])
+            return ExactVec.of_ratios([(c.numerator, c.denominator) for c in coords])
         return Vec._of(coords)
 
     @classmethod
@@ -146,7 +146,7 @@ def ratio(s) -> tuple:
     if isinstance(s, int):
         return s, 1
     join_modes(EXACT, mode_of(s))
-    return int(s.numerator), int(s.denominator)
+    return s.numerator, s.denominator
 
 
 class ExactVec(Vec):
@@ -385,8 +385,8 @@ def integer_rows(rows: Sequence[Sequence]) -> tuple:
     out = []
     total = 1
     for row in rows:
-        lcm = math.lcm(*(int(c.denominator) for c in row))
-        out.append([int(c.numerator) * (lcm // int(c.denominator)) for c in row])
+        lcm = math.lcm(*(c.denominator for c in row))
+        out.append([c.numerator * (lcm // c.denominator) for c in row])
         total *= lcm
     return out, total
 

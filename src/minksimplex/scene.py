@@ -13,10 +13,10 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import re
 from typing import Optional
 
+from . import config
 from .errors import ConfigError, FrozenRecord, MinksimplexError, ResourceCapError
 from .linalg import ExactVec, Hyperplane, Vec
 from .norms import PNormBall, PolytopeBall, UnitBall
@@ -112,7 +112,6 @@ class Scene(FrozenRecord):
 _NAME = SCENE_SCHEMA["properties"]["points"]["propertyNames"]["pattern"]
 _BALL_KEY = {"polytope-v": "vertices", "polytope-h": "normals", "pnorm": "p"}
 BALL_CACHE_SIZE = 64
-_CAP_VARIABLES = ("MINKSIMPLEX_MAX_FACETS", "MINKSIMPLEX_MAX_DIM")
 # one encoder per setting: json.dumps builds a new one for every call
 # that passes a flag off its default
 _canonical_json = json.JSONEncoder(sort_keys=True).encode
@@ -214,7 +213,7 @@ def _ball(doc: dict, dim: int, cached: bool = True) -> UnitBall:
         except (TypeError, ValueError):  # values JSON cannot hold
             text = None
         if text is not None and json.loads(text) == doc:  # a tuple dumps as a list
-            return _cached_ball(dim, text, *map(os.environ.get, _CAP_VARIABLES))
+            return _cached_ball(dim, text, *config.raw_settings())
     rows = [
         _vector(v, dim, False, f"{where}[{k}]")
         for k, v in enumerate(_array(doc[key], where, 3))

@@ -10,6 +10,7 @@ sweep must yield the eager direction list in its order.
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -38,9 +39,6 @@ from conftest import (
     random_symmetric_polytope_3d,
     vec,
 )
-
-RAT = type(Rat(0))  # Fraction, or mpq under gmpy2
-
 
 # -- integer gauge and support -----------------------------------------
 
@@ -104,7 +102,7 @@ def test_integer_gauge_and_support_equal_rational_max():
             g, h = ball.gauge(x), ball.support(x)
             assert g == ref_gauge(ball, x), (ball, x)
             assert h == ref_support(ball, x), (ball, x)
-            assert isinstance(g, RAT) and isinstance(h, RAT)
+            assert isinstance(g, Fraction) and isinstance(h, Fraction)
 
 
 def test_dual_swaps_gauge_and_support():

@@ -36,7 +36,7 @@ BALLS = {
 
 
 def frac(x) -> Fraction:
-    return Fraction(int(x.numerator), int(x.denominator))
+    return Fraction(x.numerator, x.denominator)
 
 
 def point(v) -> list:

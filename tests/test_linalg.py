@@ -214,8 +214,6 @@ def test_float_general_position_ignores_place_and_size():
 
 # -- exact Vecs as (X, D) integer vectors ---------------------------------
 
-RAT = type(Rat(0))  # Fraction, or mpq under gmpy2
-
 _entries = st.one_of(
     st.fractions(min_value=-50, max_value=50, max_denominator=60),
     st.integers(-10**12, 10**12).map(Fraction),
@@ -228,8 +226,8 @@ def _oracle_pairs(d):
 
 
 def _frac(q) -> Fraction:
-    """A Rat as a Fraction, whichever backend made it."""
-    return Fraction(int(q.numerator), int(q.denominator))
+    """A Rat as a Fraction in lowest terms."""
+    return Fraction(q.numerator, q.denominator)
 
 
 def _assert_matches(v, oracle):
@@ -239,7 +237,7 @@ def _assert_matches(v, oracle):
     assert v.D > 0 and gcd(v.D, *v.X) == 1
     assert all(type(x) is int for x in v.X)
     assert [Fraction(x, v.D) for x in v.X] == list(oracle)
-    assert all(type(c) is RAT for c in v.coords)
+    assert all(type(c) is Fraction for c in v.coords)
     assert [_frac(c) for c in v.coords] == list(oracle)
     twin = Vec(list(oracle))
     assert twin == v and hash(twin) == hash(v)
@@ -260,7 +258,7 @@ def test_exact_vec_matches_fraction_oracle(case):
     if s != 0:
         _assert_matches(u / s, [x / Fraction(s) for x in a])
     d = u.dot(v)
-    assert type(d) is RAT and _frac(d) == sum(x * y for x, y in zip(a, b))
+    assert type(d) is Fraction and _frac(d) == sum(x * y for x, y in zip(a, b))
     assert (u == v) == (list(a) == list(b))
     # integer_points reads the (X, D) pairs over their lcm
     ints, scale = integer_points([u, v])

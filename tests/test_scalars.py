@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import minksimplex
 from minksimplex.errors import MixedModeError
 from minksimplex.scalars import (
     EXACT,
@@ -44,3 +50,21 @@ def test_modes():
         join_modes(EXACT, FLOAT)
     with pytest.raises(TypeError):
         mode_of("7")
+
+
+def test_an_importable_gmpy2_is_not_used(tmp_path):
+    # the exact lane has one rational type, whatever else is installed:
+    # a stub gmpy2 first on the path is never imported
+    (tmp_path / "gmpy2.py").write_text("from fractions import Fraction as mpq\n")
+    package_root = Path(minksimplex.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(tmp_path), str(package_root), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys; from fractions import Fraction; import minksimplex.cli; "
+        "from minksimplex import scalars; "
+        "print('gmpy2' in sys.modules, scalars.RAT_BACKEND, type(scalars.Rat(1, 2)) is Fraction)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "fractions", "True"]

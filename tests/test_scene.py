@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minksimplex import config
 from minksimplex import scene as scene_module
 from minksimplex.errors import MinksimplexError
 from minksimplex.scene import (
@@ -238,6 +239,18 @@ def test_same_scene_text_shares_one_ball():
     assert scene_from_dict({**GOOD_POLY, "ball": ball}).ball is a.ball
     # the dimension is: the same ball text in another dimension fails
     assert err({"dimension": 3, "ball": GOOD_POLY["ball"]}).where == "$.ball.vertices[0]"
+
+
+def test_ball_cache_keys_on_every_setting(monkeypatch):
+    # each MINKSIMPLEX_* setting is part of the key as its raw text, so a
+    # cap added to ball construction cannot be skipped by a cached ball
+    first = scene_from_dict(GOOD_POLY).ball
+    for name, default in config._DEFAULTS.items():
+        monkeypatch.setenv(name, str(default))
+        ball = scene_from_dict(GOOD_POLY).ball
+        assert ball == first and ball is not first, name
+        monkeypatch.delenv(name)
+    assert scene_from_dict(GOOD_POLY).ball is first
 
 
 def test_pnorm_balls_are_not_cached():

@@ -12,6 +12,7 @@ coordinates, and determinants equal to the last bit.
 import itertools
 import math
 import random
+from fractions import Fraction
 import pytest
 
 from minksimplex.errors import DegenerateInputError, DimensionError, ResourceCapError
@@ -37,9 +38,6 @@ from minksimplex.polytopes import (
 from minksimplex.scalars import Rat
 
 from conftest import vec
-
-RAT = type(Rat(0))  # Fraction, or mpq under gmpy2
-
 
 # -- reference: the rational brute force -------------------------------
 
@@ -196,7 +194,7 @@ def check_polar_pair(pts, facets, verts):
     assert sorted(vertices, key=Vec.key) == sorted((v - c for v in verts), key=Vec.key)
     moved = (h.normal / (h.offset - h.normal.dot(c)) for h in facets)
     assert sorted(polar, key=Vec.key) == sorted(moved, key=Vec.key)
-    assert coord_types(vertices) == coord_types(polar) == {RAT}
+    assert coord_types(vertices) == coord_types(polar) == {Fraction}
 
 
 def coord_types_of(sol):
@@ -216,7 +214,7 @@ def test_facets_and_vertices_match_rational_brute_force(d):
         assert canonical(hyps) == canonical(ref)
         verts = vertex_enumerate(hyps)
         assert verts == ref_vertex_enumerate(ref)
-        assert coord_types(verts) == {RAT}
+        assert coord_types(verts) == {Fraction}
         # read off the points, the vertices are the same set
         check_polar_pair(pts, ref, verts)
 
@@ -232,7 +230,7 @@ def test_h_form_with_redundant_and_duplicated_rows(d):
         rng.shuffle(rows)
         verts = vertex_enumerate(rows)
         assert verts == ref_vertex_enumerate(rows)
-        assert coord_types(verts) == {RAT}
+        assert coord_types(verts) == {Fraction}
         kept = minimal_halfspaces(rows)
         assert canonical(kept) == canonical(ref_minimal_halfspaces(rows, verts))
         assert len(kept) == len(hyps)
@@ -274,7 +272,7 @@ def test_arbitrary_halfspace_systems_match_rational_brute_force():
         rows = halfspace_system(rng, d, shapes[i // 3 % len(shapes)])
         verts = vertex_enumerate(rows)
         assert verts == ref_vertex_enumerate(rows), rows
-        assert coord_types(verts) <= {RAT}
+        assert coord_types(verts) <= {Fraction}
         kept = minimal_halfspaces(rows)
         ref = ref_minimal_halfspaces(rows, verts)
         assert [h.canonical() for h in kept] == [h.canonical() for h in ref], rows
@@ -293,7 +291,7 @@ def test_det_equals_rational_elimination():
             rows[rng.randrange(n)] = [a + 2 * b for a, b in zip(rows[i], rows[j])]
         value = det(rows)
         assert value == ref_det(rows)
-        assert type(value) is RAT
+        assert type(value) is Fraction
     assert det([[2, 1], [4, 2]]) == 0 and det([[0, 1], [1, 0]]) == -1
 
 
@@ -347,7 +345,7 @@ def test_solve_linear_equals_fraction_gauss_jordan():
         sol = solve_linear(rows, rhs)
         ref = ref_solve_linear(rows, rhs)
         assert sol == ref, (rows, rhs)
-        assert coord_types_of(sol) == coord_types_of(ref) <= {RAT}
+        assert coord_types_of(sol) == coord_types_of(ref) <= {Fraction}
         assert rank(rows) == ref_rank(rows)
         assert nullspace(rows) == ref_nullspace(rows)
         statuses.add(sol.status)
@@ -364,12 +362,12 @@ def test_edge_midpoints_do_not_change_the_ball(d):
     # a few of each kind: every extra point multiplies the d-subsets
     padded = PolytopeBall.from_vertices(corners + midpoints[:6] + half[:3] + corners[:2])
     assert padded.vertices == ball.vertices and padded.normals == ball.normals
-    assert coord_types(padded.vertices) == coord_types(padded.normals) == {RAT}
+    assert coord_types(padded.vertices) == coord_types(padded.normals) == {Fraction}
 
 
 def test_integer_vertices_come_back_rational():
     ball = PolytopeBall.from_vertices([Vec((1, 0)), Vec((0, 1)), Vec((-1, 0)), Vec((0, -1))])
-    assert coord_types(ball.vertices) == {RAT}
+    assert coord_types(ball.vertices) == {Fraction}
 
 
 def test_facet_cap_still_raises(monkeypatch):
@@ -417,7 +415,7 @@ def test_symmetric_and_degenerate_point_sets_match_rational_brute_force(d):
         hyps = facet_hyperplanes(pts)
         ref = ref_facet_hyperplanes(pts)
         assert canonical(hyps) == canonical(ref)
-        assert coord_types(hyps_as_vecs(hyps)) == {RAT}
+        assert coord_types(hyps_as_vecs(hyps)) == {Fraction}
         verts = vertex_enumerate(hyps)
         assert verts == ref_vertex_enumerate(ref)
         check_polar_pair(pts, ref, verts)
@@ -537,7 +535,7 @@ def test_h_form_of_a_ball_gives_the_ball_back(d):
         assert back == ball
         assert back._vertex_rows == ball._vertex_rows
         assert back._normal_rows == ball._normal_rows
-        assert coord_types(back.vertices) == coord_types(back.normals) == {RAT}
+        assert coord_types(back.vertices) == coord_types(back.normals) == {Fraction}
 
 
 def test_unbounded_halfspace_input_says_so():
