@@ -42,7 +42,7 @@ import math
 import random
 import struct
 from operator import and_, mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from . import config
 from .errors import DegenerateInputError, DimensionError, FrozenRecord, MixedModeError, VerificationError
@@ -101,11 +101,11 @@ class CircumcenterSet(FrozenRecord):
     def distinct_centers(self, want: int = 2) -> list:
         """Up to `want` distinct circumcenters, probing inside
         positive-dimensional pieces when witnesses alone don't suffice."""
-        found = {}
+        found = {}  # the centers in order of discovery, as dict keys
         for p in self.pieces:
-            found.setdefault(p.center.coords, p.center)
+            found.setdefault(p.center)
             if len(found) >= want:
-                return list(found.values())[:want]
+                return list(found)[:want]
         for p in self.pieces:
             if p.affine_dim < 1 or p.problem is None:
                 continue
@@ -119,11 +119,11 @@ class CircumcenterSet(FrozenRecord):
                         res = feasible(probe, with_dim=False)
                         if res.feasible:
                             c = Vec(res.witness[:n - 1])
-                            if c.coords not in found:
-                                found[c.coords] = c
+                            if c not in found:
+                                found[c] = None
                                 if len(found) >= want:
-                                    return list(found.values())[:want]
-        return list(found.values())
+                                    return list(found)[:want]
+        return list(found)
 
 
 def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> CircumcenterSet:

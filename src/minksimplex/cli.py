@@ -214,16 +214,12 @@ def cmd_render(scene: Scene, args) -> tuple:
         cset = circumcenter.circumcenters(simplex, scene.ball)
         seen = {}
         for p in cset.pieces:
-            seen.setdefault(p.center.coords, (p.center, p.radius))
-        translates = list(seen.values())
-        if len(translates) < 2 and cset.classification == "multiple":
-            extra = cset.distinct_centers(2)
-            for c in extra:
-                if c.coords not in seen:
-                    r = scene.ball.gauge(simplex.vertices[0] - c)
-                    seen[c.coords] = (c, r)
-            translates = list(seen.values())
-        translates = translates[:4]
+            seen.setdefault(p.center, p.radius)
+        if len(seen) < 2 and cset.classification == "multiple":
+            for c in cset.distinct_centers(2):
+                if c not in seen:
+                    seen[c] = scene.ball.gauge(simplex.vertices[0] - c)
+        translates = list(seen.items())[:4]
         if translates:
             center, radius = translates[0]
             line = centers.euler_line(simplex, scene.ball, center, radius)
@@ -246,17 +242,18 @@ def cmd_render(scene: Scene, args) -> tuple:
         point_labels=markers,
         axes=axes,
     )
-    _write_output(args.svg, svg)
+    _write_output(args.out, svg)
     return None, 0
 
 
+# each subcommand's handler and its help line
 _COMMANDS = {
-    "gauge": cmd_gauge,
-    "circumcenters": cmd_circumcenters,
-    "centers": cmd_centers,
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "render": cmd_render,
+    "gauge": (cmd_gauge, "gauge of each named point (and simplex vertex) in the scene norm"),
+    "circumcenters": (cmd_circumcenters, "enumerate or search the circumcenter set of the scene simplex"),
+    "centers": (cmd_centers, "incenter, exspheres, and Euler-line points of the scene simplex"),
+    "construct": (cmd_construct, "build a simplex inscribed in the unit sphere with centroid at the center"),
+    "verify": (cmd_verify, "run an equivalence-family verification campaign on the scene ball"),
+    "render": (cmd_render, "draw the scene as a standalone SVG"),
 }
 
 
@@ -280,15 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=_VERSION_LINE)
     sub = parser.add_subparsers(dest="command", required=True)
-    descs = {
-        "gauge": "gauge of each named point (and simplex vertex) in the scene norm",
-        "circumcenters": "enumerate or search the circumcenter set of the scene simplex",
-        "centers": "incenter, exspheres, and Euler-line points of the scene simplex",
-        "construct": "build a simplex inscribed in the unit sphere with centroid at the center",
-        "verify": "run an equivalence-family verification campaign on the scene ball",
-        "render": "draw the scene as a standalone SVG",
-    }
-    for name, desc in descs.items():
+    for name, (_, desc) in _COMMANDS.items():
         p = sub.add_parser(name, help=desc, description=desc)
         p.add_argument("--in", dest="inp", metavar="PATH", help="scene file (default stdin)")
         p.add_argument("--out", metavar="PATH", help="result file (default stdout)")
@@ -304,7 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0,
                            help="chord-direction seed (seeded strategy)")
         if name == "render":
-            p.add_argument("--svg", metavar="PATH", help="SVG output (default stdout)")
+            # --svg and --out both name the one SVG file
+            p.add_argument("--svg", dest="out", metavar="PATH", help="SVG output (default stdout)")
             p.add_argument("--project", metavar="I,J",
                            help="coordinate axes to project onto (default 0,1 planar, 1,2 above)")
     return parser
@@ -315,7 +305,7 @@ def main(argv=None) -> int:
     try:
         scene = parse_scene(_read_input(args.inp))
         _check_mode_flag(scene, args.mode)
-        payload, code = _COMMANDS[args.command](scene, args)
+        payload, code = _COMMANDS[args.command][0](scene, args)
         if payload is not None:
             doc = result_document(args.command, scene, payload, _VERSION_LINE)
             _write_output(args.out, dumps_document(doc))

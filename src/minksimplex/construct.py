@@ -190,7 +190,7 @@ def _bisected_chord_exact(ball: PolytopeBall, origin: ExactVec, frame) -> tuple:
                 continue
             step = v1 * y1 + v2 * y2
             ends = origin + step, origin - step
-            if all(num == den for num, den in map(ball.gauge_ratio, ends)):
+            if all(_on_sphere(ball, end) for end in ends):
                 return ends
     raise VerificationError("no bisected chord found on the section polygon")
 
@@ -226,8 +226,7 @@ def _unit_anchor(ball: UnitBall, anchor: Optional[Vec]) -> Vec:
     if anchor is None:
         return ball.vertices[0] if exact else unit_vec(ball.dim, 0).to_float()
     if exact:
-        p, q = ball.gauge_ratio(anchor)
-        if p != q:
+        if not _on_sphere(ball, anchor):
             raise DegenerateInputError("anchor must lie on the unit sphere")
         return anchor
     a = anchor.to_float()
@@ -311,21 +310,25 @@ def quasiregular_simplex(
     return Construction(simplex, ball, tuple(picks), (r, s), ball.mode)
 
 
+def _on_sphere(ball: UnitBall, v: Vec) -> bool:
+    """Whether gauge(v) = 1: exactly in the exact lane, within EPS_REL
+    in the float one, where a NaN gauge is off the sphere."""
+    if ball.mode == EXACT:
+        p, q = ball.gauge_ratio(v)
+        return p == q
+    return abs(float(ball.gauge(v)) - 1.0) <= config.EPS_REL
+
+
 def _verify_inscribed(ball: UnitBall, simplex: Simplex, center: Vec) -> None:
     if ball.mode == EXACT:
-        if simplex.centroid != center:
-            raise VerificationError("centroid missed the ball center")
-        for v in simplex.vertices:
-            p, q = ball.gauge_ratio(v - center)
-            if p != q:
-                raise VerificationError("vertex off the unit sphere")
+        missed = simplex.centroid != center
     else:
         c = simplex.centroid.to_float()
-        if any(abs(float(x) - float(y)) > config.EPS_REL for x, y in zip(c.coords, center.coords)):
-            raise VerificationError("centroid missed the ball center")
-        for v in simplex.vertices:
-            if abs(float(ball.gauge(v.to_float() - center)) - 1.0) > config.EPS_REL:
-                raise VerificationError("vertex off the unit sphere")
+        missed = any(abs(float(x) - float(y)) > config.EPS_REL for x, y in zip(c.coords, center.coords))
+    if missed:
+        raise VerificationError("centroid missed the ball center")
+    if not all(_on_sphere(ball, v - center) for v in simplex.vertices):
+        raise VerificationError("vertex off the unit sphere")
 
 
 def equilateral_triangle(ball: UnitBall, anchor: Optional[Vec] = None) -> Simplex:
@@ -342,13 +345,7 @@ def equilateral_triangle(ball: UnitBall, anchor: Optional[Vec] = None) -> Simple
     zero = zero_vec(2) if exact else zero_vec(2).to_float()
     tri = Simplex([zero, u, w])
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        side = tri.vertices[b] - tri.vertices[a]
-        if exact:
-            p, q = ball.gauge_ratio(side)
-            ok = p == q
-        else:
-            ok = abs(float(ball.gauge(side)) - 1.0) <= config.EPS_REL
-        if not ok:
+        if not _on_sphere(ball, tri.vertices[b] - tri.vertices[a]):
             raise VerificationError("side gauges unequal")
     return tri
 
@@ -390,6 +387,6 @@ def _unit_at_unit_distance_smooth(ball: UnitBall, u: Vec) -> Vec:
     if f_lo >= 0:
         raise VerificationError("anchor distance function misbehaved")
     w = point(root_in_bracket(f, lo, hi, f_lo, f(hi)))
-    if abs(float(ball.gauge(w - u)) - 1.0) > config.EPS_REL:
+    if not _on_sphere(ball, w - u):
         raise NonConvergenceError("equilateral side search stalled")
     return w

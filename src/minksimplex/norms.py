@@ -49,20 +49,12 @@ def lp_gradient(xs: Sequence[float], p: float, norm: float) -> list:
 
 
 class UnitBall:
-    """Common interface of the two ball kinds."""
+    """Common base of the two ball kinds; each defines gauge, support
+    and dual."""
 
     dim: int
     kind: str
     mode: str
-
-    def gauge(self, x: Vec):
-        raise NotImplementedError
-
-    def support(self, a: Vec):
-        raise NotImplementedError
-
-    def dual(self) -> "UnitBall":
-        raise NotImplementedError
 
 
 class PolytopeBall(UnitBall):

@@ -64,10 +64,6 @@ def _check_exact(items: Sequence, what: str) -> int:
     return d
 
 
-def _dot(u, v) -> int:
-    return sum(map(operator.mul, u, v))
-
-
 def _point_rows(points: Sequence[ExactVec]) -> list:
     """Each exact point x = X / D as the int row (X, D), D > 0."""
     return [(*p.X, p.D) for p in points]
@@ -118,7 +114,7 @@ def _polar_kernel(rows: Sequence[Sequence[int]], d: int) -> list:
         bit = 1 << i
         pos, neg, kept = [], [], []
         for y, m in rays:
-            s = _dot(r, y)
+            s = sum(map(operator.mul, r, y))
             if s > 0:
                 pos.append((s, y, m))
             elif s < 0:

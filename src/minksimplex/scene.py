@@ -195,25 +195,39 @@ def _vector(arr, dim: int, smooth: bool, where: str) -> Vec:
     return Vec(coords) if smooth else ExactVec.of_ratios(coords)
 
 
-def _ball(doc: dict, dim: int, cached: bool = True) -> UnitBall:
+def _ball(doc: dict, dim: int) -> UnitBall:
     kind = _object(doc, "$.ball", ["type"])["type"]
     if not isinstance(kind, str) or kind not in _BALL_KEY:
         raise SceneError(f"{kind!r} is not one of {list(_BALL_KEY)}", "$.ball.type")
     key = _BALL_KEY[kind]
     _object(doc, "$.ball", [key], ["type", key])
-    where = f"$.ball.{key}"
     if kind == "pnorm":
         p = doc["p"]
         if not _is_number(p) or p <= 1:
-            raise SceneError(f"{p!r} is not a number greater than 1", where)
-        return PNormBall(dim, _finite(p, where))
-    if cached:
-        try:
-            text = _canonical_json(doc)
-        except (TypeError, ValueError):  # values JSON cannot hold
-            text = None
-        if text is not None and json.loads(text) == doc:  # a tuple dumps as a list
-            return _cached_ball(dim, text, *config.raw_settings())
+            raise SceneError(f"{p!r} is not a number greater than 1", "$.ball.p")
+        return PNormBall(dim, _finite(p, "$.ball.p"))
+    try:
+        text = _canonical_json(doc)
+    except (TypeError, ValueError):  # values JSON cannot hold
+        text = None
+    if text is not None and json.loads(text) == doc:  # a tuple dumps as a list
+        return _cached_ball(dim, text, *config.raw_settings())
+    return _polytope_ball(doc, dim)
+
+
+@functools.lru_cache(maxsize=BALL_CACHE_SIZE)
+def _cached_ball(dim: int, text: str, *_settings) -> UnitBall:
+    """Polytope balls by dimension, canonical JSON text (1, 1.0 and true
+    differ) and raw cap settings; a ball that fails raises, unstored."""
+    return _polytope_ball(json.loads(text), dim)
+
+
+def _polytope_ball(doc: dict, dim: int) -> PolytopeBall:
+    """The ball of a polytope-v or polytope-h document whose type and
+    keys _ball has checked."""
+    kind = doc["type"]
+    key = _BALL_KEY[kind]
+    where = f"$.ball.{key}"
     rows = [
         _vector(v, dim, False, f"{where}[{k}]")
         for k, v in enumerate(_array(doc[key], where, 3))
@@ -221,13 +235,6 @@ def _ball(doc: dict, dim: int, cached: bool = True) -> UnitBall:
     if kind == "polytope-v":
         return PolytopeBall.from_vertices(rows)
     return PolytopeBall.from_halfspaces([Hyperplane(n, Rat(1)) for n in rows])
-
-
-@functools.lru_cache(maxsize=BALL_CACHE_SIZE)
-def _cached_ball(dim: int, text: str, *_settings) -> UnitBall:
-    """Polytope balls by dimension, canonical JSON text (1, 1.0 and true
-    differ) and raw cap settings; a ball that fails raises, unstored."""
-    return _ball(json.loads(text), dim, cached=False)
 
 
 def scene_from_dict(doc: dict) -> Scene:
@@ -312,10 +319,8 @@ def scene_to_dict(scene: Scene) -> dict:
     return out
 
 
-def result_document(command: str, scene: Optional[Scene], payload: dict, version: str) -> dict:
-    doc = {"version": version, "command": command}
-    if scene is not None:
-        doc["scene"] = scene_to_dict(scene)
+def result_document(command: str, scene: Scene, payload: dict, version: str) -> dict:
+    doc = {"version": version, "command": command, "scene": scene_to_dict(scene)}
     doc.update(payload)
     return doc
 

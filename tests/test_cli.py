@@ -163,6 +163,14 @@ def test_construct_anchor_point(tmp_path):
     assert json.loads(text)["simplex"][0] == ["0", "1"]
 
 
+def test_construct_off_sphere_exact_anchor_exits_2(tmp_path, capsys):
+    # an exact anchor is never scaled: gauge (2, 1) = 2 on the hexagon
+    scene = dict(HEX_SCENE, points={"anchor": [2, 1]})
+    code, text = run_cli(["construct"], tmp_path, scene)
+    assert (code, text) == (2, "")
+    assert "anchor must lie on the unit sphere" in capsys.readouterr().err
+
+
 def test_verify_campaign(tmp_path):
     code, text = run_cli(
         ["verify", "--theorem", "43", "--trials", "6", "--seed", "1"],
@@ -487,6 +495,14 @@ def render_svg(tmp_path, scene, extra=()):
     code = main(argv)
     assert code == 0
     return svg_path.read_text()
+
+
+def test_render_out_names_the_svg_file(tmp_path, capsys):
+    # --out and --svg name the same file; neither prints the SVG
+    out_path = tmp_path / "f.svg"
+    assert main(["render", "--in", write_scene(tmp_path, POLY_SCENE), "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_path.read_text() == render_svg(tmp_path, POLY_SCENE)
 
 
 def test_render_svg_well_formed(tmp_path):

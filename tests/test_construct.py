@@ -15,7 +15,8 @@ from minksimplex.construct import (
     equilateral_triangle,
     quasiregular_simplex,
 )
-from minksimplex.errors import DegenerateInputError
+from minksimplex.config import EPS_REL
+from minksimplex.errors import DegenerateInputError, VerificationError
 from minksimplex.linalg import Vec, unit_vec
 from minksimplex.norms import PNormBall, PolytopeBall, euclidean_ball
 from minksimplex.polytopes import vertex_rays
@@ -222,6 +223,32 @@ def test_zero_float_anchor_is_refused():
     for build in (equilateral_triangle, quasiregular_simplex):
         with pytest.raises(DegenerateInputError, match="anchor must be nonzero"):
             build(PNormBall(2, 3.0), anchor=fvec(0.0, 0.0))
+
+
+def test_on_sphere_is_exact_or_within_eps_rel():
+    assert construct._on_sphere(SQUARE, vec(1, "1/2"))
+    assert not construct._on_sphere(SQUARE, vec("1/2", "1/2"))
+    ball = PNormBall(2, 2.0)
+    assert construct._on_sphere(ball, fvec(1.0 + EPS_REL / 2, 0.0))
+    assert not construct._on_sphere(ball, fvec(1.0 + 2 * EPS_REL, 0.0))
+    assert not construct._on_sphere(ball, fvec(1.0 - 2 * EPS_REL, 0.0))
+    nan = fvec(math.nan, 0.0)
+    assert math.isnan(ball.gauge(nan)) and not construct._on_sphere(ball, nan)
+
+
+@pytest.mark.parametrize(
+    "ball, to_vec, center",
+    [(SQUARE, vec, vec(0, 0)), (PNormBall(2, 2.0), fvec, fvec(0, 0))],
+)
+def test_verify_inscribed_rejects_in_both_lanes(ball, to_vec, center):
+    # centroid 0 with gauge(2, 0) = 2; then all three on the sphere with
+    # centroid (0, 1/3)
+    off = Simplex([to_vec(2, 0), to_vec(-1, 1), to_vec(-1, -1)])
+    with pytest.raises(VerificationError, match="vertex off the unit sphere"):
+        construct._verify_inscribed(ball, off, center)
+    shifted = Simplex([to_vec(1, 0), to_vec(0, 1), to_vec(-1, 0)])
+    with pytest.raises(VerificationError, match="centroid missed the ball center"):
+        construct._verify_inscribed(ball, shifted, center)
 
 
 def test_equilateral_random_polygons():
