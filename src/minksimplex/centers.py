@@ -29,7 +29,7 @@ from typing import Optional
 
 from . import config
 from .errors import DegenerateInputError, FrozenRecord, VerificationError
-from .linalg import ExactVec, Hyperplane, Vec, affine_rank, det, solve_linear
+from .linalg import ExactVec, Hyperplane, Vec, bareiss, det, solve_linear
 from .norms import Ball, UnitBall
 from .scalars import EXACT, FLOAT, Rat
 from .simplex import Simplex
@@ -54,11 +54,14 @@ class EulerLine(FrozenRecord):
     def contains(self, point: Vec, tol: float = config.EPS_REL) -> bool:
         """Whether point is on the line through the centroid G and the
         circumcenter M (is G, if collapsed).  Float points are judged at
-        tol plus a few ulps of the largest |coordinate| of G, M and point."""
+        tol plus a few ulps of the largest |coordinate| of G, M and point.
+        Exact points are on it when M - G and point - G, as the int rows
+        of their ExactVecs, have rank at most 1."""
         if self.mode == EXACT:
             if self.collapsed:
                 return point == self.centroid
-            return affine_rank([self.centroid, self.circumcenter, point]) <= 1
+            g = self.centroid
+            return bareiss([(self.circumcenter - g).X, (point - g).X])[0] <= 1
         g = [float(c) for c in self.centroid.coords]
         m = [float(c) for c in self.circumcenter.coords]
         p = [float(c) for c in point.coords]
@@ -109,9 +112,7 @@ def euler_line(simplex: Simplex, ball: UnitBall, center: Vec, radius) -> EulerLi
         tol = config.EPS_ABS * scale
         return all(abs(a - b) <= tol for a, b in zip(p.to_float().coords, m.coords))
 
-    degenerate = tuple(
-        i for i in range(d + 1) if _at_circumcenter(simplex.facet_centroid(i))
-    )
+    degenerate = tuple(i for i, ac in enumerate(simplex.facet_centroids) if _at_circumcenter(ac))
 
     line = EulerLine(
         centroid=g,
@@ -132,9 +133,7 @@ def _check_euler_identities(simplex: Simplex, line: EulerLine) -> None:
     """Internal cross-checks; failure means a bug, not bad input."""
     d = simplex.dim
     exact = line.mode == EXACT
-    for i in range(d + 1):
-        a = simplex.vertices[i]
-        ac = simplex.facet_centroid(i)
+    for a, ac in zip(simplex.vertices, simplex.facet_centroids):
         if not exact:
             a, ac = a.to_float(), ac.to_float()
         # P = A_i + d (A'_i - M) for every i
@@ -162,8 +161,7 @@ def feuerbach_sphere(simplex: Simplex, ball: UnitBall, center: Vec, radius) -> B
     circumcenter (M, r).  Verifies the through-points property."""
     line = euler_line(simplex, ball, center, radius)
     sphere = Ball(ball, line.feuerbach_center, line.feuerbach_radius)
-    for i in range(simplex.dim + 1):
-        ac = simplex.facet_centroid(i)
+    for ac in simplex.facet_centroids:
         g = sphere.gauge_from_center(ac if ball.mode == EXACT else ac.to_float())
         if ball.mode == EXACT:
             ok = g == sphere.radius

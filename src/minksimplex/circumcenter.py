@@ -47,7 +47,7 @@ from typing import Callable, Optional
 from . import config
 from .errors import DegenerateInputError, DimensionError, FrozenRecord, MixedModeError, VerificationError
 from .feasibility import FeasibilityProblem, Ineq, feasible
-from .linalg import ExactVec, Vec, bareiss, cross2, integer_points, ratio, solve_linear, zero_vec
+from .linalg import ExactVec, Vec, bareiss, cross2, ratio, solve_linear, zero_vec
 from .norms import Ball, PNormBall, PolytopeBall, UnitBall, line_interval, lp_gradient, lp_norm
 from .polytopes import _polar_kernel
 from .scalars import EXACT, Rat
@@ -131,7 +131,7 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
         raise MixedModeError("polytopal circumcenters need an exact simplex")
     d = simplex.dim
     normals, s_n = ball._normal_rows
-    vertices, s_v = integer_points(simplex.vertices)
+    vertices, s_v, _ = simplex._cleared
     n_facets = len(normals)
     # the incidence table T[i][k] = <N_k, V_i> = s_n s_v <n_k, A_i> and
     # its column maxima, s_n s_v h_k; facet j can touch A_i only where

@@ -45,10 +45,13 @@ FAMILIES = config.FAMILIES  # --theorem choices in table order; a tuple, so test
 
 
 def _read_input(path: Optional[str]) -> str:
-    if path in (None, "-"):
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path in (None, "-"):
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SceneError(f"scene is not UTF-8 text ({exc.reason})", f"byte {exc.start}")
 
 
 def _write_output(path: Optional[str], text: str) -> None:

@@ -52,7 +52,10 @@ def _fmt(x) -> str:
 
 
 def project(v: Vec, axes: tuple) -> tuple:
-    return _float(v[axes[0]]), _float(v[axes[1]])
+    """The point's coordinates on the axes as floats; an exact point's
+    X_i / D is divided as ints, which rounds once, as float(Rat) does."""
+    coords, den = (v.X, v.D) if v.mode == EXACT else (v.coords, 1)
+    return _float(coords[axes[0]], den), _float(coords[axes[1]], den)
 
 
 _SAMPLES = 256  # points on the outline of a smooth ball

@@ -280,6 +280,8 @@ def parse_scene(text: str) -> Scene:
         raise SceneError(exc.msg, f"line {exc.lineno} column {exc.colno}")
     except ValueError as exc:  # an integer literal longer than int() converts
         raise SceneError(str(exc))
+    except RecursionError:  # arrays or objects nested past the recursion limit
+        raise SceneError("JSON nesting is too deep")
     return scene_from_dict(doc)
 
 

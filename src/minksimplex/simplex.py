@@ -114,12 +114,20 @@ class Simplex:
     def facet_vertices(self, i: int) -> tuple:
         return tuple(v for k, v in enumerate(self.vertices) if k != i)
 
+    @cached_property
+    def facet_centroids(self) -> tuple:
+        """A'_i, the centroid of the facet opposite A_i, for each i."""
+        out = []
+        for i in range(self.dim + 1):
+            pts = self.facet_vertices(i)
+            total = pts[0]
+            for v in pts[1:]:
+                total = total + v
+            out.append(total / self.dim)
+        return tuple(out)
+
     def facet_centroid(self, i: int) -> Vec:
-        pts = self.facet_vertices(i)
-        total = pts[0]
-        for v in pts[1:]:
-            total = total + v
-        return total / self.dim
+        return self.facet_centroids[i]
 
     @cached_property
     def _facets(self) -> tuple:
@@ -200,7 +208,7 @@ class Simplex:
         return tuple(h for h, _ in self._facets)
 
     def median_vector(self, i: int) -> Vec:
-        return self.facet_centroid(i) - self.vertices[i]
+        return self.facet_centroids[i] - self.vertices[i]
 
     def median_length(self, i: int, ball: UnitBall):
         return ball.gauge(self.median_vector(i))
@@ -209,8 +217,8 @@ class Simplex:
         return list(itertools.combinations(range(self.dim + 1), 2))
 
     def edge_midpoint(self, i: int, j: int) -> Vec:
-        half = Rat(1, 2) if self.mode == EXACT else 0.5
-        return self.vertices[i] * half + self.vertices[j] * half
+        a, b = self.vertices[i], self.vertices[j]
+        return (a + b) / 2 if self.mode == EXACT else a * 0.5 + b * 0.5
 
     def side_length(self, i: int, j: int, ball: UnitBall):
         return ball.gauge(self.vertices[j] - self.vertices[i])
@@ -276,9 +284,13 @@ class Simplex:
         """The simplex truncated at its medial hyperplanes,
         {0 <= lambda_i <= 1/2}: points on the facet side of every medial
         hyperplane."""
-        cut = tuple(self.medial_hyperplane(i).flip() for i in range(self.dim + 1))
         midpoints = tuple(self.edge_midpoint(i, j) for i, j in self.edges())
-        return MedialPolytope(self.facet_hyperplanes + cut, midpoints)
+        return MedialPolytope(self, midpoints)
+
+    @cached_property
+    def _medial_halfspaces(self) -> tuple:
+        cut = tuple(self.medial_hyperplane(i).flip() for i in range(self.dim + 1))
+        return self.facet_hyperplanes + cut
 
     def dual_simplex(self) -> "Simplex":
         """Polar dual with respect to the centroid, in centroid-origin
@@ -318,7 +330,7 @@ class Simplex:
         if not 0 < delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         verts = list(self.vertices)
-        verts[i] = verts[i] + (self.facet_centroid(i) - verts[i]) * delta
+        verts[i] = verts[i] + (self.facet_centroids[i] - verts[i]) * delta
         return Simplex(verts)
 
     def translate(self, t: Vec) -> "Simplex":
@@ -341,12 +353,17 @@ class Simplex:
 
 class MedialPolytope(FrozenRecord):
     """Intersection of the simplex with the far sides of its medial
-    hyperplanes, as halfspaces {h.eval <= 0}.  Its vertices are the
-    points of {0 <= lambda_i <= 1/2} with two coordinates 1/2: the
-    C(d+1, 2) edge midpoints."""
+    hyperplanes, as halfspaces {h.eval <= 0}, which the simplex builds
+    on the first contains().  Its vertices are the points of
+    {0 <= lambda_i <= 1/2} with two coordinates 1/2: the C(d+1, 2) edge
+    midpoints."""
 
-    def __init__(self, halfspaces: tuple, edge_midpoints: tuple):
-        self.__dict__.update(halfspaces=halfspaces, edge_midpoints=edge_midpoints)
+    def __init__(self, simplex: Simplex, edge_midpoints: tuple):
+        self.__dict__.update(simplex=simplex, edge_midpoints=edge_midpoints)
+
+    @property
+    def halfspaces(self) -> tuple:
+        return self.simplex._medial_halfspaces
 
     def contains(self, p: Vec, strict: bool = False) -> bool:
         return _half_contains(self.halfspaces, p, strict)

@@ -23,7 +23,7 @@ from minksimplex.circumcenter import polytopal_circumcenters, smooth_circumcente
 from minksimplex.construct import quasiregular_simplex
 from minksimplex.errors import DegenerateInputError, MixedModeError
 from minksimplex.feasibility import FeasibilityProblem, lp_max
-from minksimplex.linalg import Hyperplane, Vec, cross2
+from minksimplex.linalg import Hyperplane, Vec, affine_rank, cross2
 from minksimplex.norms import PNormBall, euclidean_ball, point_hyperplane_distance
 from minksimplex.scalars import Rat
 from minksimplex.simplex import Simplex
@@ -263,6 +263,26 @@ def test_collapsed_float_euler_line_contains_only_its_centroid():
     assert line.contains(g)
     assert line.contains(line.monge) and line.contains(line.feuerbach_center)
     assert not line.contains(g + fvec(0, 1e-3))
+
+
+def test_exact_euler_line_contains_is_affine_rank_at_most_1():
+    # the int rank test of contains() against affine_rank([G, M, P]) <= 1
+    # on lattice triples: P on the line, P at G or M, and P anywhere
+    rng = random.Random("euler-contains")
+    seen = {True: 0, False: 0}
+    for d in (2, 3, 4):
+        for _ in range(40):
+            def point():
+                q = rng.choice((1, 2, 3, 7))
+                return vec(*(Rat(rng.randint(-9, 9), q) for _ in range(d)))
+            g, m = point(), point()
+            line = EulerLine(g, m, Rat(1), g, g, Rat(1), g, (), "exact")
+            t = Rat(rng.randint(-9, 9), rng.choice((1, 2, 5)))
+            for p in (g + (m - g) * t, g, m, point(), g + point() - point()):
+                want = p == g if g == m else affine_rank([g, m, p]) <= 1
+                assert line.contains(p) == want
+                seen[want] += 1
+    assert min(seen.values()) > 50
 
 
 def test_euler_line_keeps_the_exact_lane_exact():

@@ -36,7 +36,7 @@ from minksimplex.config import EPS_MERGE
 from minksimplex.construct import quasiregular_simplex
 from minksimplex.errors import DegenerateInputError, MixedModeError
 from minksimplex.feasibility import FeasibilityProblem, feasible
-from minksimplex.linalg import Hyperplane, Vec
+from minksimplex.linalg import Hyperplane, Vec, solve_linear
 from minksimplex.norms import PNormBall, PolytopeBall, euclidean_ball
 from minksimplex.scalars import Rat
 from minksimplex.simplex import Simplex
@@ -395,6 +395,23 @@ def test_circumcenter_inside_simplex_lies_in_medial_polytope():
                     inside += 1
                     assert in_medial_polytope(simplex, p.center)
     assert inside > 5
+
+
+def test_in_medial_polytope_is_barycentric_0_to_half():
+    # the lazily built halfspaces against {0 <= lambda_i <= 1/2}, with
+    # barycentric coordinates solved for directly, on the points of this
+    # file: T345's vertices, edge midpoints and centroid, grid points and
+    # the circumcenter pieces of the square ball
+    points = [*T345.vertices, *T345.medial_polytope.vertices(), T345.centroid, vec(2, 1), vec(1, 1)]
+    points += [Vec((Rat(x, 2), Rat(y, 2))) for x in range(-2, 10) for y in range(-2, 8)]
+    points += [p.center for p in polytopal_circumcenters(T345, SQUARE).pieces]
+    for p in points:
+        rows = [[*(a[k] for a in T345.vertices)] for k in range(2)] + [[1, 1, 1]]
+        lam = solve_linear(rows, [*p.coords, 1]).point
+        for strict in (False, True):
+            want = all(0 < x < Rat(1, 2) if strict else 0 <= x <= Rat(1, 2) for x in lam)
+            assert in_medial_polytope(T345, p, strict=strict) == want
+    assert in_medial_polytope(T345, vec(2, 1)) and not in_medial_polytope(T345, vec(4, 0))
 
 
 def long_edge_hexagon():

@@ -8,13 +8,18 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from minksimplex import scene as scene_module
 from minksimplex.circumcenter import cube_edge_midpoint_instance, polytopal_circumcenters
 from minksimplex.cli import main
 from minksimplex.config import EPS_REL
-from minksimplex.errors import ResourceCapError
+from minksimplex.errors import MinksimplexError, ResourceCapError
+from minksimplex.linalg import ExactVec
+from minksimplex.render import project
 
 POLY_SCENE = {
     "dimension": 2,
@@ -598,6 +603,18 @@ SVG_PINS = [
         [],
         "02106ae79502fe367880f81721dbace65e9e47940dfcb341d0b6119f8e484e79",
     ),
+    # exact points whose numerators pass 2^53, over 3 and 7: every
+    # drawing coordinate is one rounding of an int quotient
+    (
+        {
+            "dimension": 2,
+            "ball": {"type": "polytope-v", "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]},
+            "simplex": [[0, 0], [f"{2**60 + 1}/3", "1/7"], [f"{2**55 + 3}/7", f"{2**58 + 2}/3"]],
+            "points": {"Q": [f"{2**54 + 1}/7", f"-{2**56 + 1}/3"]},
+        },
+        [],
+        "824302411f6a350cbed13b348d351ca3886ee427adeabcb211a3c3b23cbaf58d",
+    ),
 ]
 
 
@@ -718,3 +735,39 @@ def test_render_beyond_the_float_range_exits_2(tmp_path, capsys, scene):
     err = capsys.readouterr().err
     assert "drawing coordinate" in err and "beyond the float range" in err
     assert not (tmp_path / "out.svg").exists()
+
+
+def test_exact_projection_is_float_of_the_fraction():
+    # X_i / D divided as ints gives float(Fraction(X_i, D)) bit for bit:
+    # numerators past 2^53 over 3 and 7, also near the top of the float
+    # range (overflowing there exactly when float(Fraction) does) and,
+    # over 3 and 7 times a power of 2, among the subnormals at its bottom
+    rng = random.Random("exact-projection")
+    top = int(sys.float_info.max)
+    seen = set()
+    for _ in range(600):
+        kind = rng.choice(("middle", "top", "bottom"))
+        D = rng.choice((3, 7)) << (rng.randint(1070, 1140) if kind == "bottom" else 0)
+        if kind == "top":
+            X = [rng.choice((1, -1)) * (D * top + rng.randint(-D << 972, D << 972)) for _ in range(2)]
+        else:
+            X = [rng.choice((1, -1)) * rng.randint(2**53, 2**64) for _ in range(2)]
+        v = ExactVec.of_ints(X, D)
+        try:
+            want = tuple(float(Fraction(x, D)) for x in X)
+        except OverflowError:
+            seen.add("overflow")
+            with pytest.raises(MinksimplexError, match="drawing coordinate -?inf is beyond the float range"):
+                project(v, (0, 1))
+            continue
+        seen.update("subnormal" if 0 < abs(f) < sys.float_info.min else kind for f in want)
+        assert tuple(f.hex() for f in project(v, (0, 1))) == tuple(f.hex() for f in want)
+    assert seen == {"middle", "top", "bottom", "subnormal", "overflow"}
+
+
+def test_render_point_past_the_float_range_exits_2(tmp_path, capsys):
+    scene = {"dimension": 2, "ball": {"type": "polytope-v", "vertices": SQUARE_VERTICES},
+             "points": {"P": [f"{2**1024 * 7 + 1}/7", 0]}}
+    argv = ["render", "--in", write_scene(tmp_path, scene), "--svg", str(tmp_path / "out.svg")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: drawing coordinate inf is beyond the float range\n"

@@ -99,3 +99,35 @@ def test_unbounded_h_form_ball_is_a_scene_error(tmp_path, capsys):
     code, err = run(tmp_path, capsys, ["gauge"], json.dumps(scene))
     assert code == 1
     assert err == "error: $.ball: halfspace intersection is unbounded\n"
+
+
+# a Latin-1 byte in a string, and arrays nested past any recursion limit
+UNREADABLE_SCENES = [
+    pytest.param(b'{"dimension": 2, "ball": {"type": "pnorm", "p": 3}, "points": {"\xe9": [0, 0]}}', id="not-utf-8"),
+    pytest.param(b'{"dimension": 2, "points": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", id="nested-100000"),
+]
+
+
+@pytest.mark.parametrize("data", UNREADABLE_SCENES)
+def test_unreadable_scene_exits_1_in_process(tmp_path, capsys, data):
+    scene = tmp_path / "scene.json"
+    scene.write_bytes(data)
+    code = main(["gauge", "--in", str(scene), "--out", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("data", UNREADABLE_SCENES)
+def test_unreadable_scene_exits_1_in_a_subprocess(tmp_path, data):
+    scene = tmp_path / "scene.json"
+    scene.write_bytes(data)
+    proc = subprocess.run(
+        [sys.executable, "-m", "minksimplex.cli", "gauge", "--in", str(scene)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

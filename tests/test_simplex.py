@@ -65,6 +65,22 @@ def test_centroid_and_facets():
     assert not T345.contains(vec(4, 3))
 
 
+def test_facet_centroid_is_the_facet_vertex_sum_over_d():
+    rng = random.Random("facet-centroid")
+    for d in (2, 3, 4):
+        for _ in range(10):
+            T = random_rational_simplex(rng, d)
+            F = Simplex([Vec([float(c) for c in v]) for v in T.vertices])
+            for S in (T, F):
+                for i in range(d + 1):
+                    pts = S.facet_vertices(i)
+                    total = pts[0]
+                    for v in pts[1:]:
+                        total = total + v
+                    assert S.facet_centroid(i) == total / d
+                    assert S.median_vector(i) == total / d - S.vertices[i]
+
+
 def test_medians_and_sides():
     assert T345.median_vector(0) == vec(2, Rat(3, 2))
     assert T345.median_length(0, SQUARE) == 2
@@ -149,6 +165,18 @@ def test_medial_polytope_planar():
     assert sorted(verts, key=Vec.key) == sorted(
         [vec(2, 0), vec(0, Rat(3, 2)), vec(2, Rat(3, 2))], key=Vec.key
     )
+
+
+def test_medial_polytope_vertices_build_no_halfspace(monkeypatch):
+    # drawing reads the edge midpoints; the halfspaces wait for contains()
+    built = []
+    medial_hyperplane = Simplex.medial_hyperplane
+    monkeypatch.setattr(Simplex, "medial_hyperplane", lambda T, i: built.append(i) or medial_hyperplane(T, i))
+    T = tri((0, 0), (4, 0), (0, 3))
+    assert len(T.medial_polytope.vertices()) == 3
+    assert built == []
+    assert T.medial_polytope.contains(T.centroid, strict=True)
+    assert built == [0, 1, 2] and len(T.medial_polytope.halfspaces) == 6
 
 
 def test_medial_polytope_tetrahedron():
