@@ -270,15 +270,17 @@ def test_exact_euler_line_contains_is_affine_rank_at_most_1():
     # on lattice triples: P on the line, P at G or M, and P anywhere
     rng = random.Random("euler-contains")
     seen = {True: 0, False: 0}
+
+    def point(d):
+        q = rng.choice((1, 2, 3, 7))
+        return vec(*(Rat(rng.randint(-9, 9), q) for _ in range(d)))
+
     for d in (2, 3, 4):
         for _ in range(40):
-            def point():
-                q = rng.choice((1, 2, 3, 7))
-                return vec(*(Rat(rng.randint(-9, 9), q) for _ in range(d)))
-            g, m = point(), point()
+            g, m = point(d), point(d)
             line = EulerLine(g, m, Rat(1), g, g, Rat(1), g, (), "exact")
             t = Rat(rng.randint(-9, 9), rng.choice((1, 2, 5)))
-            for p in (g + (m - g) * t, g, m, point(), g + point() - point()):
+            for p in (g + (m - g) * t, g, m, point(d), g + point(d) - point(d)):
                 want = p == g if g == m else affine_rank([g, m, p]) <= 1
                 assert line.contains(p) == want
                 seen[want] += 1
