@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 from operator import mul
 from typing import Optional
 
@@ -97,8 +98,9 @@ def euler_line(simplex: Simplex, ball: UnitBall, center: Vec, radius) -> EulerLi
     if ball.mode == FLOAT:
         g, m, r = simplex.centroid.to_float(), center.to_float(), float(radius)
     else:
-        # is_circumcenter raised MixedModeError for a float center
-        g, m, r = simplex.centroid, center, Rat(radius)
+        # is_circumcenter raised MixedModeError for a float center; the
+        # checked radius is kept as is, and an int one becomes a Fraction
+        g, m, r = simplex.centroid, center, radius if isinstance(radius, Fraction) else Rat(radius)
     # d and d + 1 stay ints in both lanes: on floats they round as
     # float(d) would, on exact Vecs they scale X / D exactly
     concurrence = (d + 1) * g - d * m

@@ -270,7 +270,40 @@ def _positive_int(text: str) -> int:
     return value
 
 
-@functools.cache  # built once per process, on the first main() call
+# every subcommand's flags, each with add_argument's keyword arguments, in
+# the order the parser declares them; _build_parser and _read_args both
+# read this table, and it is the one place a flag is declared
+_IO_FLAGS = {
+    "--in": {"dest": "inp", "metavar": "PATH", "help": "scene file (default stdin)"},
+    "--out": {"metavar": "PATH", "help": "result file (default stdout)"},
+    "--mode": {"choices": ("exact", "float"), "help": "require an arithmetic mode"},
+}
+_FLAGS = {
+    "gauge": _IO_FLAGS,
+    "circumcenters": _IO_FLAGS,
+    "centers": _IO_FLAGS,
+    "construct": {
+        **_IO_FLAGS,
+        "--strategy": {"choices": ("deterministic", "seeded"), "default": "deterministic"},
+        "--seed": {"type": int, "default": 0, "help": "chord-direction seed (seeded strategy)"},
+    },
+    "verify": {
+        **_IO_FLAGS,
+        "--theorem": {"required": True, "choices": FAMILIES, "help": "equivalence family to verify"},
+        "--trials": {"type": _positive_int, "default": 200},
+        "--seed": {"type": int, "default": 0},
+    },
+    "render": {
+        **_IO_FLAGS,
+        # --svg and --out both name the one SVG file
+        "--svg": {"dest": "out", "metavar": "PATH", "help": "SVG output (default stdout)"},
+        "--project": {"metavar": "I,J",
+                      "help": "coordinate axes to project onto (default 0,1 planar, 1,2 above)"},
+    },
+}
+
+
+@functools.cache  # built once per process, on the first command line _read_args declines
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minksimplex",
@@ -282,29 +315,49 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, desc) in _COMMANDS.items():
         p = sub.add_parser(name, help=desc, description=desc)
-        p.add_argument("--in", dest="inp", metavar="PATH", help="scene file (default stdin)")
-        p.add_argument("--out", metavar="PATH", help="result file (default stdout)")
-        p.add_argument("--mode", choices=("exact", "float"), help="require an arithmetic mode")
-        if name == "verify":
-            p.add_argument("--theorem", required=True, choices=FAMILIES,
-                           help="equivalence family to verify")
-            p.add_argument("--trials", type=_positive_int, default=200)
-            p.add_argument("--seed", type=int, default=0)
-        if name == "construct":
-            p.add_argument("--strategy", choices=("deterministic", "seeded"),
-                           default="deterministic")
-            p.add_argument("--seed", type=int, default=0,
-                           help="chord-direction seed (seeded strategy)")
-        if name == "render":
-            # --svg and --out both name the one SVG file
-            p.add_argument("--svg", dest="out", metavar="PATH", help="SVG output (default stdout)")
-            p.add_argument("--project", metavar="I,J",
-                           help="coordinate axes to project onto (default 0,1 planar, 1,2 above)")
+        for flag, kwargs in _FLAGS[name].items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
+def _read_args(argv) -> Optional[argparse.Namespace]:
+    """The namespace argparse gives a well-formed command line, or None.
+
+    Well formed: a subcommand, then pairs of one of its flags, spelled
+    whole, and a separate value that does not start with '-' and that
+    the flag's type and choices accept, with every required flag given.
+    Any other command line (help, --version, an abbreviation,
+    --flag=value, a bad or missing value) is left to argparse, the one
+    printer of help, usage and errors.
+    """
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is None or len(argv) % 2 == 0:
+        return None
+    values = {"command": argv[0]}  # argparse's attribute order
+    for flag, kwargs in flags.items():
+        values.setdefault(kwargs.get("dest", flag[2:]), kwargs.get("default"))
+    missing = {flag for flag, kwargs in flags.items() if kwargs.get("required")}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        kwargs = flags.get(flag)
+        if kwargs is None or not isinstance(text, str) or text.startswith("-"):
+            return None
+        convert = kwargs.get("type")
+        try:
+            value = text if convert is None else convert(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        choices = kwargs.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        values[kwargs.get("dest", flag[2:])] = value  # a repeated flag keeps its last value
+        missing.discard(flag)
+    return None if missing else argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_args(argv) or _build_parser().parse_args(argv)
     try:
         scene = parse_scene(_read_input(args.inp))
         _check_mode_flag(scene, args.mode)

@@ -113,7 +113,8 @@ def render_scene(
     bodies.append(("ball", outline))
     for center, radius in sphere_translates:
         cx, cy = project(center, axes)
-        r = _float(radius)
+        # an exact radius as int / int, one rounding and no Fraction built
+        r = _float(radius.numerator, radius.denominator) if ball.mode == EXACT else _float(radius)
         bodies.append(
             ("translate", [(cx + r * x, cy + r * y) for x, y in outline])
         )

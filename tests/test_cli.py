@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from minksimplex import cli
 from minksimplex import scene as scene_module
 from minksimplex.circumcenter import cube_edge_midpoint_instance, polytopal_circumcenters
 from minksimplex.cli import main
@@ -94,6 +95,106 @@ def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
     assert run_cli(["gauge"], tmp_path, POLY_SCENE)[0] == 0
     assert run_cli(["gauge"], tmp_path, POLY_SCENE)[0] == 0
     assert len(built) <= 1
+
+
+# sha256 of "<exit code>\n<stdout>\0<stderr>" at 80 columns, with the
+# version line masked, recorded from the argparse-only parser: help,
+# usage and error text come from argparse alone, byte for byte
+ARGPARSE_TEXT = [
+    (["-h"], "3ac596cedde9341afb3c762946b93f0880581ee200806ca457adbb15b0a54637"),
+    (["--version"], "ccf248f5c7a06711d45d83b3fc1f8e43d27758fdf214271e76b276ef15d376b6"),
+    ([], "b78a2168c1a455c1f4f762718cf63362aabb548d8834c0de7b5a0cbbec13fa1f"),
+    (["gauge", "-h"], "9f23ea29152f9740b35074e8a79db01b944b087d567bdfd08f5550466f5e7d76"),
+    (["circumcenters", "-h"], "6aee44fc707b762457db3d489b071eea0945020f20a1d5d43b0b8d005774af8d"),
+    (["centers", "-h"], "4b3b073410476c998bc1c81e416fbebed237f284a29f263a1737a3e9a986d2ff"),
+    (["construct", "-h"], "da3735ee06aa6fe6540e3075d93ec52f1f000efb2d887ad3a232741901b2bb45"),
+    (["verify", "-h"], "8404ca2a0ea35d0811a22cce4d92edc98855c9cc4a03ef4eb478dab294832c1a"),
+    (["render", "-h"], "cd00e9c92eedc9bf6f4cb8c7f8066c97eb6900ed8b5027635527bccd04b88f74"),
+    (["frobnicate"], "619f44b7a3affbfa42620c54187de3b360fbe0e5211f6ae67e3813929b58269a"),
+    (["gauge", "--bogus", "1"], "81eecaf6c9b608cafe258b96cdf44d188a295be3aff94b6dd7646052e3594c04"),
+    (["construct", "--s", "1"], "c37dc9528d49573bed00974fe82ca408f5048029593c25a4307a360c9b34d6fb"),
+    (["verify", "--in", "x"], "b124f1bb363f70b480fc3bb29a5818948aaae93bcd0c4988faf4fb8db496d68d"),
+    (["gauge", "--mode", "EXACT"], "590a9b8c5bbc7e4c4c760c1e4d72aefe2d1ad6d8a61fd7087da4024c4ba6d9ad"),
+    (["verify", "--theorem", "41", "--trials", "0"],
+     "e24cc708e33e0b4e93e243321e27d4bf4b733c09481aed2e844a1a694497c179"),
+    (["verify", "--theorem", "41", "--trials", "2", "--seed", "-5", "--in", "SCENE"],
+     "0fb9bac3c461e69f3ff3ec63cf975482683e3cf140dcf2e69eb03f11ed98ad43"),
+    (["verify", "--theorem", "41", "--trials", "2", "--seed=4", "--in", "SCENE"],
+     "af74dc3eebb1b49ba575303ffa5611c526c8fbdf435166467aaa580a095441bf"),
+    (["render", "--project", "-1,0", "--in", "SCENE"],
+     "fd30f8ad7ae1c852505d5bb890e00ddda845c1e5ca8e8d1411fd1f39685b1be5"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", ARGPARSE_TEXT, ids=[" ".join(a) or "no-arguments" for a, _ in ARGPARSE_TEXT])
+def test_argparse_text_is_pinned(tmp_path, monkeypatch, capsys, argv, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    scene = write_scene(tmp_path, POLY_SCENE)
+    try:
+        code = main([scene if arg == "SCENE" else arg for arg in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    text = f"{code}\n{out}\0{err}".replace(cli._VERSION_LINE, "minksimplex VERSION")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_flag_table_has_no_str_default_with_a_type():
+    # argparse would convert such a default with the type; _read_args would not
+    for flags in cli._FLAGS.values():
+        for flag, kwargs in flags.items():
+            assert not (isinstance(kwargs.get("default"), str) and "type" in kwargs), flag
+
+
+FLAG_TOKENS = sorted({flag for flags in cli._FLAGS.values() for flag in flags})
+ODD_TOKENS = [
+    "--i", "--o", "--mo", "--th", "--t", "--s", "--se", "--st", "--sv", "--p", "--pro",
+    "--seed=4", "--in=x", "--mode=exact", "--theorem=41", "-h", "--help", "--version", "--", "--bogus",
+]
+THEOREM_TOKENS = [*cli.FAMILIES, "45", "r42", "R41"]
+VALUE_TOKENS = [
+    "", "-", "-5", " 7", "+3", "1_0", "٣", "abc", "0", "2", "200", "x.json", "1,0",
+    "exact", "float", "EXACT", "deterministic", "seeded", "Seeded", *THEOREM_TOKENS,
+]
+COMMAND_TOKENS = [*cli._COMMANDS, "frobnicate", "", "-h", "--version", "gau", "Gauge", "--in"]
+
+
+def random_command_line(rng):
+    command = rng.choice(list(cli._COMMANDS)) if rng.random() < 0.9 else rng.choice(COMMAND_TOKENS)
+    own = list(cli._FLAGS.get(command, {}))
+    argv = [command]
+    if command == "verify" and rng.random() < 0.7:
+        argv += ["--theorem", rng.choice(THEOREM_TOKENS)]
+    for _ in range(rng.randrange(5)):
+        if own and rng.random() < 0.8:
+            flag = rng.choice(own)
+        else:
+            flag = rng.choice(FLAG_TOKENS + ODD_TOKENS)
+        argv.append(flag)
+        if rng.random() < 0.95:
+            argv.append(rng.choice(VALUE_TOKENS))
+    if rng.random() < 0.03:
+        rng.shuffle(argv)
+    return argv
+
+
+def test_read_args_agrees_with_argparse(capsys):
+    # whenever the reader takes a command line, argparse takes it too,
+    # prints nothing, and gives the same attributes in the same order
+    rng = random.Random(0)
+    parser = cli._build_parser()
+    taken = 0
+    for _ in range(20_000):
+        argv = random_command_line(rng)
+        args = cli._read_args(argv)
+        if args is None:
+            continue
+        taken += 1
+        expected = parser.parse_args(argv)
+        assert capsys.readouterr() == ("", ""), argv
+        assert list(vars(args).items()) == list(vars(expected).items()), argv
+        assert [type(v) for v in vars(args).values()] == [type(v) for v in vars(expected).values()], argv
+    assert 2_000 < taken < 18_000
 
 
 def test_gauge_without_content_fails(tmp_path):
