@@ -73,9 +73,12 @@ class PolytopeBall(UnitBall):
     Each list is also kept as integer rows over one common denominator
     (the lcm of its points' D), computed once per ball and sorted as the
     points are; gauge and support take their max over integer dot
-    products and divide once.  Nothing writes to a ball after it is
-    built but its cached isoperimetrix, so scenes that spell one ball
-    alike may share it.
+    products and divide once.  Both lists are closed under negation,
+    so in that order row k is minus row -1-k, and a max over the rows
+    reads only their upper half.  Nothing writes to a ball after it is
+    built but its caches (its isoperimetrix, its dual, and the document
+    text that `scene` keeps on it), so scenes that spell one ball alike
+    may share it.
     """
 
     kind = "polytope"
@@ -136,11 +139,11 @@ class PolytopeBall(UnitBall):
         config.check_dim(d)
         config.check_cap("MINKSIMPLEX_MAX_FACETS", len(self.normals), "facets")
         (vrows, s_v), (nrows, s_n) = self._vertex_rows, self._normal_rows
-        vset = set(vrows)
-        if {tuple(-c for c in v) for v in vrows} != vset:
+        # negation maps each sorted list onto itself counting repeats,
+        # so row k is minus row -1-k, which _max_dot relies on
+        if tuple(sorted(tuple(-c for c in v) for v in vrows)) != vrows:
             raise DegenerateInputError("vertex set is not centrally symmetric")
-        nset = set(nrows)
-        if {tuple(-c for c in n) for n in nrows} != nset:
+        if tuple(sorted(tuple(-c for c in n) for n in nrows)) != nrows:
             raise DegenerateInputError("facet set is not centrally symmetric")
         if any(len(row) != d for row in (*vrows, *nrows)):
             raise DimensionError("dimension mismatch")
@@ -149,7 +152,7 @@ class PolytopeBall(UnitBall):
         # gauge(v) = max_k <N_k, V> / (s_n s_v), which is 1 at a vertex
         one = s_n * s_v
         for v, row in zip(self.vertices, vrows):
-            if max(sum(map(mul, n, row)) for n in nrows) != one:
+            if _max_dot(nrows, row) != one:
                 raise DegenerateInputError(f"vertex {v} has gauge {self.gauge(v)} != 1")
 
     # -- operations --------------------------------------------------
@@ -202,7 +205,14 @@ class PolytopeBall(UnitBall):
 
     def dual(self) -> "PolytopeBall":
         """Polar ball: vertices and facet normals trade places."""
-        return PolytopeBall(self.normals, self.vertices, _rows=(self._normal_rows, self._vertex_rows))
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "PolytopeBall":
+        """The polar ball, built once; its own dual is this ball."""
+        polar = PolytopeBall(self.normals, self.vertices, _rows=(self._normal_rows, self._vertex_rows))
+        polar._dual = self
+        return polar
 
     def __eq__(self, other) -> bool:
         return (
@@ -227,8 +237,10 @@ def _sorted_by_rows(points: Sequence[Vec], scaled_rows: tuple) -> tuple:
 
 
 def _max_dot(rows: Sequence, X) -> int:
-    """max of <r, X> over the integer rows r, for ints X."""
-    return max(sum(map(mul, r, X)) for r in rows)
+    """max of <r, X> over a ball's sorted integer rows r, for ints X:
+    row k is minus row -1-k, so it is the largest |<r, X>| over the
+    upper half of the rows."""
+    return max(abs(sum(map(mul, r, X))) for r in rows[len(rows) // 2:])
 
 
 class PNormBall(UnitBall):

@@ -110,6 +110,7 @@ class Scene(FrozenRecord):
 
 
 _NAME = SCENE_SCHEMA["properties"]["points"]["propertyNames"]["pattern"]
+_INT_ONLY = frozenset((int,))
 _BALL_KEY = {"polytope-v": "vertices", "polytope-h": "normals", "pnorm": "p"}
 BALL_CACHE_SIZE = 64
 # one encoder per setting: json.dumps builds a new one for every call
@@ -153,43 +154,56 @@ def _is_number(x, integer: bool = False) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _finite(x, where: str) -> float:
+def _finite(x, where: str, k: Optional[int] = None) -> float:
+    """float(x), which must be finite; the error's location is where,
+    or its coordinate k, where[k]."""
     try:
         f = float(x)
     except OverflowError:
         f = math.inf
     if not math.isfinite(f):
-        raise SceneError("number must be finite and within float range", where)
+        raise SceneError("number must be finite and within float range", where if k is None else f"{where}[{k}]")
     return f
 
 
-def _scalar(x, smooth: bool, where: str):
-    """A coordinate: a JSON number or a 'p/q' string.  A float when the
-    ball is smooth, else the int pair (p, q), q > 0."""
+def _scalar(x, smooth: bool, where: str, k: int):
+    """Coordinate k of the vector at where: a JSON number or a 'p/q'
+    string.  A float when the ball is smooth, else the int pair (p, q),
+    q > 0.  Its location, where[k], is written only into an error."""
     if isinstance(x, str):
-        if not re.search(_RATIONAL, x):
-            raise SceneError(f"bad rational literal {x!r}", where)
-        num, _, den = x.partition("/")
+        num, slash, den = x.partition("/")
+        # ASCII digits, an optional leading '-' and a denominator not
+        # starting with 0 match _RATIONAL; any other literal is matched
+        # against _RATIONAL itself, the one judge of a bad literal ('$'
+        # also admits a final newline)
+        whole = num[1:] if num[:1] == "-" else num
+        plain = x.isascii() and whole.isdigit() and (not slash or den.isdigit() and den[0] != "0")
+        if not plain and not re.search(_RATIONAL, x):
+            raise SceneError(f"bad rational literal {x!r}", f"{where}[{k}]")
         try:
             x = (int(num), int(den or 1))
         except ValueError as exc:  # more digits than int() converts
-            raise SceneError(str(exc), where)
+            raise SceneError(str(exc), f"{where}[{k}]")
     elif not _is_number(x):
-        raise SceneError("coordinate must be a number or 'p/q' string", where)
+        raise SceneError("coordinate must be a number or 'p/q' string", f"{where}[{k}]")
     elif isinstance(x, int):
         x = (x, 1)
     elif not smooth:
-        raise SceneError("float coordinates are only allowed with pnorm balls", where)
+        raise SceneError("float coordinates are only allowed with pnorm balls", f"{where}[{k}]")
     else:
-        return _finite(x, where)
-    return _finite(Rat(*x), where) if smooth else x
+        return _finite(x, where, k)
+    return _finite(Rat(*x), where, k) if smooth else x
 
 
-def _vector(arr, dim: int, smooth: bool, where: str) -> Vec:
-    coords = [
-        _scalar(c, smooth, f"{where}[{k}]")
-        for k, c in enumerate(_array(arr, where, 2, 4))
-    ]
+def _vector(arr, dim: int, smooth: bool, where: str, key) -> Vec:
+    """The vector at where[key], or where.key for a point's name.  An
+    exact vector of dim JSON ints passes every check below, so it is
+    read whole; any other takes the checks, coordinate by coordinate,
+    and its location is written only then."""
+    if not smooth and arr.__class__ is list and len(arr) == dim and {*map(type, arr)} == _INT_ONLY:
+        return ExactVec.of_ints(arr, 1)
+    where = f"{where}.{key}" if isinstance(key, str) else f"{where}[{key}]"
+    coords = [_scalar(c, smooth, where, k) for k, c in enumerate(_array(arr, where, 2, 4))]
     if len(coords) != dim:
         raise SceneError(f"expected {dim} coordinates, got {len(coords)}", where)
     return Vec(coords) if smooth else ExactVec.of_ratios(coords)
@@ -228,10 +242,7 @@ def _polytope_ball(doc: dict, dim: int) -> PolytopeBall:
     kind = doc["type"]
     key = _BALL_KEY[kind]
     where = f"$.ball.{key}"
-    rows = [
-        _vector(v, dim, False, f"{where}[{k}]")
-        for k, v in enumerate(_array(doc[key], where, 3))
-    ]
+    rows = [_vector(v, dim, False, where, k) for k, v in enumerate(_array(doc[key], where, 3))]
     if kind == "polytope-v":
         return PolytopeBall.from_vertices(rows)
     return PolytopeBall.from_halfspaces([Hyperplane(n, Rat(1)) for n in rows])
@@ -256,7 +267,7 @@ def scene_from_dict(doc: dict) -> Scene:
     simplex = None
     if "simplex" in doc:
         rows = _array(doc["simplex"], "$.simplex", 3, 5)
-        verts = [_vector(v, dim, smooth, f"$.simplex[{k}]") for k, v in enumerate(rows)]
+        verts = [_vector(v, dim, smooth, "$.simplex", k) for k, v in enumerate(rows)]
         if len(verts) != dim + 1:
             raise SceneError(f"simplex needs {dim + 1} vertices", "$.simplex")
         try:
@@ -268,7 +279,7 @@ def scene_from_dict(doc: dict) -> Scene:
         if not re.search(_NAME, name):
             raise SceneError(f"{name!r} does not match {_NAME!r}", "$.points")
     return Scene(dim, ball, simplex, {
-        name: _vector(arr, dim, smooth, f"$.points.{name}")
+        name: _vector(arr, dim, smooth, "$.points", name)
         for name, arr in sorted(points.items())
     })
 
@@ -304,6 +315,7 @@ def vec_to_json(v: Vec) -> list:
 
 
 def ball_to_json(ball: UnitBall) -> dict:
+    """The ball's mirror in a document; the one place its keys are set."""
     if ball.mode == EXACT:
         return {
             "type": "polytope-v",
@@ -313,7 +325,11 @@ def ball_to_json(ball: UnitBall) -> dict:
 
 
 def scene_to_dict(scene: Scene) -> dict:
-    out = {"dimension": scene.dimension, "ball": ball_to_json(scene.ball)}
+    return _scene_json(scene, ball_to_json(scene.ball))
+
+
+def _scene_json(scene: Scene, ball) -> dict:
+    out = {"dimension": scene.dimension, "ball": ball}
     if scene.simplex is not None:
         out["simplex"] = [vec_to_json(v) for v in scene.simplex.vertices]
     if scene.points:
@@ -322,17 +338,43 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def result_document(command: str, scene: Scene, payload: dict, version: str) -> dict:
-    doc = {"version": version, "command": command, "scene": scene_to_dict(scene)}
+    """The document dumps_document writes; an exact ball's mirror in it
+    is text that _write_json has already laid out (see _ball_text)."""
+    doc = {"version": version, "command": command, "scene": _scene_json(scene, _ball_text(scene.ball))}
     doc.update(payload)
     return doc
 
 
-# json's text of each scalar type it writes directly; _strict_json
-# writes any other leaf, and raises ValueError for inf and nan
+class _Written(str):
+    """JSON text that _write_json copies as it stands."""
+
+
+# the pad of a result document's ball: document -> "scene" -> "ball"
+_BALL_PAD = "    "
+
+
+def _ball_text(ball: UnitBall):
+    """An exact ball's mirror as _write_json lays it out at _BALL_PAD,
+    written once per ball object and kept on the ball, so every later
+    document of a cached ball copies it; a pnorm ball's mirror as data."""
+    if ball.mode != EXACT:
+        return ball_to_json(ball)
+    text = ball.__dict__.get("_document_text")
+    if text is None:
+        out: list = []
+        _write_json(ball_to_json(ball), _BALL_PAD, out)
+        text = ball._document_text = _Written("".join(out))
+    return text
+
+
+# json's text of each scalar type it writes directly, and a _Written
+# text as it stands; _strict_json writes any other leaf, and raises
+# ValueError for inf and nan
 _json_str = json.encoder.encode_basestring_ascii
 _SCALAR_JSON = {
     str: _json_str, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null",
     float: lambda x: float.__repr__(x) if math.isfinite(x) else _strict_json(x),
+    _Written: lambda text: text,
 }
 
 

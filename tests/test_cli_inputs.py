@@ -46,6 +46,67 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys, argv, scene, where):
     assert err.startswith(f"error: {where}: ")
 
 
+SQUARE = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
+EXACT = {"dimension": 2, "ball": {"type": "polytope-v", "vertices": SQUARE}, "simplex": [[0, 0], [4, 0], [0, 3]], "points": {"M": [2, 1]}}
+LONG = "1" * 5000  # past the interpreter's integer-string limit
+try:
+    int(LONG)
+    TOO_LONG = None
+except ValueError as exc:
+    TOO_LONG = str(exc)
+
+
+def with_coordinate(where, value):
+    """EXACT with value as the second coordinate of a ball row, of a
+    simplex vertex or of a named point."""
+    doc = json.loads(json.dumps(EXACT))
+    row = {"ball": doc["ball"]["vertices"][2], "simplex": doc["simplex"][1], "point": doc["points"]["M"]}[where]
+    row[1] = value
+    return doc
+
+
+PLACES = {"ball": "$.ball.vertices[2][1]", "simplex": "$.simplex[1][1]", "point": "$.points.M[1]"}
+BAD_COORDINATES = {
+    "literal": ("1/0", "bad rational literal '1/0'"),
+    "float": (0.5, "float coordinates are only allowed with pnorm balls"),
+    "bool": (True, "coordinate must be a number or 'p/q' string"),
+    "long": (LONG, TOO_LONG),
+    "long-denominator": (f"1/{LONG}", TOO_LONG),
+}
+
+
+# the reader's error paths, each with the whole line it prints; where
+# one vector holds several faults, the first coordinate's comes first,
+# and any coordinate's before a wrong coordinate count
+@pytest.mark.parametrize("doc, line", [
+    *(pytest.param(with_coordinate(where, value), f"error: {path}: {message}\n", id=f"{kind}-{where}",
+                   marks=pytest.mark.skipif(message is None, reason="no int digit limit"))
+      for kind, (value, message) in BAD_COORDINATES.items() for where, path in PLACES.items()),
+    pytest.param({"dimension": 2, "ball": {"type": "polytope-h", "normals": [[1, 0], [-1, 0], [0, True], [0, -1]]}},
+                 "error: $.ball.normals[2][1]: coordinate must be a number or 'p/q' string\n", id="bool-normal"),
+    pytest.param({**EXACT, "simplex": [[0, 0], [True, "x"], [0, 3]]},
+                 "error: $.simplex[1][0]: coordinate must be a number or 'p/q' string\n", id="first-of-two"),
+    pytest.param({**EXACT, "points": {"M": [1, 2, 0.5]}},
+                 "error: $.points.M[2]: float coordinates are only allowed with pnorm balls\n", id="float-before-count"),
+    pytest.param({**EXACT, "points": {"M": [1, 2, 3]}}, "error: $.points.M: expected 2 coordinates, got 3\n", id="int-count"),
+    pytest.param({**EXACT, "ball": {"type": "polytope-v", "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1, 0]]}},
+                 "error: $.ball.vertices[3]: expected 2 coordinates, got 3\n", id="ball-count"),
+    pytest.param({**EXACT, "simplex": [[0, 0], [4], [0, 3]]}, "error: $.simplex[1]: expected 2 to 4 items, got 1\n", id="short-row"),
+    pytest.param({**EXACT, "points": {"M": "12"}}, "error: $.points.M: expected an array\n", id="not-an-array"),
+    pytest.param({**PNORM, "points": {"M": [1, "1/0"]}}, "error: $.points.M[1]: bad rational literal '1/0'\n", id="literal-pnorm"),
+    pytest.param({**PNORM, "points": {"M": [1, False]}},
+                 "error: $.points.M[1]: coordinate must be a number or 'p/q' string\n", id="bool-pnorm"),
+])
+def test_reader_errors_exit_1_with_their_line(tmp_path, capsys, doc, line):
+    assert run(tmp_path, capsys, ["gauge"], json.dumps(doc)) == (1, line)
+
+
+@pytest.mark.skipif(TOO_LONG is None, reason="no int digit limit")
+def test_too_long_int_literal_exits_1_with_its_line(tmp_path, capsys):
+    text = json.dumps(EXACT).replace('"M": [2, 1]', f'"M": [2, {LONG}]')
+    assert run(tmp_path, capsys, ["gauge"], text) == (1, f"error: $: {TOO_LONG}\n")
+
+
 def test_exact_lane_keeps_big_integers(tmp_path, capsys):
     big = 10**400
     scene = {

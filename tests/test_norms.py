@@ -7,6 +7,7 @@ the float tolerances from config.
 import itertools
 import math
 import random
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -38,7 +39,10 @@ from minksimplex.norms import (
 )
 from minksimplex.scalars import Rat
 
-from conftest import CROSSPOLYTOPE, CUBE, DIAMOND, HEXAGON, OCTAHEDRON, SQUARE, vec, fvec
+from conftest import (
+    CROSSPOLYTOPE, CUBE, DIAMOND, HEXAGON, OCTAHEDRON, SQUARE, fvec,
+    random_symmetric_polygon, random_symmetric_polytope_3d, vec,
+)
 
 EXACT_BALLS = [SQUARE, DIAMOND, HEXAGON, CUBE, OCTAHEDRON, CROSSPOLYTOPE]
 
@@ -183,6 +187,44 @@ def test_duality_square_diamond():
     assert SQUARE.dual() == DIAMOND
     assert DIAMOND.dual() == SQUARE
     assert CUBE.dual() == OCTAHEDRON
+
+
+def test_dual_is_built_once_and_involutive():
+    for ball in EXACT_BALLS:
+        polar = ball.dual()
+        assert ball.dual() is polar and polar.dual() is ball
+
+
+def seeded_balls(rng):
+    """from_vertices and from_halfspaces balls in 2-4D, their duals and
+    the isoperimetrices of the planar ones."""
+    balls = [*EXACT_BALLS, random_symmetric_polygon(rng), random_symmetric_polytope_3d(rng)]
+    balls += [PolytopeBall.from_halfspaces([Hyperplane(n, Rat(1)) for n in b.vertices]) for b in list(balls)]
+    balls += [b.dual() for b in list(balls)]
+    balls += [isoperimetrix(b) for b in balls if b.dim == 2]
+    return balls
+
+
+def test_sorted_rows_are_closed_under_negation(rng):
+    for ball in seeded_balls(rng):
+        for rows, _ in (ball._vertex_rows, ball._normal_rows):
+            assert len(rows) % 2 == 0
+            assert all(rows[k] == tuple(-c for c in rows[-1 - k]) for k in range(len(rows))), ball
+
+
+def test_max_dot_over_half_the_rows_is_the_full_max(rng):
+    for ball in seeded_balls(rng):
+        for rows, _ in (ball._vertex_rows, ball._normal_rows):
+            for _ in range(20):
+                X = [rng.randint(-50, 50) for _ in range(ball.dim)]
+                assert norms._max_dot(rows, X) == max(sum(map(mul, r, X)) for r in rows)
+
+
+def test_a_repeated_vertex_needs_its_negative_repeated():
+    square = [vec(1, 1), vec(-1, 1), vec(-1, -1), vec(1, -1)]
+    with pytest.raises(DegenerateInputError, match="vertex set is not centrally symmetric"):
+        PolytopeBall([*square, vec(1, 1), vec(1, 1)], SQUARE.normals)
+    assert PolytopeBall([*square, vec(1, 1), vec(-1, -1)], SQUARE.normals).gauge(vec(3, 1)) == 3
 
 
 def test_isoperimetrix_planar():

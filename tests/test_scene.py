@@ -1,17 +1,21 @@
 """Scene parsing, validation paths, and document serialization."""
 
+import itertools
 import json
 import math
+import random
+import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minksimplex import config
 from minksimplex import scene as scene_module
 from minksimplex.errors import MinksimplexError
 from minksimplex.scene import (
+    _RATIONAL,
     BALL_CACHE_SIZE,
     Scene,
     SceneError,
@@ -225,6 +229,63 @@ def test_dumps_document_is_valid_json():
     parsed = json.loads(dumps_document(doc))
     assert parsed["scene"]["ball"]["type"] == "polytope-v"
     assert parsed["nested"] == [{"a": 1}]
+
+
+BOXES = {
+    d: {"type": "polytope-v", "vertices": [list(v) for v in itertools.product((1, -1), repeat=d)]}
+    for d in (2, 3, 4)
+}
+
+
+def test_int_vectors_read_whole_equal_their_checked_spelling():
+    # JSON ints take the whole-vector read; the same numbers spelled as
+    # strings take the coordinate checks, and both give one vector
+    rng = random.Random(43)
+    for _ in range(300):
+        dim = rng.randint(2, 4)
+        ints = [rng.randint(-10 ** rng.randint(0, 30), 10 ** rng.randint(0, 30)) for _ in range(dim)]
+        whole, checked = (
+            scene_from_dict({"dimension": dim, "ball": BOXES[dim], "points": {"P": coords}}).points["P"]
+            for coords in (ints, [str(c) for c in ints])
+        )
+        assert whole == checked and (whole.X, whole.D) == (checked.X, checked.D) == (tuple(ints), 1)
+
+
+@given(st.one_of(st.from_regex(_RATIONAL), st.text(alphabet="0123456789-/+_ \n\u0661\u00b2a", max_size=7)))
+@example("12\n")
+@example("-1/20\n")
+@settings(max_examples=400, deadline=None)
+def test_rational_literals_read_as_the_pattern_judges_them(literal):
+    # the reference: _RATIONAL decides, then int() converts each part
+    doc = {"dimension": 2, "ball": GOOD_POLY["ball"], "points": {"P": [literal, 0]}}
+    if re.search(_RATIONAL, literal):
+        num, _, den = literal.partition("/")
+        assert scene_from_dict(doc).points["P"] == vec(Rat(int(num), int(den or 1)), 0)
+    else:
+        assert str(err(doc)) == f"$.points.P[0]: bad rational literal {literal!r}"
+
+
+def test_result_document_splices_the_ball_text_as_the_data_lays_it_out():
+    for doc in (GOOD_POLY, GOOD_PNORM, {"dimension": 3, "ball": BOXES[3], "points": {"X": [1, "1/2", -3]}}):
+        scene = scene_from_dict(doc)
+        plain = {"version": "v", "command": "gauge", "scene": scene_to_dict(scene), "x": 1}
+        for _ in range(2):
+            assert dumps_document(result_document("gauge", scene, {"x": 1}, "v")) == dumps_document(plain)
+
+
+def test_an_exact_ball_prints_its_vertices_once(monkeypatch):
+    calls = []
+    original = scene_module.vec_to_json
+    monkeypatch.setattr(scene_module, "vec_to_json", lambda v: calls.append(v) or original(v))
+    texts = []
+    for _ in range(3):
+        scene = parse_scene(json.dumps(GOOD_POLY))
+        texts.append(dumps_document(result_document("gauge", scene, {}, "v")))
+    # the first document prints 4 ball vertices, 3 simplex vertices and
+    # 2 points; the next two copy the ball's text
+    assert len(calls) == (4 + 3 + 2) + 2 * (3 + 2) and texts[0] == texts[1] == texts[2]
+    # scene_to_dict still gives the ball as data
+    assert scene_to_dict(scene)["ball"]["vertices"] == [original(v) for v in scene.ball.vertices]
 
 
 # -- the ball cache ---------------------------------------------------
