@@ -110,7 +110,6 @@ class Scene(FrozenRecord):
 
 
 _NAME = SCENE_SCHEMA["properties"]["points"]["propertyNames"]["pattern"]
-_INT_ONLY = frozenset((int,))
 _BALL_KEY = {"polytope-v": "vertices", "polytope-h": "normals", "pnorm": "p"}
 BALL_CACHE_SIZE = 64
 # one encoder per setting: json.dumps builds a new one for every call
@@ -171,15 +170,9 @@ def _scalar(x, smooth: bool, where: str, k: int):
     string.  A float when the ball is smooth, else the int pair (p, q),
     q > 0.  Its location, where[k], is written only into an error."""
     if isinstance(x, str):
-        num, slash, den = x.partition("/")
-        # ASCII digits, an optional leading '-' and a denominator not
-        # starting with 0 match _RATIONAL; any other literal is matched
-        # against _RATIONAL itself, the one judge of a bad literal ('$'
-        # also admits a final newline)
-        whole = num[1:] if num[:1] == "-" else num
-        plain = x.isascii() and whole.isdigit() and (not slash or den.isdigit() and den[0] != "0")
-        if not plain and not re.search(_RATIONAL, x):
+        if not re.search(_RATIONAL, x):
             raise SceneError(f"bad rational literal {x!r}", f"{where}[{k}]")
+        num, _, den = x.partition("/")
         try:
             x = (int(num), int(den or 1))
         except ValueError as exc:  # more digits than int() converts
@@ -195,14 +188,7 @@ def _scalar(x, smooth: bool, where: str, k: int):
     return _finite(Rat(*x), where, k) if smooth else x
 
 
-def _vector(arr, dim: int, smooth: bool, where: str, key) -> Vec:
-    """The vector at where[key], or where.key for a point's name.  An
-    exact vector of dim JSON ints passes every check below, so it is
-    read whole; any other takes the checks, coordinate by coordinate,
-    and its location is written only then."""
-    if not smooth and arr.__class__ is list and len(arr) == dim and {*map(type, arr)} == _INT_ONLY:
-        return ExactVec.of_ints(arr, 1)
-    where = f"{where}.{key}" if isinstance(key, str) else f"{where}[{key}]"
+def _vector(arr, dim: int, smooth: bool, where: str) -> Vec:
     coords = [_scalar(c, smooth, where, k) for k, c in enumerate(_array(arr, where, 2, 4))]
     if len(coords) != dim:
         raise SceneError(f"expected {dim} coordinates, got {len(coords)}", where)
@@ -242,7 +228,10 @@ def _polytope_ball(doc: dict, dim: int) -> PolytopeBall:
     kind = doc["type"]
     key = _BALL_KEY[kind]
     where = f"$.ball.{key}"
-    rows = [_vector(v, dim, False, where, k) for k, v in enumerate(_array(doc[key], where, 3))]
+    rows = [
+        _vector(v, dim, False, f"{where}[{k}]")
+        for k, v in enumerate(_array(doc[key], where, 3))
+    ]
     if kind == "polytope-v":
         return PolytopeBall.from_vertices(rows)
     return PolytopeBall.from_halfspaces([Hyperplane(n, Rat(1)) for n in rows])
@@ -267,7 +256,7 @@ def scene_from_dict(doc: dict) -> Scene:
     simplex = None
     if "simplex" in doc:
         rows = _array(doc["simplex"], "$.simplex", 3, 5)
-        verts = [_vector(v, dim, smooth, "$.simplex", k) for k, v in enumerate(rows)]
+        verts = [_vector(v, dim, smooth, f"$.simplex[{k}]") for k, v in enumerate(rows)]
         if len(verts) != dim + 1:
             raise SceneError(f"simplex needs {dim + 1} vertices", "$.simplex")
         try:
@@ -279,7 +268,7 @@ def scene_from_dict(doc: dict) -> Scene:
         if not re.search(_NAME, name):
             raise SceneError(f"{name!r} does not match {_NAME!r}", "$.points")
     return Scene(dim, ball, simplex, {
-        name: _vector(arr, dim, smooth, "$.points", name)
+        name: _vector(arr, dim, smooth, f"$.points.{name}")
         for name, arr in sorted(points.items())
     })
 
@@ -338,43 +327,41 @@ def _scene_json(scene: Scene, ball) -> dict:
 
 
 def result_document(command: str, scene: Scene, payload: dict, version: str) -> dict:
-    """The document dumps_document writes; an exact ball's mirror in it
-    is text that _write_json has already laid out (see _ball_text)."""
-    doc = {"version": version, "command": command, "scene": _scene_json(scene, _ball_text(scene.ball))}
+    """The document dumps_document writes.  An exact ball's mirror in it
+    is the ball's own (see _mirror), shared by every document of the
+    ball: read it, do not change it."""
+    doc = {"version": version, "command": command, "scene": _scene_json(scene, _mirror(scene.ball))}
     doc.update(payload)
     return doc
 
 
-class _Written(str):
-    """JSON text that _write_json copies as it stands."""
+class _Mirror(dict):
+    """An exact ball's mirror as plain JSON data, and its text as
+    _write_json last laid it out at pad, copied into each later
+    document that holds the mirror at the same pad."""
+
+    __slots__ = ("pad", "text")
 
 
-# the pad of a result document's ball: document -> "scene" -> "ball"
-_BALL_PAD = "    "
-
-
-def _ball_text(ball: UnitBall):
-    """An exact ball's mirror as _write_json lays it out at _BALL_PAD,
-    written once per ball object and kept on the ball, so every later
-    document of a cached ball copies it; a pnorm ball's mirror as data."""
+def _mirror(ball: UnitBall) -> dict:
+    """ball_to_json(ball), built once per exact ball object and kept on
+    the ball, so every document of a cached ball shares it and its
+    text; a pnorm ball's mirror is built anew."""
     if ball.mode != EXACT:
         return ball_to_json(ball)
-    text = ball.__dict__.get("_document_text")
-    if text is None:
-        out: list = []
-        _write_json(ball_to_json(ball), _BALL_PAD, out)
-        text = ball._document_text = _Written("".join(out))
-    return text
+    mirror = ball.__dict__.get("_document_mirror")
+    if mirror is None:
+        mirror = ball._document_mirror = _Mirror(ball_to_json(ball))
+        mirror.pad = None
+    return mirror
 
 
-# json's text of each scalar type it writes directly, and a _Written
-# text as it stands; _strict_json writes any other leaf, and raises
-# ValueError for inf and nan
+# json's text of each scalar type it writes directly; _strict_json
+# writes any other leaf, and raises ValueError for inf and nan
 _json_str = json.encoder.encode_basestring_ascii
 _SCALAR_JSON = {
     str: _json_str, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null",
     float: lambda x: float.__repr__(x) if math.isfinite(x) else _strict_json(x),
-    _Written: lambda text: text,
 }
 
 
@@ -391,6 +378,13 @@ def _write_json(obj, pad: str, out: list) -> None:
     """Append obj's text to out: dicts and lists that hold a dict or a
     list get one member per line, indented past pad."""
     if isinstance(obj, dict):
+        if obj.__class__ is _Mirror:
+            if obj.pad != pad:
+                text: list = []
+                _write_json(dict(obj), pad, text)
+                obj.pad, obj.text = pad, "".join(text)
+            out.append(obj.text)
+            return
         if not obj:
             out.append("{}")
             return

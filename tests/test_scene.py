@@ -3,7 +3,6 @@
 import itertools
 import json
 import math
-import random
 import re
 import sys
 
@@ -237,20 +236,6 @@ BOXES = {
 }
 
 
-def test_int_vectors_read_whole_equal_their_checked_spelling():
-    # JSON ints take the whole-vector read; the same numbers spelled as
-    # strings take the coordinate checks, and both give one vector
-    rng = random.Random(43)
-    for _ in range(300):
-        dim = rng.randint(2, 4)
-        ints = [rng.randint(-10 ** rng.randint(0, 30), 10 ** rng.randint(0, 30)) for _ in range(dim)]
-        whole, checked = (
-            scene_from_dict({"dimension": dim, "ball": BOXES[dim], "points": {"P": coords}}).points["P"]
-            for coords in (ints, [str(c) for c in ints])
-        )
-        assert whole == checked and (whole.X, whole.D) == (checked.X, checked.D) == (tuple(ints), 1)
-
-
 @given(st.one_of(st.from_regex(_RATIONAL), st.text(alphabet="0123456789-/+_ \n\u0661\u00b2a", max_size=7)))
 @example("12\n")
 @example("-1/20\n")
@@ -265,12 +250,18 @@ def test_rational_literals_read_as_the_pattern_judges_them(literal):
         assert str(err(doc)) == f"$.points.P[0]: bad rational literal {literal!r}"
 
 
-def test_result_document_splices_the_ball_text_as_the_data_lays_it_out():
+def test_result_document_writes_the_ball_text_as_the_data_lays_it_out():
     for doc in (GOOD_POLY, GOOD_PNORM, {"dimension": 3, "ball": BOXES[3], "points": {"X": [1, "1/2", -3]}}):
         scene = scene_from_dict(doc)
         plain = {"version": "v", "command": "gauge", "scene": scene_to_dict(scene), "x": 1}
         for _ in range(2):
-            assert dumps_document(result_document("gauge", scene, {"x": 1}, "v")) == dumps_document(plain)
+            result = result_document("gauge", scene, {"x": 1}, "v")
+            assert result == plain and json.dumps(result) == json.dumps(plain)
+            assert dumps_document(result) == dumps_document(plain)
+        # the mirror's text is laid out at the pad where it is written
+        mirror = result["scene"]["ball"]
+        for nested in ({"ball": mirror}, {"a": [{"b": mirror}], "c": mirror}, {"scene": {"ball": mirror}}):
+            assert dumps_document(nested) == dumps_document(json.loads(json.dumps(nested)))
 
 
 def test_an_exact_ball_prints_its_vertices_once(monkeypatch):
