@@ -41,13 +41,14 @@ import itertools
 import math
 import random
 import struct
-from operator import and_, mul
+from math import copysign
+from operator import add, and_, mul
 from typing import Callable, Optional
 
 from . import config
 from .errors import DegenerateInputError, DimensionError, FrozenRecord, MixedModeError, VerificationError
 from .feasibility import FeasibilityProblem, Ineq, feasible
-from .linalg import ExactVec, Vec, bareiss, cross2, ratio, solve_linear, zero_vec
+from .linalg import ExactVec, Vec, _square_solve, bareiss, cross2, ratio, solve_linear, zero_vec
 from .norms import Ball, PNormBall, PolytopeBall, UnitBall, line_interval, lp_gradient, lp_norm
 from .polytopes import _polar_kernel
 from .scalars import EXACT, Rat
@@ -194,6 +195,112 @@ _N_STEPS = 80  # Newton iterations per start
 # quadratic convergence from EPS_MERGE reaches 1e-16 in three steps, and
 # one more iteration runs the residual test
 _MERGE_RESERVE = 4
+_INF = math.inf
+
+
+def _newton_pass(A: list, m: list, p: float, collapse: float, eps: float) -> Optional[tuple]:
+    """One Newton step's gauges and rows at m, for any dimension: None
+    when a vertex gauge is below `collapse` or 0 (m is on a vertex),
+    (g, None) when the gauges agree to `eps` times the largest, else
+    (g, aug) with aug the [coeffs | rhs] tuples of the step's system.
+    Row i is d(g_i - g_0)/dm = grad(A_0 - m) - grad(A_i - m), divided
+    with its residual by its largest |entry|: on a flat gauge (large p)
+    a row can shrink under the solve's relative zero test while the
+    system is still regular."""
+    diffs = [[a - c for a, c in zip(vertex, m)] for vertex in A]
+    g = [lp_norm(x, p) for x in diffs]
+    if min(g) < collapse or 0.0 in g:
+        return None
+    f = [gi - g[0] for gi in g[1:]]
+    if max(map(abs, f)) <= eps * max(g):
+        return g, None
+    grads = [lp_gradient(x, p, gi) for x, gi in zip(diffs, g)]
+    aug = []
+    for grad, fi in zip(grads[1:], f):
+        row = [b - a for a, b in zip(grad, grads[0])]
+        big = max(map(abs, row)) or 1.0
+        aug.append((*(c / big for c in row), -fi / big))
+    return g, aug
+
+
+def _newton_pass_2(A: list, m: list, p: float, collapse: float, eps: float) -> Optional[tuple]:
+    """_newton_pass in the plane, unrolled: one pass per vertex takes
+    x = A_i - m, |x| and the gauge with lp_norm's operations in its
+    order, and the rows take lp_gradient's entries from the kept x and
+    |x|, so every value has the general pass's bits."""
+    m0, m1 = m
+    q, inv = p - 1.0, 1.0 / p
+    parts, g = [], []
+    for a0, a1 in A:
+        x0 = a0 - m0
+        x1 = a1 - m1
+        y0 = abs(x0)
+        y1 = abs(x1)
+        big = y1 if y1 > y0 else y0  # max(y0, y1), NaN included
+        gi = big * (0.0 + (y0 / big) ** p + (y1 / big) ** p) ** inv if 0.0 < big < _INF else big
+        parts.append((x0, x1, y0, y1, gi))
+        g.append(gi)
+    g0, g1, g2 = g
+    if min(g) < collapse or not (g0 and g1 and g2):
+        return None
+    if max(abs(g1 - g0), abs(g2 - g0)) <= eps * max(g):
+        return g, None
+    x0, x1, y0, y1, _ = parts[0]
+    b0 = copysign((y0 / g0) ** q, x0)
+    b1 = copysign((y1 / g0) ** q, x1)
+    aug = []
+    for k in (1, 2):
+        x0, x1, y0, y1, gi = parts[k]
+        r0 = b0 - copysign((y0 / gi) ** q, x0)
+        r1 = b1 - copysign((y1 / gi) ** q, x1)
+        big = max(abs(r0), abs(r1)) or 1.0
+        aug.append((r0 / big, r1 / big, -(gi - g0) / big))
+    return g, aug
+
+
+def _newton_pass_3(A: list, m: list, p: float, collapse: float, eps: float) -> Optional[tuple]:
+    """_newton_pass in space, unrolled as _newton_pass_2 is."""
+    m0, m1, m2 = m
+    q, inv = p - 1.0, 1.0 / p
+    parts, g = [], []
+    for a0, a1, a2 in A:
+        x0 = a0 - m0
+        x1 = a1 - m1
+        x2 = a2 - m2
+        y0 = abs(x0)
+        y1 = abs(x1)
+        y2 = abs(x2)
+        big = y1 if y1 > y0 else y0  # max(y0, y1, y2), NaN included
+        if y2 > big:
+            big = y2
+        gi = (big * (0.0 + (y0 / big) ** p + (y1 / big) ** p + (y2 / big) ** p) ** inv
+              if 0.0 < big < _INF else big)
+        parts.append((x0, x1, x2, y0, y1, y2, gi))
+        g.append(gi)
+    g0, g1, g2, g3 = g
+    if min(g) < collapse or not (g0 and g1 and g2 and g3):
+        return None
+    if max(abs(g1 - g0), abs(g2 - g0), abs(g3 - g0)) <= eps * max(g):
+        return g, None
+    x0, x1, x2, y0, y1, y2, _ = parts[0]
+    b0 = copysign((y0 / g0) ** q, x0)
+    b1 = copysign((y1 / g0) ** q, x1)
+    b2 = copysign((y2 / g0) ** q, x2)
+    aug = []
+    for k in (1, 2, 3):
+        x0, x1, x2, y0, y1, y2, gi = parts[k]
+        r0 = b0 - copysign((y0 / gi) ** q, x0)
+        r1 = b1 - copysign((y1 / gi) ** q, x1)
+        r2 = b2 - copysign((y2 / gi) ** q, x2)
+        big = max(abs(r0), abs(r1), abs(r2)) or 1.0
+        aug.append((r0 / big, r1 / big, r2 / big, -(gi - g0) / big))
+    return g, aug
+
+
+def _solve_rows(aug: list, n: int) -> Optional[tuple]:
+    """The point of the float rows aug by solve_linear, when unique."""
+    sol = solve_linear([row[:n] for row in aug], [row[n] for row in aug])
+    return sol.point if sol.status == "unique" else None
 
 
 def smooth_circumcenters(simplex: Simplex, ball: PNormBall, *, first: bool = False) -> CircumcenterSet:
@@ -213,6 +320,12 @@ def smooth_circumcenters(simplex: Simplex, ball: PNormBall, *, first: bool = Fal
     while len(starts) < _N_STARTS:
         starts.append([c + rng.uniform(-0.8, 0.8) * scale for c in centroid])
 
+    # a 2D or 3D step takes one unrolled pass and the unrolled square
+    # solve, which give the general pass's and solve_linear's bits
+    newton_pass = _newton_pass_2 if d == 2 else _newton_pass_3 if d == 3 else _newton_pass
+    solve = _square_solve if d in (2, 3) else _solve_rows
+    pack = struct.Struct(f"{d}d").pack
+    collapse, eps, limit = config.EPS_COLLAPSE * scale, config.EPS_ABS, 2.0 * scale
     rho = config.EPS_MERGE * scale
     solutions = []
     failures = 0
@@ -222,43 +335,29 @@ def smooth_circumcenters(simplex: Simplex, ball: PNormBall, *, first: bool = Fal
         # bit makes the start periodic: it can never pass the residual test
         seen = set()
         for it in range(_N_STEPS):
-            if _N_STEPS - it >= _MERGE_RESERVE and any(
+            if solutions and _N_STEPS - it >= _MERGE_RESERVE and any(
                 math.dist(known, m) <= rho for known, _ in solutions
             ):
                 found = True  # converges to a center already found
                 break
-            bits = struct.pack(f"{d}d", *m)
+            bits = pack(*m)
             if bits in seen:
                 break
             seen.add(bits)
-            diffs = [[a - c for a, c in zip(vertex, m)] for vertex in A]
-            g = [lp_norm(x, p) for x in diffs]
-            if min(g) < config.EPS_COLLAPSE * scale:
+            out = newton_pass(A, m, p, collapse, eps)
+            if out is None:
                 break  # collapsed onto a vertex
-            f = [gi - g[0] for gi in g[1:]]
-            if max(map(abs, f)) <= config.EPS_ABS * max(g):
+            g, aug = out
+            if aug is None:
                 ok = True
                 break
-            # row i: d(g_i - g_0)/dm = grad(A_0 - m) - grad(A_i - m),
-            # divided with its residual by its largest |entry|: on a flat
-            # gauge (large p) a row can shrink under solve_linear's
-            # relative zero test while the system is still regular
-            grads = [lp_gradient(x, p, gi) for x, gi in zip(diffs, g)]
-            rows, rhs = [], []
-            for grad, fi in zip(grads[1:], f):
-                row = [b - a for a, b in zip(grad, grads[0])]
-                big = max(map(abs, row)) or 1.0
-                rows.append([c / big for c in row])
-                rhs.append(-fi / big)
-            sol = solve_linear(rows, rhs)
-            if sol.status != "unique":
+            step = solve(aug, d)
+            if step is None:  # no unique step
                 break
-            step = sol.point
-            limit = 2.0 * scale
             norm = math.hypot(*step)
             if norm > limit:
                 step = [s * (limit / norm) for s in step]
-            m = [c + s for c, s in zip(m, step)]
+            m = [*map(add, m, step)]
         if found:
             continue
         if not ok:

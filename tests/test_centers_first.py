@@ -95,13 +95,13 @@ def test_polytopal_enumeration_ignores_the_flag(instance):
 
 @pytest.mark.parametrize("command, solves", [("centers", 5), ("circumcenters", 33)])
 def test_newton_solves_per_request(tmp_path, monkeypatch, command, solves):
-    calls, solve = [0], circumcenter_module.solve_linear
+    calls, solve = [0], circumcenter_module._square_solve
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(circumcenter_module, "solve_linear", counted)
+    monkeypatch.setattr(circumcenter_module, "_square_solve", counted)
     path = tmp_path / "scene.json"
     path.write_text(json.dumps({"dimension": 2, "ball": {"type": "pnorm", "p": 3.0},
                                 "simplex": [[0, 0], [4, 0], [0, 3]]}))

@@ -137,22 +137,25 @@ def test_documents_match_with_the_kernel_switched_off(tmp_path, monkeypatch):
         return point
 
     monkeypatch.setattr(linalg, "_square_solve", counted)
+    monkeypatch.setattr(circumcenter_module, "_square_solve", counted)  # the Newton loop's name
     on = [request(tmp_path, command, p, v) for p, v in scenes for command in ("circumcenters", "centers")]
     assert solved[0] > 0
+    # solve_linear takes its general path, and so does the Newton loop
     monkeypatch.setattr(linalg, "_square_solve", lambda aug, n: None)
+    monkeypatch.setattr(circumcenter_module, "_square_solve", circumcenter_module._solve_rows)
     off = [request(tmp_path, command, p, v) for p, v in scenes for command in ("circumcenters", "centers")]
     assert on == off
 
 
 @pytest.mark.parametrize("command, solves", [("centers", 5), ("circumcenters", 44)])
 def test_newton_solves_per_request_in_3d(tmp_path, monkeypatch, command, solves):
-    calls, solve = [0], circumcenter_module.solve_linear
+    calls, solve = [0], circumcenter_module._square_solve
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(circumcenter_module, "solve_linear", counted)
+    monkeypatch.setattr(circumcenter_module, "_square_solve", counted)
     p, vertices = TETRAHEDRON
     assert request(tmp_path, command, p, vertices)[0] == 0
     assert calls[0] == solves
