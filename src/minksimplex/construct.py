@@ -186,8 +186,6 @@ def _bisected_chord_exact(ball: PolytopeBall, origin: ExactVec, frame) -> tuple:
             # y = (a0 + s da) / L
             p, q = s.numerator, s.denominator
             y1, y2 = (Rat(a * q + p * b, L * q) for a, b in zip(a0, da))
-            if y1 == 0 and y2 == 0:
-                continue
             step = v1 * y1 + v2 * y2
             ends = origin + step, origin - step
             if all(_on_sphere(ball, end) for end in ends):

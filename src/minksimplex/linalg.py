@@ -10,9 +10,9 @@ handful of unknowns) that no clever numerics are needed, with one
 elimination per scalar mode.  Exact rows are scaled to integers and
 reduced fraction-free (bareiss) for every solve, rank and determinant;
 float rows run partial-pivoting Gauss-Jordan with the package
-tolerances (_float_eliminate), which square solves of order 2 and 3
-(the smooth search's Newton steps in 2 and 3 dimensions) run unrolled,
-to the same bits (_square_solve).
+tolerances (_float_eliminate).  The smooth search's Newton steps in 2
+and 3 dimensions run their square solves unrolled, to the same bits
+(_square_solve).
 """
 
 from __future__ import annotations
@@ -565,12 +565,9 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> LinearSolution:
     point + direction basis), or infeasible.
 
     Exact systems are scaled to integers and solved by integer_solve;
-    only x = (P * x) / P is rational.  Float systems of 2 or 3 equations
-    in as many unknowns first try _square_solve, which gives the general
-    path's bits; when a column has no pivot, or for any other shape,
-    _float_eliminate runs, and only the entries that are read (the
-    point's and the basis's) are divided by their pivot row's pivot
-    entry, once, at the end.
+    only x = (P * x) / P is rational.  Float systems run _float_eliminate,
+    and only the entries that are read (the point's and the basis's) are
+    divided by their pivot row's pivot entry, once, at the end.
     """
     m = len(rows)
     if m != len(rhs):
@@ -589,10 +586,6 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> LinearSolution:
         )
 
     aug = [(*map(float, row), float(b)) for row, b in zip(rows, rhs)]
-    if m == n and (n == 2 or n == 3):
-        point = _square_solve(aug, n)
-        if point is not None:
-            return LinearSolution("unique", point)
     given = aug[:]  # _float_eliminate replaces rows, so given keeps them
     pivots, _ = _float_eliminate(aug, n)
     if len(pivots) < m:

@@ -138,8 +138,6 @@ def render_scene(
     for x, y in markers.values():
         xs.append(x)
         ys.append(y)
-    if not xs:
-        xs = ys = [-1.0, 1.0]
     span = max(max(xs) - min(xs), max(ys) - min(ys), config.EPS_REL)
     margin = 0.08 * span
     vx, vy = min(xs) - margin, -(max(ys) + margin)

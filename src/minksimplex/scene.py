@@ -390,7 +390,9 @@ def _write_json(obj, pad: str, out: list) -> None:
             return
         inner, head = pad + "  ", "{\n"
         for key, val in obj.items():
-            out.append(f"{head}{inner}{_json_str(key) if key.__class__ is str else json.dumps(key)}: ")
+            # json quotes an int, float, bool or None key ("1", "null") and
+            # raises TypeError for any other that is not a str
+            out.append(f"{head}{inner}{_json_str(key) if key.__class__ is str else json.dumps({key: 0})[1:-4]}: ")
             try:
                 _write_json(val, inner, out)
             except _Unwritable as exc:

@@ -133,12 +133,15 @@ class Simplex:
     def _facets(self) -> tuple:
         """(h_i, s_i) per facet, h_i: <a_i, x> <= b_i, s_i = <a_i, A_j - A_i>
         > 0 along the edge to A_i's nearest facet vertex A_j, so a large
-        b_i cancels neither its sign nor its size (exact: any j agrees)."""
+        b_i cancels neither its sign nor its size (exact: any j agrees).
+        A float simplex below the normal float range raises (float_scale),
+        so every facet reader refuses it alike."""
         if self.mode == EXACT:
             _, D, N, B, S = self.facet_table
             dn, db = D ** (self.dim - 1), D**self.dim
             s = Rat(S, db)
             return tuple((Hyperplane(ExactVec.of_ints(n, dn), Rat(b, db)), s) for n, b in zip(N, B))
+        self.float_scale()
         out = []
         for i, a in enumerate(self.vertices):
             facet = self.facet_vertices(i)
@@ -253,9 +256,7 @@ class Simplex:
         if self.mode == EXACT == ball.mode:
             return Rat(*self.height_ratios(ball)[i])
         h, s = self._facets[i]
-        if ball.mode == "float":
-            s = float(s)
-        return s / ball.support(h.normal)
+        return float(s) / ball.support(h.normal)
 
     def heights(self, ball: UnitBall) -> list:
         return [self.height(i, ball) for i in range(self.dim + 1)]
@@ -299,7 +300,6 @@ class Simplex:
         if self.mode == EXACT:
             _, D, N, _, S = self.facet_table
             return Simplex([ExactVec.of_ints([(self.dim + 1) * D * c for c in n], S) for n in N])
-        self.float_scale()  # raises below the normal float range
         return Simplex([h.normal / s * (self.dim + 1) for h, s in self._facets])
 
     def float_scale(self) -> float:

@@ -293,19 +293,23 @@ def test_centers_of_tiny_triangle(tmp_path):
     assert (euler["collapsed"], euler["degenerate_line_indices"]) == (False, [0])
 
 
-@pytest.mark.parametrize("s", [1e-310, 1e-315, 1e-320])
-def test_centers_of_subnormal_triangle_exit_2(tmp_path, capsys, s):
-    # the Euler-line checks are relative to the simplex's scale, which
-    # a subnormal float holds to a few digits only
-    assert run(tmp_path, "centers", [[0, 0], [4 * s, 0], [0, 3 * s]]) == (2, None)
+@pytest.mark.parametrize("simplex", [
+    *(pytest.param([[0, 0], [4 * s, 0], [0, 3 * s]], id=str(s)) for s in (1e-310, 1e-315, 1e-320, 5e-324)),
+    pytest.param([[5e-324, 0], [0, 5e-324], [-5e-324, -5e-324]], id="smallest-subnormals"),
+])
+def test_centers_of_subnormal_triangle_exit_2(tmp_path, capsys, simplex):
+    # the in- and exspheres and the Euler-line checks are relative to
+    # the simplex's scale, which a subnormal float holds to a few digits
+    # only; the float facets refuse it before any of them is read
+    assert run(tmp_path, "centers", simplex) == (2, None)
     assert "below the normal float range" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("family", ["41", "43"])
+@pytest.mark.parametrize("family", ["41", "42", "43", "44"])
 def test_verify_of_subnormal_triangle_exit_2(tmp_path, capsys, family):
-    # both families read the centroid-dual, whose vertices divide the
-    # facet normals by subnormal offsets; the message names the scene
-    # simplex's scale, not a failure of a dual the scene never gave
+    # every family reads the float facets (heights, bisectors, the
+    # centroid-dual); the message names the scene simplex's scale, not
+    # a failure of a dual the scene never gave
     body = {"dimension": 2, "ball": {"type": "pnorm", "p": 3}, "simplex": [[0, 0], [4e-310, 0], [0, 3e-310]]}
     code, _ = run_scene(tmp_path, ["verify", "--theorem", family, "--trials", "2"], body)
     assert code == 2

@@ -224,10 +224,12 @@ def test_dumps_document_names_the_unwritable_value_and_its_path(doc, message):
 
 def test_dumps_document_is_valid_json():
     scene = scene_from_dict(GOOD_POLY)
-    doc = result_document("centers", scene, {"radius": "6/7", "nested": [{"a": 1}]}, "v")
-    parsed = json.loads(dumps_document(doc))
+    payload = {"radius": "6/7", "nested": [{"a": 1}], "keys": {1: "a", None: "b", 2.5: "c"}}
+    parsed = json.loads(dumps_document(result_document("centers", scene, payload, "v")))
     assert parsed["scene"]["ball"]["type"] == "polytope-v"
     assert parsed["nested"] == [{"a": 1}]
+    # keys that are not strings are written as json writes them
+    assert parsed["keys"] == {"1": "a", "null": "b", "2.5": "c"}
 
 
 BOXES = {
