@@ -264,9 +264,6 @@ def facet_bisector(simplex: Simplex, ball: UnitBall, i: int, j: int, external: b
     facet j."""
     if i == j:
         raise DegenerateInputError("bisector needs two distinct facets")
-    if ball.mode == EXACT:
-        A, b, q = simplex.bisector_row(ball, i, j, -1 if external else 1)
-        return Hyperplane(ExactVec.of_ints(A, q), Rat(b, q))
     return bisector(
         simplex.facet_hyperplanes[i],
         simplex.facet_hyperplanes[j],

@@ -49,7 +49,7 @@ from . import config
 from .errors import DegenerateInputError, DimensionError, FrozenRecord, MixedModeError, VerificationError
 from .feasibility import FeasibilityProblem, Ineq, feasible
 from .linalg import ExactVec, Vec, _square_solve, bareiss, cross2, ratio, solve_linear, zero_vec
-from .norms import Ball, PNormBall, PolytopeBall, UnitBall, line_interval, lp_gradient, lp_norm
+from .norms import PNormBall, PolytopeBall, UnitBall, line_interval, lp_gradient, lp_norm
 from .polytopes import _polar_kernel
 from .scalars import EXACT, Rat
 from .simplex import Simplex

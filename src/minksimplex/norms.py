@@ -373,10 +373,7 @@ def is_radon(ball: UnitBall) -> bool:
 
 def point_hyperplane_distance(ball: UnitBall, p: Vec, h: Hyperplane):
     """Minkowskian distance |<a,p> - b| / h_B(a)."""
-    num = h.eval(p)
-    if ball.mode == FLOAT:
-        return abs(float(num)) / ball.support(h.normal)
-    return abs(num) / ball.support(h.normal)
+    return abs(h.eval(p)) / ball.support(h.normal)
 
 
 def chord_through(ball: Ball, p: Vec, direction: Vec) -> tuple:

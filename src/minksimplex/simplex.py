@@ -6,9 +6,11 @@ medial hyperplanes are lambda_i = 1/2, quasi-medial ones lambda_i =
 lambda_j.  Heights and widths take the unit ball as an argument.
 Everything stays exact in rational mode.
 
-An exact simplex reads heights, widths, in/exspheres, bisectors and
-quasi-medial hyperplanes as ints off one facet table (facet_table and
-facet_supports); public methods build their Rat values last.
+An exact simplex keeps one facet table of ints (facet_table and
+facet_supports): widths and in/exspheres are read off it, and the exact
+verdicts read heights, bisectors and quasi-medial hyperplanes there as
+int rows.  Heights and medial hyperplanes are one expression in every
+lane, == to the rational formulas.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ def hyperplane_through(points: Sequence[Vec]) -> Hyperplane:
     """Hyperplane spanned by d affinely independent points in R^d.
 
     Normal components are cofactors of the edge-vector matrix, each a
-    det in the points' lane, so an exact normal is exact.  In float mode
+    det in the points' lane, so an exact normal is exact.  A 1 x 1
+    cofactor is its entry, in both lanes: det's float zero test would
+    turn an edge slope at or below EPS_ABS into 0.  In float mode
     each edge row is divided by its largest |entry| first, which only
     rescales the normal, so cofactors stay near 1 and the offset stays
     finite.
@@ -59,7 +63,7 @@ def hyperplane_through(points: Sequence[Vec]) -> Hyperplane:
     normal = []
     for i in range(d):
         minor = [[row[j] for j in range(d) if j != i] for row in rows]
-        cof = det(minor) if minor else (1 if exact else 1.0)
+        cof = det(minor) if d > 2 else minor[0][0] if minor else (1 if exact else 1.0)
         normal.append(cof if i % 2 == 0 else -cof)
     n = Vec(normal)
     if n.is_zero():
@@ -195,14 +199,15 @@ class Simplex:
         _, D, N, B, S = self.facet_table
         return [D * (x - y) for x, y in zip(N[i], N[j])], B[i] - B[j], S
 
-    def bisector_row(self, ball: UnitBall, i: int, j: int, sign: int = 1) -> tuple:
-        """(<a_i, x> - b_i) / h_B(a_i) = sign (<a_j, x> - b_j) / h_B(a_j) as
-        ints (A, b, q), from a_i / h_B(a_i) = s_v n_i / M_i and b_i /
-        h_B(a_i) = s_v B_i / (D M_i)."""
+    def bisector_row(self, ball: UnitBall, i: int, j: int) -> tuple:
+        """The internal bisector (<a_i, x> - b_i) / h_B(a_i) = (<a_j, x> -
+        b_j) / h_B(a_j) as ints (A, b, q), from a_i / h_B(a_i) = s_v n_i /
+        M_i and b_i / h_B(a_i) = s_v B_i / (D M_i), for the exact verdict
+        on quasi-medial hyperplanes."""
         (mi, mj), sv = itemgetter(i, j)(self.facet_supports(ball)), ball._vertex_rows[1]
         _, D, N, B, _ = self.facet_table
-        A = [D * sv * (mj * x - sign * mi * y) for x, y in zip(N[i], N[j])]
-        return A, sv * (mj * B[i] - sign * mi * B[j]), D * mi * mj
+        A = [D * sv * (mj * x - mi * y) for x, y in zip(N[i], N[j])]
+        return A, sv * (mj * B[i] - mi * B[j]), D * mi * mj
 
     @cached_property
     def facet_hyperplanes(self) -> tuple:
@@ -233,8 +238,7 @@ class Simplex:
         """lambda_i = 1/2: parallel to facet i, through the midpoints of
         the edges joining A_i to the facet."""
         h, s = self._facets[i]
-        half = Rat(1, 2) if self.mode == EXACT else 0.5
-        return Hyperplane(h.normal, h.offset - s * half)
+        return Hyperplane(h.normal, h.offset - s / 2)
 
     def quasi_medial_hyperplane(self, i: int, j: int) -> Hyperplane:
         """lambda_i = lambda_j: through the ridge opposite edge {i, j}
@@ -253,10 +257,8 @@ class Simplex:
 
     def height(self, i: int, ball: UnitBall):
         """Minkowskian distance from A_i to its opposite facet plane."""
-        if self.mode == EXACT == ball.mode:
-            return Rat(*self.height_ratios(ball)[i])
         h, s = self._facets[i]
-        return float(s) / ball.support(h.normal)
+        return s / ball.support(h.normal)
 
     def heights(self, ball: UnitBall) -> list:
         return [self.height(i, ball) for i in range(self.dim + 1)]

@@ -2,11 +2,13 @@
 
 An exact Simplex keeps one integer table: facet normals and offsets
 from one adjugate of its edge matrix, and per ball the supports of
-those normals.  Heights, widths, in/exspheres and facet bisectors are
-read off it.  Here each of those values is recomputed from the vertices
-and the ball's vertices with fractions.Fraction alone (cofactor
-determinants, supports as a max over the ball's vertices, the tangency
-systems by Gauss-Jordan) and must be == to what the program returns.
+those normals.  Widths, in/exspheres and the verdicts' height, bisector
+and quasi-medial rows are read off it; heights and facet bisectors are
+one expression in every lane.  Here each of those values is recomputed
+from the vertices and the ball's vertices with fractions.Fraction alone
+(cofactor determinants, supports as a max over the ball's vertices, the
+tangency systems by Gauss-Jordan) and must be == to what the program
+returns.
 The last test pins the work of one short campaign.
 """
 
@@ -146,7 +148,14 @@ def test_facet_table_matches_fraction_brute_force(name):
                 assert (point(got.center), frac(got.radius)) == want
 
         for i, j in T.edges():
-            (ai, bi, _), (aj, bj, _), hi, hj = facets[i], facets[j], supports[i], supports[j]
+            (ai, bi, si), (aj, bj, sj), hi, hj = facets[i], facets[j], supports[i], supports[j]
+            # the exact verdicts' int rows (A, b, q) read <A / q, x> = b / q
+            A, b, q = T.bisector_row(ball, i, j)
+            assert [Fraction(x, q) for x in A] == [x / hi - y / hj for x, y in zip(ai, aj)]
+            assert Fraction(b, q) == bi / hi - bj / hj
+            A, b, q = T.quasi_medial_row(i, j)
+            assert [Fraction(x, q) for x in A] == [x / si - y / sj for x, y in zip(ai, aj)]
+            assert Fraction(b, q) == bi / si - bj / sj
             for sign, external in ((1, False), (-1, True)):
                 bis = facet_bisector(T, ball, i, j, external)
                 assert point(bis.normal) == [x / hi - sign * y / hj for x, y in zip(ai, aj)]

@@ -316,6 +316,24 @@ def test_verify_of_subnormal_triangle_exit_2(tmp_path, capsys, family):
     assert "simplex coordinates are below the normal float range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("L", [1e13, 1e100])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (2, 0, 1), (2, 1, 0)])
+def test_centers_of_a_needle_triangle(tmp_path, order, p, L):
+    # the long edges have slopes 2 / L and 5 / L, 1 x 1 cofactors at or
+    # below 1e-12 that must not count as 0, or a facet line misses one of
+    # its vertices.  The incircle of the strip of width 3 between them
+    # has radius 1.5 in every p-norm, and 3L / (|BC| + 3 + |AB|) at
+    # p = 2.  The apex-first orders fail general_position.
+    needle = [[0, 0], [2, L], [-3, 0]]
+    body = {"dimension": 2, "ball": {"type": "pnorm", "p": p}, "simplex": [needle[k] for k in order]}
+    code, text = run_scene(tmp_path, ["centers"], body)
+    assert code == 0
+    inc = json.loads(text)["incenter"]
+    assert inc["radius"] == pytest.approx(1.5, rel=1e-12)
+    assert inc["center"] == [pytest.approx(-1.5, rel=1e-12), pytest.approx(1.5, rel=1e-12)]
+
+
 # -- Euler-line checks at the coordinates' scale ----------------------
 
 TRIANGLE_345 = [[0, 0], [4, 0], [0, 3]]
