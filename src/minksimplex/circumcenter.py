@@ -200,7 +200,7 @@ _INF = math.inf
 
 def _newton_pass(A: list, m: list, p: float, collapse: float, eps: float) -> Optional[tuple]:
     """One Newton step's gauges and rows at m, for any dimension: None
-    when a vertex gauge is below `collapse` or 0 (m is on a vertex),
+    when a vertex gauge is below `collapse` > 0 (m is on a vertex),
     (g, None) when the gauges agree to `eps` times the largest, else
     (g, aug) with aug the [coeffs | rhs] tuples of the step's system.
     Row i is d(g_i - g_0)/dm = grad(A_0 - m) - grad(A_i - m), divided
@@ -209,7 +209,7 @@ def _newton_pass(A: list, m: list, p: float, collapse: float, eps: float) -> Opt
     system is still regular."""
     diffs = [[a - c for a, c in zip(vertex, m)] for vertex in A]
     g = [lp_norm(x, p) for x in diffs]
-    if min(g) < collapse or 0.0 in g:
+    if min(g) < collapse:
         return None
     f = [gi - g[0] for gi in g[1:]]
     if max(map(abs, f)) <= eps * max(g):
@@ -241,7 +241,7 @@ def _newton_pass_2(A: list, m: list, p: float, collapse: float, eps: float) -> O
         parts.append((x0, x1, y0, y1, gi))
         g.append(gi)
     g0, g1, g2 = g
-    if min(g) < collapse or not (g0 and g1 and g2):
+    if min(g) < collapse:
         return None
     if max(abs(g1 - g0), abs(g2 - g0)) <= eps * max(g):
         return g, None
@@ -278,7 +278,7 @@ def _newton_pass_3(A: list, m: list, p: float, collapse: float, eps: float) -> O
         parts.append((x0, x1, x2, y0, y1, y2, gi))
         g.append(gi)
     g0, g1, g2, g3 = g
-    if min(g) < collapse or not (g0 and g1 and g2 and g3):
+    if min(g) < collapse:
         return None
     if max(abs(g1 - g0), abs(g2 - g0), abs(g3 - g0)) <= eps * max(g):
         return g, None
@@ -306,7 +306,7 @@ def _solve_rows(aug: list, n: int) -> Optional[tuple]:
 def smooth_circumcenters(simplex: Simplex, ball: PNormBall, *, first: bool = False) -> CircumcenterSet:
     d = simplex.dim
     A = [[float(c) for c in v.coords] for v in simplex.vertices]
-    scale = max(abs(c) for a in A for c in a) or 1.0
+    scale = simplex.float_scale()
     p = ball.p
 
     rng = random.Random(0)
@@ -325,6 +325,9 @@ def smooth_circumcenters(simplex: Simplex, ball: PNormBall, *, first: bool = Fal
     newton_pass = _newton_pass_2 if d == 2 else _newton_pass_3 if d == 3 else _newton_pass
     solve = _square_solve if d in (2, 3) else _solve_rows
     pack = struct.Struct(f"{d}d").pack
+    # float_scale refuses a subnormal simplex, so collapse > 0; no iterate
+    # holds a NaN, so no gauge is NaN and a zero gauge (m on a vertex)
+    # is min(g), below collapse
     collapse, eps, limit = config.EPS_COLLAPSE * scale, config.EPS_ABS, 2.0 * scale
     rho = config.EPS_MERGE * scale
     solutions = []
@@ -352,8 +355,10 @@ def smooth_circumcenters(simplex: Simplex, ball: PNormBall, *, first: bool = Fal
                 ok = True
                 break
             step = solve(aug, d)
-            if step is None:  # no unique step
-                break
+            # an inf or NaN entry would leave m non-finite for good (inf * 0
+            # is NaN when clamped), and such a start never converges
+            if step is None or not all(map(math.isfinite, step)):
+                break  # no unique finite step
             norm = math.hypot(*step)
             if norm > limit:
                 step = [s * (limit / norm) for s in step]

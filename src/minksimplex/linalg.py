@@ -112,7 +112,7 @@ class Vec:
         return sum(map(mul, self.coords, other.coords))
 
     def to_float(self) -> "Vec":
-        return Vec(float(a) for a in self.coords)
+        return Vec._of(tuple(map(float, self.coords)))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)

@@ -10,6 +10,8 @@ simplex falls under.  Facet normals, Euler-line checks and collinearity
 tests likewise scale before they multiply, so a simplex with 1e300
 coordinates gets its centers and its picture.  A result that is itself
 beyond the float range ends in exit 2 with a message naming it.
+A simplex below the normal float range ends in exit 2 in every
+command that reads its scale, and `gauge` still answers.
 """
 
 import json
@@ -293,16 +295,21 @@ def test_centers_of_tiny_triangle(tmp_path):
     assert (euler["collapsed"], euler["degenerate_line_indices"]) == (False, [0])
 
 
+@pytest.mark.parametrize("command", ["circumcenters", "render", "centers"])
+@pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("simplex", [
     *(pytest.param([[0, 0], [4 * s, 0], [0, 3 * s]], id=str(s)) for s in (1e-310, 1e-315, 1e-320, 5e-324)),
     pytest.param([[5e-324, 0], [0, 5e-324], [-5e-324, -5e-324]], id="smallest-subnormals"),
 ])
-def test_centers_of_subnormal_triangle_exit_2(tmp_path, capsys, simplex):
-    # the in- and exspheres and the Euler-line checks are relative to
-    # the simplex's scale, which a subnormal float holds to a few digits
-    # only; the float facets refuse it before any of them is read
-    assert run(tmp_path, "centers", simplex) == (2, None)
-    assert "below the normal float range" in capsys.readouterr().err
+def test_centers_of_subnormal_triangle_exit_2(tmp_path, capsys, simplex, p, command):
+    # the smooth search, the in- and exspheres and the Euler-line checks
+    # are relative to the simplex's scale, which a subnormal float holds
+    # to a few digits only; Simplex.float_scale refuses it before any of
+    # them is read.  A gauge needs no scale, so `gauge` still answers.
+    body = {"dimension": 2, "ball": {"type": "pnorm", "p": p}, "simplex": simplex}
+    assert run_scene(tmp_path, [command], body) == (2, None)
+    assert "simplex coordinates are below the normal float range" in capsys.readouterr().err
+    assert run_scene(tmp_path, ["gauge"], body)[0] == 0
 
 
 @pytest.mark.parametrize("family", ["41", "42", "43", "44"])
@@ -361,6 +368,7 @@ def test_euler_line_rejects_a_point_just_off_it(s):
     piece = circumcenters(T, P3).pieces[0]
     line = euler_line(T, P3, piece.center, piece.radius)
     assert line.contains(line.concurrence) and line.contains(line.monge)
+    assert not line.collapsed and line.contains(line.centroid)  # P - G = 0
     g, m = line.centroid.coords, line.circumcenter.coords
     u = (m[0] - g[0], m[1] - g[1])
     off = 1e-6 * math.hypot(*u)

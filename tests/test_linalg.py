@@ -174,6 +174,9 @@ def test_det_and_rank():
     assert det(m3) == Rat(5)
     assert rank(m3) == 3
     assert rank([[Rat(1), Rat(2)], [Rat(2), Rat(4)], [Rat(3), Rat(6)]]) == 1
+    # the float lane's rank counts _float_eliminate's pivots
+    assert rank([[float(c) for c in row] for row in m3]) == 3
+    assert rank([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]) == 1
     assert det([[3.0, 1.0], [1.0, 3.0]]) == pytest.approx(8.0)
 
 

@@ -7,28 +7,30 @@ row's largest |entry|.  The unrolled passes must give the same gauges
 and the same [coeffs | rhs] tuples bit for bit (struct.pack, so -0.0
 and NaN count), on seeded points, on a vertex at m, on signed zeros and
 on coordinates whose differences overflow.  Whole documents are
-compared with the kernels switched off.  A subnormal triangle, whose
-collapse threshold underflows to 0, ends without a traceback.
+compared with the kernels switched off.  A start whose iterate lands
+on a vertex ends as a collapse, one whose Newton step holds an inf or
+NaN ends at that step, and both count as start failures.
 """
 
 import json
 import random
 import struct
-import subprocess
-import sys
 
 import pytest
 
 import minksimplex.circumcenter as circumcenter_module
 import minksimplex.linalg as linalg
 from minksimplex import cli
-from minksimplex.circumcenter import _newton_pass, _newton_pass_2, _newton_pass_3
+from minksimplex.circumcenter import _newton_pass, _newton_pass_2, _newton_pass_3, circumcenters
 from minksimplex.config import EPS_ABS, EPS_COLLAPSE
+from minksimplex.linalg import Vec
+from minksimplex.norms import PNormBall
+from minksimplex.simplex import Simplex
 
 from test_centers_first import SCENES
 
 PS = (1.01, 1.5, 2.0, 3.0, 50.0, 1000.0)
-INF, NAN = float("inf"), float("nan")
+INF = float("inf")
 UNROLLED = {2: _newton_pass_2, 3: _newton_pass_3}
 
 
@@ -72,10 +74,10 @@ def special():
         yield big, [-1.7e308] * d
         yield [[1.7e308 * (-1) ** i, -1.7e308] + [0.0] * (d - 2) for i in range(d + 1)], [-1e308] * d
         yield [[1e300, 2e300, -1e300][:d], [-1e300] * d, *big[2:]], [1.7e308, -1.7e308, 1e300][:d]
-        # iterates that left the float range
+        # iterates that overflowed; none holds a NaN, since a start ends
+        # at its first non-finite step
         yield A, [INF] + [0.0] * (d - 1)
-        yield A, [0.0] * (d - 1) + [NAN]
-        yield A, [-INF, INF, NAN][:d]
+        yield A, [-INF, INF, -INF][:d]
         yield A, [5e-324] * d
 
 
@@ -88,19 +90,23 @@ def test_unrolled_passes_have_the_general_passs_bits(p):
     for A, m in CASES:
         d = len(m)
         scale = max(abs(c) for a in A for c in a) or 1.0
-        # the search's thresholds, a loose residual test that some points
-        # pass, and the thresholds of a subnormal simplex, which are 0
-        for collapse, eps in ((EPS_COLLAPSE * scale, EPS_ABS), (EPS_COLLAPSE * scale, 0.3), (0.0, 0.0)):
+        # the search's thresholds, and a loose residual test that some
+        # points pass
+        for collapse, eps in ((EPS_COLLAPSE * scale, EPS_ABS), (EPS_COLLAPSE * scale, 0.3)):
             want = _newton_pass(A, m, p, collapse, eps)
             assert outcome(UNROLLED[d](A, m, p, collapse, eps)) == outcome(want), (A, m, p, collapse, eps)
             kinds.add("collapse" if want is None else "converged" if want[1] is None else "step")
     assert kinds == {"collapse", "converged", "step"}
 
 
-def test_a_zero_gauge_is_a_collapse():
-    A = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-    for newton_pass in (_newton_pass, _newton_pass_2):
-        assert newton_pass(A, [1.0, 0.0], 2.0, 0.0, EPS_ABS) is None
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_zero_gauge_is_a_collapse(d):
+    # the search's collapse threshold is positive (float_scale refuses a
+    # subnormal simplex), so a vertex at m is below it
+    A = [[float(i == k) for k in range(d)] for i in range(d + 1)]
+    for newton_pass in (_newton_pass, UNROLLED[d]):
+        # EPS_COLLAPSE times the unit simplex's scale, 1
+        assert newton_pass(A, list(A[1]), 2.0, EPS_COLLAPSE, EPS_ABS) is None
 
 
 def request(tmp_path, command, p, vertices):
@@ -129,22 +135,35 @@ def test_documents_match_with_the_kernels_switched_off(tmp_path, monkeypatch):
     assert json.loads(on[-2][1])["pieces"] == []  # NO_CENTER's circumcenters
 
 
-SUBNORMAL = {"dimension": 2, "ball": {"type": "pnorm", "p": 2},
-             "simplex": [[5e-324, 0], [0, 5e-324], [-5e-324, -5e-324]]}
+@pytest.mark.parametrize("p, failures, center", [
+    (2.0, 4, (0.4916666666666667, 0.0)),
+    (3.0, 5, (0.49872047284276, 0.0)),
+])
+def test_a_start_that_lands_on_a_vertex_fails(monkeypatch, p, failures, center):
+    # at one start's iterate a vertex gauge falls below EPS_COLLAPSE
+    # times the simplex's scale; that start ends and counts as a failure
+    collapses = []
+
+    def counting(*args):
+        out = _newton_pass_2(*args)
+        collapses.append(out is None)
+        return out
+
+    monkeypatch.setattr(circumcenter_module, "_newton_pass_2", counting)
+    T = Simplex([Vec((0.4, 0.5)), Vec((1.0, 0.0)), Vec((0.4, -0.5))])
+    found = circumcenters(T, PNormBall(2, p))
+    assert sum(collapses) == 1
+    assert found.start_failures == failures
+    assert [piece.center.coords for piece in found.pieces] == [center]
 
 
-@pytest.mark.parametrize("command", ["circumcenters", "centers", "render"])
-def test_subnormal_triangle_ends_without_a_traceback(tmp_path, command):
-    # EPS_COLLAPSE * scale underflows to 0 here, so only the zero-gauge
-    # test stops a start whose iterate lands on a vertex
-    scene = tmp_path / "scene.json"
-    scene.write_text(json.dumps(SUBNORMAL))
-    proc = subprocess.run([sys.executable, "-m", "minksimplex.cli", command, "--in", str(scene)],
-                          capture_output=True, text=True)
-    assert proc.returncode in (0, 1, 2, 3)
-    assert "Traceback" not in proc.stderr
-    if command == "circumcenters":
-        doc = json.loads(proc.stdout)
-        assert (proc.returncode, doc["pieces"], doc["start_failures"]) == (0, [], 12)
-    if command == "render":
-        assert proc.returncode == 0 and proc.stdout.startswith("<svg")
+def test_a_start_ends_at_a_non_finite_step():
+    # on this near-max triangle seven Newton steps hold an inf or NaN
+    # entry; one of them, (8.0e306, -inf), would leave m = (-3.3e306,
+    # NaN) after its clamp, where vertex 2's gauge is 0 behind vertex 0's
+    # NaN gauge.  Each such start fails, and the one center stays.
+    T = Simplex([Vec((-6.666666666666666e306, 0.0)), Vec((0.0, 6.666666666666666e306)),
+                 Vec((-3.333333333333333e306, 0.0))])
+    found = circumcenters(T, PNormBall(2, 1.01))
+    assert found.start_failures == 7
+    assert [piece.center.coords for piece in found.pieces] == [(-5.0000000000000006e306, 4.999999999999999e306)]
