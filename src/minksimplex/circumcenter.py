@@ -369,7 +369,9 @@ def smooth_circumcenters(simplex: Simplex, ball: PNormBall, *, first: bool = Fal
             failures += 1
             continue
         r = sum(x / len(g) for x in g)  # mean vertex gauge at the converged m; no overflow
-        if r <= config.EPS_ABS * scale:
+        # r is inf exactly when a gauge is, and then the residual test's
+        # bound EPS_ABS * max(g) was inf too
+        if not config.EPS_ABS * scale < r < math.inf:
             failures += 1
             continue
         if all(math.dist(known, m) > rho for known, _ in solutions):

@@ -7,12 +7,13 @@ vertices must average to and an affine section (origin plus frame) the
 remaining vertices are confined to.  Level d+1 is the chord through the
 anchor.  Levels d ... 4 take one direction each, the first frame vector
 or one seeded draw, and place the chord end P nearer to g.  Level 3
-tries the seeded candidates and then a deterministic sweep until the
-chord avoids gauge(Q - g) = 2 gauge(P - g); otherwise the final target
-would be the midpoint of that same chord and the closing chord would
-reuse P.  Every level moves the target to g + (g - P)/(level - 1), which
-stays strictly inside the ball because it lies between g and the far
-chord end Q.  Above level 3, dropping the chord direction from the
+tries up to 32 seeded candidates, drawn one at a time as each is tried,
+and then a deterministic sweep until the chord avoids
+gauge(Q - g) = 2 gauge(P - g); otherwise the final target would be the
+midpoint of that same chord and the closing chord would reuse P.
+Every level moves the target to g + (g - P)/(level - 1), which stays
+strictly inside the ball because it lies between g and the far chord
+end Q.  Above level 3, dropping the chord direction from the
 frame keeps every placed vertex off the affine span of the later ones,
 which is what makes the final simplex nondegenerate.  The frame starts
 as the standard basis and only loses vectors, so a direction's frame
@@ -271,8 +272,9 @@ def quasiregular_simplex(
         else:
             directions = itertools.islice(_sweep_directions(frame), 64)
             if rng is not None:
-                # seeded candidates first, deterministic sweep as fallback
-                seeded = [_seeded_direction(frame, rng) for _ in range(32)]
+                # seeded candidates first, each drawn only when tried (no
+                # later level reads rng), deterministic sweep as fallback
+                seeded = map(_seeded_direction, itertools.repeat(frame, 32), itertools.repeat(rng, 32))
                 directions = itertools.chain(seeded, directions)
         for w in directions:
             bwd, fwd = chord_through(sphere, g, w)

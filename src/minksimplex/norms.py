@@ -426,10 +426,39 @@ def line_interval(rows) -> tuple:
 def _chord_end(rel: list, dirs: list, p: float, r: float, g0: float) -> float:
     """The t > 0 with g(t) = lp_norm(rel + t * dirs, p) - r = 0, given
     g0 = g(0) < 0: the bracket [0, 1] is doubled until g changes sign,
-    then searched by root_in_bracket."""
+    then searched by root_in_bracket.  In 2D and 3D g is one unrolled
+    pass with lp_norm's operations in its order, so it has lp_norm's
+    bits."""
+    inv, inf = 1.0 / p, math.inf
+    if len(rel) == 2:
+        (a0, a1), (b0, b1) = rel, dirs
 
-    def g(t: float) -> float:
-        return lp_norm([a + t * b for a, b in zip(rel, dirs)], p) - r
+        def g(t: float) -> float:
+            y0 = abs(a0 + t * b0)
+            y1 = abs(a1 + t * b1)
+            big = y1 if y1 > y0 else y0  # max(y0, y1), NaN included
+            if not 0.0 < big < inf:
+                return big - r
+            return big * (0.0 + (y0 / big) ** p + (y1 / big) ** p) ** inv - r
+
+    elif len(rel) == 3:
+        (a0, a1, a2), (b0, b1, b2) = rel, dirs
+
+        def g(t: float) -> float:
+            y0 = abs(a0 + t * b0)
+            y1 = abs(a1 + t * b1)
+            y2 = abs(a2 + t * b2)
+            big = y1 if y1 > y0 else y0  # max(y0, y1, y2), NaN included
+            if y2 > big:
+                big = y2
+            if not 0.0 < big < inf:
+                return big - r
+            return big * (0.0 + (y0 / big) ** p + (y1 / big) ** p + (y2 / big) ** p) ** inv - r
+
+    else:
+
+        def g(t: float) -> float:
+            return lp_norm([a + t * b for a, b in zip(rel, dirs)], p) - r
 
     lo, g_lo, hi = 0.0, g0, 1.0
     for _ in range(200):

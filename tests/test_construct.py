@@ -99,6 +99,23 @@ def test_smooth_simplex_needs_few_chords(monkeypatch):
     assert calls / builds <= 16
 
 
+@pytest.mark.parametrize("ball, draws", [(CUBE, 3), (PNormBall(3, 3.0), 1)], ids=["cube", "p3-3d"])
+def test_seeded_candidates_are_drawn_when_tried(monkeypatch, ball, draws):
+    # level 3 takes the first seeded candidate whose chord it can use;
+    # drawing all 32 up front made 32 draws on both balls
+    calls = 0
+    seeded_direction = construct._seeded_direction
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return seeded_direction(*args)
+
+    monkeypatch.setattr(construct, "_seeded_direction", counted)
+    assert_valid_construction(quasiregular_simplex(ball, seed=0))
+    assert calls == draws
+
+
 def test_postconditions_random_balls():
     rng = random.Random("construct-balls")
     for _ in range(6):

@@ -2,8 +2,10 @@
 
 Each fixed request's stdout, with its version line masked, has the
 sha256 below, on V-form, H-form and p-norm (p = 1.5, 3) scenes in
-2-4D.  Every request runs twice in one process: the second document
-mirrors a ball that the first one parsed and cached.
+2-4D, and `construct --strategy seeded --seed 0` on three of them, whose
+seeded chord directions no other pin covers.  Every request runs twice
+in one process: the second document mirrors a ball that the first one
+parsed and cached.
 """
 
 import hashlib
@@ -86,6 +88,13 @@ DIGESTS = [
     ("p3-3d", "verify", "2a2a91cb11dd99ac1c34197cd8ce5e1957cc30ea5c0be072864e6ad6cfd5472c"),
 ]
 
+SEEDED = ["--strategy", "seeded", "--seed", "0"]
+SEEDED_DIGESTS = [
+    ("p1.5-2d", "ace8639fd474ae40bae64f15c0e3ac5c8a203da4eb76ef33615be85cd461061f"),
+    ("p3-3d", "3004942106564e3d4466371d06a907d321a42d150d9d488d93f6df08e428eceb"),
+    ("v-3d", "3d7ed86169ecc92b26bb2876ba3f1673c52ffa237524f5793d525cdce4b3eff7"),
+]
+
 
 # from Python 3.12 on, sum() adds floats with one rounding (Neumaier), which
 # moves the last digits of these two 4D p-norm documents
@@ -97,8 +106,8 @@ if sys.version_info >= (3, 12):
     DIGESTS = [(s, c, SUM_DIGESTS.get((s, c), d)) for s, c, d in DIGESTS]
 
 
-def stdout_digest(capsys, command, path) -> str:
-    assert main([command, *FLAGS.get(command, []), "--in", str(path)]) == 0
+def stdout_digest(capsys, command, path, *flags) -> str:
+    assert main([command, *FLAGS.get(command, []), *flags, "--in", str(path)]) == 0
     text = capsys.readouterr().out
     body = "".join(line for line in text.splitlines(True) if not line.startswith('  "version": '))
     assert body != text  # the version line was there to mask
@@ -111,3 +120,11 @@ def test_document_bytes(tmp_path, capsys, scene, command, digest):
     path.write_text(json.dumps(SCENES[scene]))
     assert stdout_digest(capsys, command, path) == digest
     assert stdout_digest(capsys, command, path) == digest
+
+
+@pytest.mark.parametrize("scene, digest", SEEDED_DIGESTS, ids=[s for s, _ in SEEDED_DIGESTS])
+def test_seeded_construct_bytes(tmp_path, capsys, scene, digest):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(SCENES[scene]))
+    assert stdout_digest(capsys, "construct", path, *SEEDED) == digest
+    assert stdout_digest(capsys, "construct", path, *SEEDED) == digest

@@ -222,6 +222,34 @@ def test_centers_of_near_max_simplex_exit_2(tmp_path, capsys):
     assert "exspheres[0]" in capsys.readouterr().err
 
 
+WIDE_NEAR_MAX = [
+    [3.298238655835792e307, 1.1543886448358e308],
+    [3.363151243716548e307, -3.524484739173826e307],
+    [-1.032859263820376e308, 9.566212307545983e307],
+]
+
+
+@pytest.mark.parametrize("p, radius, failures", [
+    (1.01, 1.3301028363552003e308, 7),
+    (1.5, 1.0683416256357647e308, 3),
+    (2, 9.564744060906902e307, 1),
+    (3, 8.599028988572009e307, 1),
+])
+def test_a_start_with_an_inf_gauge_fails(tmp_path, p, radius, failures):
+    # at p = 1.01 and 1.5 some starts converge where a vertex gauge is
+    # inf, so the residual bound EPS_ABS * max(g) is inf too; those
+    # starts had printed pieces of radius inf and ended in exit 2
+    body = {"dimension": 2, "ball": {"type": "pnorm", "p": p}, "simplex": WIDE_NEAR_MAX}
+    code, text = run_scene(tmp_path, ["circumcenters"], body)
+    assert code == 0
+    doc = json.loads(text)
+    (piece,) = doc["pieces"]
+    assert (piece["radius"], doc["start_failures"]) == (radius, failures)
+    for v in WIDE_NEAR_MAX:
+        diff = [a - c for a, c in zip(v, piece["center"])]
+        assert lp_norm(diff, p) == pytest.approx(radius, rel=EPS_REL)
+
+
 def test_render_draws_the_float_medial_triangle(tmp_path):
     body = {"dimension": 2, "ball": {"type": "pnorm", "p": 3},
             "simplex": [[4.1, 8.1], [-1.9, -8.9], [1.1, -4.7]]}

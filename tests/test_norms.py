@@ -7,6 +7,7 @@ the float tolerances from config.
 import itertools
 import math
 import random
+import sys
 from operator import mul
 
 import pytest
@@ -489,19 +490,86 @@ def test_smooth_chords_match_bisection():
             assert abs(t - ref) <= 1e-14 * max(1.0, abs(t), r / slope)
 
 
-def test_smooth_chord_needs_few_norm_evaluations(monkeypatch):
+def test_smooth_chord_needs_few_norm_evaluations():
+    # counts the calls of _chord_end's g, which in 2D and 3D evaluates
+    # the norm without calling lp_norm
     calls = 0
 
-    def counted(xs, p):
+    def profile(frame, event, arg):
         nonlocal calls
-        calls += 1
-        return lp_norm(xs, p)
+        if event == "call" and frame.f_code.co_name == "g" and frame.f_code.co_filename == norms.__file__:
+            calls += 1
 
-    monkeypatch.setattr(norms, "lp_norm", counted)
-    for ball, base, direction in CHORDS:
-        chord_through(ball, base, direction)
-    # doubling and bisection to EPS_BISECT took about 105 per chord
-    assert calls / len(CHORDS) <= 25
+    sys.setprofile(profile)
+    try:
+        for ball, base, direction in CHORDS:
+            chord_through(ball, base, direction)
+    finally:
+        sys.setprofile(None)
+    # doubling and bisection to EPS_BISECT took about 104 per chord; g(0)
+    # is taken once per chord outside g and is not counted
+    assert calls / len(CHORDS) <= 24
+
+
+def general_chord_end(rel, dirs, p, r, g0):
+    """Reference for norms._chord_end: the same bracket doubling and
+    root_in_bracket, with g taken by the general lp_norm."""
+
+    def g(t):
+        return lp_norm([a + t * b for a, b in zip(rel, dirs)], p) - r
+
+    lo, g_lo, hi = 0.0, g0, 1.0
+    for _ in range(200):
+        g_hi = g(hi)
+        if g_hi >= 0.0:
+            return root_in_bracket(g, lo, hi, g_lo, g_hi)
+        lo, g_lo, hi = hi, g_hi, 2.0 * hi
+    raise NonConvergenceError("chord bracket expansion failed")
+
+
+def chord_end_cases():
+    """(rel, dirs, p, r) in 2D and 3D: seeded points and directions at
+    scales 1e-300 to 1e300, entries 0.0 and -0.0, axis directions, and
+    directions whose rel + t * dirs overflows at t = 1."""
+    rng = random.Random("chord-end-bits")
+    cases = []
+    for d in (2, 3):
+        for p in (1.01, 1.5, 2.0, 3.0, 4.0, 50.0, 300.0, 1e6):
+            for s in (1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300):
+                for k in range(4):
+                    rel = [rng.gauss(0.0, 1.0) * s for _ in range(d)]
+                    dirs = [rng.gauss(0.0, 1.0) * s * 10.0 ** rng.uniform(-2.0, 2.0) for _ in range(d)]
+                    if k == 1:
+                        rel[rng.randrange(d)] = rng.choice((0.0, -0.0))
+                        dirs[rng.randrange(d)] = rng.choice((0.0, -0.0))
+                    elif k == 2:
+                        axis = rng.randrange(d)
+                        dirs = [dirs[axis] if j == axis else rng.choice((0.0, -0.0)) for j in range(d)]
+                    r = lp_norm(rel, p) / rng.uniform(0.05, 0.999) or s
+                    cases.append((rel, dirs, p, r))
+            big = [1e308, -0.0, 0.0][:d]
+            cases.append((big, [1e308] * d, p, 1.7e308))
+            cases.append(([0.0] * d, [-1.7e308] + [1e308] * (d - 1), p, 1.0))
+    return cases
+
+
+def chord_end_outcome(end, rel, dirs, p, r):
+    try:
+        return end(rel, dirs, p, r, lp_norm(rel, p) - r).hex()
+    except NonConvergenceError as exc:
+        return str(exc)
+
+
+def test_unrolled_chord_end_has_the_general_bits():
+    overflows = 0
+    for rel, dirs, p, r in chord_end_cases():
+        overflows += lp_norm([a + b for a, b in zip(rel, dirs)], p) == math.inf
+        for w in (dirs, [-c for c in dirs]):
+            assert chord_end_outcome(norms._chord_end, rel, w, p, r) == chord_end_outcome(
+                general_chord_end, rel, w, p, r
+            ), (rel, w, p, r)
+    # the big = inf exit at t = 1, in both dimensions at every p
+    assert overflows >= 16
 
 
 def test_unreachable_chord_end_raises():
