@@ -143,8 +143,7 @@ def equal_medians(simplex: Simplex, ball: UnitBall):
 
 
 def equal_side_gauges(simplex: Simplex, ball: UnitBall):
-    vs = simplex.vertices
-    ss = _gauges(ball, [vs[j] - vs[i] for i, j in simplex.edges()])
+    ss = _gauges(ball, simplex.edge_vectors())
     return _all_equal(ss, ball.mode), ss
 
 
@@ -218,8 +217,7 @@ def is_reduced_triangle(simplex: Simplex, ball: UnitBall):
 
 
 def quasiregular(simplex: Simplex, ball: UnitBall):
-    g = simplex.centroid
-    gs = _gauges(ball, [v - g for v in simplex.vertices])
+    gs = _gauges(ball, simplex.centroid_offsets())
     return _all_equal(gs, ball.mode), gs
 
 

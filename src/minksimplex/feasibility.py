@@ -305,36 +305,3 @@ def feasible(problem: FeasibilityProblem, with_dim: bool = True) -> FeasibilityR
     dim = k - bareiss([reduced[idx][0] for idx in rows])[0]
     return FeasibilityResult(True, witness, dim, tuple(rows))
 
-
-def lp_max(problem: FeasibilityProblem, objective: Sequence):
-    """Exact sup of <objective, x> over the feasible set.
-
-    Returns (value, witness, attained); value None means unbounded.
-    Used as an independent oracle (e.g. Chebyshev-style incenter).
-    z = <objective, x> enters as column 0 through two inequality rows,
-    so it is the first free column of the parametrization and stage 0
-    of the elimination bounds z alone.  Conflicting equalities or a
-    contradiction in the elimination mean an empty set.
-    """
-    n = problem.n_vars
-    aug = FeasibilityProblem(
-        n + 1,
-        [((0, *coeffs), rhs) for coeffs, rhs in problem.equalities],
-        [Ineq((0, *row.coeffs), row.rhs, row.strict) for row in problem.inequalities]
-        + [Ineq((1, *(-c for c in objective)), 0), Ineq((-1, *objective), 0)],
-    )
-    param = _parametrize(aug)
-    stages = None if param is None else _fm_eliminate(param[3], len(param[2]))
-    if stages is None:
-        raise ValueError("lp_max on infeasible problem")
-    bounds = [Rat(rhs, coeffs[0]) for coeffs, rhs, _ in stages[0] if coeffs[0] > 0]
-    if not bounds:
-        return None, None, False
-    hi = min(bounds)
-    # witness at the optimum (attained only for non-strict binding rows)
-    target = FeasibilityProblem(n, list(problem.equalities), list(problem.inequalities))
-    target.add_eq(tuple(objective), hi)
-    res = feasible(target, with_dim=False)
-    if res.feasible:
-        return hi, res.witness, True
-    return hi, None, False

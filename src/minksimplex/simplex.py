@@ -11,6 +11,12 @@ facet_supports): widths and in/exspheres are read off it, and the exact
 verdicts read heights, bisectors and quasi-medial hyperplanes there as
 int rows.  Heights and medial hyperplanes are one expression in every
 lane, == to the rational formulas.
+
+Its derived points come from the cleared ints A_i = V_i / D and their
+column sums T: the centroid, facet centroids, medians, offsets A_i - G,
+edge vectors, shrunk vertices and the median triangle are each one
+integer combination of the V_i over one denominator, reduced once.
+Float simplices add and scale their Vecs as before.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .linalg import (
     det,
     general_position,
     integer_points,
+    ratio,
 )
 from .norms import UnitBall
 from .polytopes import contains as _half_contains
@@ -109,7 +116,14 @@ class Simplex:
     # -- affine anatomy ----------------------------------------------
 
     @cached_property
+    def _column_sums(self) -> tuple:
+        """T = V_0 + ... + V_d of the cleared ints, so G = T / ((d+1) D)."""
+        return tuple(map(sum, zip(*self._cleared[0])))
+
+    @cached_property
     def centroid(self) -> Vec:
+        if self.mode == EXACT:
+            return ExactVec.of_ints(self._column_sums, (self.dim + 1) * self._cleared[1])
         total = self.vertices[0]
         for v in self.vertices[1:]:
             total = total + v
@@ -120,14 +134,20 @@ class Simplex:
 
     @cached_property
     def facet_centroids(self) -> tuple:
-        """A'_i, the centroid of the facet opposite A_i, for each i."""
+        """A'_i, the centroid of the facet opposite A_i, for each i:
+        (T - V_i) / (d D) in the exact lane."""
+        d = self.dim
+        if self.mode == EXACT:
+            V, D, _ = self._cleared
+            T = self._column_sums
+            return tuple(ExactVec.of_ints(map(sub, T, v), d * D) for v in V)
         out = []
-        for i in range(self.dim + 1):
+        for i in range(d + 1):
             pts = self.facet_vertices(i)
             total = pts[0]
             for v in pts[1:]:
                 total = total + v
-            out.append(total / self.dim)
+            out.append(total / d)
         return tuple(out)
 
     def facet_centroid(self, i: int) -> Vec:
@@ -216,7 +236,31 @@ class Simplex:
         return tuple(h for h, _ in self._facets)
 
     def median_vector(self, i: int) -> Vec:
+        """A'_i - A_i: (T - (d+1) V_i) / (d D) in the exact lane."""
+        if self.mode == EXACT:
+            V, D, _ = self._cleared
+            k = self.dim + 1
+            return ExactVec.of_ints([t - k * x for t, x in zip(self._column_sums, V[i])], self.dim * D)
         return self.facet_centroids[i] - self.vertices[i]
+
+    def centroid_offsets(self) -> list:
+        """A_i - G for each i: ((d+1) V_i - T) / ((d+1) D) in the exact
+        lane."""
+        if self.mode == EXACT:
+            V, D, _ = self._cleared
+            k, T = self.dim + 1, self._column_sums
+            return [ExactVec.of_ints([k * x - t for x, t in zip(v, T)], k * D) for v in V]
+        g = self.centroid
+        return [v - g for v in self.vertices]
+
+    def edge_vectors(self) -> list:
+        """A_j - A_i for each edge (i, j) of edges(): (V_j - V_i) / D in
+        the exact lane."""
+        if self.mode == EXACT:
+            V, D, _ = self._cleared
+            return [ExactVec.of_ints(map(sub, V[j], V[i]), D) for i, j in self.edges()]
+        vs = self.vertices
+        return [vs[j] - vs[i] for i, j in self.edges()]
 
     def median_length(self, i: int, ball: UnitBall):
         return ball.gauge(self.median_vector(i))
@@ -232,7 +276,7 @@ class Simplex:
         return ball.gauge(self.vertices[j] - self.vertices[i])
 
     def side_lengths(self, ball: UnitBall) -> list:
-        return [self.side_length(i, j, ball) for i, j in self.edges()]
+        return [ball.gauge(e) for e in self.edge_vectors()]
 
     def medial_hyperplane(self, i: int) -> Hyperplane:
         """lambda_i = 1/2: parallel to facet i, through the midpoints of
@@ -318,21 +362,37 @@ class Simplex:
         anchored so its centroid coincides with this one's."""
         if self.dim != 2:
             raise DimensionError("median triangle is planar")
+        if self.mode == EXACT:
+            # v_0 = G - (2 m_0 + m_1) / 3, v_1 = v_0 + m_0, v_2 = v_1 + m_1 are
+            # the rows (5, 2, -1), (-1, 5, 2), (2, -1, 5) times V over 6 D
+            (a, b, c), D, _ = self._cleared
+            return Simplex([
+                ExactVec.of_ints([5 * x + 2 * y - z for x, y, z in zip(a, b, c)], 6 * D),
+                ExactVec.of_ints([5 * y + 2 * z - x for x, y, z in zip(a, b, c)], 6 * D),
+                ExactVec.of_ints([2 * x - y + 5 * z for x, y, z in zip(a, b, c)], 6 * D),
+            ])
         m0 = self.median_vector(0)
         m1 = self.median_vector(1)
-        third = Rat(1, 3) if self.mode == EXACT else 1.0 / 3.0
-        v0 = self.centroid - (m0 * 2 + m1) * third
+        v0 = self.centroid - (m0 * 2 + m1) * (1.0 / 3.0)
         v1 = v0 + m0
         v2 = v1 + m1
         return Simplex([v0, v1, v2])
 
     def shrink_vertex(self, i: int, delta) -> "Simplex":
         """Move A_i toward the opposite facet centroid by the fraction
-        delta; the result is properly contained in the original."""
+        delta; the result is properly contained in the original.  An
+        exact delta = p / q moves it to ((q - p) d V_i + p (T - V_i)) /
+        (q d D)."""
         if not 0 < delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         verts = list(self.vertices)
-        verts[i] = verts[i] + (self.facet_centroids[i] - verts[i]) * delta
+        if self.mode == EXACT:
+            p, q = ratio(delta)
+            V, D, _ = self._cleared
+            k = (q - p) * self.dim
+            verts[i] = ExactVec.of_ints([k * x + p * (t - x) for x, t in zip(V[i], self._column_sums)], q * self.dim * D)
+        else:
+            verts[i] = verts[i] + (self.facet_centroids[i] - verts[i]) * delta
         return Simplex(verts)
 
     def translate(self, t: Vec) -> "Simplex":

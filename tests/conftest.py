@@ -45,6 +45,35 @@ CROSSPOLYTOPE = PolytopeBall.from_vertices(
 )
 
 
+def _fraction_solve(rows, rhs) -> list:
+    """The x with rows x = rhs of a nonsingular square system, by
+    Gauss-Jordan on Fractions, apart from the package's eliminations."""
+    n = len(rows)
+    a = [[R(c) for c in row] + [R(b)] for row, b in zip(rows, rhs)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if a[i][k])
+        a[k], a[p] = a[p], a[k]
+        a[k] = [c / a[k][k] for c in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                a[i] = [c - a[i][k] * e for c, e in zip(a[i], a[k])]
+    return [row[n] for row in a]
+
+
+def chebyshev_incenter(simplex: Simplex, ball: PolytopeBall) -> tuple:
+    """LP oracle: maximize rho over {<a_j, x> + h(a_j) rho <= b_j}, exact.
+
+    The d+1 rows are independent, so the point (x, rho) where all are
+    tight is the LP's one vertex.  It is the optimum: multipliers lam >= 0
+    with sum lam_j (a_j, h(a_j)) = (0, 1) certify it (LP duality)."""
+    d = simplex.dim
+    rows = [(*h.normal.coords, ball.support(h.normal)) for h in simplex.facet_hyperplanes]
+    point = _fraction_solve(rows, [h.offset for h in simplex.facet_hyperplanes])
+    lam = _fraction_solve(list(zip(*rows)), [0] * d + [1])
+    assert all(m >= 0 for m in lam)
+    return Vec(point[:d]), point[d]
+
+
 def random_symmetric_polygon(rng: random.Random, pairs: int = 3, span: int = 4) -> PolytopeBall:
     """Centrally symmetric polygon with up to 2*pairs vertices."""
     while True:

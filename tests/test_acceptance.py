@@ -27,7 +27,6 @@ from minksimplex.circumcenter import (
 from minksimplex.cli import main
 from minksimplex.construct import quasiregular_simplex
 from minksimplex.equivalence import duality_bridge_holds, planted_generator
-from minksimplex.feasibility import FeasibilityProblem, lp_max
 from minksimplex.linalg import Vec, affine_rank, general_position
 from minksimplex.norms import (
     PolytopeBall,
@@ -49,6 +48,7 @@ from conftest import (
     HYPERCUBE,
     OCTAHEDRON,
     SQUARE,
+    chebyshev_incenter,
     fvec,
     random_rational_simplex,
     random_symmetric_polygon,
@@ -394,16 +394,6 @@ def test_criterion_07_equivalence_campaigns(tmp_path):
         assert duality_bridge_holds(T, ball)
         bridges += 1
     assert bridges == 200
-
-
-def chebyshev_incenter(simplex, ball):
-    d = simplex.dim
-    prob = FeasibilityProblem(d + 1)
-    for h in simplex.facet_hyperplanes:
-        prob.add_le((*h.normal.coords, ball.support(h.normal)), h.offset)
-    value, witness, attained = lp_max(prob, tuple([Rat(0)] * d + [Rat(1)]))
-    assert attained
-    return Vec(witness[:d]), value
 
 
 def test_criterion_08_insphere_baseline():

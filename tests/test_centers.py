@@ -22,7 +22,6 @@ from minksimplex.centers import (
 from minksimplex.circumcenter import polytopal_circumcenters, smooth_circumcenters
 from minksimplex.construct import quasiregular_simplex
 from minksimplex.errors import DegenerateInputError, MixedModeError
-from minksimplex.feasibility import FeasibilityProblem, lp_max
 from minksimplex.linalg import Hyperplane, Vec, affine_rank, cross2
 from minksimplex.norms import PNormBall, euclidean_ball, point_hyperplane_distance
 from minksimplex.scalars import Rat
@@ -33,6 +32,7 @@ from conftest import (
     DIAMOND,
     HEXAGON,
     SQUARE,
+    chebyshev_incenter,
     fvec,
     random_rational_simplex,
     random_symmetric_polygon,
@@ -42,17 +42,6 @@ from conftest import (
 
 T345 = Simplex([vec(0, 0), vec(4, 0), vec(0, 3)])
 T345F = Simplex([fvec(0, 0), fvec(4, 0), fvec(0, 3)])
-
-
-def chebyshev_incenter(simplex, ball):
-    """LP oracle: maximize rho over {<a_j, x> + h(a_j) rho <= b_j}."""
-    d = simplex.dim
-    prob = FeasibilityProblem(d + 1)
-    for h in simplex.facet_hyperplanes:
-        prob.add_le((*h.normal.coords, ball.support(h.normal)), h.offset)
-    value, witness, attained = lp_max(prob, tuple([Rat(0)] * d + [Rat(1)]))
-    assert attained
-    return Vec(witness[:d]), value
 
 
 def test_incenter_max_norm_345():

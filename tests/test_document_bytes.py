@@ -3,9 +3,11 @@
 Each fixed request's stdout, with its version line masked, has the
 sha256 below, on V-form, H-form and p-norm (p = 1.5, 3) scenes in
 2-4D, and `construct --strategy seeded --seed 0` on three of them, whose
-seeded chord directions no other pin covers.  Every request runs twice
-in one process: the second document mirrors a ball that the first one
-parsed and cached.
+seeded chord directions no other pin covers.  The campaign pins run
+`verify --trials 2 --seed 0` on ball-only scenes, so the families read
+the centroids, medians, shrunk vertices and median triangles of the
+simplices they draw.  Every request runs twice in one process: the
+second document mirrors a ball that the first one parsed and cached.
 """
 
 import hashlib
@@ -21,9 +23,11 @@ S3 = [[0, 0, 0], [4, 0, 0], [0, 3, 0], [0, 0, 2]]
 S4 = [[0, 0, 0, 0], [3, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]]
 CUBE = [[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)]
 CROSS_4 = [[s if i == k else 0 for i in range(4)] for k in range(4) for s in (1, -1)]
+CROSS_3 = [[s if i == k else 0 for i in range(3)] for k in range(3) for s in (1, -1)]
+HEXAGON = [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]]
 
 SCENES = {
-    "v-2d": {"dimension": 2, "ball": {"type": "polytope-v", "vertices": [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]]},
+    "v-2d": {"dimension": 2, "ball": {"type": "polytope-v", "vertices": HEXAGON},
              "simplex": S2, "points": {"M": [2, 1], "Q": ["1/2", "-3/4"]}},
     "h-2d": {"dimension": 2, "ball": {"type": "polytope-h", "normals": [[1, 0], [-1, 0], [0, 1], [0, -1], ["1/2", "1/2"], ["-1/2", "-1/2"]]},
              "simplex": [[0, 0], [3, 1], [1, "5/2"]], "points": {"M": [1, -1]}},
@@ -88,6 +92,24 @@ DIGESTS = [
     ("p3-3d", "verify", "2a2a91cb11dd99ac1c34197cd8ce5e1957cc30ea5c0be072864e6ad6cfd5472c"),
 ]
 
+BALLS = {
+    "diamond": {"dimension": 2, "ball": {"type": "polytope-v", "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]]}},
+    "square": {"dimension": 2, "ball": {"type": "polytope-v", "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}},
+    "hexagon": {"dimension": 2, "ball": {"type": "polytope-v", "vertices": HEXAGON}},
+    "cross3": {"dimension": 3, "ball": {"type": "polytope-v", "vertices": CROSS_3}},
+    "p3-2d": {"dimension": 2, "ball": {"type": "pnorm", "p": 3}},
+}
+CAMPAIGN = ["--trials", "2", "--seed", "0"]
+CAMPAIGN_DIGESTS = [
+    ("diamond", "42", "1d059f39634009e11fdfb2af5ef1b19dff1b821ccb896548e4cf83281b22236e"),
+    ("square", "43", "fb28f473d70430ee826254c85103e320b2ff578df1ff9195a215201f7d6a20c9"),
+    ("hexagon", "44", "26ff29cddbd34523dfaafa7c53dabdcb2a299dd151a318543039f178c805dba3"),
+    ("hexagon", "r41", "b280387a0b2820452e44fd741c5dc4ae0fe6f13dd02ddcaf8cc5b5f257c0acd9"),
+    ("cross3", "43", "46c5c30bc93436b4ff3a8ad96ee5f1141a82e6d8ce3eab38519eff5c2abe4cdf"),
+    ("p3-2d", "42", "0567c48ad66f4821824ad623b93a7efed7c98d666625a35cc34e4dc359bb26c8"),
+    ("p3-2d", "44", "6b0d622369a4c3c7334060fc14429086561ab0b2df815a526ea0721a802dd975"),
+]
+
 SEEDED = ["--strategy", "seeded", "--seed", "0"]
 SEEDED_DIGESTS = [
     ("p1.5-2d", "ace8639fd474ae40bae64f15c0e3ac5c8a203da4eb76ef33615be85cd461061f"),
@@ -107,7 +129,7 @@ if sys.version_info >= (3, 12):
 
 
 def stdout_digest(capsys, command, path, *flags) -> str:
-    assert main([command, *FLAGS.get(command, []), *flags, "--in", str(path)]) == 0
+    assert main([command, *(flags or FLAGS.get(command, [])), "--in", str(path)]) == 0
     text = capsys.readouterr().out
     body = "".join(line for line in text.splitlines(True) if not line.startswith('  "version": '))
     assert body != text  # the version line was there to mask
@@ -128,3 +150,11 @@ def test_seeded_construct_bytes(tmp_path, capsys, scene, digest):
     path.write_text(json.dumps(SCENES[scene]))
     assert stdout_digest(capsys, "construct", path, *SEEDED) == digest
     assert stdout_digest(capsys, "construct", path, *SEEDED) == digest
+
+
+@pytest.mark.parametrize("ball, family, digest", CAMPAIGN_DIGESTS, ids=[f"{b}-{f}" for b, f, _ in CAMPAIGN_DIGESTS])
+def test_campaign_bytes(tmp_path, capsys, ball, family, digest):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(BALLS[ball]))
+    assert stdout_digest(capsys, "verify", path, "--theorem", family, *CAMPAIGN) == digest
+    assert stdout_digest(capsys, "verify", path, "--theorem", family, *CAMPAIGN) == digest

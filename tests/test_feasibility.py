@@ -16,7 +16,7 @@ import pytest
 
 from minksimplex import config, feasibility
 from minksimplex.errors import DimensionError, MixedModeError, ResourceCapError, VerificationError
-from minksimplex.feasibility import FeasibilityProblem, FeasibilityResult, Ineq, feasible, lp_max
+from minksimplex.feasibility import FeasibilityProblem, FeasibilityResult, Ineq, feasible
 from minksimplex.linalg import LinearSolution, rank, solve_linear
 from minksimplex.scalars import Rat
 
@@ -238,62 +238,6 @@ def test_holds_at_rejects_float_points():
     # exact rows and float points never mix, not even in a substitution
     with pytest.raises(MixedModeError):
         le_problem(2, SQUARE_ROWS).holds_at((0.5, Rat(0)))
-
-
-def test_lp_max_square():
-    p = FeasibilityProblem(2)
-    for c, b in (((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)):
-        p.add_le((Rat(c[0]), Rat(c[1])), Rat(b))
-    value, witness, attained = lp_max(p, (Rat(1), Rat(1)))
-    assert value == Rat(2) and attained
-    assert witness == (Rat(1), Rat(1))
-    value, _, _ = lp_max(p, (Rat(0), Rat(-1)))
-    assert value == Rat(1)
-
-
-def test_lp_max_unbounded():
-    p = FeasibilityProblem(2)
-    p.add_le((Rat(-1), Rat(0)), Rat(0))
-    value, witness, attained = lp_max(p, (Rat(1), Rat(0)))
-    assert value is None and not attained
-
-
-def test_lp_max_strict_supremum_not_attained():
-    p = FeasibilityProblem(1)
-    p.add_le((Rat(1),), Rat(3), strict=True)
-    value, witness, attained = lp_max(p, (Rat(1),))
-    assert value == Rat(3)
-    assert not attained
-
-
-def test_lp_max_respects_equalities():
-    p = FeasibilityProblem(2)
-    p.add_eq((Rat(1), Rat(1)), Rat(4))
-    p.add_le((Rat(1), Rat(0)), Rat(3))
-    p.add_le((Rat(-1), Rat(0)), Rat(0))
-    value, witness, attained = lp_max(p, (Rat(2), Rat(1)))
-    # maximize 2x + y = x + 4 subject to 0 <= x <= 3
-    assert value == Rat(7) and attained
-    assert witness == (Rat(3), Rat(1))
-
-
-def test_lp_max_infeasible_raises():
-    p = FeasibilityProblem(1)
-    p.add_le((Rat(1),), Rat(0))
-    p.add_le((Rat(-1),), Rat(-1))
-    with pytest.raises(ValueError):
-        lp_max(p, (Rat(1),))
-
-
-def test_lp_max_infeasible_cases_share_one_error():
-    # conflicting equalities; a Fourier-Motzkin contradiction; a unique
-    # solution that fails a constant row
-    conflict = FeasibilityProblem(1, [((Rat(1),), Rat(0)), ((Rat(1),), Rat(1))])
-    contradiction = le_problem(1, [((1,), 0), ((-1,), -1)])
-    off_row = FeasibilityProblem(1, [((Rat(1),), Rat(1))], [Ineq((Rat(1),), Rat(0))])
-    for p in (conflict, contradiction, off_row):
-        with pytest.raises(ValueError, match="^lp_max on infeasible problem$"):
-            lp_max(p, (Rat(1),))
 
 
 def rational_rows(rng, n):
@@ -545,40 +489,6 @@ def ref_feasible(problem, with_dim=True):
     return FeasibilityResult(True, witness, dim, tuple(rows))
 
 
-def ref_lp_max(problem, objective):
-    n = problem.n_vars
-    aug = FeasibilityProblem(n + 1)
-    for coeffs, rhs in problem.equalities:
-        aug.add_eq((*coeffs, 0), rhs)
-    for row in problem.inequalities:
-        aug.add_le((*row.coeffs, 0), row.rhs, row.strict)
-    aug.add_eq((*(-c for c in objective), 1), 0)
-    if not ref_feasible(aug, with_dim=False).feasible:
-        raise ValueError("lp_max on infeasible problem")
-    sol, reduced = ref_parametrize(aug)
-    if sol.status == "unique":
-        return sol.point[n], sol.point[:n], True
-    base, basis = sol.point, sol.basis
-    k = len(basis)
-    zcoeffs = tuple(bvec[n] for bvec in basis)
-    # z first: FM eliminates the last variable first
-    rows = [Ineq((Rat(0), *row.coeffs), row.rhs, row.strict) for row in reduced]
-    rows.append(Ineq((Rat(1), *(-c for c in zcoeffs)), base[n], False))
-    rows.append(Ineq((Rat(-1), *zcoeffs), -base[n], False))
-    stages = ref_fm_eliminate(rows, k + 1)
-    hi = None
-    for row in stages[0]:
-        c = row.coeffs[0]
-        if c > 0 and (hi is None or row.rhs / c < hi):
-            hi = row.rhs / c
-    if hi is None:
-        return None, None, False
-    target = FeasibilityProblem(n, list(problem.equalities), list(problem.inequalities))
-    target.add_eq(tuple(objective), hi)
-    res = ref_feasible(target, with_dim=False)
-    return (hi, res.witness, True) if res.feasible else (hi, None, False)
-
-
 def mixed_problem(rng):
     """Equalities, strict rows and rows with mixed denominators over 1-4
     unknowns, some rows pinned against their negation (lower-dimensional
@@ -614,7 +524,7 @@ def same_result(res, ref) -> bool:
 
 def test_integer_core_equals_fraction_reference():
     rng = random.Random("fm-integer-core")
-    seen = {"empty": 0, "feasible": 0, "lower": 0, "unbounded": 0, "bounded": 0, "shifted": 0}
+    seen = {"empty": 0, "feasible": 0, "lower": 0, "shifted": 0}
     for _ in range(600):
         p = mixed_problem(rng)
         for with_dim in (True, False):
@@ -622,18 +532,10 @@ def test_integer_core_equals_fraction_reference():
             assert same_result(res, ref), (p, res, ref)
         if not ref.feasible:
             seen["empty"] += 1
-            with pytest.raises(ValueError):
-                lp_max(p, [Rat(1)] * p.n_vars)
             continue
         seen["feasible"] += 1
         res = feasible(p)
         seen["lower"] += res.affine_dim < p.n_vars - len(p.equalities)
         # a witness off every bound of its parameter interval
         seen["shifted"] += res.affine_dim > 0 and any(x.denominator > 1 for x in res.witness)
-        objective = [Rat(rng.randint(-2, 2), rng.choice((1, 3))) for _ in range(p.n_vars)]
-        value, witness, attained = lp_max(p, objective)
-        assert (value, witness, attained) == ref_lp_max(p, objective), p
-        assert value is None or type(value) is Fraction
-        assert witness is None or all(type(x) is Fraction for x in witness)
-        seen["unbounded" if value is None else "bounded"] += 1
     assert min(seen.values()) >= 20, seen
