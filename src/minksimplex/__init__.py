@@ -93,17 +93,7 @@ __all__ = [
     "Vec",
     "VerificationError",
     "__version__",
-    "circumcenters",
-    "equilateral_triangle",
     "euclidean_ball",
-    "euler_line",
-    "exspheres",
-    "feuerbach_sphere",
     "from_float",
-    "incenter",
-    "is_ag_quasiregular",
-    "is_circumcenter",
-    "quasiregular_simplex",
-    "run_campaign",
-    "verify_family",
+    *_LAZY_EXPORTS,
 ]

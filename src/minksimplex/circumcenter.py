@@ -90,9 +90,9 @@ class CircumPiece:
 
 
 class CircumcenterSet(FrozenRecord):
-    def __init__(self, simplex: Simplex, ball: UnitBall, pieces: list, classification: str, mode: str,
+    def __init__(self, simplex: Simplex, ball: UnitBall, pieces: list, classification: str,
                  start_failures: int = 0):  # smooth: failures among the starts that ran
-        self.__dict__.update(simplex=simplex, ball=ball, pieces=pieces, classification=classification, mode=mode,
+        self.__dict__.update(simplex=simplex, ball=ball, pieces=pieces, classification=classification,
                              start_failures=start_failures)
 
     def covers(self, center: Vec, radius) -> bool:
@@ -186,7 +186,7 @@ def polytopal_circumcenters(simplex: Simplex, ball: PolytopeBall) -> Circumcente
     # two vertices of Q differ in M, as r = max_k (h_k - <n_k, M>) on each
     single = len(merged) == 1 and merged[0].affine_dim == 0
     cls = SINGLETON if single else MULTIPLE if merged else EMPTY
-    return CircumcenterSet(simplex, ball, merged, cls, EXACT)
+    return CircumcenterSet(simplex, ball, merged, cls)
 
 
 _N_STARTS = 12  # Newton starts per smooth circumcenter search
@@ -380,7 +380,7 @@ def smooth_circumcenters(simplex: Simplex, ball: PNormBall, *, first: bool = Fal
                 break
 
     pieces = [CircumPiece(Vec(m), r, 0) for m, r in solutions]
-    return CircumcenterSet(simplex, ball, pieces, UNKNOWN, "float", failures)
+    return CircumcenterSet(simplex, ball, pieces, UNKNOWN, failures)
 
 
 def circumcenters(simplex: Simplex, ball: UnitBall, *, first: bool = False) -> CircumcenterSet:

@@ -41,8 +41,6 @@ from .scene import (
 
 _VERSION_LINE = f"minksimplex {__version__}"
 
-FAMILIES = config.FAMILIES  # --theorem choices in table order; a tuple, so tests can sample it
-
 
 def _read_input(path: Optional[str]) -> str:
     try:
@@ -126,7 +124,7 @@ def cmd_circumcenters(scene: Scene, args) -> tuple:
         "classification": cset.classification,
         "pieces": _pieces_json(cset),
     }
-    if cset.mode != EXACT:
+    if scene.mode != EXACT:
         payload["start_failures"] = cset.start_failures
     return payload, 0
 
@@ -249,17 +247,6 @@ def cmd_render(scene: Scene, args) -> tuple:
     return None, 0
 
 
-# each subcommand's handler and its help line
-_COMMANDS = {
-    "gauge": (cmd_gauge, "gauge of each named point (and simplex vertex) in the scene norm"),
-    "circumcenters": (cmd_circumcenters, "enumerate or search the circumcenter set of the scene simplex"),
-    "centers": (cmd_centers, "incenter, exspheres, and Euler-line points of the scene simplex"),
-    "construct": (cmd_construct, "build a simplex inscribed in the unit sphere with centroid at the center"),
-    "verify": (cmd_verify, "run an equivalence-family verification campaign on the scene ball"),
-    "render": (cmd_render, "draw the scene as a standalone SVG"),
-}
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -270,36 +257,36 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# every subcommand's flags, each with add_argument's keyword arguments, in
-# the order the parser declares them; _build_parser and _read_args both
-# read this table, and it is the one place a flag is declared
+# each subcommand's handler, its help line and its flags, each flag with
+# add_argument's keyword arguments, in the order the parser declares
+# them; _build_parser, _read_args and main all read this one table
 _IO_FLAGS = {
     "--in": {"dest": "inp", "metavar": "PATH", "help": "scene file (default stdin)"},
     "--out": {"metavar": "PATH", "help": "result file (default stdout)"},
     "--mode": {"choices": ("exact", "float"), "help": "require an arithmetic mode"},
 }
-_FLAGS = {
-    "gauge": _IO_FLAGS,
-    "circumcenters": _IO_FLAGS,
-    "centers": _IO_FLAGS,
-    "construct": {
+_COMMANDS = {
+    "gauge": (cmd_gauge, "gauge of each named point (and simplex vertex) in the scene norm", _IO_FLAGS),
+    "circumcenters": (cmd_circumcenters, "enumerate or search the circumcenter set of the scene simplex", _IO_FLAGS),
+    "centers": (cmd_centers, "incenter, exspheres, and Euler-line points of the scene simplex", _IO_FLAGS),
+    "construct": (cmd_construct, "build a simplex inscribed in the unit sphere with centroid at the center", {
         **_IO_FLAGS,
         "--strategy": {"choices": ("deterministic", "seeded"), "default": "deterministic"},
         "--seed": {"type": int, "default": 0, "help": "chord-direction seed (seeded strategy)"},
-    },
-    "verify": {
+    }),
+    "verify": (cmd_verify, "run an equivalence-family verification campaign on the scene ball", {
         **_IO_FLAGS,
-        "--theorem": {"required": True, "choices": FAMILIES, "help": "equivalence family to verify"},
+        "--theorem": {"required": True, "choices": config.FAMILIES, "help": "equivalence family to verify"},
         "--trials": {"type": _positive_int, "default": 200},
         "--seed": {"type": int, "default": 0},
-    },
-    "render": {
+    }),
+    "render": (cmd_render, "draw the scene as a standalone SVG", {
         **_IO_FLAGS,
         # --svg and --out both name the one SVG file
         "--svg": {"dest": "out", "metavar": "PATH", "help": "SVG output (default stdout)"},
         "--project": {"metavar": "I,J",
                       "help": "coordinate axes to project onto (default 0,1 planar, 1,2 above)"},
-    },
+    }),
 }
 
 
@@ -313,9 +300,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=_VERSION_LINE)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, desc) in _COMMANDS.items():
+    for name, (_, desc, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=desc, description=desc)
-        for flag, kwargs in _FLAGS[name].items():
+        for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
     return parser
 
@@ -330,9 +317,10 @@ def _read_args(argv) -> Optional[argparse.Namespace]:
     --flag=value, a bad or missing value) is left to argparse, the one
     printer of help, usage and errors.
     """
-    flags = _FLAGS.get(argv[0]) if argv else None
-    if flags is None or len(argv) % 2 == 0:
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None or len(argv) % 2 == 0:
         return None
+    flags = command[2]
     values = {"command": argv[0]}  # argparse's attribute order
     for flag, kwargs in flags.items():
         values.setdefault(kwargs.get("dest", flag[2:]), kwargs.get("default"))

@@ -306,7 +306,7 @@ def quasiregular_simplex(
         simplex = Simplex([pick.vertex for pick in picks] + [r, s])
     except (DegenerateInputError, ValueError) as exc:
         raise VerificationError(f"constructed vertices degenerate: {exc}")
-    _verify_inscribed(ball, simplex, origin)
+    _verify_inscribed(ball, simplex)
     return Construction(simplex, ball, tuple(picks), (r, s), ball.mode)
 
 
@@ -319,15 +319,16 @@ def _on_sphere(ball: UnitBall, v: Vec) -> bool:
     return abs(float(ball.gauge(v)) - 1.0) <= config.EPS_REL
 
 
-def _verify_inscribed(ball: UnitBall, simplex: Simplex, center: Vec) -> None:
+def _verify_inscribed(ball: UnitBall, simplex: Simplex) -> None:
+    """Raises VerificationError unless the simplex is inscribed in the
+    unit sphere with its centroid at the ball center, the origin."""
     if ball.mode == EXACT:
-        missed = simplex.centroid != center
+        missed = not simplex.centroid.is_zero()
     else:
-        c = simplex.centroid.to_float()
-        missed = any(abs(float(x) - float(y)) > config.EPS_REL for x, y in zip(c.coords, center.coords))
+        missed = any(abs(x) > config.EPS_REL for x in simplex.centroid.to_float().coords)
     if missed:
         raise VerificationError("centroid missed the ball center")
-    if not all(_on_sphere(ball, v - center) for v in simplex.vertices):
+    if not all(_on_sphere(ball, v) for v in simplex.vertices):
         raise VerificationError("vertex off the unit sphere")
 
 

@@ -357,14 +357,14 @@ def _seeded_boundary_point(ball: UnitBall, rng: random.Random) -> Vec:
     return v / float(ball.gauge(v))
 
 
-def _seeded_placement(simplex: Simplex, rng: random.Random, mode: str) -> Simplex:
+def _seeded_placement(simplex: Simplex, rng: random.Random) -> Simplex:
     d = simplex.dim
     scale = Rat(rng.randint(1, 5), rng.randint(1, 3))
     shift = ExactVec.of_ratios([(rng.randint(-8, 8), rng.choice((1, 2, 4))) for _ in range(d)])
-    if mode != EXACT:
+    if simplex.mode != EXACT:
         scale = float(scale)
         shift = shift.to_float()
-    return simplex.scale(scale).translate(shift)
+    return Simplex([v * scale + shift for v in simplex.vertices])
 
 
 def planted_generator(kind: str, ball: UnitBall, d: int, seed: int) -> Simplex:
@@ -379,18 +379,18 @@ def planted_generator(kind: str, ball: UnitBall, d: int, seed: int) -> Simplex:
     if kind == "ag_quasiregular":
         anchor = _seeded_boundary_point(ball, rng)
         built = quasiregular_simplex(ball, anchor=anchor)
-        return _seeded_placement(built.simplex, rng, ball.mode)
+        return _seeded_placement(built.simplex, rng)
     if kind == "equal_heights":
         dual = ball.dual()
         anchor = _seeded_boundary_point(dual, rng)
         built = quasiregular_simplex(dual, anchor=anchor)
-        return _seeded_placement(built.simplex.dual_simplex(), rng, ball.mode)
+        return _seeded_placement(built.simplex.dual_simplex(), rng)
     if kind == "equilateral":
         if d != 2:
             raise DegenerateInputError("equilateral planting is planar")
         anchor = _seeded_boundary_point(ball, rng)
         tri = equilateral_triangle(ball, anchor=anchor)
-        return _seeded_placement(tri, rng, ball.mode)
+        return _seeded_placement(tri, rng)
     raise ValueError(f"unknown planted kind: {kind}")
 
 

@@ -269,11 +269,7 @@ class Simplex:
         return list(itertools.combinations(range(self.dim + 1), 2))
 
     def edge_midpoint(self, i: int, j: int) -> Vec:
-        a, b = self.vertices[i], self.vertices[j]
-        return (a + b) / 2 if self.mode == EXACT else a * 0.5 + b * 0.5
-
-    def side_length(self, i: int, j: int, ball: UnitBall):
-        return ball.gauge(self.vertices[j] - self.vertices[i])
+        return self.vertices[i] / 2 + self.vertices[j] / 2
 
     def side_lengths(self, ball: UnitBall) -> list:
         return [ball.gauge(e) for e in self.edge_vectors()]

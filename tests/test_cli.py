@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -17,8 +18,8 @@ from minksimplex import cli
 from minksimplex import scene as scene_module
 from minksimplex.circumcenter import cube_edge_midpoint_instance, polytopal_circumcenters
 from minksimplex.cli import main
-from minksimplex.config import EPS_REL
-from minksimplex.errors import MinksimplexError, ResourceCapError
+from minksimplex.config import EPS_REL, FAMILIES
+from minksimplex.errors import MinksimplexError, ResourceCapError, VerificationError
 from minksimplex.linalg import ExactVec
 from minksimplex.render import project
 
@@ -141,17 +142,17 @@ def test_argparse_text_is_pinned(tmp_path, monkeypatch, capsys, argv, digest):
 
 def test_flag_table_has_no_str_default_with_a_type():
     # argparse would convert such a default with the type; _read_args would not
-    for flags in cli._FLAGS.values():
+    for _, _, flags in cli._COMMANDS.values():
         for flag, kwargs in flags.items():
             assert not (isinstance(kwargs.get("default"), str) and "type" in kwargs), flag
 
 
-FLAG_TOKENS = sorted({flag for flags in cli._FLAGS.values() for flag in flags})
+FLAG_TOKENS = sorted({flag for _, _, flags in cli._COMMANDS.values() for flag in flags})
 ODD_TOKENS = [
     "--i", "--o", "--mo", "--th", "--t", "--s", "--se", "--st", "--sv", "--p", "--pro",
     "--seed=4", "--in=x", "--mode=exact", "--theorem=41", "-h", "--help", "--version", "--", "--bogus",
 ]
-THEOREM_TOKENS = [*cli.FAMILIES, "45", "r42", "R41"]
+THEOREM_TOKENS = [*FAMILIES, "45", "r42", "R41"]
 VALUE_TOKENS = [
     "", "-", "-5", " 7", "+3", "1_0", "٣", "abc", "0", "2", "200", "x.json", "1,0",
     "exact", "float", "EXACT", "deterministic", "seeded", "Seeded", *THEOREM_TOKENS,
@@ -161,7 +162,7 @@ COMMAND_TOKENS = [*cli._COMMANDS, "frobnicate", "", "-h", "--version", "gau", "G
 
 def random_command_line(rng):
     command = rng.choice(list(cli._COMMANDS)) if rng.random() < 0.9 else rng.choice(COMMAND_TOKENS)
-    own = list(cli._FLAGS.get(command, {}))
+    own = list(cli._COMMANDS[command][2]) if command in cli._COMMANDS else []
     argv = [command]
     if command == "verify" and rng.random() < 0.7:
         argv += ["--theorem", rng.choice(THEOREM_TOKENS)]
@@ -489,6 +490,28 @@ def test_verify_corrupted_predicate_exits_3(tmp_path, monkeypatch, capsys):
     assert doc["all_agree"] is False
     assert doc["disagreements"]
     assert "disagreement" in capsys.readouterr().err
+
+
+def test_failed_internal_check_exits_3_without_a_document(tmp_path, monkeypatch, capsys):
+    import minksimplex.centers
+
+    def failing(simplex, ball):
+        raise VerificationError("nonpositive inradius")
+
+    monkeypatch.setattr(minksimplex.centers, "incenter", failing)
+    code, text = run_cli(["centers"], tmp_path, POLY_SCENE)
+    assert code == 3
+    assert text == ""
+    assert capsys.readouterr().err == "internal check failed: nonpositive inradius\n"
+
+
+def test_scene_from_stdin_gives_the_file_document(tmp_path, monkeypatch, capsys):
+    assert main(["gauge", "--in", write_scene(tmp_path, POLY_SCENE)]) == 0
+    from_file = capsys.readouterr().out
+    for argv in (["gauge"], ["gauge", "--in", "-"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(POLY_SCENE)))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == from_file
 
 
 def test_malformed_json_exits_1(tmp_path, capsys):

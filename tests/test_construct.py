@@ -253,19 +253,16 @@ def test_on_sphere_is_exact_or_within_eps_rel():
     assert math.isnan(ball.gauge(nan)) and not construct._on_sphere(ball, nan)
 
 
-@pytest.mark.parametrize(
-    "ball, to_vec, center",
-    [(SQUARE, vec, vec(0, 0)), (PNormBall(2, 2.0), fvec, fvec(0, 0))],
-)
-def test_verify_inscribed_rejects_in_both_lanes(ball, to_vec, center):
+@pytest.mark.parametrize("ball, to_vec", [(SQUARE, vec), (PNormBall(2, 2.0), fvec)])
+def test_verify_inscribed_rejects_in_both_lanes(ball, to_vec):
     # centroid 0 with gauge(2, 0) = 2; then all three on the sphere with
     # centroid (0, 1/3)
     off = Simplex([to_vec(2, 0), to_vec(-1, 1), to_vec(-1, -1)])
     with pytest.raises(VerificationError, match="vertex off the unit sphere"):
-        construct._verify_inscribed(ball, off, center)
+        construct._verify_inscribed(ball, off)
     shifted = Simplex([to_vec(1, 0), to_vec(0, 1), to_vec(-1, 0)])
     with pytest.raises(VerificationError, match="centroid missed the ball center"):
-        construct._verify_inscribed(ball, shifted, center)
+        construct._verify_inscribed(ball, shifted)
 
 
 def test_equilateral_random_polygons():

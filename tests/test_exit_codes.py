@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from minksimplex.cli import FAMILIES, main
+from minksimplex.cli import main
+from minksimplex.config import FAMILIES
 from minksimplex.scene import SCENE_SCHEMA
 
 jsonschema = pytest.importorskip("jsonschema")

@@ -26,7 +26,7 @@ from minksimplex.circumcenter import (
 from minksimplex.feasibility import FeasibilityProblem, Ineq, feasible
 from minksimplex.linalg import ExactVec, Vec, bareiss, integer_points
 from minksimplex.polytopes import _polar_kernel
-from minksimplex.scalars import EXACT, Rat
+from minksimplex.scalars import Rat
 
 from conftest import (
     CROSSPOLYTOPE, CUBE, DIAMOND, HEXAGON, HYPERCUBE, OCTAHEDRON, SQUARE, random_rational_simplex,
@@ -89,7 +89,7 @@ def per_vertex_circumcenters(simplex, ball):
         cls = MULTIPLE
     else:
         cls = SINGLETON
-    return CircumcenterSet(simplex, ball, found, cls, EXACT)
+    return CircumcenterSet(simplex, ball, found, cls)
 
 
 def described(cset):
